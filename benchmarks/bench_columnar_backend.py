@@ -1,4 +1,4 @@
-"""Benchmarks of the accelerated (columnar / compiled-kernel) ECM backends.
+"""Benchmarks of the columnar ECM backend (NumPy or compiled-kernel hot loops).
 
 Covers the performance claims of the columnar-store and kernel work against
 the object-per-cell reference backend at identical configuration (all
@@ -6,12 +6,13 @@ backends produce byte-identical estimates and serialized state, enforced by
 ``tests/core/test_columnar_equivalence.py``):
 
 * **Batched ingest** — ``ECMSketch.add_many`` at batch size 1024 must be at
-  least 2x faster on the NumPy columnar backend and at least 5x faster when
-  the numba-compiled kernels are active (all hash rows cascade in one pass
-  over the shared arrays).  Measured on the same non-expiring-window workload
-  as the earlier ingest benchmarks (``bench_micro_structures``/
-  ``bench_query_engine``), plus a secondary expiring-window row where
-  window-crossing runs take the exact reference fallback.
+  least 2x faster on the columnar backend's NumPy loops and at least 5x
+  faster when it runs the numba-compiled kernels (all hash rows cascade in
+  one pass over the shared arrays).  Measured on the same
+  non-expiring-window workload as the earlier ingest benchmarks
+  (``bench_micro_structures``/``bench_query_engine``), plus a secondary
+  expiring-window row where window-crossing runs take the exact reference
+  fallback.
 * **Expire sweep** — ``ECMSketch.expire`` sweeps the whole ``w x d`` grid in
   one pass.  The steady-state sweep (the common coordinator case: little or
   nothing to drop) is where the oldest-end gate shines; the first sweep after
@@ -24,10 +25,11 @@ backends produce byte-identical estimates and serialized state, enforced by
   (per-bucket Python objects), while both report the same paper-model
   ``synopsis_bytes()``.
 
-Every timing row carries a ``backend`` label naming the accelerated backend
-it measured (``"kernels"`` when numba is installed, ``"columnar"``
-otherwise).  ``benchmarks/compare_bench.py`` reads those labels and never
-diffs a kernel ratio against a NumPy baseline or vice versa.
+Every timing row carries a ``backend`` label naming what it measured:
+``"columnar+numba"`` when the columnar store runs compiled kernels,
+``"columnar"`` when it runs its NumPy loops.  ``benchmarks/compare_bench.py``
+reads those labels and never diffs a compiled ratio against a NumPy baseline
+or vice versa.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_columnar_backend.py
 [--json out.json]``) for the report the CI benchmark job archives, or via
@@ -46,7 +48,7 @@ import pytest
 
 from repro.core import ECMConfig, ECMSketch
 from repro.serialization import dumps
-from repro.windows._eh_kernels import kernels_compiled
+from repro.windows import columnar_eh
 
 #: Headline window: nothing expires during the workload (the PR-3 ingest
 #: benchmarks' setting, so the 2x acceptance bar is measured like-for-like).
@@ -66,10 +68,16 @@ KEY_BITS = 16
 QUERY_BATCH = 4_096
 
 
-def _accelerated_backend() -> str:
-    """The accelerated backend this run measures (registry auto-selection)."""
+#: Label of the accelerated rows: the columnar backend, marked when its hot
+#: loops run as compiled kernels.
+COMPILED_LABEL = "columnar+numba"
+
+
+def _accelerated_label() -> str:
+    """Backend label of the accelerated rows this run measures."""
     config = ECMConfig.for_point_queries(epsilon=EPSILON, delta=0.1, window=WINDOW)
-    return config.resolved_backend
+    assert config.resolved_backend == "columnar", config.resolved_backend
+    return COMPILED_LABEL if columnar_eh.USE_KERNELS else "columnar"
 
 
 def _workload(seed: int = 1):
@@ -114,14 +122,6 @@ def test_ingest_object_backend(benchmark):
 def test_ingest_columnar_backend(benchmark):
     keys, clocks = _workload()
     benchmark(lambda: _build("columnar", keys, clocks))
-
-
-@pytest.mark.benchmark(group="columnar-ingest")
-def test_ingest_kernel_backend(benchmark):
-    if not kernels_compiled():
-        pytest.skip("numba not installed: no compiled kernels to time")
-    keys, clocks = _workload()
-    benchmark(lambda: _build("kernels", keys, clocks))
 
 
 def test_columnar_backend_report(capsys):
@@ -206,7 +206,7 @@ def test_columnar_backend_report(capsys):
     # The memory claim is deterministic: no noise margin needed.
     assert results["memory"]["columnar_bytes"] < results["memory"]["object_resident_bytes"]
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        ingest_floor = 5.0 if backend == "kernels" and kernels_compiled() else 2.0
+        ingest_floor = 5.0 if backend == COMPILED_LABEL else 2.0
         assert results["ingest"]["speedup"] >= ingest_floor, (
             "%s ingest speedup regressed to %.2fx (< %.0fx floor)"
             % (backend, results["ingest"]["speedup"], ingest_floor)
@@ -231,25 +231,26 @@ def test_columnar_backend_report(capsys):
 def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
     """Accelerated-vs-object timings for ingest, expiry, queries and memory.
 
-    The accelerated side is whatever backend the registry auto-selects for
-    this environment; every timing row is labelled with its name so the
-    regression guard can refuse cross-backend comparisons.
+    The accelerated side is the columnar backend, on compiled kernels when
+    numba is present; every timing row is labelled (see
+    :func:`_accelerated_label`) so the regression guard can refuse
+    compiled-vs-NumPy comparisons.
     """
-    accel = _accelerated_backend()
+    label = _accelerated_label()
     keys, clocks = _workload()
     now = clocks[-1]
 
     ingest_object = _best_of(lambda: _build("object", keys, clocks), rounds)
-    ingest_accel = _best_of(lambda: _build(accel, keys, clocks), rounds)
+    ingest_accel = _best_of(lambda: _build("columnar", keys, clocks), rounds)
     expiring_object = _best_of(
         lambda: _build("object", keys, clocks, EXPIRING_WINDOW), rounds
     )
     expiring_accel = _best_of(
-        lambda: _build(accel, keys, clocks, EXPIRING_WINDOW), rounds
+        lambda: _build("columnar", keys, clocks, EXPIRING_WINDOW), rounds
     )
 
     object_sketch = _build("object", keys, clocks)
-    accel_sketch = _build(accel, keys, clocks)
+    accel_sketch = _build("columnar", keys, clocks)
     # The backends must be byte-identical before their timings mean anything.
     assert dumps(object_sketch) == dumps(accel_sketch)
 
@@ -265,7 +266,7 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
         return first, steady
 
     compacting_object, steady_object = min(sweep_pair("object") for _ in range(rounds))
-    compacting_accel, steady_accel = min(sweep_pair(accel) for _ in range(rounds))
+    compacting_accel, steady_accel = min(sweep_pair("columnar") for _ in range(rounds))
 
     query_keys = keys[:QUERY_BATCH]
     expected = object_sketch.point_query_many(query_keys, None, now)
@@ -280,7 +281,7 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
     return {
         "grid": {"width": object_sketch.width, "depth": object_sketch.depth},
         "ingest": {
-            "backend": accel,
+            "backend": label,
             "records": INGEST_RECORDS,
             "batch_size": BATCH_SIZE,
             "window": WINDOW,
@@ -289,7 +290,7 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
             "speedup": ingest_object / ingest_accel,
         },
         "ingest_expiring": {
-            "backend": accel,
+            "backend": label,
             "records": INGEST_RECORDS,
             "batch_size": BATCH_SIZE,
             "window": EXPIRING_WINDOW,
@@ -298,26 +299,26 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
             "speedup": expiring_object / expiring_accel,
         },
         "expire_steady": {
-            "backend": accel,
+            "backend": label,
             "object_seconds": steady_object,
             "accel_seconds": steady_accel,
             "speedup": steady_object / steady_accel,
         },
         "expire_compacting": {
-            "backend": accel,
+            "backend": label,
             "object_seconds": compacting_object,
             "accel_seconds": compacting_accel,
             "speedup": compacting_object / compacting_accel,
         },
         "queries": {
-            "backend": accel,
+            "backend": label,
             "items": QUERY_BATCH,
             "object_seconds": queries_object,
             "accel_seconds": queries_accel,
             "speedup": queries_object / queries_accel,
         },
         "memory": {
-            "backend": accel,
+            "backend": label,
             "columnar_bytes": accel_sketch.memory_bytes(),
             "object_resident_bytes": object_sketch.resident_memory_bytes(),
             "synopsis_bytes": accel_sketch.synopsis_bytes(),

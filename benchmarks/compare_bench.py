@@ -49,9 +49,9 @@ def iter_ratio_leaves(
     """Yield ``(dotted.path, (value, backend))`` for every gated ratio leaf.
 
     ``backend`` is the nearest enclosing dict's ``"backend"`` label (rows
-    measured against the compiled kernels vs the NumPy columnar path carry
-    different labels, and their ratios must never be diffed against each
-    other).
+    measured on compiled kernels, ``"columnar+numba"``, and on the NumPy
+    columnar loops, ``"columnar"``, carry different labels, and their ratios
+    must never be diffed against each other).
     """
     if isinstance(tree, dict):
         label = tree.get("backend")
@@ -88,7 +88,7 @@ def compare_trees(
             continue
         fresh_value, fresh_backend = fresh_entry
         if base_backend != fresh_backend:
-            # A kernel ratio against a NumPy baseline (or vice versa) is not
+            # A compiled ratio against a NumPy baseline (or vice versa) is not
             # a regression signal — different code paths, different bars.
             report.append(
                 "  skipped  %-48s backend changed: %s -> %s (baseline %.2fx, fresh %.2fx)"
@@ -147,17 +147,17 @@ def self_test(tolerance: float = DEFAULT_TOLERANCE) -> int:
     slowdown_10["stages"][0]["speedup"] = 2.0 * 0.90  # 10% drift: within tolerance
     clamped = {"sweep": {"speedup": 30.0}}
     clamped_fresh = {"sweep": {"speedup": 5.0}}  # above the clamp: must pass
-    # A kernel run diffed against a NumPy baseline: the ratio halves, but the
-    # backend label changed, so the guard must skip the row, not flag it.
-    numpy_baseline = {"ingest": {"backend": "kernels", "speedup": 8.0}}
-    kernel_fresh = {"ingest": {"backend": "columnar", "speedup": 2.5}}
+    # A NumPy run diffed against a compiled-kernel baseline: the ratio drops,
+    # but the backend label changed, so the guard must skip the row, not flag it.
+    kernel_baseline = {"ingest": {"backend": "columnar+numba", "speedup": 8.0}}
+    numpy_fresh = {"ingest": {"backend": "columnar", "speedup": 2.5}}
 
     _, must_fail = compare_trees(baseline, slowdown_30, tolerance)
     _, must_pass = compare_trees(baseline, slowdown_10, tolerance)
     _, missing = compare_trees(baseline, {"meta": {}}, tolerance)
     _, clamp_pass = compare_trees(clamped, clamped_fresh, tolerance)
     _, clamp_fail = compare_trees(clamped, {"sweep": {"speedup": 3.0}}, tolerance)
-    backend_report, backend_switch = compare_trees(numpy_baseline, kernel_fresh, tolerance)
+    backend_report, backend_switch = compare_trees(kernel_baseline, numpy_fresh, tolerance)
 
     failures: list[str] = []
     if not must_fail:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .analysis.reporting import write_rows
 from .baselines import ExactStreamSummary
-from .core import ECMSketch, known_backend_names
+from .core import BACKENDS, ECMSketch
 
 if TYPE_CHECKING:
     from .core.config import ECMConfig
@@ -192,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo_parser = subparsers.add_parser("demo", help="run a quick end-to-end sanity demo")
     demo_parser.add_argument("--records", type=int, default=10_000)
     demo_parser.add_argument("--epsilon", type=float, default=0.05)
-    demo_parser.add_argument("--backend", choices=["auto", *known_backend_names()],
+    demo_parser.add_argument("--backend", choices=["auto", *BACKENDS],
                              default="auto",
-                             help="counter-grid storage backend ('auto' lets the registry "
-                                  "pick the best supported backend)")
+                             help="counter-grid storage backend ('auto': columnar for "
+                                  "exponential histograms, object for waves)")
     demo_parser.add_argument("--batch-size", type=_positive_int, default=None,
                              help="ingest via the batched fast path (add_many) in chunks "
                                   "of this many records")
@@ -240,10 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "keys, a hierarchical stack over an integer universe, "
                                    "or per-site sketches behind a periodic-aggregation "
                                    "coordinator")
-    serve_parser.add_argument("--backend", choices=["auto", *known_backend_names()],
+    serve_parser.add_argument("--backend", choices=["auto", *BACKENDS],
                               default="auto",
-                              help="counter-grid storage backend ('auto' lets the registry "
-                                   "pick the best supported backend)")
+                              help="counter-grid storage backend ('auto': columnar for "
+                                   "exponential histograms, object for waves)")
     serve_parser.add_argument("--epsilon", type=float, default=0.05,
                               help="total point-query error budget (default 0.05)")
     serve_parser.add_argument("--delta", type=float, default=0.05)

@@ -9,16 +9,7 @@ from .config import (
     split_point_query_deterministic,
     split_point_query_randomized,
 )
-from .counter_store import (
-    BackendRegistration,
-    CounterStore,
-    ObjectCounterStore,
-    known_backend_names,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-    unregister_backend,
-)
+from .counter_store import BACKENDS, CounterStore, ObjectCounterStore, build_store
 from .countmin import CountMinSketch, dimensions_for_error
 from .ecm_sketch import ECMSketch
 from .errors import (
@@ -38,12 +29,8 @@ __all__ = [
     "ECMSketch",
     "CounterStore",
     "ObjectCounterStore",
-    "BackendRegistration",
-    "register_backend",
-    "unregister_backend",
-    "registered_backends",
-    "known_backend_names",
-    "resolve_backend",
+    "BACKENDS",
+    "build_store",
     "CountMinSketch",
     "dimensions_for_error",
     "HashFamily",

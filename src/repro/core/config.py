@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 from ..windows.base import WindowModel, validate_delta, validate_epsilon, validate_window
+from .counter_store import BACKENDS
 from .countmin import dimensions_for_error
-from .errors import ConfigurationError
+from .errors import BackendUnavailableError, ConfigurationError
 
 __all__ = [
     "CounterType",
@@ -153,20 +154,16 @@ class ECMConfig:
         seed: Hash seed shared by all sketches that should be mergeable.
         width: Count-Min array width; derived from ``epsilon_cm`` if omitted.
         depth: Count-Min array depth; derived from ``delta`` if omitted.
-        backend: Counter-grid storage backend, resolved through the backend
-            registry (:func:`repro.core.counter_store.resolve_backend`).
-            ``"auto"`` (the default) picks the highest-priority registered
-            backend whose capability predicate accepts this configuration —
-            ``"kernels"`` (compiled columnar hot paths, needs numba or an
-            explicit ``REPRO_KERNELS=1`` override) over ``"columnar"``
-            (structure-of-arrays NumPy buffers) over ``"object"`` (one
-            Python counter per cell, any counter type).  Naming a backend
-            explicitly either uses exactly that backend or raises
-            :class:`~repro.core.errors.BackendUnavailableError` with the
-            rejection reason; there is no silent demotion.  The backend is a
-            storage detail: estimates and serialized state are
-            byte-identical across backends, and the field never travels on
-            the wire.
+        backend: Counter-grid storage backend: ``"auto"`` (the default),
+            ``"columnar"`` (structure-of-arrays buffers, exponential
+            histograms only) or ``"object"`` (one Python counter per cell,
+            any counter type).  ``"auto"`` picks ``"columnar"`` for
+            exponential histograms and ``"object"`` for waves.  An explicit
+            name either gets exactly that backend or raises
+            :class:`~repro.core.errors.BackendUnavailableError`; there is no
+            silent demotion.  The backend is a storage detail: estimates and
+            serialized state are byte-identical across backends, and the
+            field never travels on the wire.
     """
 
     epsilon_cm: float
@@ -192,17 +189,11 @@ class ECMConfig:
             raise ConfigurationError("model must be a WindowModel")
         if not isinstance(self.counter_type, CounterType):
             raise ConfigurationError("counter_type must be a CounterType")
-        if self.backend != "auto":
-            # Unknown names fail at construction time; whether the named
-            # backend *supports* this configuration is checked at resolution
-            # (it may depend on the environment, e.g. numba availability).
-            from .counter_store import known_backend_names
-
-            if self.backend not in known_backend_names():
-                raise ConfigurationError(
-                    "unknown backend %r; expected 'auto' or one of: %s"
-                    % (self.backend, ", ".join(known_backend_names()))
-                )
+        if self.backend != "auto" and self.backend not in BACKENDS:
+            raise ConfigurationError(
+                "unknown backend %r; expected one of: %s"
+                % (self.backend, ", ".join(("auto", *BACKENDS)))
+            )
         derived_width, derived_depth = dimensions_for_error(self.epsilon_cm, self.delta)
         if self.width <= 0:
             self.width = derived_width
@@ -287,19 +278,22 @@ class ECMConfig:
     def resolved_backend(self) -> str:
         """Name of the storage backend the sketch will actually use.
 
-        Delegates to the backend registry
-        (:func:`repro.core.counter_store.resolve_backend`): ``"auto"``
-        resolves to the highest-priority backend whose capability predicate
-        accepts this configuration; an explicit name resolves to itself or
-        raises :class:`~repro.core.errors.BackendUnavailableError` with the
-        rejection reason.  Exponential-histogram grids resolve columnar at
-        every epsilon — the lazily-grown slot axis removed the old
-        tiny-epsilon (``COLUMNAR_MAX_PER_LIMIT``) escape hatch to the object
-        layout — while wave counter types resolve to the object backend.
+        ``"auto"`` resolves to ``"columnar"`` for exponential histograms (at
+        every epsilon) and to ``"object"`` for wave counters.  An explicit
+        name resolves to itself, or raises
+        :class:`~repro.core.errors.BackendUnavailableError` when it cannot
+        store this counter type.
         """
-        from .counter_store import resolve_backend
-
-        return resolve_backend(self).name
+        is_histogram = self.counter_type is CounterType.EXPONENTIAL_HISTOGRAM
+        if self.backend == "auto":
+            return "columnar" if is_histogram else "object"
+        if self.backend == "columnar" and not is_histogram:
+            raise BackendUnavailableError(
+                "backend 'columnar' cannot serve this configuration: the columnar "
+                "layout only implements exponential-histogram counters; "
+                "counter_type=%s needs the object backend" % (self.counter_type,)
+            )
+        return self.backend
 
     @property
     def total_point_error(self) -> float:

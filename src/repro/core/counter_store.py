@@ -1,4 +1,4 @@
-"""Counter stores: pluggable backing storage for the ECM-sketch counter grid.
+"""Counter stores: backing storage for the ECM-sketch counter grid.
 
 An ECM-sketch is a ``depth x width`` grid of sliding-window counters.  How
 that grid is *stored* is independent of the sketch semantics, so the storage
@@ -23,14 +23,11 @@ consumes the grid: scalar updates address one ``(row, column)`` cell, batched
 updates hand over a whole hash row worth of column-grouped runs, and queries
 either read one cell or gather many cells in one call.
 
-Which store a sketch gets is decided by the **backend registry** at the bottom
-of this module: every backend registers a factory, a capability predicate and
-a priority (:func:`register_backend`), and :func:`resolve_backend` picks the
-store for a configuration — the highest-priority backend whose ``supports()``
-accepts it for ``backend="auto"``, or exactly the named one (failing loudly
-with the rejection reason) for an explicit name.  Sketch code never
-constructs a store class directly (reprolint rule RL007 enforces this), so
-third-party stores drop in by registering, with no caller changes.
+Which store a sketch gets is decided by :func:`build_store`: ``"auto"``
+picks ``columnar`` for exponential-histogram grids and ``object`` for waves,
+and an explicit name from :data:`BACKENDS` gets exactly that store or fails
+loudly.  Whether the columnar hot loops run compiled is not a backend
+choice; see :data:`repro.windows.columnar_eh.USE_KERNELS`.
 """
 
 from __future__ import annotations
@@ -38,27 +35,19 @@ from __future__ import annotations
 import abc
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..windows.base import SlidingWindowCounter
-from .errors import BackendUnavailableError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config -> windows)
     from .config import ECMConfig
 
-__all__ = [
-    "CounterStore",
-    "ObjectCounterStore",
-    "BackendRegistration",
-    "register_backend",
-    "unregister_backend",
-    "registered_backends",
-    "known_backend_names",
-    "resolve_backend",
-]
+__all__ = ["BACKENDS", "CounterStore", "ObjectCounterStore", "build_store"]
+
+#: Backend names ``ECMConfig.backend`` accepts besides ``"auto"``.
+BACKENDS = ("columnar", "object")
 
 #: Clock/value payload of a batched ingest: a NumPy array whose dtype
 #: round-trips the original scalars exactly, or a plain list holding the
@@ -293,148 +282,32 @@ class ObjectCounterStore(CounterStore):
         return total
 
 
-# ---------------------------------------------------------- backend registry
-#: Builds one reference counter for a grid cell; backends that store counter
-#: objects call it once per cell, columnar backends ignore it.
+# ------------------------------------------------------------ store selection
+#: Builds one reference counter for a grid cell; the object store calls it
+#: once per cell, the columnar store ignores it.
 CounterFactory = Callable[[int, int], SlidingWindowCounter]
 
-#: Builds a store for a validated configuration.
-BackendFactory = Callable[["ECMConfig", CounterFactory], CounterStore]
 
-#: Capability predicate: ``None`` when the backend can serve the
-#: configuration, otherwise a human-readable rejection reason (surfaced
-#: verbatim when an explicitly-named backend is refused).
-BackendSupports = Callable[["ECMConfig"], "str | None"]
+def build_store(config: ECMConfig, make_counter: CounterFactory) -> CounterStore:
+    """The counter store for ``config``'s grid, named by ``config.resolved_backend``.
 
-
-@dataclass(frozen=True)
-class BackendRegistration:
-    """One registered counter-store backend.
-
-    Attributes:
-        name: Registry key; what ``ECMConfig.backend`` names and what
-            :attr:`~repro.core.ecm_sketch.ECMSketch.backend` reports.
-        factory: Store constructor for an accepted configuration.
-        supports: Capability predicate (``None`` = accepted, a string = the
-            rejection reason).
-        priority: ``backend="auto"`` picks the highest-priority backend whose
-            ``supports()`` accepts; built-ins use kernels=20 > columnar=10 >
-            object=0.
+    Raises :class:`~repro.core.errors.BackendUnavailableError` when an
+    explicit ``backend`` cannot store ``config``'s counter type.
     """
-
-    name: str
-    factory: BackendFactory
-    supports: BackendSupports
-    priority: int
-
-
-_BACKENDS: dict[str, BackendRegistration] = {}
-
-
-def register_backend(
-    name: str,
-    factory: BackendFactory,
-    supports: BackendSupports,
-    priority: int = 0,
-    *,
-    replace: bool = False,
-) -> BackendRegistration:
-    """Register a counter-store backend under ``name``.
-
-    Args:
-        name: Registry key (``"auto"`` is reserved for the resolver).
-        factory: ``factory(config, make_counter) -> CounterStore``.
-        supports: ``supports(config)`` returning ``None`` to accept or a
-            rejection reason string to refuse.
-        priority: Auto-selection rank; higher wins.
-        replace: Allow overwriting an existing registration (tests and
-            third-party shims); without it a duplicate name is an error.
-
-    Returns:
-        The stored :class:`BackendRegistration`.
-    """
-    if name == "auto":
-        raise ConfigurationError("'auto' is the resolver keyword, not a registrable backend name")
-    if not replace and name in _BACKENDS:
-        raise ConfigurationError(
-            "backend %r is already registered; pass replace=True to override" % (name,)
+    if config.resolved_backend == "object":
+        return ObjectCounterStore(
+            [
+                [make_counter(row, column) for column in range(config.width)]
+                for row in range(config.depth)
+            ]
         )
-    registration = BackendRegistration(
-        name=name, factory=factory, supports=supports, priority=priority
+    # Deferred: the columnar module imports this one.
+    from ..windows.columnar_eh import ColumnarEHStore
+
+    return ColumnarEHStore(
+        depth=config.depth,
+        width=config.width,
+        epsilon=config.epsilon_sw,
+        window=config.window,
+        model=config.model,
     )
-    _BACKENDS[name] = registration
-    return registration
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registration (no-op when absent); for tests and plugins."""
-    _BACKENDS.pop(name, None)
-
-
-def _ensure_builtin_backends() -> None:
-    # The columnar-family backends register at the bottom of their own
-    # modules; importing the windows package is what runs them.  Lazy to
-    # break the import cycle (this module is imported *by* those modules).
-    from .. import windows  # noqa: F401
-
-
-def registered_backends() -> list[BackendRegistration]:
-    """Every registration, highest priority first (ties by name)."""
-    _ensure_builtin_backends()
-    return sorted(_BACKENDS.values(), key=lambda entry: (-entry.priority, entry.name))
-
-
-def known_backend_names() -> list[str]:
-    """Registered backend names, highest priority first."""
-    return [entry.name for entry in registered_backends()]
-
-
-def resolve_backend(config: ECMConfig) -> BackendRegistration:
-    """The registration that will store ``config``'s counter grid.
-
-    ``backend="auto"`` returns the highest-priority backend whose
-    ``supports()`` accepts the configuration; an explicit name returns
-    exactly that backend or raises :class:`BackendUnavailableError` carrying
-    the rejection reason (never a silent demotion).  Unknown names raise
-    :class:`ConfigurationError` listing what is registered.
-    """
-    _ensure_builtin_backends()
-    name = config.backend
-    if name == "auto":
-        rejections = []
-        for entry in registered_backends():
-            reason = entry.supports(config)
-            if reason is None:
-                return entry
-            rejections.append("%s: %s" % (entry.name, reason))
-        raise BackendUnavailableError(
-            "no registered backend supports this configuration (%s)" % "; ".join(rejections)
-        )
-    entry = _BACKENDS.get(name)
-    if entry is None:
-        raise ConfigurationError(
-            "unknown backend %r; registered backends: %s"
-            % (name, ", ".join(known_backend_names()) or "(none)")
-        )
-    reason = entry.supports(config)
-    if reason is not None:
-        raise BackendUnavailableError("backend %r cannot serve this configuration: %s" % (name, reason))
-    return entry
-
-
-def _object_supports(config: ECMConfig) -> str | None:
-    # The reference layout stores any counter type; it is the priority-0
-    # floor every configuration can fall back to.
-    return None
-
-
-def _object_factory(config: ECMConfig, make_counter: CounterFactory) -> CounterStore:
-    return ObjectCounterStore(
-        [
-            [make_counter(row, column) for column in range(config.width)]
-            for row in range(config.depth)
-        ]
-    )
-
-
-register_backend("object", _object_factory, _object_supports, priority=0)

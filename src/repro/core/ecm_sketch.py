@@ -39,7 +39,7 @@ from ..windows.merge import (
 )
 from ..windows.randomized_wave import RandomizedWave
 from .config import CounterType, ECMConfig
-from .counter_store import CounterStore, resolve_backend
+from .counter_store import CounterStore, build_store
 from .countmin import CountMinSketch
 from .errors import (
     ConfigurationError,
@@ -91,13 +91,9 @@ class ECMSketch:
         self.model = config.model
         self.counter_type = config.counter_type
         self.hashes = HashFamily(depth=self.depth, width=self.width, seed=config.seed)
-        # Capability-negotiated store selection: the registry resolves
-        # config.backend ("auto" picks by priority, explicit names fail
-        # loudly) and its factory builds the store.
-        registration = resolve_backend(config)
+        self._store: CounterStore = build_store(config, self._make_counter)
         #: Name of the storage backend actually in use.
-        self.backend = registration.name
-        self._store: CounterStore = registration.factory(config, self._make_counter)
+        self.backend = self._store.backend_name
         self._total_arrivals = 0
         self._last_clock: float | None = None
         # Item -> stable fingerprint memo used by the batched ingestion path;

@@ -31,12 +31,10 @@ class ConfigurationError(ReproError, ValueError):
 
 
 class BackendUnavailableError(ConfigurationError):
-    """Raised when a requested counter-store backend cannot serve a config.
+    """Raised when an explicitly-named counter-store backend cannot serve a config.
 
-    An explicitly-named backend (``backend="kernels"`` without numba,
-    ``backend="columnar"`` with wave counters) fails loudly with the
-    registry's rejection reason instead of silently demoting; ``"auto"``
-    raises only when *no* registered backend accepts the configuration.
+    ``backend="columnar"`` with wave counters fails loudly with the reason
+    instead of silently demoting to ``"object"``; ``"auto"`` never raises it.
     """
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from collections import deque
 from collections.abc import Callable
 from typing import Any
@@ -104,7 +105,12 @@ def histogram_to_dict(histogram: ExponentialHistogram) -> dict[str, Any]:
 
 
 def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
-    """Rebuild an exponential histogram serialized by :func:`histogram_to_dict`."""
+    """Rebuild an exponential histogram serialized by :func:`histogram_to_dict`.
+
+    Raises :class:`ConfigurationError` for buckets no exponential histogram
+    can hold: a size that is not a positive power of two, or a size-1 bucket
+    whose ``start`` and ``end`` differ.
+    """
     _require(payload, "exponential_histogram")
     histogram = ExponentialHistogram(
         epsilon=payload["epsilon"],
@@ -114,7 +120,16 @@ def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
     # Restore the bucket list verbatim instead of replaying arrivals: the
     # structure on the wire is already the structure we want in memory.
     for size, start, end in payload["buckets"]:
-        level = max(0, int(size).bit_length() - 1)
+        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size <= 0 or size & (size - 1):
+            raise ConfigurationError(
+                "exponential-histogram bucket sizes must be positive powers of two; got %r" % (size,)
+            )
+        if size == 1 and start != end:
+            raise ConfigurationError(
+                "a size-1 bucket holds one arrival, so its start and end must match; "
+                "got start=%r, end=%r" % (start, end)
+            )
+        level = int(size).bit_length() - 1
         while len(histogram._levels) <= level:
             histogram._levels.append(deque())
         histogram._levels[level].append(Bucket(size=int(size), start=start, end=end))

@@ -44,9 +44,10 @@ class ServiceConfig:
             count-based windows).
         model: Time-based or count-based window model.
         counter_type: Sliding-window counter algorithm (EH by default).
-        backend: Counter-grid storage backend: ``"auto"`` (registry picks
-            the best supported backend) or an explicit registered name
-            (``"kernels"``/``"columnar"``/``"object"``).
+        backend: Counter-grid storage backend: ``"auto"``, ``"columnar"``
+            or ``"object"`` (see :attr:`repro.core.config.ECMConfig.backend`).
+            Payloads that name the retired ``"kernels"`` backend decode as
+            ``"columnar"``.
         universe_bits: Key-universe capacity of the hierarchical mode
             (``2**universe_bits`` distinct integer keys).
         sites: Number of observation sites of the multisite mode.
@@ -231,7 +232,9 @@ class ServiceConfig:
                 window=payload["window"],
                 model=WindowModel(payload["model"]),
                 counter_type=CounterType(payload["counter_type"]),
-                backend=payload["backend"],
+                # "kernels" was the compiled-columnar backend; the columnar
+                # store now picks its kernels itself.
+                backend="columnar" if payload["backend"] == "kernels" else payload["backend"],
                 universe_bits=int(payload["universe_bits"]),
                 sites=int(payload["sites"]),
                 period=payload["period"],

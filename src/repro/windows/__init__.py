@@ -9,7 +9,6 @@ the order-preserving aggregation algorithms of Section 5.
 from .base import SlidingWindowCounter, WindowModel
 from .columnar_eh import ColumnarEHStore
 from .deterministic_wave import DeterministicWave, WaveCheckpoint
-from .kernel_eh import KernelEHStore
 from .exact_window import ExactWindowCounter
 from .exponential_histogram import Bucket, ExponentialHistogram
 from .merge import (
@@ -30,7 +29,6 @@ __all__ = [
     "WindowModel",
     "Bucket",
     "ColumnarEHStore",
-    "KernelEHStore",
     "ExponentialHistogram",
     "DeterministicWave",
     "WaveCheckpoint",

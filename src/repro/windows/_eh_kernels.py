@@ -8,37 +8,24 @@ store's structure-of-arrays buffers (``starts``/``ends`` float64 planes,
 module expresses them as ``numba.njit``-compilable functions operating
 directly on those arrays.
 
-Compilation is strictly optional:
-
-* when numba is importable (the ``repro[kernels]`` extra), every kernel is
-  compiled in ``nopython`` mode at import time and runs at machine speed;
-* when numba is absent, the identical function bodies run as interpreted
-  Python.  The algorithms are byte-for-byte equivalent to the NumPy
-  implementations in ``columnar_eh.py`` (the equivalence suite runs both
-  ways), so the interpreted form is only used when explicitly forced —
-  production configs without numba resolve to the NumPy-vectorized
-  ``columnar`` backend instead.
-
-Selection is env-overridable via ``REPRO_KERNELS``:
-
-* ``REPRO_KERNELS=0`` — disable the ``kernels`` backend even when numba is
-  installed (the registry then auto-selects ``columnar``);
-* ``REPRO_KERNELS=1`` — force-enable the ``kernels`` backend even without
-  numba (interpreted; used by the equivalence suite to prove the kernel
-  algorithms themselves, not just their compiled forms, match the reference).
+Compilation is optional.  When numba is importable (the ``repro[kernels]``
+extra) every kernel is compiled in ``nopython`` mode and
+:data:`~repro.windows.columnar_eh.USE_KERNELS` routes the store's hot loops
+here.  When numba is absent the identical function bodies are plain Python;
+the store then uses its NumPy passes, and only the equivalence suite runs
+these bodies interpreted, to prove the algorithms (not just their compiled
+forms) byte-identical to the reference.
 
 ``nopython`` constraints shaped these functions: no ``None``, no Python
 objects, fixed-dtype arrays only, and per-cell scratch buffers allocated with
 ``np.empty`` inside the loop (numba supports allocation in nopython mode).
-That is exactly why ``ColumnarEHStore`` keeps demoted state (explicit sizes,
-per-bucket int/float flags) out of the canonical arrays: the kernels handle
-only canonical mode, and the store falls back to its NumPy paths the moment a
-demoting load materialises the side arrays.
+They read bucket sizes from the level index (``2**level``) and never touch
+the per-bucket int/float flag planes; the store keeps mixed-clock expiry on
+its NumPy sweep, and its batched ingest never cascades a mixed-clock store.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from typing import Any, TypeVar
 
@@ -46,9 +33,6 @@ import numpy as np
 
 __all__ = [
     "HAVE_NUMBA",
-    "kernels_compiled",
-    "kernels_enabled",
-    "kernels_disabled",
     "cascade_runs",
     "expire_cells",
     "estimate_cells_canonical",
@@ -74,38 +58,6 @@ except ImportError:  # pragma: no cover - the container default
         return wrap
 
 
-def _env_setting() -> str:
-    return os.environ.get("REPRO_KERNELS", "").strip().lower()
-
-
-def kernels_disabled() -> bool:
-    """True when ``REPRO_KERNELS=0`` explicitly vetoes the kernels backend."""
-    return _env_setting() in ("0", "off", "false")
-
-
-def kernels_forced() -> bool:
-    """True when ``REPRO_KERNELS=1`` force-enables the (possibly interpreted)
-    kernels backend."""
-    return _env_setting() in ("1", "on", "true", "force")
-
-
-def kernels_enabled() -> bool:
-    """Whether the ``kernels`` backend is eligible for selection.
-
-    Compiled kernels require numba; the interpreted forms are only eligible
-    under an explicit ``REPRO_KERNELS=1`` override (they are algorithmically
-    identical but slower than the NumPy ``columnar`` paths).
-    """
-    if kernels_disabled():
-        return False
-    return HAVE_NUMBA or kernels_forced()
-
-
-def kernels_compiled() -> bool:
-    """True when the kernels below are actual machine code (numba present)."""
-    return HAVE_NUMBA
-
-
 @_njit(cache=True)
 def cascade_runs(  # pragma: no cover - measured via the equivalence suite
     starts: np.ndarray,
@@ -126,8 +78,8 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
     ``_deferred_cascade``/``_apply_level`` pair, so the resulting bucket
     structure is identical bucket-for-bucket.
 
-    Preconditions (established by the caller): canonical mode, level and slot
-    axes pre-grown to the cascade's precomputed demand, no expiry possible
+    Preconditions (established by the caller): level and slot axes
+    pre-grown to the cascade's precomputed demand, no expiry possible
     mid-run.
     """
     for i in range(cells.shape[0]):
@@ -229,7 +181,7 @@ def expire_cells(  # pragma: no cover - measured via the equivalence suite
     candidates: np.ndarray,
     threshold: float,
 ) -> None:
-    """Prefix-drop expiry sweep over candidate cells (canonical mode).
+    """Prefix-drop expiry sweep over candidate cells (no flag planes).
 
     Within one ``(cell, level)`` the buckets are time-ordered, so the expired
     set is a prefix; survivors shift left and the per-cell ``oldest_end``
@@ -269,7 +221,7 @@ def estimate_cells_canonical(  # pragma: no cover - measured via the suite
     start: float,
     out: np.ndarray,
 ) -> None:
-    """Point-query grid walk for many cells (canonical mode).
+    """Point-query grid walk for many cells.
 
     Sums the implied sizes (``2**level``) of in-window buckets, then halves
     the oldest in-window bucket when it straddles the window boundary.  The

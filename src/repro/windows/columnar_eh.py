@@ -25,23 +25,26 @@ occupy ``slots[0:count]`` oldest-first — exactly the deque order of the
 reference implementation — so cascaded merges pop from the left, appends go
 at ``count``, and expiry is a prefix drop followed by a left shift.
 
-Two structural invariants of organically-built exponential histograms keep
-the layout this small (*canonical mode*):
+Every bucket at level ``l`` holds exactly ``2**l`` arrivals, so sizes are
+implied by the level index and no per-bucket size array exists.  That holds
+for every state this codebase produces (inserts, batched ingests,
+replay-based merges, serialization of those), and
+:func:`repro.serialization.histogram_from_dict` rejects wire payloads that
+break it.
 
-* every bucket at level ``l`` holds exactly ``2**l`` arrivals, so sizes are
-  implied by the level index and no per-bucket size array is needed;
-* clocks of one stream are uniformly ints or uniformly floats, so the
-  "serialize as JSON int" property is a store-wide mode rather than a
-  per-bucket flag.
+Clock int-ness is different: a live stream may mix int and float clocks, and
+serialization must emit each one as it arrived.  A stream that uses one kind
+keeps it as a store-wide mode; the first mix materialises per-bucket
+``start_int``/``end_int`` flag arrays, and batched ingests of that store
+route through the exact reference fallback (materialise -> ``add_batch`` ->
+reload).
 
-Both invariants hold for every state this codebase produces (inserts,
-batched ingests, replay-based merges, serialization of those).  Loading a
-state that violates them — e.g. a hand-crafted wire payload with odd bucket
-sizes, or a stream mixing int and float clocks — *demotes* the store: the
-explicit ``sizes``/``start_int``/``end_int`` arrays are materialised and
-batched ingests route through the exact reference fallback
-(materialise -> ``add_batch`` -> reload).  Demotion never loses precision;
-it only gives up the vector fast paths.
+The three hot loops — the deferred ingest cascade, the expire/compaction
+sweep and the multi-cell point-query walk — have two implementations: the
+NumPy passes below and the kernels of :mod:`repro.windows._eh_kernels`.
+:data:`USE_KERNELS` picks one at import: the kernels when numba compiled
+them, NumPy otherwise.  Both give identical bytes; the equivalence suite
+flips the flag to run the interpreted kernels too.
 
 Equivalence contract: every operation leaves the grid in a state whose
 materialisation (:meth:`get_counter`) is bucket-for-bucket identical to the
@@ -63,18 +66,19 @@ from typing import Any
 
 import numpy as np
 
-from ..core.counter_store import (
-    CounterFactory,
-    CounterStore,
-    RowPayload,
-    RunPayload,
-    register_backend,
-)
+from ..core.counter_store import CounterStore, RowPayload, RunPayload
 from ..core.errors import ConfigurationError, OutOfOrderArrivalError
+from ._eh_kernels import HAVE_NUMBA, cascade_runs, estimate_cells_canonical, expire_cells
 from .base import SlidingWindowCounter, WindowModel, validate_epsilon, validate_window
 from .exponential_histogram import _BULK_EXPANSION_LIMIT, Bucket, ExponentialHistogram
 
-__all__ = ["ColumnarEHStore"]
+__all__ = ["ColumnarEHStore", "USE_KERNELS"]
+
+#: Route the three hot loops through :mod:`repro.windows._eh_kernels` instead
+#: of the NumPy passes.  Chosen once, at import: true exactly when numba
+#: compiled the kernels.  The equivalence suite sets it to run the kernels
+#: interpreted.
+USE_KERNELS = HAVE_NUMBA
 
 #: Clock magnitude above which an integer does not round-trip float64 exactly.
 _MAX_EXACT_INT = 1 << 53
@@ -85,8 +89,7 @@ _INITIAL_LEVELS = 2
 #: Initial slot capacity per (cell, level).  The slot axis grows on demand
 #: toward ``max_per_level + 2``, so sparse grids (the tiny-epsilon
 #: hierarchical stacks of Section 6.1) never pay for the worst-case per-level
-#: bucket cap — the reason the old ``COLUMNAR_MAX_PER_LIMIT`` escape hatch to
-#: the object backend is no longer needed.
+#: bucket cap.
 _INITIAL_SLOTS = 8
 
 #: Store-wide clock modes: every clock so far was an int / was a float; the
@@ -155,10 +158,7 @@ class ColumnarEHStore(CounterStore):
         #: Exact clock of the most recent arrival per cell, kept as the
         #: original Python object so serialization emits it verbatim.
         self._last_clocks: list[float | None] = [None] * cells
-        #: Canonical mode: sizes implied by level (2**l) and flags by the
-        #: store-wide clock mode; the arrays below stay unallocated until a
-        #: demoting load.
-        self._sizes: np.ndarray | None = None
+        #: Per-bucket int/float clock flags; unallocated until the clocks mix.
         self._start_int: np.ndarray | None = None
         self._end_int: np.ndarray | None = None
         self._flag_mode = _MODE_UNSET
@@ -182,24 +182,14 @@ class ColumnarEHStore(CounterStore):
     # ------------------------------------------------------------------ growth
     def _slot_arrays(self) -> list[np.ndarray]:
         """Every allocated ``(cells, levels, slots)`` array."""
-        arrays = [self._starts, self._ends]
-        if self._sizes is not None:
-            arrays.append(self._sizes)
-        if self._start_int is not None:
-            arrays.append(self._start_int)
-            assert self._end_int is not None
-            arrays.append(self._end_int)
-        return arrays
+        if self._start_int is None or self._end_int is None:
+            return [self._starts, self._ends]
+        return [self._starts, self._ends, self._start_int, self._end_int]
 
     def _reassign_slot_arrays(self, arrays: list[np.ndarray]) -> None:
         self._starts, self._ends = arrays[0], arrays[1]
-        index = 2
-        if self._sizes is not None:
-            self._sizes = arrays[index]
-            index += 1
         if self._start_int is not None:
-            self._start_int = arrays[index]
-            self._end_int = arrays[index + 1]
+            self._start_int, self._end_int = arrays[2], arrays[3]
 
     def _ensure_level(self, level: int) -> None:
         if level < self._num_levels:
@@ -221,18 +211,14 @@ class ColumnarEHStore(CounterStore):
         self._counts = np.concatenate(
             [self._counts, np.zeros((cells, pad), dtype=np.int32)], axis=1
         )
-        if self._sizes is not None:
-            # Demoted stores keep explicit sizes; newly-added planes are only
-            # ever written before being read, so zero-fill is fine.
-            pass
         self._num_levels = new_levels
 
     def _ensure_slots(self, needed: int) -> None:
         if needed <= self._slots:
             return
         # Double toward the canonical ceiling (max_per + 2 covers the scalar
-        # cascade's transient max_per + 1 occupancy); only exotic loaded
-        # states can demand more.
+        # cascade's transient max_per + 1 occupancy); only loaded states can
+        # demand more.
         new_slots = min(
             max(needed, self._slots * 2), max(self._max_per + 2, needed)
         )
@@ -245,24 +231,8 @@ class ColumnarEHStore(CounterStore):
         self._reassign_slot_arrays(grown)
         self._slots = new_slots
 
-    # --------------------------------------------------------------- demotions
-    @property
-    def _canonical_sizes(self) -> bool:
-        return self._sizes is None
-
-    def _level_size(self, level: int) -> int:
-        return 1 << level
-
-    def _demote_sizes(self) -> None:
-        """Materialise the explicit per-bucket size array (exotic loads)."""
-        if self._sizes is not None:
-            return
-        sizes = np.empty((self.cells, self._num_levels, self._slots), dtype=np.int64)
-        for level in range(self._num_levels):
-            sizes[:, level, :] = self._level_size(level)
-        self._sizes = sizes
-
-    def _demote_flags(self) -> None:
+    # ------------------------------------------------------------ clock flags
+    def _materialize_flags(self) -> None:
         """Materialise the per-bucket int/float flag arrays (mixed clocks)."""
         if self._start_int is not None:
             return
@@ -277,7 +247,7 @@ class ColumnarEHStore(CounterStore):
         if self._flag_mode == _MODE_UNSET:
             self._flag_mode = _MODE_INT if is_int else _MODE_FLOAT
         elif self._flag_mode == (_MODE_FLOAT if is_int else _MODE_INT):
-            self._demote_flags()
+            self._materialize_flags()
 
     # ------------------------------------------------------------- clock maths
     def _clock_to_float(self, value: Any) -> float:
@@ -343,13 +313,6 @@ class ColumnarEHStore(CounterStore):
         clock_f = self._clock_to_float(clock)
         is_int = _is_int_clock(clock)
         self._note_clock_flag(is_int)
-        if not self._canonical_sizes:
-            # Demoted store (exotic bucket sizes): replay through the
-            # reference implementation, which is exact by construction.
-            histogram = self._materialize(cell)
-            histogram.add(clock, count)
-            self._load_cell(cell, histogram)
-            return
         self._last_clocks[cell] = clock
         self._totals[cell] += count
         for _ in range(count):
@@ -396,8 +359,8 @@ class ColumnarEHStore(CounterStore):
                 shift_arrays = self._slot_arrays()
             next_count = int(counts[cell, level + 1])
             if next_count + 1 > self._slots:
-                # Lazy slot growth (or an exotic loaded state); reallocation
-                # invalidates every local alias.
+                # Lazy slot growth; reallocation invalidates every local
+                # alias.
                 self._ensure_slots(next_count + 1)
                 starts, ends = self._starts, self._ends
                 start_flags, end_flags = self._start_int, self._end_int
@@ -427,10 +390,7 @@ class ColumnarEHStore(CounterStore):
             expired = int((self._ends[cell, level, :live] <= threshold).sum())
             if not expired:
                 continue
-            if self._sizes is None:
-                self._uppers[cell] -= expired * self._level_size(level)
-            else:
-                self._uppers[cell] -= int(self._sizes[cell, level, :expired].sum())
+            self._uppers[cell] -= expired << level
             for array in self._slot_arrays():
                 view = array[cell, level]
                 view[: live - expired] = view[expired:live]
@@ -463,8 +423,7 @@ class ColumnarEHStore(CounterStore):
         for payload in payloads:
             clocks, values = payload[4], payload[5]
             vector_ready = (
-                self._canonical_sizes
-                and isinstance(clocks, np.ndarray)
+                isinstance(clocks, np.ndarray)
                 and clocks.dtype.kind in "iuf"
                 and (
                     values is None
@@ -630,11 +589,13 @@ class ColumnarEHStore(CounterStore):
         insert, because arrivals only ever land at the newest end of a level
         while merges only ever consume the two oldest buckets.
 
-        Canonical-mode specialisation: level-0 buckets are unit buckets
-        (``start == end``, size 1), so level 0 cascades a single clock field;
-        higher levels cascade ``(start, end)`` pairs and sizes stay implied
-        by the level index throughout.
+        Level-0 buckets are unit buckets (``start == end``, size 1), so level
+        0 cascades a single clock field; higher levels cascade ``(start,
+        end)`` pairs and sizes stay implied by the level index throughout.
         """
+        if USE_KERNELS:
+            self._kernel_cascade(cells, unit_clocks, unit_offsets, unit_counts)
+            return
         max_units = int(unit_counts.max())
         lane = self._lanes(max_units)[None, :]
         gather = np.minimum(unit_offsets[:-1, None] + lane, unit_clocks.size - 1)
@@ -680,6 +641,50 @@ class ColumnarEHStore(CounterStore):
             incoming_ends = seq_ends[:, 1:pair_stop:2]
             incoming_counts = merges
             level += 1
+
+    def _kernel_cascade(
+        self,
+        cells: np.ndarray,
+        unit_clocks: np.ndarray,
+        unit_offsets: np.ndarray,
+        unit_counts: np.ndarray,
+    ) -> None:
+        """:meth:`_deferred_cascade` through the ``cascade_runs`` kernel."""
+        # Pre-size the level and slot axes: merge counts per level follow from
+        # the bucket counts alone (totals -> merges -> carried pairs), so the
+        # kernel's exact demand is a handful of vectorized passes here and the
+        # kernel loop never needs to reallocate.
+        max_per = self._max_per
+        counts = self._counts
+        num_levels = self._num_levels
+        incoming = unit_counts.astype(np.int64)
+        active = cells
+        level = 0
+        need_slots = 0
+        while True:
+            if level < num_levels:
+                totals = counts[active, level].astype(np.int64) + incoming
+            else:
+                totals = incoming
+            merges = np.maximum((totals - (max_per - 1)) >> 1, 0)
+            need_slots = max(need_slots, int((totals - 2 * merges).max()))
+            if not merges.any():
+                break
+            keep = merges > 0
+            active = active[keep]
+            incoming = merges[keep]
+            level += 1
+        self._ensure_level(level)
+        self._ensure_slots(need_slots)
+        cascade_runs(
+            self._starts,
+            self._ends,
+            self._counts,
+            cells,
+            unit_clocks,
+            np.ascontiguousarray(unit_offsets, dtype=np.int64),
+            max_per,
+        )
 
     def _compact_level(
         self,
@@ -754,6 +759,19 @@ class ColumnarEHStore(CounterStore):
         candidates = np.flatnonzero(self._oldest_end <= threshold)
         if not candidates.size:
             return
+        if USE_KERNELS and self._start_int is None:
+            # The kernel shifts the clock planes only; mixed-clock stores
+            # also shift their flag planes, which the NumPy sweep handles.
+            expire_cells(
+                self._starts,
+                self._ends,
+                self._counts,
+                self._uppers,
+                self._oldest_end,
+                candidates,
+                threshold,
+            )
+            return
         counts = self._counts[candidates]
         live_levels = np.flatnonzero(counts.any(axis=0))
         if not live_levels.size:
@@ -774,12 +792,8 @@ class ColumnarEHStore(CounterStore):
         expired_mask = valid & (ends <= threshold)
         drop = expired_mask.sum(axis=2, dtype=np.int64)
         if drop.any():
-            if self._sizes is None:
-                level_sizes = np.left_shift(np.int64(1), np.arange(used, dtype=np.int64))
-                removed = (drop * level_sizes[None, :]).sum(axis=1)
-            else:
-                removed = (self._sizes[block] * expired_mask).sum(axis=(1, 2))
-            self._uppers[candidates] -= removed
+            level_sizes = np.left_shift(np.int64(1), np.arange(used, dtype=np.int64))
+            self._uppers[candidates] -= (drop * level_sizes[None, :]).sum(axis=1)
             # Only survivors of (cell, level) rows that dropped a prefix
             # move; gather/scatter exactly those buckets instead of
             # rewriting the whole candidate grid (the fancy-index gather on
@@ -801,12 +815,6 @@ class ColumnarEHStore(CounterStore):
         self._oldest_end[candidates] = np.where(counts > 0, first_ends, np.inf).min(axis=1)
 
     # ----------------------------------------------------------------- queries
-    def _cell_sizes(self, cell: int) -> np.ndarray:
-        if self._sizes is not None:
-            return self._sizes[cell]
-        powers = np.left_shift(np.int64(1), np.arange(self._num_levels, dtype=np.int64))
-        return np.broadcast_to(powers[:, None], (self._num_levels, self._slots))
-
     def estimate(
         self, row: int, column: int, range_length: float | None = None, now: float | None = None
     ) -> float:
@@ -823,8 +831,8 @@ class ColumnarEHStore(CounterStore):
         in_window = valid & (ends > start)
         if not in_window.any():
             return 0.0
-        sizes = self._cell_sizes(cell)
-        total = float(sizes[in_window].sum())
+        level_sizes = np.left_shift(np.int64(1), np.arange(self._num_levels, dtype=np.int64))
+        total = float((in_window.sum(axis=1) * level_sizes).sum())
         masked_ends = np.where(in_window, ends, np.inf)
         min_end = masked_ends.min()
         tie = in_window & (ends == min_end)
@@ -833,29 +841,32 @@ class ColumnarEHStore(CounterStore):
         level, slot = divmod(flat, self._slots)
         bucket_start = self._starts[cell, level, slot]
         if bucket_start <= start:
-            total -= float(sizes[level, slot]) / 2.0
+            total -= float(1 << level) / 2.0
         return total
 
     def estimate_cells(
         self, cells: np.ndarray, range_length: float | None, now: float
     ) -> np.ndarray:
         start = self._query_start(range_length, now)
+        if USE_KERNELS:
+            out = np.empty(cells.shape[0], dtype=np.float64)
+            estimate_cells_canonical(
+                self._starts,
+                self._ends,
+                self._counts,
+                np.ascontiguousarray(cells, dtype=np.int64),
+                start,
+                out,
+            )
+            return out
         slots = self._slots
         levels = self._num_levels
         counts = self._counts[cells]
         valid = np.arange(slots)[None, None, :] < counts[:, :, None]
         ends = self._ends[cells]
         in_window = valid & (ends > start)
-        if self._sizes is None:
-            level_sizes = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
-            totals = (in_window.sum(axis=2) * level_sizes[None, :]).sum(axis=1).astype(np.float64)
-            sizes_flat = np.broadcast_to(
-                level_sizes[None, :, None], (cells.shape[0], levels, slots)
-            ).reshape(cells.shape[0], levels * slots)
-        else:
-            sizes = self._sizes[cells]
-            totals = np.where(in_window, sizes, 0).sum(axis=(1, 2)).astype(np.float64)
-            sizes_flat = sizes.reshape(cells.shape[0], levels * slots)
+        level_sizes = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
+        totals = (in_window.sum(axis=2) * level_sizes[None, :]).sum(axis=1).astype(np.float64)
         num = cells.shape[0]
         flat_window = in_window.reshape(num, levels * slots)
         has_overlap = flat_window.any(axis=1)
@@ -866,7 +877,7 @@ class ColumnarEHStore(CounterStore):
         oldest = masked_starts.argmin(axis=1)
         rows = np.arange(num)
         oldest_starts = masked_starts[rows, oldest]
-        oldest_sizes = sizes_flat[rows, oldest]
+        oldest_sizes = level_sizes[oldest // slots]
         partial = has_overlap & (oldest_starts <= start)
         return totals - np.where(partial, oldest_sizes / 2.0, 0.0)
 
@@ -894,10 +905,7 @@ class ColumnarEHStore(CounterStore):
             if live:
                 starts = self._starts[cell, level, :live].tolist()
                 ends = self._ends[cell, level, :live].tolist()
-                if self._sizes is None:
-                    sizes: list[int] = [self._level_size(level)] * live
-                else:
-                    sizes = self._sizes[cell, level, :live].tolist()
+                size = 1 << level
                 if self._start_int is None:
                     start_ints = [uniform_int] * live
                     end_ints = start_ints
@@ -907,7 +915,7 @@ class ColumnarEHStore(CounterStore):
                 for j in range(live):
                     start = int(starts[j]) if start_ints[j] else starts[j]
                     end = int(ends[j]) if end_ints[j] else ends[j]
-                    bucket_deque.append(Bucket(sizes[j], start, end))
+                    bucket_deque.append(Bucket(size, start, end))
             levels.append(bucket_deque)
         histogram._levels = levels
         histogram._total_arrivals = int(self._totals[cell])
@@ -933,17 +941,10 @@ class ColumnarEHStore(CounterStore):
         self._load_cell(row * self.width + column, counter)
 
     def _load_cell(self, cell: int, histogram: ExponentialHistogram) -> None:
+        # Sizes are implied by the level index: ``histogram`` must hold
+        # exactly 2**l arrivals per level-l bucket, as every histogram this
+        # codebase builds (or decodes) does.
         levels = histogram._levels
-        # Detect whether this state preserves canonical mode before writing.
-        if self._canonical_sizes:
-            for level, bucket_deque in enumerate(levels):
-                expected = 1 << level
-                for bucket in bucket_deque:
-                    if bucket.size != expected or (level == 0 and bucket.start != bucket.end):
-                        self._demote_sizes()
-                        break
-                if not self._canonical_sizes:
-                    break
         if self._start_int is None:
             for bucket_deque in levels:
                 for bucket in bucket_deque:
@@ -959,21 +960,16 @@ class ColumnarEHStore(CounterStore):
         if levels:
             self._ensure_level(len(levels) - 1)
             self._ensure_slots(max(len(level) for level in levels))
-        sizes_array = self._sizes
         start_flags = self._start_int
         end_flags = self._end_int
         for level, bucket_deque in enumerate(levels):
             for slot, bucket in enumerate(bucket_deque):
                 self._starts[cell, level, slot] = self._clock_to_float(bucket.start)
                 self._ends[cell, level, slot] = self._clock_to_float(bucket.end)
-                if sizes_array is not None:
-                    sizes_array[cell, level, slot] = int(bucket.size)
                 if start_flags is not None and end_flags is not None:
                     start_flags[cell, level, slot] = _is_int_clock(bucket.start)
                     end_flags[cell, level, slot] = _is_int_clock(bucket.end)
             self._counts[cell, level] = len(bucket_deque)
-        if len(levels) < self._num_levels:
-            self._counts[cell, len(levels):] = 0
         self._totals[cell] = int(histogram.total_arrivals())
         self._uppers[cell] = int(histogram.arrivals_in_window_upper_bound())
         self._last_clocks[cell] = histogram.last_clock
@@ -1007,29 +1003,3 @@ class ColumnarEHStore(CounterStore):
 
     def resident_bytes(self) -> int:
         return self.memory_bytes()
-
-
-# ---------------------------------------------------------------- registration
-def columnar_supports(config: Any) -> str | None:
-    """Capability predicate shared by the columnar-family backends."""
-    from ..core.config import CounterType
-
-    if config.counter_type is not CounterType.EXPONENTIAL_HISTOGRAM:
-        return (
-            "the columnar layout only implements exponential-histogram "
-            "counters; counter_type=%s needs the object backend" % (config.counter_type,)
-        )
-    return None
-
-
-def _columnar_factory(config: Any, make_counter: CounterFactory) -> ColumnarEHStore:
-    return ColumnarEHStore(
-        depth=config.depth,
-        width=config.width,
-        epsilon=config.epsilon_sw,
-        window=config.window,
-        model=config.model,
-    )
-
-
-register_backend("columnar", _columnar_factory, columnar_supports, priority=10)

@@ -1,16 +1,16 @@
-"""Cross-backend equivalence: columnar/kernel vs object counter stores.
+"""Cross-backend equivalence: columnar vs object counter stores.
 
-The accelerated backends are pure storage/execution changes: for every counter
+The columnar store is a pure storage/execution change: for every counter
 lifecycle — scalar adds, batched adds (weighted and unweighted, int and float
 clocks, window-crossing runs), whole-grid expiry sweeps, merges and
 serialization round-trips — the sketch must be *observably identical* to the
 object-per-cell reference backend: identical estimates (bitwise), identical
 per-cell bucket structures, and byte-identical serialized state.
 
-Every scenario runs twice, once against the NumPy ``columnar`` backend and
-once against the ``kernels`` backend with ``REPRO_KERNELS=1`` forcing the
-kernels on even when numba is absent (they then run as interpreted Python, so
-the equivalence contract is checked in both environments).
+Every scenario runs twice, once with the columnar store's NumPy hot loops and
+once with its kernels (``columnar_eh.USE_KERNELS`` set for the test).
+Without numba the kernels then run as interpreted Python, so the equivalence
+contract covers the kernel algorithms, not just their compiled forms.
 
 The deterministic tests pin the named scenarios; the hypothesis driver
 (``slow`` marker) explores random interleavings of the whole lifecycle.
@@ -19,7 +19,6 @@ The deterministic tests pin the named scenarios; the hypothesis driver
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 from collections.abc import Iterator
 
@@ -29,29 +28,21 @@ from hypothesis import strategies as st
 
 from repro.core import ECMConfig, ECMSketch
 from repro.core.errors import ConfigurationError
-from repro.serialization import dumps, ecm_sketch_to_dict, loads
-from repro.windows import ColumnarEHStore, WindowModel
+from repro.serialization import dumps, ecm_sketch_from_dict, ecm_sketch_to_dict, loads
+from repro.windows import ColumnarEHStore, WindowModel, columnar_eh
 
 WINDOW = 400.0
 
-ACCELERATED_BACKENDS = ("columnar", "kernels")
-
 
 @contextlib.contextmanager
-def _forced_kernels(backend: str) -> Iterator[None]:
-    """Force kernel eligibility while a ``kernels``-backend sketch is built."""
-    if backend != "kernels":
-        yield
-        return
-    previous = os.environ.get("REPRO_KERNELS")
-    os.environ["REPRO_KERNELS"] = "1"
+def _kernels(use_kernels: bool) -> Iterator[None]:
+    """Run the columnar hot loops through the kernels (or NumPy) inside the block."""
+    previous = columnar_eh.USE_KERNELS
+    columnar_eh.USE_KERNELS = use_kernels
     try:
         yield
     finally:
-        if previous is None:
-            del os.environ["REPRO_KERNELS"]
-        else:
-            os.environ["REPRO_KERNELS"] = previous
+        columnar_eh.USE_KERNELS = previous
 
 
 def _pair(
@@ -60,33 +51,23 @@ def _pair(
     window: float = WINDOW,
     model: WindowModel = WindowModel.TIME_BASED,
     seed: int = 3,
-    backend: str = "columnar",
 ) -> tuple[ECMSketch, ECMSketch]:
-    """The same configuration on the object backend and an accelerated one."""
+    """The same configuration on the object and the columnar backend."""
     sketches = []
-    with _forced_kernels(backend):
-        for name in ("object", backend):
-            config = ECMConfig.for_point_queries(
-                epsilon=epsilon, delta=delta, window=window, model=model, seed=seed, backend=name
-            )
-            sketches.append(ECMSketch(config))
+    for name in ("object", "columnar"):
+        config = ECMConfig.for_point_queries(
+            epsilon=epsilon, delta=delta, window=window, model=model, seed=seed, backend=name
+        )
+        sketches.append(ECMSketch(config))
     return sketches[0], sketches[1]
 
 
-class _AcceleratedBackendCase:
-    """Parametrizes every test in a subclass over the accelerated backends."""
+class _KernelSettingsCase:
+    """Runs every test of a subclass with the kernels off and on."""
 
-    accel = "columnar"
-
-    @pytest.fixture(autouse=True, params=ACCELERATED_BACKENDS)
-    def _accelerated_backend(self, request, monkeypatch) -> str:
-        if request.param == "kernels":
-            monkeypatch.setenv("REPRO_KERNELS", "1")
-        self.accel = request.param
-        return request.param
-
-    def _pair(self, **kwargs) -> tuple[ECMSketch, ECMSketch]:
-        return _pair(backend=self.accel, **kwargs)
+    @pytest.fixture(autouse=True, params=[False, True], ids=["numpy", "kernels"])
+    def _use_kernels(self, request, monkeypatch) -> None:
+        monkeypatch.setattr(columnar_eh, "USE_KERNELS", request.param)
 
 
 def _assert_twins(reference: ECMSketch, columnar: ECMSketch, keys) -> None:
@@ -109,24 +90,21 @@ def _assert_twins(reference: ECMSketch, columnar: ECMSketch, keys) -> None:
     assert reference.serialized_bytes() == columnar.serialized_bytes()
 
 
-class TestDeterministicLifecycles(_AcceleratedBackendCase):
+class TestDeterministicLifecycles(_KernelSettingsCase):
     def test_backend_resolution(self):
-        _, accelerated = self._pair()
-        assert accelerated.backend == self.accel
-        assert isinstance(accelerated._store, ColumnarEHStore)
-        # Registry selection and rejection semantics live in
-        # tests/core/test_backend_registry.py; this just pins that an explicit
-        # request for the accelerated backend is honoured, not downgraded.
+        _, columnar = _pair()
+        assert columnar.backend == "columnar"
+        assert isinstance(columnar._store, ColumnarEHStore)
 
     def test_scalar_adds(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         for t in range(200):
             for sketch in (reference, columnar):
                 sketch.add("k%d" % (t % 17), clock=float(t), value=1 + t % 3)
         _assert_twins(reference, columnar, ["k%d" % i for i in range(17)])
 
     def test_scalar_adds_integer_clocks(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         for t in range(150):
             for sketch in (reference, columnar):
                 sketch.add(t % 11, clock=t)
@@ -134,7 +112,7 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
 
     def test_batched_adds_window_crossing(self):
         """Batches spanning several windows exercise the expiring slow path."""
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         rng = random.Random(7)
         clock = 0.0
         for _ in range(12):
@@ -148,7 +126,7 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
         _assert_twins(reference, columnar, ["k%d" % i for i in range(23)])
 
     def test_batched_weighted_adds(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         rng = random.Random(11)
         clock = 0
         for _ in range(8):
@@ -163,7 +141,7 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
         _assert_twins(reference, columnar, list(range(19)))
 
     def test_mixed_scalar_batched_and_expire(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         rng = random.Random(13)
         clock = 0.0
         for step in range(30):
@@ -187,7 +165,7 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
 
     def test_expire_sweep_drops_dead_buckets(self):
         """expire() removes out-of-window state without changing answers."""
-        _, columnar = self._pair()
+        _, columnar = _pair()
         for t in range(100):
             columnar.add("key", clock=float(t))
         before = columnar.point_query("key", now=99.0)
@@ -200,8 +178,8 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
 
     def test_merges_across_backends(self):
         """Merging object- and columnar-backed inputs gives identical roots."""
-        ref_a, col_a = self._pair(seed=5)
-        ref_b, col_b = self._pair(seed=5)
+        ref_a, col_a = _pair(seed=5)
+        ref_b, col_b = _pair(seed=5)
         for t in range(120):
             for sketch in (ref_a, col_a):
                 sketch.add("a%d" % (t % 7), clock=float(t))
@@ -214,7 +192,7 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
         assert dumps(ECMSketch.aggregate([col_a, col_b])) == dumps(merged_col)
 
     def test_serialization_roundtrip_keeps_ingesting(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         for t in range(100):
             for sketch in (reference, columnar):
                 sketch.add("k%d" % (t % 6), clock=float(t))
@@ -227,14 +205,14 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
         assert dumps(restored_ref) == dumps(restored_col) == dumps(reference)
 
     def test_count_based_windows(self):
-        reference, columnar = self._pair(model=WindowModel.COUNT_BASED)
+        reference, columnar = _pair(model=WindowModel.COUNT_BASED)
         for index in range(300):
             for sketch in (reference, columnar):
                 sketch.add("k%d" % (index % 13), clock=index)
         _assert_twins(reference, columnar, ["k%d" % i for i in range(13)])
 
     def test_counter_accessor_materialises_equal_histograms(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         for t in range(80):
             for sketch in (reference, columnar):
                 sketch.add("x%d" % (t % 4), clock=float(t))
@@ -249,35 +227,38 @@ class TestDeterministicLifecycles(_AcceleratedBackendCase):
 
     def test_huge_integer_clock_rejected(self):
         """Clocks beyond float64's exact-int range raise instead of drifting."""
-        _, columnar = self._pair()
+        _, columnar = _pair()
         with pytest.raises(ConfigurationError):
             columnar.add("k", clock=(1 << 60) + 1)
 
 
-class TestExoticStatesDemoteGracefully(_AcceleratedBackendCase):
-    """Hand-crafted wire payloads break the canonical-layout invariants; the
-    store must absorb them (demoting its implied-size/flag modes) and stay
-    byte-identical to the object backend afterwards."""
+class TestWirePayloads(_KernelSettingsCase):
+    """Every bucket at level ``l`` holds ``2**l`` arrivals, so the columnar
+    store implies sizes from levels.  Payloads breaking that are rejected
+    when decoded; mixed int/float clocks are legal and stay byte-identical."""
 
-    def _crafted_payload(self, backend: str) -> ECMSketch:
+    def _load(self, backend: str, buckets: list, last_clock) -> ECMSketch:
         config = ECMConfig.for_point_queries(
             epsilon=0.15, delta=0.2, window=WINDOW, backend=backend
         )
-        sketch = ECMSketch(config)
-        payload = ecm_sketch_to_dict(sketch)
-        # A non-power-of-two bucket (size 3) plus mixed int/float clocks.
-        payload["counters"][0][0]["buckets"] = [[3, 1, 2.5], [1, 4, 4]]
-        payload["counters"][0][0]["total_arrivals"] = 4
-        payload["counters"][0][0]["last_clock"] = 4
-        from repro.serialization import ecm_sketch_from_dict
-
+        payload = ecm_sketch_to_dict(ECMSketch(config))
+        cell = payload["counters"][0][0]
+        cell["buckets"] = buckets
+        cell["total_arrivals"] = sum(bucket[0] for bucket in buckets)
+        cell["last_clock"] = last_clock
         return ecm_sketch_from_dict(payload)
 
-    def test_exotic_payload_roundtrip_and_updates(self):
-        reference = self._crafted_payload("object")
-        columnar = self._crafted_payload(self.accel)
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    def test_non_power_of_two_bucket_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="powers of two"):
+            self._load(backend, [[3, 1, 2.5], [1, 4, 4]], 4)
+
+    def test_mixed_clock_payload_roundtrip_and_updates(self):
+        buckets = [[2, 1, 2.5], [1, 4, 4]]
+        reference = self._load("object", buckets, 4)
+        columnar = self._load("columnar", buckets, 4)
         assert dumps(reference) == dumps(columnar)
-        # Keep mutating after the demotion: scalar, batched, expiry.
+        # Keep mutating the mixed-clock state: scalar, batched, expiry.
         for t in range(5, 40):
             for sketch in (reference, columnar):
                 sketch.add("k%d" % (t % 3), clock=float(t))
@@ -289,7 +270,7 @@ class TestExoticStatesDemoteGracefully(_AcceleratedBackendCase):
         assert dumps(reference) == dumps(columnar)
 
     def test_mixed_clock_types_stay_identical(self):
-        reference, columnar = self._pair()
+        reference, columnar = _pair()
         # Alternate int-clock and float-clock batches, then a mixed batch.
         for sketch in (reference, columnar):
             sketch.add_many(["a", "b", "a"], [1, 2, 3])
@@ -300,9 +281,9 @@ class TestExoticStatesDemoteGracefully(_AcceleratedBackendCase):
         assert dumps(reference) == dumps(columnar)
 
 
-class TestMemoryAccounting(_AcceleratedBackendCase):
+class TestMemoryAccounting(_KernelSettingsCase):
     def test_columnar_reports_true_array_footprint(self):
-        _, columnar = self._pair()
+        _, columnar = _pair()
         store = columnar._store
         assert isinstance(store, ColumnarEHStore)
         baseline = columnar.memory_bytes()
@@ -323,7 +304,7 @@ class TestMemoryAccounting(_AcceleratedBackendCase):
         backend's ``memory_bytes()`` itself still reports the paper's 32-bit
         synopsis model, so the honest comparison is against its
         ``resident_memory_bytes()`` walk."""
-        reference, columnar = self._pair(epsilon=0.1)
+        reference, columnar = _pair(epsilon=0.1)
         rng = random.Random(2)
         clock = 0.0
         for _ in range(40):
@@ -353,13 +334,18 @@ operation_strategy = st.lists(
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("accel", ACCELERATED_BACKENDS)
+@pytest.mark.parametrize("use_kernels", [False, True], ids=["numpy", "kernels"])
 @settings(max_examples=40, deadline=None)
 @given(ops=operation_strategy, integer_clocks=st.booleans(), merge_at_end=st.booleans())
-def test_random_interleavings_stay_identical(accel, ops, integer_clocks, merge_at_end):
+def test_random_interleavings_stay_identical(use_kernels, ops, integer_clocks, merge_at_end):
     """Random add_many/expire/estimate/merge interleavings on both backends
     produce identical estimates, bucket counts and serialized state."""
-    reference, columnar = _pair(epsilon=0.25, window=120.0, backend=accel)
+    with _kernels(use_kernels):
+        _random_interleaving(ops, integer_clocks, merge_at_end)
+
+
+def _random_interleaving(ops, integer_clocks: bool, merge_at_end: bool) -> None:
+    reference, columnar = _pair(epsilon=0.25, window=120.0)
     rng = random.Random(4242)
     clock: float = 0 if integer_clocks else 0.0
 
@@ -406,9 +392,6 @@ def test_random_interleavings_stay_identical(accel, ops, integer_clocks, merge_a
                 == columnar.counter(row, column).bucket_count()
             )
     if merge_at_end:
-        # merge_many builds result sketches with the inputs' (sticky) backend,
-        # so kernel eligibility must be forced for the merge too.
-        with _forced_kernels(accel):
-            assert dumps(ECMSketch.merge_many([reference, reference])) == dumps(
-                ECMSketch.merge_many([columnar, columnar])
-            )
+        assert dumps(ECMSketch.merge_many([reference, reference])) == dumps(
+            ECMSketch.merge_many([columnar, columnar])
+        )

@@ -209,3 +209,29 @@ class TestSnapshotFiles:
         payload["config"]["sites"] = 3
         with pytest.raises(ConfigurationError):
             service_state_from_snapshot(payload)
+
+    def test_restores_snapshot_naming_the_retired_kernels_backend(self, tmp_path):
+        """Snapshots from builds with a separate compiled ``kernels`` backend
+        restore onto the columnar store, byte-identical."""
+        path = tmp_path / "old.json"
+
+        async def body():
+            config = ServiceConfig(mode="flat", backend="columnar", snapshot_path=str(path))
+            async with SketchService(config) as service:
+                await service.ingest(["a", "b", "a"], [1.0, 2.0, 3.0])
+                await service.drain()
+                service.snapshot_now()
+                return dumps(service.state)
+
+        original = run(body())
+        payload = load_snapshot(path)
+        payload["config"]["backend"] = "kernels"
+        write_snapshot(path, payload)
+        restored = SketchService.from_snapshot(path)
+        assert restored.config.backend == "columnar"
+        assert restored.state.backend == "columnar"
+        assert dumps(restored.state) == original
+
+    def test_kernels_backend_is_unknown_outside_decoding(self):
+        with pytest.raises(ConfigurationError, match="auto, columnar, object"):
+            SketchService(ServiceConfig(mode="flat", backend="kernels"))

@@ -38,13 +38,13 @@ class TestRatioDiscovery:
 
     def test_backend_labels_are_inherited_from_enclosing_dicts(self):
         tree = {
-            "backend": "kernels",
+            "backend": "columnar+numba",
             "ingest": {"speedup": 2.5},
             "stages": [{"backend": "columnar", "speedup": 1.5}],
         }
         leaves = dict(compare_bench.iter_ratio_leaves(tree))
         assert leaves == {
-            "ingest.speedup": (2.5, "kernels"),
+            "ingest.speedup": (2.5, "columnar+numba"),
             "stages[0].speedup": (1.5, "columnar"),
         }
 
@@ -70,11 +70,11 @@ class TestComparison:
         assert len(regressions) == 1
 
     def test_backend_switch_is_skipped_not_flagged(self):
-        baseline = {"a": {"backend": "kernels", "speedup": 8.0}}
+        baseline = {"a": {"backend": "columnar+numba", "speedup": 8.0}}
         fresh = {"a": {"backend": "columnar", "speedup": 2.0}}  # would be -75%
         report, regressions = compare_bench.compare_trees(baseline, fresh, 0.25)
         assert regressions == []
-        assert any("backend changed: kernels -> columnar" in line for line in report)
+        assert any("backend changed: columnar+numba -> columnar" in line for line in report)
 
     def test_new_ratio_in_fresh_run_is_not_a_failure(self):
         report, regressions = compare_bench.compare_trees(

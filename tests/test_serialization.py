@@ -300,6 +300,23 @@ class TestJsonLayer:
         with pytest.raises(ConfigurationError):
             histogram_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "bucket, message",
+        [
+            ([3, 1, 2.5], "powers of two"),
+            ([0, 1, 1], "powers of two"),
+            ([-2, 1, 2], "powers of two"),
+            ([2.0, 1, 2], "powers of two"),
+            ([True, 1, 1], "powers of two"),
+            ([1, 1, 2], "start and end must match"),
+        ],
+    )
+    def test_histogram_rejects_buckets_no_eh_can_hold(self, bucket, message):
+        payload = histogram_to_dict(ExponentialHistogram(epsilon=0.1, window=WINDOW))
+        payload["buckets"] = [bucket]
+        with pytest.raises(ConfigurationError, match=message):
+            histogram_from_dict(payload)
+
     def test_dumps_rejects_unknown_type(self):
         with pytest.raises(ConfigurationError):
             dumps(object())  # type: ignore[arg-type]

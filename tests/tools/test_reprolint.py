@@ -417,64 +417,6 @@ class TestRL006:
 
 
 # --------------------------------------------------------------------------
-# RL007 registry-builds-backends
-
-
-class TestRL007:
-    def test_flags_direct_store_construction(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/core/shortcut.py",
-            "from ..windows import ColumnarEHStore\n"
-            "def fast_store(config):\n"
-            "    return ColumnarEHStore(depth=config.depth, width=config.width,\n"
-            "                           epsilon=0.1, window=100.0)\n",
-        )
-        findings = lint(tmp_path, ["RL007"])
-        assert codes_of(findings) == ["RL007"]
-        assert "resolve_backend" in findings[0].message
-
-    def test_flags_attribute_calls_and_every_store_class(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/service/warmup.py",
-            "import repro.windows as windows\n"
-            "a = windows.KernelEHStore(depth=1, width=1, epsilon=0.1, window=1.0)\n"
-            "b = windows.ObjectCounterStore([[None]])\n",
-        )
-        assert codes_of(lint(tmp_path, ["RL007"])) == ["RL007", "RL007"]
-
-    def test_silent_inside_backend_implementations(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/windows/kernel_eh2.py",
-            "from .columnar_eh import ColumnarEHStore\n"
-            "def _factory(config, make_counter):\n"
-            "    return ColumnarEHStore(depth=1, width=1, epsilon=0.1, window=1.0)\n",
-        )
-        write_module(
-            tmp_path,
-            "src/repro/core/counter_store.py",
-            "class ObjectCounterStore:\n"
-            "    pass\n"
-            "def _object_factory(config, make_counter):\n"
-            "    return ObjectCounterStore()\n",
-        )
-        assert lint(tmp_path, ["RL007"]) == []
-
-    def test_silent_for_registry_resolution(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/core/sketch2.py",
-            "from .counter_store import resolve_backend\n"
-            "def build(config, make_counter):\n"
-            "    registration = resolve_backend(config)\n"
-            "    return registration.factory(config, make_counter)\n",
-        )
-        assert lint(tmp_path, ["RL007"]) == []
-
-
-# --------------------------------------------------------------------------
 # suppressions
 
 

@@ -90,6 +90,5 @@ def dotted_name(node: ast.AST) -> str | None:
 
 # Import-time registration of the built-in rules (the plugin entry point).
 from . import async_rules as _async_rules  # noqa: E402,F401
-from . import backends as _backends  # noqa: E402,F401
 from . import determinism as _determinism  # noqa: E402,F401
 from . import registries as _registries  # noqa: E402,F401
