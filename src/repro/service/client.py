@@ -55,6 +55,7 @@ from .errors import (
     exception_for_error,
 )
 from .models import HeavyHitter, ServerInfo, ServerStats, TenantDescription, TenantStats
+from .ops import deadline_for
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -70,11 +71,6 @@ __all__ = [
     "SyncServiceClient",
     "wait_for_server",
 ]
-
-#: Deadline applied to operations whose server-side work is legitimately
-#: slow (drain, snapshot, restart_shard): a retrying client never cuts them
-#: off at the ordinary per-operation budget.
-_SLOW_OP_DEADLINE = 600.0
 
 #: Bound on establishing one TCP connection (RL006): a black-holed endpoint
 #: (dropped SYNs, dead NAT entry) would otherwise park connect() until the
@@ -288,8 +284,12 @@ class ServiceClient:
         backoff until the policy's attempts or overall deadline run out.
         After a transport-level failure the connection is torn down and
         re-opened (with handshake): a half-written request would otherwise
-        desynchronize the response stream.
+        desynchronize the response stream.  Without an explicit ``deadline``
+        the op's deadline class applies (:func:`~repro.service.ops.deadline_for`:
+        slow ops such as ``drain`` get the long budget), else the policy's.
         """
+        if deadline is None:
+            deadline = deadline_for(message.get("op"))
         policy = self.retry
         if policy is None:
             return await self.request(message, deadline=deadline)
@@ -389,7 +389,7 @@ class ServiceClient:
         return int(result["accepted"])
 
     async def drain(self, tenant: str | None = None) -> float | None:
-        result = await self.call(self._message("drain", tenant), deadline=_SLOW_OP_DEADLINE)
+        result = await self.call(self._message("drain", tenant))
         return result.get("applied_clock")
 
     async def expire(self, tenant: str | None = None) -> float | None:
@@ -472,14 +472,12 @@ class ServiceClient:
     async def snapshot(
         self, path: str | None = None, tenant: str | None = None
     ) -> str:
-        result = await self.call(self._message("snapshot", tenant, path=path), deadline=_SLOW_OP_DEADLINE)
+        result = await self.call(self._message("snapshot", tenant, path=path))
         return str(result["path"])
 
     async def restart_shard(self, shard: int) -> dict[str, Any]:
         """Ask a sharded server to respawn one worker from its snapshot."""
-        return dict(
-            await self.call({"op": "restart_shard", "shard": shard}, deadline=_SLOW_OP_DEADLINE)
-        )
+        return dict(await self.call({"op": "restart_shard", "shard": shard}))
 
     async def failpoint(
         self,
@@ -528,7 +526,7 @@ class ServiceClient:
 
     async def pool_sweep(self) -> dict[str, Any]:
         """Run the pool's expiry + budget-enforcement sweep immediately."""
-        return dict(await self.call({"op": "pool_sweep"}, deadline=_SLOW_OP_DEADLINE))
+        return dict(await self.call({"op": "pool_sweep"}))
 
     async def shutdown(self) -> None:
         await self.request({"op": "shutdown"})

@@ -39,7 +39,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Any
 
 import numpy as np
@@ -58,9 +58,9 @@ from .errors import (
     ModeMismatchError,
     ServiceError,
     ServiceStoppedError,
-    UnknownOperationError,
 )
 from .journal import IngestJournal, JournalRecord
+from .ops import query_handler
 
 __all__ = [
     "ServiceError",
@@ -768,15 +768,15 @@ class SketchService:
     def query(self, op: str, message: dict[str, Any]) -> Any:
         """Answer one query operation against the live state.
 
+        Dispatches to ``_query_<op>`` through the op table
+        (:func:`~repro.service.ops.query_handler`).
+
         Raises:
             ServiceError: Unknown or mode-incompatible operation, or missing
                 parameters.
             EmptyStructureError: Multisite queries before the first round.
         """
-        handler = _QUERY_HANDLERS.get(op)
-        if handler is None:
-            raise UnknownOperationError("unknown query op %r" % (op,))
-        return handler(self, message)
+        return query_handler(self, op, self.config.mode)(message)
 
     def _require_flat(self) -> ECMSketch:
         if not isinstance(self.state, ECMSketch):
@@ -846,9 +846,7 @@ class SketchService:
         state = self.state
         if isinstance(state, PeriodicAggregationCoordinator):
             return float(state.query_self_join(message.get("range")))
-        if isinstance(state, HierarchicalECMSketch):
-            raise ModeMismatchError("self_join is not served in hierarchical mode")
-        return float(state.self_join(message.get("range")))
+        return float(self._require_flat().self_join(message.get("range")))
 
     def _query_arrivals(self, message: dict[str, Any]) -> float:
         state = self.state
@@ -948,15 +946,3 @@ def _as_int_key(key: Any) -> int:
         raise InvalidParameterError("hierarchical keys must be integers, got %r" % (key,))
     return key
 
-
-_QUERY_HANDLERS: dict[str, Callable[[SketchService, dict[str, Any]], Any]] = {
-    "point": SketchService._query_point,
-    "range": SketchService._query_range,
-    "heavy_hitters": SketchService._query_heavy_hitters,
-    "quantile": SketchService._query_quantile,
-    "quantiles": SketchService._query_quantiles,
-    "self_join": SketchService._query_self_join,
-    "arrivals": SketchService._query_arrivals,
-    "staleness": SketchService._query_staleness,
-    "root_state": SketchService._query_root_state,
-}

@@ -13,13 +13,13 @@ envelope via :func:`exception_for_error`, so ``except TenantNotFoundError``
 works identically against an in-process service and a remote one.
 
 The registry (:data:`ERROR_CODES`) is the single source of truth: every code
-maps to its exception class and a one-line description (rendered into
-``docs/api.md``); the gateway's HTTP status table is keyed on the same codes.
+maps to its exception class, its HTTP status and a one-line description
+(the ``docs/api.md`` table); the gateway's status table is derived from it.
 """
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import Any, ClassVar, NamedTuple
 
 from ..core.errors import ConfigurationError, EmptyStructureError
 
@@ -44,6 +44,7 @@ __all__ = [
     "TenantExistsError",
     "TenantEvictedError",
     "ERROR_CODES",
+    "ErrorCode",
     "error_envelope",
     "exception_for_error",
 ]
@@ -192,47 +193,80 @@ class TenantEvictedError(ServiceRequestError):
     code = "TENANT_EVICTED"
 
 
-#: Error-code registry: code -> (exception class, one-line description).
-#: Rendered into docs/api.md; the gateway's HTTP status table covers exactly
-#: these codes (pinned by tests).
-ERROR_CODES: dict[str, tuple] = {
-    "PROTOCOL": (ProtocolError, "Malformed protocol line or message (not valid single-line JSON)."),
-    "BAD_REQUEST": (BadRequestError, "Structurally invalid request: wrong types or missing fields."),
-    "UNKNOWN_OP": (UnknownOperationError, "The request named an operation this server does not serve."),
-    "INVALID_PARAMETER": (
-        InvalidParameterError,
-        "A parameter is missing or outside its valid range.",
+class ErrorCode(NamedTuple):
+    """One registry row: the typed exception, its HTTP status, its meaning."""
+
+    exception: type[ServiceError]
+    status: int
+    description: str
+
+
+#: Error-code registry: code -> (exception class, HTTP status, one-line
+#: description).  The gateway's status table is derived from it, and
+#: ``tests/service/test_ops.py`` checks the ``docs/api.md`` table against it.
+ERROR_CODES: dict[str, ErrorCode] = {
+    "PROTOCOL": ErrorCode(
+        ProtocolError, 400, "Malformed protocol line or message (not valid single-line JSON)."
     ),
-    "MODE_MISMATCH": (ModeMismatchError, "Operation not served by the target's service mode."),
-    "EMPTY_STRUCTURE": (EmptyStateError, "Query undefined on empty state (no in-range arrivals)."),
-    "INGEST_REJECTED": (IngestRejectedError, "Ingest chunk failed validation; nothing was enqueued."),
-    "CLOCK_REGRESSION": (
+    "BAD_REQUEST": ErrorCode(
+        BadRequestError, 400, "Structurally invalid request: wrong types or missing fields."
+    ),
+    "UNKNOWN_OP": ErrorCode(
+        UnknownOperationError, 400, "The request named an operation this server does not serve."
+    ),
+    "INVALID_PARAMETER": ErrorCode(
+        InvalidParameterError, 400, "A parameter is missing or outside its valid range."
+    ),
+    "MODE_MISMATCH": ErrorCode(
+        ModeMismatchError, 409, "Operation not served by the target's service mode."
+    ),
+    "EMPTY_STRUCTURE": ErrorCode(
+        EmptyStateError, 409, "Query undefined on empty state (no in-range arrivals)."
+    ),
+    "INGEST_REJECTED": ErrorCode(
+        IngestRejectedError, 400, "Ingest chunk failed validation; nothing was enqueued."
+    ),
+    "CLOCK_REGRESSION": ErrorCode(
         ClockRegressionError,
+        409,
         "Arrival clock ran behind the high-water mark; clocks must be non-decreasing.",
     ),
-    "SERVICE_STOPPED": (ServiceStoppedError, "Service is draining or stopped; no new work accepted."),
-    "SHARD_UNAVAILABLE": (ShardUnavailableError, "A shard worker is dead or unreachable."),
-    "DEADLINE_EXCEEDED": (
+    "SERVICE_STOPPED": ErrorCode(
+        ServiceStoppedError, 503, "Service is draining or stopped; no new work accepted."
+    ),
+    "SHARD_UNAVAILABLE": ErrorCode(
+        ShardUnavailableError, 503, "A shard worker is dead or unreachable."
+    ),
+    "DEADLINE_EXCEEDED": ErrorCode(
         DeadlineExceededError,
+        504,
         "The operation ran past its deadline before a response arrived.",
     ),
-    "VERSION_MISMATCH": (
-        VersionMismatchError,
-        "Client and server speak incompatible protocol majors.",
+    "VERSION_MISMATCH": ErrorCode(
+        VersionMismatchError, 400, "Client and server speak incompatible protocol majors."
     ),
-    "POOL_DISABLED": (PoolDisabledError, "Tenant-namespaced request on a server without a pool."),
-    "TENANT_REQUIRED": (TenantRequiredError, "A pooled server requires 'tenant' on this operation."),
-    "TENANT_NOT_FOUND": (TenantNotFoundError, "The named tenant does not exist in the catalog."),
-    "TENANT_EXISTS": (TenantExistsError, "Tenant creation collided with an existing entry."),
-    "TENANT_EVICTED": (
+    "POOL_DISABLED": ErrorCode(
+        PoolDisabledError, 400, "Tenant-namespaced request on a server without a pool."
+    ),
+    "TENANT_REQUIRED": ErrorCode(
+        TenantRequiredError, 400, "A pooled server requires `tenant` on this operation."
+    ),
+    "TENANT_NOT_FOUND": ErrorCode(
+        TenantNotFoundError, 404, "The named tenant does not exist in the catalog."
+    ),
+    "TENANT_EXISTS": ErrorCode(
+        TenantExistsError, 409, "Tenant creation collided with an existing entry."
+    ),
+    "TENANT_EVICTED": ErrorCode(
         TenantEvictedError,
+        500,
         "Evicted tenant could not be restored: snapshot missing or corrupt.",
     ),
-    "INTERNAL": (ServiceRequestError, "Unexpected server-side failure."),
+    "INTERNAL": ErrorCode(ServiceRequestError, 500, "Unexpected server-side failure."),
 }
 
-_CODE_TO_EXCEPTION: dict[str, type[ServiceRequestError]] = {
-    code: cls for code, (cls, _description) in ERROR_CODES.items() if code != "INTERNAL"
+_CODE_TO_EXCEPTION: dict[str, type[ServiceError]] = {
+    code: row.exception for code, row in ERROR_CODES.items() if code != "INTERNAL"
 }
 
 
@@ -260,7 +294,7 @@ def error_envelope(exc: BaseException, op: str | None = None) -> dict[str, Any]:
     return {"code": code, "message": str(exc), "op": op}
 
 
-def exception_for_error(error: Any, prefix: str | None = None) -> ServiceRequestError:
+def exception_for_error(error: Any, prefix: str | None = None) -> ServiceError:
     """Rebuild the typed exception for one received error payload.
 
     Accepts the structured envelope (``{"code", "message", "op"}``) and, for
@@ -288,7 +322,6 @@ def exception_for_error(error: Any, prefix: str | None = None) -> ServiceRequest
     if isinstance(code, str):
         cls = _CODE_TO_EXCEPTION.get(code)
         if cls is not None:
-            exc = cls(message, op=op)
-            return exc
+            return cls(message, op=op)
         return ServiceRequestError(message, op=op, wire_code=code)
     return ServiceRequestError(message, op=op)

@@ -5,24 +5,12 @@ that translates REST calls into protocol messages against a running sketch
 server (single-process, pooled, or the sharded router — the gateway does not
 care, it speaks the same protocol every client does, handshake included).
 
-Routes (all under ``/v1``; responses are JSON envelopes, exactly the wire
-shape of the TCP protocol)::
-
-    GET    /v1/healthz                      gateway+backend liveness (200/503)
-    GET    /v1/info                         server parameters
-    GET    /v1/stats                        live counters
-    GET    /v1/tenants                      tenant catalog listing
-    PUT    /v1/tenants/{id}                 create tenant (body: config overrides)
-    GET    /v1/tenants/{id}                 tenant stats
-    DELETE /v1/tenants/{id}                 delete tenant
-    POST   /v1/tenants/{id}/ingest          body: {"keys", "clocks", ["values"], ["site"]}
-    POST   /v1/tenants/{id}/drain           apply-barrier for one tenant
-    POST   /v1/tenants/{id}/expire          expiry sweep for one tenant
-    POST   /v1/tenants/{id}/snapshot        snapshot one tenant (body: {"path"}?)
-    GET    /v1/tenants/{id}/query/{op}      any query op; params in the query string
-    POST   /v1/ingest /v1/drain /v1/expire /v1/snapshot      un-namespaced forms
-    POST   /v1/sweep                        pool governor sweep
-    GET    /v1/query/{op}                   un-namespaced query (single-sketch server)
+Routes live under ``/v1`` and are derived from the op table
+(:data:`~repro.service.ops.OPS`): each op's ``http`` ``(method, route)``,
+plus the same route under ``tenants/{id}/`` for an op taking a ``tenant``;
+``GET /v1/healthz`` is the gateway's own liveness probe.  Responses are JSON
+envelopes, exactly the wire shape of the TCP protocol; ``docs/api.md`` has
+the route table.
 
 Error mapping is by machine code, not message: the backend's typed error
 envelope passes through verbatim as the response body, and its ``code``
@@ -31,7 +19,8 @@ and the TCP surface disagree on transport only, never on the error itself.
 
 Query-string parameters are JSON-decoded when they parse (so ``key=7`` is
 the integer 7, ``key="7"`` the string) and passed through as strings
-otherwise; ``fractions`` accepts a comma-separated list.
+otherwise; a parameter of wire type ``float_list`` (``fractions``) is a
+comma-separated list.
 """
 
 from __future__ import annotations
@@ -47,40 +36,25 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 from .client import RetryPolicy, ServiceClient
 from .errors import (
+    ERROR_CODES,
     DeadlineExceededError,
     ProtocolError,
     ServiceError,
     ServiceStoppedError,
     error_envelope,
 )
+from .ops import OPS, Op
 from .protocol import MAX_LINE_BYTES
 
 __all__ = ["STATUS_FOR_CODE", "GatewayServer", "run_gateway", "status_for_code"]
 
-#: HTTP status for each protocol error code.  Codes the registry does not
-#: know (a newer server's) fall back to 500 — fail loud, not mislabelled.
-#: ``NOT_FOUND``/``METHOD_NOT_ALLOWED`` are gateway-level routing codes.
+#: HTTP status for each protocol error code (its ``ERROR_CODES`` row), plus
+#: the gateway's own routing codes.  Codes the registry does not know (a
+#: newer server's) fall back to 500 — fail loud, not mislabelled.
 STATUS_FOR_CODE: dict[str, int] = {
-    "PROTOCOL": 400,
-    "BAD_REQUEST": 400,
-    "UNKNOWN_OP": 400,
-    "INVALID_PARAMETER": 400,
-    "TENANT_REQUIRED": 400,
-    "VERSION_MISMATCH": 400,
-    "POOL_DISABLED": 400,
-    "INGEST_REJECTED": 400,
+    **{code: row.status for code, row in ERROR_CODES.items()},
     "NOT_FOUND": 404,
-    "TENANT_NOT_FOUND": 404,
     "METHOD_NOT_ALLOWED": 405,
-    "MODE_MISMATCH": 409,
-    "EMPTY_STRUCTURE": 409,
-    "CLOCK_REGRESSION": 409,
-    "TENANT_EXISTS": 409,
-    "SERVICE_STOPPED": 503,
-    "SHARD_UNAVAILABLE": 503,
-    "DEADLINE_EXCEEDED": 504,
-    "TENANT_EVICTED": 500,
-    "INTERNAL": 500,
 }
 
 _REASONS = {
@@ -170,9 +144,7 @@ class _BackendChannel:
                     )
                 retries_before = self._client.retries
                 try:
-                    return await self._client.call(
-                        message, deadline=self._deadline_for(message)
-                    )
+                    return await self._client.call(message)
                 finally:
                     if self._client is not None and self._client.retries > retries_before:
                         self.retried_requests += 1
@@ -195,13 +167,6 @@ class _BackendChannel:
                 raise ServiceStoppedError(
                     "backend connection lost: %s" % (exc,), op=message.get("op")
                 ) from exc
-
-    @staticmethod
-    def _deadline_for(message: dict[str, Any]) -> float | None:
-        """Per-op budget: ``None`` defers to the channel's policy default."""
-        if message.get("op") in ("drain", "snapshot", "restart_shard", "pool_sweep"):
-            return 600.0
-        return None
 
     async def ping(self, deadline: float) -> bool:
         """One bounded liveness probe; never raises.
@@ -242,12 +207,33 @@ class _BackendChannel:
                 self._client = None
 
 
-def _decode_param(name: str, value: str) -> Any:
-    if name == "fractions":
+def _build_routes() -> dict[tuple[str, ...], dict[str, Op]]:
+    """REST path template -> {method: op}, from each op's ``http`` route."""
+    routes: dict[tuple[str, ...], dict[str, Op]] = {}
+    for op in OPS.values():
+        if op.http is None:
+            continue
+        method, route = op.http
+        templates = [route]
+        if op.param("tenant") is not None and "{id}" not in route:
+            templates.append("tenants/{id}/" + route)
+        for template in templates:
+            routes.setdefault(tuple(template.split("/")), {})[method] = op
+    return routes
+
+
+_ROUTES = _build_routes()
+
+
+def _decode_param(op: Op, name: str, value: str) -> Any:
+    param = op.param(name)
+    if param is not None and param.wire == "float_list":
         try:
             return [float(part) for part in value.split(",") if part]
         except ValueError:
-            raise _RouteError("BAD_REQUEST", "fractions must be comma-separated numbers") from None
+            raise _RouteError(
+                "BAD_REQUEST", "%s must be comma-separated numbers" % (name,)
+            ) from None
     try:
         return json.loads(value)
     except ValueError:
@@ -351,12 +337,13 @@ class GatewayServer:
         try:
             method, path, params, body = await self._read_request(reader)
             if path == ["v1", "healthz"]:
-                self._require(method, "GET", "healthz")
+                if method != "GET":
+                    raise _RouteError("METHOD_NOT_ALLOWED", "healthz serves GET, not %s" % method)
                 return await self._healthz()
             message = self._route(method, path, params, body)
             op = message.get("op")
-            # The channel applies per-op deadlines itself (_deadline_for
-            # plus _BACKEND_RETRY's overall budget).
+            # The channel's client applies each op's deadline class (the
+            # op table) within _BACKEND_RETRY's overall budget.
             result = await self.backend.request(message)  # reprolint: disable=RL006
             return 200, {"ok": True, "result": result}
         except _RouteError as exc:
@@ -386,7 +373,7 @@ class GatewayServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, list[str], dict[str, Any], dict[str, Any] | None]:
+    ) -> tuple[str, list[str], list[tuple[str, str]], dict[str, Any] | None]:
         request_line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
         parts = request_line.split()
         if len(parts) != 3:
@@ -417,77 +404,47 @@ class GatewayServer:
             body = decoded
         split = urlsplit(target)
         segments = [unquote(part) for part in split.path.split("/") if part]
-        params = {name: _decode_param(name, value) for name, value in parse_qsl(split.query)}
-        return method, segments, params, body
+        return method, segments, parse_qsl(split.query), body
 
     # --------------------------------------------------------------- routing
     def _route(
         self,
         method: str,
         path: list[str],
-        params: dict[str, Any],
+        query: list[tuple[str, str]],
         body: dict[str, Any] | None,
     ) -> dict[str, Any]:
-        """Translate one HTTP request into one protocol message."""
+        """Translate one HTTP request into one protocol message.
+
+        A GET carries its fields in the query string; any other method in
+        its JSON body, which an op taking a whole object (``tenant_create``'s
+        ``config``) receives as that object.
+        """
         if not path or path[0] != "v1":
             raise _RouteError("NOT_FOUND", "unknown path (the API lives under /v1)")
         route = path[1:]
-        if not route:
-            raise _RouteError("NOT_FOUND", "no such resource")
-        head = route[0]
-        if head in ("info", "stats"):
-            self._require(method, "GET", "/".join(route))
-            return {"op": head}
-        if head == "query" and len(route) == 2:
-            self._require(method, "GET", "/".join(route))
-            return dict(params, op=route[1])
-        if head in ("ingest", "drain", "expire", "snapshot", "sweep") and len(route) == 1:
-            self._require(method, "POST", head)
-            op = "pool_sweep" if head == "sweep" else head
-            return dict(body or {}, op=op)
-        if head == "tenants":
-            return self._route_tenants(method, route[1:], params, body)
-        raise _RouteError("NOT_FOUND", "no such resource: %s" % "/".join(route))
-
-    def _route_tenants(
-        self,
-        method: str,
-        route: list[str],
-        params: dict[str, Any],
-        body: dict[str, Any] | None,
-    ) -> dict[str, Any]:
-        if not route:
-            self._require(method, "GET", "tenants")
-            return {"op": "tenant_list"}
-        tenant = route[0]
-        if len(route) == 1:
-            if method == "PUT":
-                message: dict[str, Any] = {"op": "tenant_create", "tenant": tenant}
-                if body:
-                    message["config"] = body
-                return message
-            if method == "GET":
-                return {"op": "tenant_stats", "tenant": tenant}
-            if method == "DELETE":
-                return {"op": "tenant_delete", "tenant": tenant}
+        tenant = route[1] if len(route) > 1 and route[0] == "tenants" else None
+        template = tuple(route) if tenant is None else ("tenants", "{id}", *route[2:])
+        methods = _ROUTES.get(template)
+        if methods is None:
+            if template[:-1] in (("query",), ("tenants", "{id}", "query")):
+                raise _RouteError("UNKNOWN_OP", "%r is not a query op" % (template[-1],))
+            raise _RouteError("NOT_FOUND", "no such resource: %s" % "/".join(route))
+        op = methods.get(method)
+        if op is None:
             raise _RouteError(
-                "METHOD_NOT_ALLOWED", "tenants/{id} serves PUT, GET and DELETE, not %s" % method
+                "METHOD_NOT_ALLOWED",
+                "%s serves %s, not %s" % ("/".join(template), ", ".join(methods), method),
             )
-        action = route[1]
-        if action == "query" and len(route) == 3:
-            self._require(method, "GET", "tenants/{id}/query")
-            return dict(params, op=route[2], tenant=tenant)
-        if action in ("ingest", "drain", "expire", "snapshot") and len(route) == 2:
-            self._require(method, "POST", "tenants/{id}/%s" % action)
-            return dict(body or {}, op=action, tenant=tenant)
-        raise _RouteError("NOT_FOUND", "no such tenant resource: %s" % "/".join(route))
-
-    @staticmethod
-    def _require(method: str, expected: str, resource: str) -> None:
-        if method != expected:
-            raise _RouteError(
-                "METHOD_NOT_ALLOWED", "%s serves %s, not %s" % (resource, expected, method)
-            )
+        if method == "GET":
+            message = {name: _decode_param(op, name, value) for name, value in query}
+        else:
+            whole = next((param.name for param in op.params if param.wire == "object"), None)
+            message = {whole: body} if whole is not None and body else dict(body or {})
+        message["op"] = op.name
+        if tenant is not None:
+            message["tenant"] = tenant
+        return message
 
 
 async def run_gateway(

@@ -54,7 +54,7 @@ import os
 import time
 import zlib
 from collections import deque
-from collections.abc import Awaitable, Callable, Hashable, Sequence
+from collections.abc import Awaitable, Hashable, Sequence
 from typing import Any
 
 import numpy as np
@@ -77,12 +77,11 @@ from .errors import (
     ClockRegressionError,
     DeadlineExceededError,
     InvalidParameterError,
-    ModeMismatchError,
     ServiceRequestError,
-    UnknownOperationError,
     VersionMismatchError,
     exception_for_error,
 )
+from .ops import query_handler
 from .pool import TenantPool
 from .protocol import (
     MAX_LINE_BYTES,
@@ -963,10 +962,8 @@ class ShardRouter:
             # A tenant lives wholly on its owner shard: forward the query
             # verbatim, no cross-shard merge semantics involved.
             return await self._tenant_submit(message.get("tenant"), dict(message, op=op))
-        handler = _ROUTER_QUERY_HANDLERS.get(op)
-        if handler is None:
-            raise UnknownOperationError("unknown query op %r" % (op,))
-        return await handler(self, message)
+        # Each _query_<op> merges the per-shard answers (Theorem 4).
+        return await query_handler(self, op, self.config.mode)(message)
 
     def _owner_shard(self, key: Hashable) -> int:
         shard = shard_of(key, self.num_shards)
@@ -995,10 +992,7 @@ class ShardRouter:
         return await self._fan_sum(message)
 
     async def _query_self_join(self, message: dict[str, Any]) -> float:
-        mode = self.config.mode
-        if mode == "hierarchical":
-            raise ModeMismatchError("self_join is not served in hierarchical mode")
-        if mode == "flat":
+        if self.config.mode == "flat":
             # The key partition is disjoint, so F2 has no cross-shard
             # product terms: the per-shard self-joins sum exactly.
             return await self._fan_sum(message)
@@ -1322,17 +1316,3 @@ class ShardRouter:
             self.degraded_shards(),
         )
 
-
-_ROUTER_QUERY_HANDLERS: dict[
-    str, Callable[[ShardRouter, dict[str, Any]], Awaitable[Any]]
-] = {
-    "point": ShardRouter._query_point,
-    "range": ShardRouter._query_range,
-    "heavy_hitters": ShardRouter._query_heavy_hitters,
-    "quantile": ShardRouter._query_quantile,
-    "quantiles": ShardRouter._query_quantiles,
-    "self_join": ShardRouter._query_self_join,
-    "arrivals": ShardRouter._query_arrivals,
-    "staleness": ShardRouter._query_staleness,
-    "root_state": ShardRouter._query_root_state,
-}

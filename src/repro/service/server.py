@@ -28,13 +28,14 @@ from typing import Any, TYPE_CHECKING
 from ..core.errors import ConfigurationError, EmptyStructureError
 from . import failpoints
 from .config import ServiceConfig
-from .core import IngestRejectedError, ServiceError, ServiceStoppedError, SketchService
+from .core import ServiceError, ServiceStoppedError, SketchService
 from .errors import (
     BadRequestError,
+    ModeMismatchError,
     PoolDisabledError,
-    TenantRequiredError,
     UnknownOperationError,
 )
+from .ops import OPS, check_params
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -61,18 +62,6 @@ __all__ = ["SketchServer", "ServingState", "dispatch_service_op", "run_server"]
 # (import cycle), so the union must not evaluate at runtime.
 ServingState = "SketchService | TenantPool | ShardRouter"
 
-#: Query operations dispatched straight to ``service.query``.
-_QUERY_OPS = frozenset(
-    ["point", "range", "heavy_hitters", "quantile", "quantiles", "self_join",
-     "arrivals", "staleness", "root_state"]
-)
-
-#: Tenant lifecycle + pool-governor operations (pooled servers only).
-_TENANT_OPS = frozenset(
-    ["tenant_create", "tenant_delete", "tenant_list", "tenant_stats", "pool_sweep"]
-)
-
-
 async def _maybe_await(value: Any) -> Any:
     """Resolve a result that may be a plain value or an awaitable.
 
@@ -90,131 +79,105 @@ async def dispatch_service_op(service: ServingState, message: dict[str, Any]) ->
 
     Shared by the TCP server and the router's in-process shard backend, so a
     local shard answers through exactly the code path a TCP worker would.
-    Raises the usual service/protocol errors; the callers map them to error
+    The op's :data:`~repro.service.ops.OPS` row gates it: unknown names fail
+    ``UNKNOWN_OP``, tenant ops need a pooled server, a ``shard`` parameter
+    needs a sharded one, and the fields of non-query ops are checked against
+    their wire types (query handlers validate their own parameters).  Raises
+    the usual service/protocol errors; the callers map them to error
     envelopes (TCP) or propagate them (router merge logic).
     """
-    op = message.get("op")
-    if not isinstance(op, str):
+    name = message.get("op")
+    if not isinstance(name, str):
         raise ProtocolError("message is missing the 'op' field")
+    op = OPS.get(name)
+    if op is None:
+        raise UnknownOperationError("unknown op %r" % (name,))
     pooled = bool(getattr(service, "supports_tenants", False))
     tenant = message.get("tenant")
     if tenant is not None:
         if not isinstance(tenant, str):
-            raise BadRequestError("'tenant' must be a string", op=op)
+            raise BadRequestError("'tenant' must be a string", op=name)
         if not pooled:
             raise PoolDisabledError(
                 "this server hosts a single sketch, not a tenant pool "
                 "(start it with --pool to serve tenant %r)" % (tenant,),
-                op=op,
+                op=name,
             )
-    if op == "ping":
+    if op.kind == "query":
+        return await _maybe_await(service.query(name, message))
+    if op.kind == "tenant" and not pooled:
+        raise PoolDisabledError("%s requires a pooled server (--pool)" % (name,), op=name)
+    check_params(op, message)
+    shard = message.get("shard")
+    if op.sharded and shard is not None and not hasattr(service, "restart_shard"):
+        raise ModeMismatchError("%s with 'shard' requires a sharded server" % (name,), op=name)
+    if name == "ping":
         return "pong"
-    if op == "hello":
-        version = message.get("protocol_version", PROTOCOL_VERSION)
-        check_protocol_version(version)
+    if name == "hello":
+        check_protocol_version(message.get("protocol_version", PROTOCOL_VERSION))
         return {"server": "repro-sketch-service", "protocol_version": PROTOCOL_VERSION}
-    if op == "info":
+    if name == "info":
         return await _maybe_await(service.info())
-    if op == "stats":
+    if name == "stats":
         return await _maybe_await(service.stats())
-    if op in _TENANT_OPS:
-        if not pooled:
-            raise PoolDisabledError("%s requires a pooled server (--pool)" % (op,), op=op)
-        if op == "tenant_list":
-            return await _maybe_await(service.tenant_list())
-        if op == "pool_sweep":
-            return await _maybe_await(service.sweep())
-        if tenant is None:
-            raise TenantRequiredError("%s requires a 'tenant'" % (op,), op=op)
-        if op == "tenant_create":
-            overrides = message.get("config")
-            if overrides is not None and not isinstance(overrides, dict):
-                raise BadRequestError("'config' must be an object when present", op=op)
-            return await _maybe_await(service.tenant_create(tenant, overrides))
-        if op == "tenant_delete":
-            return await _maybe_await(service.tenant_delete(tenant))
+    if name == "tenant_list":
+        return await _maybe_await(service.tenant_list())
+    if name == "pool_sweep":
+        return await _maybe_await(service.sweep())
+    if name == "tenant_create":
+        return await _maybe_await(service.tenant_create(tenant, message.get("config")))
+    if name == "tenant_delete":
+        return await _maybe_await(service.tenant_delete(tenant))
+    if name == "tenant_stats":
         return await _maybe_await(service.tenant_stats(tenant))
-    if op == "ingest":
+    if name == "ingest":
         await failpoints.fire_async("server.ingest")
-        keys = message.get("keys")
-        clocks = message.get("clocks")
-        if not isinstance(keys, list) or not isinstance(clocks, list):
-            raise IngestRejectedError("ingest requires 'keys' and 'clocks' lists")
-        values = message.get("values")
-        if values is not None and not isinstance(values, list):
-            raise IngestRejectedError("'values' must be a list when present")
-        site = message.get("site", 0)
-        if not isinstance(site, int) or isinstance(site, bool):
-            raise IngestRejectedError("'site' must be an integer")
-        client_id = message.get("client")
-        if client_id is not None and not isinstance(client_id, str):
-            raise IngestRejectedError("'client' must be a string when present")
-        seq = message.get("seq")
-        if seq is not None and (not isinstance(seq, int) or isinstance(seq, bool)):
-            raise IngestRejectedError("'seq' must be an integer when present")
+        keys, clocks, values = message["keys"], message["clocks"], message.get("values")
+        site = message.get("site") or 0
         if pooled:
             # Pooled tenants are not journaled (config forbids the combo),
             # so the retry identity is dropped rather than half-honoured.
             accepted = await service.ingest(keys, clocks, values, site=site, tenant=tenant)
         else:
             accepted = await service.ingest(
-                keys, clocks, values, site=site, client_id=client_id, seq=seq
+                keys, clocks, values, site=site,
+                client_id=message.get("client"), seq=message.get("seq"),
             )
         return {"accepted": accepted}
-    if op == "drain":
+    if name == "drain":
         if pooled:
             return await _maybe_await(service.drain(tenant=tenant))
         await service.drain()
         return {"applied_clock": service.applied_clock}
-    if op == "expire":
+    if name == "expire":
         if pooled:
             return await _maybe_await(service.expire_now(tenant=tenant))
         await _maybe_await(service.expire_now())
         return {"applied_clock": service.applied_clock}
-    if op == "snapshot":
+    if name == "snapshot":
         path = message.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ProtocolError("'path' must be a string when present")
         if pooled:
             return {"path": await _maybe_await(service.snapshot_async(path, tenant=tenant))}
         return {"path": await service.snapshot_async(path)}
-    if op == "restart_shard":
-        restart = getattr(service, "restart_shard", None)
-        if restart is None:
-            raise ServiceError("restart_shard requires a sharded server")
-        shard = message.get("shard")
-        if not isinstance(shard, int) or isinstance(shard, bool):
-            raise ProtocolError("restart_shard requires an integer 'shard'")
-        return await restart(shard)
-    if op == "failpoint":
+    if name == "restart_shard":
+        return await service.restart_shard(shard)
+    if name == "failpoint":
         # Fault injection: arm/disarm named failure sites in *this* process,
         # or (with 'shard') in one worker of a sharded server.  Inline
         # dispatch like restart_shard — an operator op, not a query.
-        shard = message.get("shard")
         if shard is not None:
-            forward = getattr(service, "forward_failpoint", None)
-            if forward is None:
-                raise ServiceError("'shard' targeting requires a sharded server")
-            if not isinstance(shard, int) or isinstance(shard, bool):
-                raise ProtocolError("'shard' must be an integer when present")
-            return await forward(shard, message)
+            return await service.forward_failpoint(shard, message)
         spec = message.get("spec")
         if spec is not None:
-            if not isinstance(spec, str):
-                raise ProtocolError("'spec' must be a string when present")
             try:
                 return {"armed": failpoints.configure(spec)}
             except failpoints.FailpointError as exc:
-                raise BadRequestError(str(exc), op=op) from exc
+                raise BadRequestError(str(exc), op=name) from exc
         if message.get("disarm"):
-            name = message.get("name")
-            if name is not None and not isinstance(name, str):
-                raise ProtocolError("'name' must be a string when present")
-            failpoints.disarm(name)
+            failpoints.disarm(message.get("name"))
         return {"armed": failpoints.armed()}
-    if op in _QUERY_OPS:
-        return await _maybe_await(service.query(op, message))
-    raise UnknownOperationError("unknown op %r" % (op,))
+    # shutdown: answered by the TCP front end (SketchServer), never here.
+    raise UnknownOperationError("%s is not served by this endpoint" % (name,), op=name)
 
 
 class SketchServer:

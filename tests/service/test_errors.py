@@ -37,7 +37,7 @@ def run(coroutine):
 
 class TestEnvelopeBuilding:
     def test_every_registered_code_round_trips(self):
-        for code, (cls, description) in ERROR_CODES.items():
+        for code, (cls, _status, description) in ERROR_CODES.items():
             assert description, code
             exc = cls("boom", op="ingest")
             envelope = error_envelope(exc)
@@ -122,6 +122,25 @@ class TestWireRoundTrips:
                     await client.ingest(["a", "b"], [5.0, 1.0])
                 # The connection survives every rejected request.
                 assert await client.ping() == "pong"
+
+        run(body())
+
+    def test_sharded_only_ops_are_a_mode_mismatch(self):
+        """restart_shard and a shard-targeted failpoint need a sharded
+        server; anywhere else they fail MODE_MISMATCH, not INTERNAL."""
+
+        async def body():
+            service = SketchService(ServiceConfig(mode="flat"))
+            async with (
+                SketchServer(service) as server,
+                await ServiceClient.connect(port=server.port) as client,
+            ):
+                with pytest.raises(ModeMismatchError):
+                    await client.restart_shard(0)
+                with pytest.raises(ModeMismatchError):
+                    await client.failpoint(spec="server.respond=sleep:0", shard=0)
+                # Without 'shard' the failpoint op serves this process.
+                assert await client.failpoint(disarm=True) == {"armed": {}}
 
         run(body())
 

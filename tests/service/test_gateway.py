@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 from typing import Any
+from urllib.parse import urlencode
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.service import (
     SketchService,
     TenantPool,
 )
+from repro.service.ops import OPS
 
 EPSILON = 0.1
 WINDOW = 1_000_000.0
@@ -120,112 +122,144 @@ class _Stack:
         await self.server.__aexit__(*exc_info)
 
 
+#: Sketch parameters and one trace per mode, for the parity suite.
+_MODE_SETUPS: dict[str, tuple[dict[str, Any], list[Any], tuple[int, ...]]] = {
+    "flat": ({"mode": "flat"}, ["k%d" % (index % 23) for index in range(300)], (0,)),
+    "hierarchical": (
+        {"mode": "hierarchical", "universe_bits": 8},
+        [(index * 7) % 256 for index in range(300)],
+        (0,),
+    ),
+    "multisite": (
+        {"mode": "multisite", "sites": 2, "period": 50.0},
+        ["k%d" % (index % 11) for index in range(300)],
+        (0, 1),
+    ),
+}
+
+#: One sample parameter set per (mode, query op) the op table serves.
+_QUERY_SAMPLES: dict[str, dict[str, dict[str, Any]]] = {
+    "flat": {
+        "point": {"key": "k3", "range": 100},
+        "self_join": {},
+        "arrivals": {},
+    },
+    "hierarchical": {
+        "point": {"key": 5},
+        "range": {"lo": 0, "hi": 63},
+        "heavy_hitters": {"phi": 0.05},
+        "quantile": {"fraction": 0.5},
+        "quantiles": {"fractions": [0.25, 0.5, 0.75]},
+        "arrivals": {},
+    },
+    "multisite": {
+        "point": {"key": "k3"},
+        "self_join": {},
+        "staleness": {"now": 300},
+        "root_state": {},
+    },
+}
+
+
+def _query_string(params: dict[str, Any]) -> str:
+    """REST form of a query's fields: JSON scalars, comma-separated lists."""
+    return urlencode(
+        {
+            name: ",".join(map(str, value)) if isinstance(value, list) else json.dumps(value)
+            for name, value in params.items()
+        }
+    )
+
+
 class TestQueryParity:
-    """Every query op answers identically over HTTP and over TCP."""
+    """Every query op of the op table answers identically over HTTP and TCP."""
 
-    def test_flat_tenant(self, tmp_path):
-        async def body():
-            async with _Stack(tmp_path) as stack:
-                port = stack.gateway.port
-                await stack.client.create_tenant("flat1")
-                keys = ["k%d" % (index % 23) for index in range(300)]
-                clocks = [float(index + 1) for index in range(300)]
-                status, payload = await http(
-                    port,
-                    "POST",
-                    "/v1/tenants/flat1/ingest",
-                    {"keys": keys, "clocks": clocks},
-                )
-                assert status == 200 and payload["result"] == {"accepted": 300}
-                await http(port, "POST", "/v1/tenants/flat1/drain")
+    def test_samples_cover_every_query_op(self):
+        for mode, samples in _QUERY_SAMPLES.items():
+            served = {op.name for op in OPS.values() if op.kind == "query" and mode in op.modes}
+            assert set(samples) == served, mode
 
-                tcp = stack.client
-                assert await get(port, "/v1/tenants/flat1/query/point?key=k3") == await tcp.point(
-                    "k3", tenant="flat1"
-                )
-                assert await get(
-                    port, "/v1/tenants/flat1/query/point?key=k3&range=100"
-                ) == await tcp.point("k3", range_length=100, tenant="flat1")
-                assert await get(port, "/v1/tenants/flat1/query/self_join") == await tcp.self_join(
-                    tenant="flat1"
-                )
-                assert await get(port, "/v1/tenants/flat1/query/arrivals") == await tcp.arrivals(
-                    tenant="flat1"
-                )
-
-        run(body())
-
-    def test_hierarchical_tenant(self, tmp_path):
-        async def body():
-            async with _Stack(tmp_path) as stack:
-                port = stack.gateway.port
-                await stack.client.create_tenant(
-                    "hier", config={"mode": "hierarchical", "universe_bits": 8}
-                )
-                keys = [(index * 7) % 256 for index in range(300)]
-                clocks = [float(index + 1) for index in range(300)]
-                await http(
-                    port, "POST", "/v1/tenants/hier/ingest", {"keys": keys, "clocks": clocks}
-                )
-                await http(port, "POST", "/v1/tenants/hier/drain")
-
-                tcp = stack.client
-                base = "/v1/tenants/hier/query"
-                assert await get(port, base + "/point?key=5") == await tcp.point(
-                    5, tenant="hier"
-                )
-                assert await get(port, base + "/range?lo=0&hi=63") == await tcp.range_query(
-                    0, 63, tenant="hier"
-                )
-                over_tcp = await tcp.heavy_hitters(phi=0.05, tenant="hier")
-                assert await get(port, base + "/heavy_hitters?phi=0.05") == [
-                    list(hitter) for hitter in over_tcp
-                ]
-                assert await get(port, base + "/quantile?fraction=0.5") == await tcp.quantile(
-                    0.5, tenant="hier"
-                )
-                assert await get(
-                    port, base + "/quantiles?fractions=0.25,0.5,0.75"
-                ) == await tcp.quantiles([0.25, 0.5, 0.75], tenant="hier")
-                assert await get(port, base + "/arrivals") == await tcp.arrivals(tenant="hier")
-
-        run(body())
-
-    def test_multisite_tenant(self, tmp_path):
-        async def body():
-            async with _Stack(tmp_path) as stack:
-                port = stack.gateway.port
-                await stack.client.create_tenant(
-                    "multi", config={"mode": "multisite", "sites": 2, "period": 50.0}
-                )
-                keys = ["k%d" % (index % 11) for index in range(300)]
-                clocks = [float(index + 1) for index in range(300)]
-                for site in (0, 1):
-                    await http(
-                        port,
-                        "POST",
-                        "/v1/tenants/multi/ingest",
-                        {"keys": keys, "clocks": clocks, "site": site},
+    @pytest.mark.parametrize("mode", sorted(_MODE_SETUPS))
+    @pytest.mark.parametrize("pooled", [True, False], ids=["tenant-route", "tenantless-route"])
+    def test_every_query_op(self, tmp_path, mode, pooled):
+        overrides, keys, sites = _MODE_SETUPS[mode]
+        clocks = [float(index + 1) for index in range(len(keys))]
+        if pooled:
+            server = SketchServer(TenantPool(pool_config(tmp_path)))
+            base, fields = "/v1/tenants/t1", {"tenant": "t1"}
+        else:
+            server = SketchServer(
+                SketchService(
+                    ServiceConfig(
+                        epsilon=EPSILON, delta=0.05, window=WINDOW, **overrides
                     )
-                await http(port, "POST", "/v1/tenants/multi/drain")
+                )
+            )
+            base, fields = "/v1", {}
 
-                tcp = stack.client
-                base = "/v1/tenants/multi/query"
-                assert await get(port, base + "/point?key=k3") == await tcp.point(
-                    "k3", tenant="multi"
-                )
-                assert await get(port, base + "/self_join") == await tcp.self_join(
-                    tenant="multi"
-                )
-                assert await get(port, base + "/staleness?now=300") == await tcp.staleness(
-                    300.0, tenant="multi"
-                )
-                # root_state has no typed client method (it is the router's
-                # merge input); parity is against the raw protocol op.
-                over_tcp = await tcp.request({"op": "root_state", "tenant": "multi"})
-                assert await get(port, base + "/root_state") == over_tcp
+        async def body():
+            async with server:
+                gateway = GatewayServer(backend_port=server.port, port=0)
+                await gateway.start()
+                try:
+                    port = gateway.port
+                    tcp = await ServiceClient.connect(port=server.port)
+                    if pooled:
+                        await tcp.create_tenant("t1", config=overrides)
+                    # Clocks are global across sites: alternate 50-record
+                    # chunks between them, in clock order.
+                    for chunk, start in enumerate(range(0, len(keys), 50)):
+                        status, payload = await http(
+                            port,
+                            "POST",
+                            base + "/ingest",
+                            {
+                                "keys": keys[start : start + 50],
+                                "clocks": clocks[start : start + 50],
+                                "site": sites[chunk % len(sites)],
+                            },
+                        )
+                        assert status == 200, payload
+                    await http(port, "POST", base + "/drain")
+                    for name, params in _QUERY_SAMPLES[mode].items():
+                        over_tcp = await tcp.request(dict(params, op=name, **fields))
+                        path = "%s/query/%s?%s" % (base, name, _query_string(params))
+                        assert await get(port, path) == over_tcp, name
+                    await tcp.close()
+                finally:
+                    await gateway.stop()
 
         run(body())
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, op in OPS.items() if op.kind != "query")
+)
+def test_query_routes_refuse_non_query_ops(tmp_path, name):
+    """GET .../query/{op} serves query ops only: any other op name is a 400
+    from the gateway itself, and never reaches (or stops, or mutates) the
+    backend."""
+
+    async def body():
+        async with _Stack(tmp_path) as stack:
+            await stack.client.create_tenant("t1")
+            for path in ("/v1/query/", "/v1/tenants/t1/query/"):
+                status, payload = await http(
+                    stack.gateway.port, "GET", path + name + "?keys=[1,2]&clocks=[1,2]"
+                )
+                assert status == 400, payload
+                assert payload["error"]["code"] == "UNKNOWN_OP"
+            assert await stack.client.ping() == "pong"
+            assert [row.tenant for row in await stack.client.list_tenants()] == ["t1"]
+            assert (await stack.client.tenant_stats("t1")).records_ingested == 0
+
+    run(body())
+
+
+def test_get_routes_never_mutate():
+    for op in OPS.values():
+        if op.http is not None and op.http[0] == "GET":
+            assert not op.mutates, op.name
 
 
 class TestTenantRest:

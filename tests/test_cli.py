@@ -198,5 +198,5 @@ class TestLint:
         code, lines = run_cli(["lint", "--list-rules"])
         assert code == 0
         joined = "\n".join(lines)
-        for rule_code in ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]:
+        for rule_code in ["RL001", "RL002", "RL003", "RL005", "RL006"]:
             assert rule_code in joined

@@ -3,9 +3,8 @@
 The sketch service encodes correctness contracts that ordinary linters do
 not know about: shard partitioning must never use the per-process salted
 builtin ``hash()`` (PR 6), nothing may block the single asyncio ingest loop
-(PR 5/7), the error/op registries must stay mutually exhaustive with the
-gateway status table and ``docs/api.md`` (PR 7), and sketch-state modules
-must stay deterministic so byte-identical replay keeps holding (PR 1-4).
+(PR 5/7), and sketch-state modules must stay deterministic so byte-identical
+replay keeps holding (PR 1-4).
 Until now those invariants survived on reviewer memory plus a handful of
 runtime tests; ``reprolint`` turns each one into a named static rule.
 
@@ -28,7 +27,7 @@ how-to-add-a-rule walkthrough.
 
 from __future__ import annotations
 
-from .engine import Finding, ModuleFile, Project, run_checks
+from .engine import Finding, ModuleFile, run_checks
 from .rules import RULES, all_rules
 
-__all__ = ["Finding", "ModuleFile", "Project", "RULES", "all_rules", "run_checks"]
+__all__ = ["Finding", "ModuleFile", "RULES", "all_rules", "run_checks"]

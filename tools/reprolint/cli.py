@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
-from .engine import Finding, Project, run_checks
+from .engine import Finding, run_checks
 from .rules import RULES, all_rules
 
 __all__ = ["build_parser", "main", "render_json", "render_text"]
@@ -17,8 +17,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description="AST-based invariant checker for the sketch-service repo "
-        "(salted hashes, event-loop blocking, lock discipline, registry "
-        "exhaustiveness, determinism).",
+        "(salted hashes, event-loop blocking, lock discipline, determinism, "
+        "bounded RPC awaits).",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to check (default: src)")
@@ -28,9 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated subset of rule codes to run")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--root", type=str, default=None,
-                        help="repository root for cross-file registry checks "
-                             "(default: nearest ancestor with pyproject.toml)")
     return parser
 
 
@@ -84,8 +81,7 @@ def main(
     if missing:
         out("error: no such path: %s" % ", ".join(str(path) for path in missing))
         return 2
-    root = Path(args.root) if args.root is not None else None
-    findings, errors = run_checks(targets, rules, root=root)
+    findings, errors = run_checks(targets, rules)
     if args.format == "json":
         out(render_json(findings, errors))
     else:

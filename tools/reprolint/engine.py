@@ -1,9 +1,8 @@
 """Checker engine: file loading, suppression handling, and the run loop.
 
 The engine is rule-agnostic.  It walks the target paths, parses every
-Python file once, hands each :class:`ModuleFile` to the per-file rules and
-the whole :class:`Project` to the project-level rules, then filters the
-collected findings through the suppression comments.  Rules never need to
+Python file once, hands each :class:`ModuleFile` to the rules, then
+filters the collected findings through the suppression comments.  Rules never need to
 reimplement path walking, parsing, or suppression logic.
 """
 
@@ -22,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (rules import engine)
 __all__ = [
     "Finding",
     "ModuleFile",
-    "Project",
     "iter_python_files",
     "run_checks",
 ]
@@ -120,61 +118,6 @@ class ModuleFile:
         return tuple(self.display_path.split("/"))
 
 
-class Project:
-    """The scanned file set plus the repository root it belongs to.
-
-    Project-level rules (registry exhaustiveness) need to read files by
-    their repository-relative role — ``src/repro/service/errors.py``,
-    ``docs/api.md`` — independent of which subtree was scanned.  The root is
-    the nearest ancestor of the first scan target containing
-    ``pyproject.toml`` (falling back to the target itself), so
-    ``python -m tools.reprolint src`` from the repo root sees the registry
-    files even though ``docs/`` was not scanned.
-    """
-
-    def __init__(self, root: Path, modules: Sequence[ModuleFile]) -> None:
-        self.root = root
-        self.modules = list(modules)
-        self._by_role: dict[str, ModuleFile | None] = {}
-
-    @classmethod
-    def find_root(cls, target: Path) -> Path:
-        start = target if target.is_dir() else target.parent
-        for candidate in [start, *start.resolve().parents]:
-            if (candidate / "pyproject.toml").is_file():
-                return candidate
-        return start
-
-    def module_for_role(self, relative: str) -> ModuleFile | None:
-        """A parsed module by repo-relative path, scanned or not.
-
-        Prefers the scanned instance (so its display path matches the other
-        findings); loads from the root otherwise.  Returns ``None`` when the
-        file does not exist — project rules treat that as "not this repo"
-        and stay silent.
-        """
-        if relative in self._by_role:
-            return self._by_role[relative]
-        suffix = tuple(relative.split("/"))
-        found: ModuleFile | None = None
-        for module in self.modules:
-            if module.parts[-len(suffix):] == suffix:
-                found = module
-                break
-        if found is None:
-            candidate = self.root / relative
-            if candidate.is_file():
-                found = ModuleFile.load(candidate, display_path=relative)
-        self._by_role[relative] = found
-        return found
-
-    def read_text(self, relative: str) -> str | None:
-        candidate = self.root / relative
-        if not candidate.is_file():
-            return None
-        return candidate.read_text(encoding="utf-8")
-
-
 def iter_python_files(targets: Sequence[Path]) -> Iterable[tuple[Path, str]]:
     """Yield ``(path, display_path)`` for every Python file under the targets."""
     for target in targets:
@@ -188,9 +131,7 @@ def iter_python_files(targets: Sequence[Path]) -> Iterable[tuple[Path, str]]:
 
 
 def run_checks(
-    targets: Sequence[Path],
-    rules: Sequence[Rule],
-    root: Path | None = None,
+    targets: Sequence[Path], rules: Sequence[Rule]
 ) -> tuple[list[Finding], list[str]]:
     """Run ``rules`` over ``targets``; returns (findings, parse errors).
 
@@ -206,24 +147,12 @@ def run_checks(
             modules.append(ModuleFile.load(path, display_path=display))
         except (SyntaxError, UnicodeDecodeError) as exc:
             errors.append("%s: cannot parse: %s" % (display, exc))
-    project_root = root if root is not None else Project.find_root(targets[0])
-    project = Project(project_root, modules)
-
     raw: list[Finding] = []
     modules_by_display = {module.display_path: module for module in modules}
     for rule in rules:
-        if rule.project_level:
-            raw.extend(rule.check_project(project))
-        else:
-            for module in modules:
-                if rule.applies_to(module):
-                    raw.extend(rule.check_module(module))
-
-    # Project rules may have loaded registry files that were outside the
-    # scanned targets; their suppression comments must still apply.
-    for loaded in project._by_role.values():
-        if loaded is not None:
-            modules_by_display.setdefault(loaded.display_path, loaded)
+        for module in modules:
+            if rule.applies_to(module):
+                raw.extend(rule.check_module(module))
 
     findings = []
     for finding in sorted(set(raw)):

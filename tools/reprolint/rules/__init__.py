@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING
 
-from ..engine import Finding, ModuleFile, Project
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from ..engine import Finding, ModuleFile
 
 __all__ = ["Rule", "RULES", "register", "all_rules", "dotted_name"]
 
@@ -28,24 +24,17 @@ class Rule:
         code: Stable machine code (``RL001`` ...), unique in the registry.
         name: Short kebab-case rule name for the catalog.
         rationale: One-line why — which repo invariant the rule guards.
-        project_level: ``True`` for rules that check cross-file registries
-            (they get the whole :class:`Project` once) instead of one
-            module at a time.
     """
 
     code: str = ""
     name: str = ""
     rationale: str = ""
-    project_level: bool = False
 
     def applies_to(self, module: ModuleFile) -> bool:
-        """Whether this (per-file) rule scans ``module`` at all."""
+        """Whether this rule scans ``module`` at all."""
         return True
 
     def check_module(self, module: ModuleFile) -> Iterator[Finding]:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError  # pragma: no cover - abstract
 
 
@@ -91,4 +80,3 @@ def dotted_name(node: ast.AST) -> str | None:
 # Import-time registration of the built-in rules (the plugin entry point).
 from . import async_rules as _async_rules  # noqa: E402,F401
 from . import determinism as _determinism  # noqa: E402,F401
-from . import registries as _registries  # noqa: E402,F401
