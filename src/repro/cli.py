@@ -8,10 +8,19 @@ Usage (installed or via ``python -m repro``)::
     python -m repro run all --records 5000        # the full evaluation, small scale
     python -m repro demo --records 10000          # a quick end-to-end sanity demo
     python -m repro heavy-hitters --records 10000 # sliding-window heavy hitters
+    python -m repro serve --port 7600             # live sketch service (TCP, NDJSON)
+    python -m repro serve --shards 2 --journal-dir wal  # sharded, journaled tier
+    python -m repro gateway --backend-port 7600   # HTTP/REST front of a running server
+    python -m repro replay --port 7600 --records 50000  # drive a server, report p50/p99
 
 The ``run`` subcommand prints exactly the same tables the benchmark suite
 emits, without requiring pytest; it is the lightweight entry point for
 regenerating EXPERIMENTS.md numbers or exploring parameter settings.
+
+Each subcommand imports what it runs when it runs: ``serve`` never loads
+the experiments, the analysis harnesses or the exact baselines, which keeps
+the start-up of a server (and of each of its spawned shard workers, which
+re-import this module) short.
 """
 
 from __future__ import annotations
@@ -22,39 +31,18 @@ import time as _time
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
-from .analysis.reporting import write_rows
-from .baselines import ExactStreamSummary
 from .core import BACKENDS, ECMSketch
 
 if TYPE_CHECKING:
     from .core.config import ECMConfig
     from .streams.stream import Stream
-from .experiments import (
-    format_centralized_rows,
-    format_centralized_vs_distributed_rows,
-    format_complexity_rows,
-    format_distributed_rows,
-    format_epsilon_split_rows,
-    format_merge_strategy_rows,
-    format_frequent_items_rows,
-    format_network_size_rows,
-    format_update_rate_rows,
-    run_centralized_error_experiment,
-    run_centralized_vs_distributed_experiment,
-    run_complexity_experiment,
-    run_distributed_error_experiment,
-    run_epsilon_split_ablation,
-    run_frequent_items_experiment,
-    run_merge_strategy_ablation,
-    run_network_size_experiment,
-    run_update_rate_experiment,
-)
-from .streams import WorldCupSyntheticTrace
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
 
 
 def _run_figure4(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_centralized_rows, run_centralized_error_experiment
+
     rows = run_centralized_error_experiment(
         dataset=args.dataset,
         epsilons=args.epsilons,
@@ -65,6 +53,8 @@ def _run_figure4(args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_table3(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_update_rate_rows, run_update_rate_experiment
+
     rows = run_update_rate_experiment(
         dataset=args.dataset,
         num_records=args.records,
@@ -74,6 +64,8 @@ def _run_table3(args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_figure5(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_distributed_rows, run_distributed_error_experiment
+
     rows = run_distributed_error_experiment(
         dataset=args.dataset,
         epsilons=args.epsilons,
@@ -87,6 +79,11 @@ def _run_figure5(args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_table4(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import (
+        format_centralized_vs_distributed_rows,
+        run_centralized_vs_distributed_experiment,
+    )
+
     rows = run_centralized_vs_distributed_experiment(
         dataset=args.dataset,
         num_records=args.records,
@@ -99,6 +96,8 @@ def _run_table4(args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_figure6(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_network_size_rows, run_network_size_experiment
+
     rows = run_network_size_experiment(
         dataset=args.dataset,
         network_sizes=tuple(args.network_sizes),
@@ -111,6 +110,8 @@ def _run_figure6(args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_table2(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_complexity_rows, run_complexity_experiment
+
     rows = run_complexity_experiment(
         epsilons=args.epsilons, dataset=args.dataset, num_records=args.records
     )
@@ -118,6 +119,13 @@ def _run_table2(args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_ablations(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import (
+        format_epsilon_split_rows,
+        format_merge_strategy_rows,
+        run_epsilon_split_ablation,
+        run_merge_strategy_ablation,
+    )
+
     split_rows = run_epsilon_split_ablation()
     merge_rows = run_merge_strategy_ablation()
     text = "%s\n\n%s" % (
@@ -411,6 +419,9 @@ def _demo(
     backend: str = "auto",
 ) -> None:
     """A self-contained sanity demo mirroring examples/quickstart.py."""
+    from .baselines import ExactStreamSummary
+    from .streams import WorldCupSyntheticTrace
+
     window = 1_000_000.0
     trace = WorldCupSyntheticTrace(num_records=records).generate()
     sketch = ECMSketch.for_point_queries(
@@ -499,7 +510,8 @@ def _serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
 
     from .core.config import CounterType
     from .core.errors import ConfigurationError
-    from .service import ServiceConfig, run_server
+    from .service.config import ServiceConfig
+    from .service.server import run_server
     from .windows.base import WindowModel
 
     try:
@@ -563,8 +575,8 @@ def _replay(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     import asyncio
     import json as _json
 
-    from .service import run_replay
     from .service.client import ServiceRequestError
+    from .service.replay import run_replay
 
     try:
         report = asyncio.run(
@@ -639,6 +651,9 @@ def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) 
         return _lint(args, out)
 
     if args.command == "heavy-hitters":
+        from .analysis.reporting import write_rows
+        from .experiments import format_frequent_items_rows, run_frequent_items_experiment
+
         rows = run_frequent_items_experiment(
             num_records=args.records,
             domain_size=args.domain,
@@ -659,6 +674,8 @@ def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) 
         return 0
 
     if args.command == "run":
+        from .analysis.reporting import write_rows
+
         names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         if args.batch_size is not None and any(name != "table3" for name in names):
             out("note: --batch-size currently affects only the table3 (update-rate) "

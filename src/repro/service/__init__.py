@@ -45,144 +45,110 @@ gateway`` (the REST front), and ``repro replay`` (``--connections M`` for
 concurrent ingest).
 """
 
-from . import failpoints
-from .config import ServiceConfig
-from .core import IngestRejectedError, ServiceStoppedError, SketchService
-from .client import (
-    RetryPolicy,
-    ServiceClient,
-    ServiceRequestError,
-    SyncServiceClient,
-    wait_for_server,
-)
-from .errors import (
-    ERROR_CODES,
-    BadRequestError,
-    ClockRegressionError,
-    DeadlineExceededError,
-    EmptyStateError,
-    InvalidParameterError,
-    ModeMismatchError,
-    PoolDisabledError,
-    ServiceError,
-    TenantEvictedError,
-    TenantExistsError,
-    TenantNotFoundError,
-    TenantRequiredError,
-    UnknownOperationError,
-    VersionMismatchError,
-    error_envelope,
-    exception_for_error,
-)
-from .gateway import STATUS_FOR_CODE, GatewayServer, run_gateway, status_for_code
-from .journal import IngestJournal, JournalRecord, journal_dir_for_shard
-from .launch import ServeProcess, repro_env
-from .models import HeavyHitter, ServerInfo, ServerStats, TenantDescription, TenantStats
-from .pool import TENANT_CONFIG_KEYS, TenantCatalog, TenantPool
-from .protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    check_protocol_version,
-    decode_line,
-    encode_message,
-    protocol_major,
-)
-from .replay import ReplayReport, build_replay_stream, run_replay
-from .router import (
-    LocalShardBackend,
-    ProcessShardBackend,
-    ShardRouter,
-    shard_column,
-    shard_of,
-)
-from .server import SketchServer, dispatch_service_op, run_server
-from .shard_worker import ShardProcess, ShardUnavailableError, sites_of_shard, worker_config
-from .snapshot import load_snapshot, service_state_from_snapshot, snapshot_payload, write_snapshot
-from .supervision import DEGRADED, HEALTHY, RECOVERING, ShardSupervisor
+from __future__ import annotations
 
-__all__ = [
-    "ServiceConfig",
-    "SketchService",
-    "SketchServer",
-    "run_server",
-    "dispatch_service_op",
+import importlib
+from typing import Any
+
+#: Every public name of the package and the submodule that defines it.  The
+#: package imports nothing up front: a name's submodule is imported on first
+#: access (PEP 562), so ``repro serve`` loads only the layers its mode runs —
+#: a flat server never imports the gateway, the client, the tenant pool (and
+#: ``sqlite3``), the router or the worker.
+_EXPORTS: dict[str, str] = {
+    "ServiceConfig": "config",
+    "SketchService": "core",
+    "SketchServer": "server",
+    "run_server": "server",
+    "dispatch_service_op": "server",
     # clients + typed results
-    "ServiceClient",
-    "SyncServiceClient",
-    "RetryPolicy",
-    "wait_for_server",
-    "HeavyHitter",
-    "ServerInfo",
-    "ServerStats",
-    "TenantDescription",
-    "TenantStats",
+    "ServiceClient": "client",
+    "SyncServiceClient": "client",
+    "RetryPolicy": "client",
+    "wait_for_server": "client",
+    "HeavyHitter": "models",
+    "ServerInfo": "models",
+    "ServerStats": "models",
+    "TenantDescription": "models",
+    "TenantStats": "models",
     # errors
-    "ServiceError",
-    "ServiceRequestError",
-    "BadRequestError",
-    "UnknownOperationError",
-    "InvalidParameterError",
-    "ModeMismatchError",
-    "EmptyStateError",
-    "IngestRejectedError",
-    "ClockRegressionError",
-    "ServiceStoppedError",
-    "ShardUnavailableError",
-    "DeadlineExceededError",
-    "VersionMismatchError",
-    "PoolDisabledError",
-    "TenantRequiredError",
-    "TenantNotFoundError",
-    "TenantExistsError",
-    "TenantEvictedError",
-    "ERROR_CODES",
-    "error_envelope",
-    "exception_for_error",
+    "ServiceError": "errors",
+    "ServiceRequestError": "errors",
+    "BadRequestError": "errors",
+    "UnknownOperationError": "errors",
+    "InvalidParameterError": "errors",
+    "ModeMismatchError": "errors",
+    "EmptyStateError": "errors",
+    "IngestRejectedError": "errors",
+    "ClockRegressionError": "errors",
+    "ServiceStoppedError": "errors",
+    "ShardUnavailableError": "errors",
+    "DeadlineExceededError": "errors",
+    "VersionMismatchError": "errors",
+    "PoolDisabledError": "errors",
+    "TenantRequiredError": "errors",
+    "TenantNotFoundError": "errors",
+    "TenantExistsError": "errors",
+    "TenantEvictedError": "errors",
+    "ERROR_CODES": "errors",
+    "error_envelope": "errors",
+    "exception_for_error": "errors",
     # protocol
-    "ProtocolError",
-    "MAX_LINE_BYTES",
-    "PROTOCOL_VERSION",
-    "protocol_major",
-    "check_protocol_version",
-    "encode_message",
-    "decode_line",
+    "ProtocolError": "protocol",
+    "MAX_LINE_BYTES": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "protocol_major": "protocol",
+    "check_protocol_version": "protocol",
+    "encode_message": "protocol",
+    "decode_line": "protocol",
     # pool
-    "TenantPool",
-    "TenantCatalog",
-    "TENANT_CONFIG_KEYS",
+    "TenantPool": "pool",
+    "TenantCatalog": "pool",
+    "TENANT_CONFIG_KEYS": "pool",
     # gateway
-    "GatewayServer",
-    "run_gateway",
-    "STATUS_FOR_CODE",
-    "status_for_code",
+    "GatewayServer": "gateway",
+    "run_gateway": "gateway",
+    "STATUS_FOR_CODE": "gateway",
+    "status_for_code": "gateway",
     # harness + replay
-    "ServeProcess",
-    "repro_env",
-    "ReplayReport",
-    "build_replay_stream",
-    "run_replay",
+    "ServeProcess": "launch",
+    "repro_env": "launch",
+    "ReplayReport": "replay",
+    "build_replay_stream": "replay",
+    "run_replay": "replay",
     # sharded tier
-    "ShardRouter",
-    "LocalShardBackend",
-    "ProcessShardBackend",
-    "shard_of",
-    "shard_column",
-    "ShardProcess",
-    "sites_of_shard",
-    "worker_config",
+    "ShardRouter": "router",
+    "LocalShardBackend": "router",
+    "ProcessShardBackend": "router",
+    "shard_of": "router",
+    "shard_column": "router",
+    "ShardProcess": "shard_worker",
+    "sites_of_shard": "shard_worker",
+    "worker_config": "shard_worker",
     # fault tolerance
-    "IngestJournal",
-    "JournalRecord",
-    "journal_dir_for_shard",
-    "ShardSupervisor",
-    "HEALTHY",
-    "DEGRADED",
-    "RECOVERING",
-    "failpoints",
+    "IngestJournal": "journal",
+    "JournalRecord": "journal",
+    "journal_dir_for_shard": "journal",
+    "ShardSupervisor": "supervision",
+    "HEALTHY": "supervision",
+    "DEGRADED": "supervision",
+    "RECOVERING": "supervision",
+    "failpoints": "failpoints",
     # snapshots
-    "snapshot_payload",
-    "write_snapshot",
-    "load_snapshot",
-    "service_state_from_snapshot",
-]
+    "snapshot_payload": "snapshot",
+    "write_snapshot": "snapshot",
+    "load_snapshot": "snapshot",
+    "service_state_from_snapshot": "snapshot",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module("." + submodule, __name__)
+    value = module if submodule == name else getattr(module, name)
+    globals()[name] = value
+    return value

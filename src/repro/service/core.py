@@ -40,14 +40,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
 from ..core.config import ECMConfig
 from ..core.ecm_sketch import ECMSketch
 from ..core.errors import EmptyStructureError
-from ..distributed.continuous import PeriodicAggregationCoordinator
 from ..queries.hierarchical import HierarchicalECMSketch
 from ..streams.stream import StreamRecord
 from .config import ServiceConfig
@@ -62,6 +61,13 @@ from .errors import (
 from .journal import IngestJournal, JournalRecord
 from .ops import query_handler
 
+if TYPE_CHECKING:
+    # Multisite only: imported where a multisite state is built, so the
+    # other modes never load the distributed package.
+    from ..distributed.continuous import PeriodicAggregationCoordinator
+
+    ServiceState = ECMSketch | HierarchicalECMSketch | PeriodicAggregationCoordinator
+
 __all__ = [
     "ServiceError",
     "IngestRejectedError",
@@ -71,8 +77,6 @@ __all__ = [
     "validate_values_column",
     "validate_keys_for_mode",
 ]
-
-ServiceState = ECMSketch | HierarchicalECMSketch | PeriodicAggregationCoordinator
 
 
 #: Chunk size from which clock validation switches to the vectorized NumPy
@@ -263,6 +267,8 @@ class SketchService:
                 seed=config.seed,
                 backend=config.backend,
             )
+        from ..distributed.continuous import PeriodicAggregationCoordinator
+
         return PeriodicAggregationCoordinator(
             num_nodes=config.sites, config=ecm_config, period=config.period
         )
@@ -603,7 +609,15 @@ class SketchService:
                     clocks.extend(chunk.clocks)
                     if values is not None and chunk.values is not None:
                         values.extend(chunk.values)
-            if isinstance(state, PeriodicAggregationCoordinator):
+            if isinstance(state, (ECMSketch, HierarchicalECMSketch)):
+                for start in range(0, len(keys), batch_cap):
+                    stop = start + batch_cap
+                    state.add_many(
+                        keys[start:stop],
+                        clocks[start:stop],
+                        values[start:stop] if values is not None else None,
+                    )
+            else:
                 records = [
                     StreamRecord(
                         timestamp=clocks[i],
@@ -614,14 +628,6 @@ class SketchService:
                     for i in range(len(keys))
                 ]
                 state.observe_batch(records, batch_size=batch_cap)
-            else:
-                for start in range(0, len(keys), batch_cap):
-                    stop = start + batch_cap
-                    state.add_many(
-                        keys[start:stop],
-                        clocks[start:stop],
-                        values[start:stop] if values is not None else None,
-                    )
             count = len(keys)
             weight = count if values is None else sum(values)
             self.records_ingested += weight
@@ -791,21 +797,21 @@ class SketchService:
         return self.state
 
     def _require_multisite(self) -> PeriodicAggregationCoordinator:
-        if not isinstance(self.state, PeriodicAggregationCoordinator):
+        if self.config.mode != "multisite":
             raise ModeMismatchError(
                 "operation requires mode=multisite (running %s)" % self.config.mode
             )
-        return self.state
+        return cast("PeriodicAggregationCoordinator", self.state)
 
     def _query_point(self, message: dict[str, Any]) -> float:
         key = _require_param(message, "key")
         range_length = message.get("range")
         state = self.state
-        if isinstance(state, PeriodicAggregationCoordinator):
-            return float(state.query_frequency(key, range_length))
+        if isinstance(state, ECMSketch):
+            return float(state.point_query(key, range_length))
         if isinstance(state, HierarchicalECMSketch):
             return float(state.point_query(_as_int_key(key), range_length))
-        return float(state.point_query(key, range_length))
+        return float(state.query_frequency(key, range_length))
 
     def _query_range(self, message: dict[str, Any]) -> float:
         stack = self._require_hierarchical()
@@ -843,9 +849,8 @@ class SketchService:
                                                     message.get("range"))]
 
     def _query_self_join(self, message: dict[str, Any]) -> float:
-        state = self.state
-        if isinstance(state, PeriodicAggregationCoordinator):
-            return float(state.query_self_join(message.get("range")))
+        if self.config.mode == "multisite":
+            return float(self._require_multisite().query_self_join(message.get("range")))
         return float(self._require_flat().self_join(message.get("range")))
 
     def _query_arrivals(self, message: dict[str, Any]) -> float:
@@ -892,12 +897,12 @@ class SketchService:
         state = self.state
         memory: int
         synopsis: int
-        if isinstance(state, PeriodicAggregationCoordinator):
-            memory = sum(node.sketch.memory_bytes() for node in state.nodes)
-            synopsis = sum(node.sketch.synopsis_bytes() for node in state.nodes)
-        else:
+        if isinstance(state, (ECMSketch, HierarchicalECMSketch)):
             memory = state.memory_bytes()
             synopsis = state.synopsis_bytes()
+        else:
+            memory = sum(node.sketch.memory_bytes() for node in state.nodes)
+            synopsis = sum(node.sketch.synopsis_bytes() for node in state.nodes)
         stats: dict[str, Any] = {
             "mode": self.config.mode,
             "backend": self.config.backend,
@@ -921,10 +926,11 @@ class SketchService:
         if self._journal is not None:
             stats["journal"] = self._journal.stats()
             stats["journal_errors"] = self.journal_errors
-        if isinstance(state, PeriodicAggregationCoordinator):
-            stats["rounds"] = state.stats.rounds
-            stats["transfer_bytes"] = state.stats.transfer_bytes
-            stats["last_round_clock"] = state.last_round_clock
+        if self.config.mode == "multisite":
+            coordinator = self._require_multisite()
+            stats["rounds"] = coordinator.stats.rounds
+            stats["transfer_bytes"] = coordinator.stats.transfer_bytes
+            stats["last_round_clock"] = coordinator.last_round_clock
         return stats
 
     def __repr__(self) -> str:

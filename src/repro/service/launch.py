@@ -36,10 +36,16 @@ _READY_TIMEOUT = 120.0
 
 
 def repro_env(extra: dict[str, str] | None = None) -> dict[str, str]:
-    """Subprocess environment with this checkout's ``src/`` on PYTHONPATH."""
+    """Subprocess environment with this checkout's ``src/`` on PYTHONPATH.
+
+    Empty ``PYTHONPATH`` entries are dropped: Python reads one as the
+    current directory, which would put the launcher's cwd on the path of
+    every server and worker it boots.
+    """
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    inherited = env.get("PYTHONPATH", "").split(os.pathsep)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, inherited)])
     if extra:
         env.update(extra)
     return env
@@ -95,14 +101,15 @@ class ServeProcess:
     def _pump(self) -> None:
         stream = self.process.stdout
         assert stream is not None
-        for line in stream:
-            with self._lock:
-                self._lines.append(line)
-            if not self._ready.is_set():
-                match = _BANNER.match(line)
-                if match and match.group("label") == self.label:
-                    self.port = int(match.group("port"))
-                    self._ready.set()
+        with stream:
+            for line in stream:
+                with self._lock:
+                    self._lines.append(line)
+                if not self._ready.is_set():
+                    match = _BANNER.match(line)
+                    if match and match.group("label") == self.label:
+                        self.port = int(match.group("port"))
+                        self._ready.set()
         # EOF before any banner: unblock waiters so they can report the
         # child's output instead of timing out.
         self._ready.set()

@@ -13,12 +13,14 @@ checks the ``docs/api.md`` tables against it.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import (
     BadRequestError,
+    InvalidParameterError,
     ModeMismatchError,
     TenantRequiredError,
     UnknownOperationError,
@@ -29,9 +31,11 @@ __all__ = [
     "Op",
     "Param",
     "SLOW_DEADLINE",
+    "TENANT_ID_PATTERN",
     "check_params",
     "deadline_for",
     "query_handler",
+    "require_tenant",
 ]
 
 #: Budget (seconds) of the slow deadline class: ops whose server-side work is
@@ -188,6 +192,26 @@ def check_params(op: Op, message: dict[str, Any]) -> None:
             raise BadRequestError(
                 "'%s' must be of wire type %s" % (param.name, param.wire), op=op.name
             )
+
+
+#: Valid tenant ids: path-safe (snapshots are named after them), 1-128 chars.
+TENANT_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.:-]{0,127}$")
+
+
+def require_tenant(tenant: Any) -> str:
+    """The ``tenant`` of a pooled request, checked against :data:`TENANT_ID_PATTERN`.
+
+    Raises:
+        TenantRequiredError: ``tenant`` is missing.
+        InvalidParameterError: ``tenant`` is not a valid tenant id.
+    """
+    if tenant is None:
+        raise TenantRequiredError("this operation requires a 'tenant' on a pooled server")
+    if not isinstance(tenant, str) or not TENANT_ID_PATTERN.match(tenant):
+        raise InvalidParameterError(
+            "tenant ids must match %s, got %r" % (TENANT_ID_PATTERN.pattern, tenant)
+        )
+    return tenant
 
 
 def deadline_for(name: Any) -> float | None:

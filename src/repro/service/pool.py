@@ -36,7 +36,6 @@ import asyncio
 import functools
 import json
 import os
-import re
 import sqlite3
 import sys
 import time
@@ -54,15 +53,12 @@ from .errors import (
     TenantEvictedError,
     TenantExistsError,
     TenantNotFoundError,
-    TenantRequiredError,
 )
+from .ops import TENANT_ID_PATTERN, require_tenant
 
 __all__ = ["TenantCatalog", "TenantPool", "TENANT_ID_PATTERN"]
 
 _T = TypeVar("_T")
-
-#: Valid tenant ids: path-safe (snapshots are named after them), 1-128 chars.
-TENANT_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.:-]{0,127}$")
 
 #: Configuration keys a tenant may override at ``tenant_create`` — the
 #: sketch-state parameters.  Operational knobs (batch size, queue bound,
@@ -299,20 +295,6 @@ class TenantPool:
             lock = self._locks[tenant] = asyncio.Lock()
         return lock
 
-    @staticmethod
-    def _validate_tenant_id(tenant: Any) -> str:
-        if not isinstance(tenant, str) or not TENANT_ID_PATTERN.match(tenant):
-            raise InvalidParameterError(
-                "tenant ids must match %s, got %r" % (TENANT_ID_PATTERN.pattern, tenant)
-            )
-        return tenant
-
-    @staticmethod
-    def _require_tenant(tenant: str | None) -> str:
-        if tenant is None:
-            raise TenantRequiredError("this operation requires a 'tenant' on a pooled server")
-        return TenantPool._validate_tenant_id(tenant)
-
     def tenant_config(self, overrides: dict[str, Any]) -> ServiceConfig:
         """Default tenant configuration with per-tenant overrides applied.
 
@@ -493,7 +475,7 @@ class TenantPool:
         self, tenant: str, overrides: dict[str, Any] | None = None
     ) -> dict[str, Any]:
         """Create a tenant (resident immediately); returns its description."""
-        tenant = self._require_tenant(tenant)
+        tenant = require_tenant(tenant)
         if self._stopping or not self._started:
             raise ServiceStoppedError("pool is not accepting requests")
         config = self.tenant_config(overrides or {})
@@ -517,7 +499,7 @@ class TenantPool:
 
     async def tenant_delete(self, tenant: str) -> dict[str, Any]:
         """Delete a tenant: stop it, drop its snapshot and catalog row."""
-        tenant = self._require_tenant(tenant)
+        tenant = require_tenant(tenant)
         async with self._lock_for(tenant):
             service = self._resident.pop(tenant, None)
             if service is not None:
@@ -562,7 +544,7 @@ class TenantPool:
 
     async def tenant_stats(self, tenant: str) -> dict[str, Any]:
         """Live counters of one tenant (restores it when evicted)."""
-        tenant = self._require_tenant(tenant)
+        tenant = require_tenant(tenant)
         async with self._lock_for(tenant):
             service = await self._acquire(tenant)
             stats = service.stats()
@@ -580,7 +562,7 @@ class TenantPool:
         tenant: str | None = None,
     ) -> int:
         """Validate and enqueue one chunk into one tenant's service."""
-        name = self._require_tenant(tenant)
+        name = require_tenant(tenant)
         async with self._lock_for(name):
             service = await self._acquire(name)
             accepted = await service.ingest(keys, clocks, values, site=site)
@@ -600,7 +582,7 @@ class TenantPool:
                         clocks.append(service.applied_clock)
             finite = [clock for clock in clocks if clock is not None]
             return {"applied_clock": max(finite) if finite else None}
-        name = self._require_tenant(tenant)
+        name = require_tenant(tenant)
         async with self._lock_for(name):
             service = await self._acquire(name)
             await service.drain()
@@ -611,7 +593,7 @@ class TenantPool:
         if tenant is None:
             result = await self.sweep()
             return {"applied_clock": None, "swept": result}
-        name = self._require_tenant(tenant)
+        name = require_tenant(tenant)
         async with self._lock_for(name):
             service = await self._acquire(name)
             service.expire_now()
@@ -631,7 +613,7 @@ class TenantPool:
                 await self.snapshot_async(tenant=name)
             self.last_snapshot_path = self.pool_dir
             return self.pool_dir
-        name = self._require_tenant(tenant)
+        name = require_tenant(tenant)
         async with self._lock_for(name):
             service = await self._acquire(name)
             destination = path if path is not None else self._snapshot_path_for(name)
@@ -648,7 +630,7 @@ class TenantPool:
 
     async def query(self, op: str, message: dict[str, Any]) -> Any:
         """Answer one query op against the tenant named in the message."""
-        name = self._require_tenant(message.get("tenant"))
+        name = require_tenant(message.get("tenant"))
         async with self._lock_for(name):
             service = await self._acquire(name)
             return service.query(op, message)

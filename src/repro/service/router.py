@@ -55,7 +55,7 @@ import time
 import zlib
 from collections import deque
 from collections.abc import Awaitable, Hashable, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -81,8 +81,7 @@ from .errors import (
     VersionMismatchError,
     exception_for_error,
 )
-from .ops import query_handler
-from .pool import TenantPool
+from .ops import query_handler, require_tenant
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -94,7 +93,9 @@ from .protocol import (
 from .server import dispatch_service_op
 from .shard_worker import ShardProcess, ShardUnavailableError, sites_of_shard, worker_config
 from .snapshot import write_snapshot
-from .supervision import ShardSupervisor
+
+if TYPE_CHECKING:
+    from .supervision import ShardSupervisor
 
 __all__ = [
     "PARTITION_SCHEME",
@@ -610,6 +611,8 @@ class ShardRouter:
         if self._restore_paths:
             await self._reseed_from_workers()
         if self.config.supervise:
+            from .supervision import ShardSupervisor
+
             self._supervisor = ShardSupervisor(self)
             await self._supervisor.start()
 
@@ -731,7 +734,7 @@ class ShardRouter:
         return shard
 
     async def _tenant_submit(self, tenant: str | None, message: dict[str, Any]) -> Any:
-        name = TenantPool._require_tenant(tenant)
+        name = require_tenant(tenant)
         shard = self._tenant_shard(name)
         results = await self._gather([self.workers.submit(shard, message)])
         return results[0]

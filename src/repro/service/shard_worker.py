@@ -29,10 +29,8 @@ import multiprocessing.connection
 import os
 import signal
 import sys
-import time
 from dataclasses import replace
 
-from ..distributed.runner import plan_shards
 from .config import ServiceConfig
 from .errors import ServiceError, ShardUnavailableError
 from .journal import journal_dir_for_shard
@@ -51,6 +49,9 @@ _READY_TIMEOUT = 120.0
 def sites_of_shard(sites: int, shards: int, shard_id: int) -> range:
     """Global site ids owned by one shard (contiguous blocks, like the
     distributed runner's :func:`~repro.distributed.runner.plan_shards`)."""
+    # Multisite only: the other modes never load the distributed runner.
+    from ..distributed.runner import plan_shards
+
     plan = plan_shards(sites, shards)[shard_id]
     return range(plan.node_ids[0], plan.node_ids[-1] + 1)
 
@@ -174,35 +175,29 @@ class ShardProcess:
     async def wait_ready(self, timeout: float = _READY_TIMEOUT) -> int:
         """Wait for the worker's port announcement; returns the port.
 
-        Polls the pipe with short event-loop yields (the connection has no
-        asyncio integration) and watches the process itself, so a worker
-        that dies during boot fails fast instead of timing out.
+        Wakes on the ready pipe's file descriptor, which turns readable when
+        the worker announces its port and also at EOF when the worker dies
+        first (the child holds the only send end), so a worker that dies
+        during boot fails fast instead of timing out.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            if self._ready_connection.poll(0):
-                try:
-                    payload = self._ready_connection.recv()
-                except EOFError:
-                    raise ShardUnavailableError(
-                        "shard %d worker closed its ready pipe without announcing "
-                        "a port (exit code %r)" % (self.shard_id, self.exitcode)
-                    ) from None
-                self._ready_connection.close()
-                self.port = int(payload["port"])
-                return self.port
-            if not self.process.is_alive():
-                raise ShardUnavailableError(
-                    "shard %d worker exited during boot (exit code %r)"
-                    % (self.shard_id, self.exitcode)
-                )
-            if time.monotonic() > deadline:
-                self.kill()
-                raise ShardUnavailableError(
-                    "shard %d worker did not become ready within %.0f s"
-                    % (self.shard_id, timeout)
-                )
-            await asyncio.sleep(0.02)
+        connection = self._ready_connection
+        if not await _readable(connection.fileno(), timeout):
+            self.kill()
+            raise ShardUnavailableError(
+                "shard %d worker did not become ready within %.0f s" % (self.shard_id, timeout)
+            )
+        try:
+            payload = connection.recv()
+        except EOFError:
+            await self.join(timeout=5.0)
+            raise ShardUnavailableError(
+                "shard %d worker exited during boot (exit code %r)"
+                % (self.shard_id, self.exitcode)
+            ) from None
+        finally:
+            connection.close()
+        self.port = int(payload["port"])
+        return self.port
 
     def kill(self) -> None:
         """SIGKILL the worker (fault injection / last-resort cleanup)."""
@@ -215,11 +210,37 @@ class ShardProcess:
             os.kill(self.process.pid, signal.SIGTERM)  # type: ignore[arg-type]
 
     async def join(self, timeout: float = 30.0) -> int | None:
-        """Wait (without blocking the loop) for the process to exit."""
-        deadline = time.monotonic() + timeout
-        while self.process.is_alive() and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        if self.process.is_alive():
+        """Wait (without blocking the loop) for the process to exit.
+
+        Wakes on the process sentinel; returns the exit code, or ``None``
+        if the process is still running after ``timeout`` seconds.
+        """
+        if self.process.is_alive() and not await _readable(self.process.sentinel, timeout):
             return None
-        self.process.join(0)
+        # The sentinel reads EOF while the process exits, a moment before
+        # it can be reaped; a zero-timeout join could miss the exit code.
+        self.process.join()
         return self.process.exitcode
+
+
+async def _readable(fd: int, timeout: float) -> bool:
+    """Wait until ``fd`` is readable (data or EOF); ``False`` on timeout.
+
+    One waiter per descriptor: the event loop keeps a single reader
+    callback per fd.
+    """
+    loop = asyncio.get_running_loop()
+    ready: asyncio.Future[None] = loop.create_future()
+
+    def wake() -> None:
+        if not ready.done():
+            ready.set_result(None)
+
+    loop.add_reader(fd, wake)
+    try:
+        await asyncio.wait_for(ready, timeout)
+    except asyncio.TimeoutError:
+        return False
+    finally:
+        loop.remove_reader(fd)
+    return True

@@ -22,7 +22,7 @@ import tempfile
 from typing import Any, TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
-from ..distributed.continuous import PeriodicAggregationCoordinator
+from ..core.ecm_sketch import ECMSketch
 from ..queries.hierarchical import HierarchicalECMSketch
 from ..serialization import (
     ecm_sketch_from_dict,
@@ -61,7 +61,12 @@ def snapshot_payload(service: SketchService) -> dict[str, Any]:
     assert isinstance(service, SketchService)
     state = service.state
     state_payload: dict[str, Any]
-    if isinstance(state, PeriodicAggregationCoordinator):
+    if isinstance(state, ECMSketch):
+        state_payload = {"sketch": ecm_sketch_to_dict(state)}
+    elif isinstance(state, HierarchicalECMSketch):
+        state_payload = {"sketch": hierarchical_to_dict(state)}
+    else:
+        # Multisite: the periodic-aggregation coordinator.
         state_payload = {
             "nodes": [ecm_sketch_to_dict(node.sketch) for node in state.nodes],
             "records_processed": [node.records_processed for node in state.nodes],
@@ -76,10 +81,6 @@ def snapshot_payload(service: SketchService) -> dict[str, Any]:
                 "round_clocks": list(state.stats.round_clocks),
             },
         }
-    elif isinstance(state, HierarchicalECMSketch):
-        state_payload = {"sketch": hierarchical_to_dict(state)}
-    else:
-        state_payload = {"sketch": ecm_sketch_to_dict(state)}
     return {
         "kind": SNAPSHOT_KIND,
         "version": SNAPSHOT_VERSION,
@@ -152,6 +153,8 @@ def service_state_from_snapshot(payload: dict[str, Any]) -> SketchService:
         # Build a fresh coordinator through the same path a new service
         # would take, then overwrite every piece of mutable state with the
         # recorded one — sketches, per-site counters, round schedule, stats.
+        from ..distributed.continuous import PeriodicAggregationCoordinator
+
         coordinator = SketchService._build_state(config)
         assert isinstance(coordinator, PeriodicAggregationCoordinator)
         node_payloads = state_payload["nodes"]

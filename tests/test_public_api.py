@@ -24,6 +24,7 @@ class TestTopLevelExports:
             "repro.windows",
             "repro.queries",
             "repro.distributed",
+            "repro.service",
             "repro.streams",
             "repro.baselines",
             "repro.analysis",
