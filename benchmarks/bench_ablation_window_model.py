@@ -56,7 +56,7 @@ def test_ablation_time_vs_count_based_windows(benchmark, bench_records):
                 estimate = sketch.point_query(key, now=now)
                 worst = max(worst, abs(estimate - truth) / max(arrivals, 1))
             # The paper's memory axis is the synopsis model, independent of
-            # the storage backend.
+            # the storage layout.
             results.append((model.value, window, worst, sketch.synopsis_bytes(), elapsed))
         return results
 

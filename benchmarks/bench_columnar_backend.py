@@ -1,9 +1,12 @@
-"""Benchmarks of the columnar ECM backend (NumPy or compiled-kernel hot loops).
+"""Benchmarks of the columnar ECM layout (NumPy or compiled-kernel hot loops).
 
 Covers the performance claims of the columnar-store and kernel work against
-the object-per-cell reference backend at identical configuration (all
-backends produce byte-identical estimates and serialized state, enforced by
-``tests/core/test_columnar_equivalence.py``):
+the object-per-cell reference layout at identical configuration.  No
+configuration selects the object layout for exponential histograms; the
+benchmark reaches it through the private ``ECMSketch._on_object_store`` seam,
+as the equivalence suite does.  Both layouts produce byte-identical estimates
+and serialized state (``tests/core/test_columnar_equivalence.py``, and the
+``dumps`` assert of the report below):
 
 * **Batched ingest** — ``ECMSketch.add_many`` at batch size 1024 must be at
   least 2x faster on the columnar backend's NumPy loops and at least 5x
@@ -91,10 +94,9 @@ def _workload(seed: int = 1):
     return keys, clocks
 
 
-def _build(backend: str, keys, clocks, window: float = WINDOW) -> ECMSketch:
-    sketch = ECMSketch.for_point_queries(
-        epsilon=EPSILON, delta=0.1, window=window, backend=backend
-    )
+def _build(layout: str, keys, clocks, window: float = WINDOW) -> ECMSketch:
+    config = ECMConfig.for_point_queries(epsilon=EPSILON, delta=0.1, window=window)
+    sketch = ECMSketch._on_object_store(config) if layout == "object" else ECMSketch(config)
     for start in range(0, len(keys), BATCH_SIZE):
         stop = start + BATCH_SIZE
         sketch.add_many(keys[start:stop], clocks[start:stop])
@@ -231,7 +233,7 @@ def test_columnar_backend_report(capsys):
 def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
     """Accelerated-vs-object timings for ingest, expiry, queries and memory.
 
-    The accelerated side is the columnar backend, on compiled kernels when
+    The accelerated side is the columnar layout, on compiled kernels when
     numba is present; every timing row is labelled (see
     :func:`_accelerated_label`) so the regression guard can refuse
     compiled-vs-NumPy comparisons.
@@ -251,15 +253,16 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
 
     object_sketch = _build("object", keys, clocks)
     accel_sketch = _build("columnar", keys, clocks)
-    # The backends must be byte-identical before their timings mean anything.
+    # The layouts must be byte-identical before their timings mean anything.
+    assert (object_sketch.backend, accel_sketch.backend) == ("object", "columnar")
     assert dumps(object_sketch) == dumps(accel_sketch)
 
     # Compacting sweep: first expiry after a long quiet period, dropping
     # roughly half the retained buckets — each timing round needs a fresh
     # build.  Steady-state sweep: the immediately following call, where the
     # oldest-end gate short-circuits the whole grid.
-    def sweep_pair(backend: str):
-        sketch = _build(backend, keys, clocks, EXPIRING_WINDOW)
+    def sweep_pair(layout: str):
+        sketch = _build(layout, keys, clocks, EXPIRING_WINDOW)
         horizon = now + EXPIRING_WINDOW / 2
         first = _timed(lambda: sketch.expire(horizon))
         steady = min(_timed(lambda: sketch.expire(horizon)) for _ in range(5))

@@ -3,7 +3,7 @@
 Covers the serving-path acceptance claims:
 
 * **Sustained ingest with concurrent queries** — a real ``repro serve``
-  subprocess (flat mode, EH columnar backend, write-ahead ingest journal
+  subprocess (flat mode, EH columnar layout, write-ahead ingest journal
   armed) must sustain at least 50k arrivals/sec through the replay driver
   at batch size 1024 while answering interleaved point/self-join queries;
   latency percentiles are reported.  Journaling every chunk before the ack
@@ -89,7 +89,7 @@ def _drive(
     before the server shuts down.
     """
     with ServeProcess(
-        "--mode", mode, "--backend", "columnar", "--batch-size", BATCH_SIZE,
+        "--mode", mode, "--batch-size", BATCH_SIZE,
         *(extra or []),
     ) as server:
         port = server.wait_ready()
@@ -140,9 +140,7 @@ def _check_sharded_fidelity(port: int, records: int, shards: int) -> bool:
         bucket[1].append(clock)
     references = []
     for shard in range(shards):
-        sketch = ECMSketch.for_point_queries(
-            epsilon=EPSILON, delta=0.05, window=WINDOW, backend="columnar"
-        )
+        sketch = ECMSketch.for_point_queries(epsilon=EPSILON, delta=0.05, window=WINDOW)
         sub_keys, sub_clocks = per_shard[shard]
         if sub_keys:
             sketch.add_many(sub_keys, sub_clocks)
@@ -174,7 +172,7 @@ def _sharded_scaling() -> dict[str, Any]:
     from repro.core import ECMConfig
 
     return {
-        # The counter-store backend under the servers: labels the scaling
+        # The counter-grid layout under the servers: labels the scaling
         # ratio so the guard never diffs a kernel-backed run against a
         # NumPy baseline (see benchmarks/compare_bench.py).
         "backend": ECMConfig(
@@ -255,7 +253,7 @@ def _run_service_benchmark(tmp_dir: str) -> dict[str, Any]:
 
 
 def _format_report(results: dict[str, Any]) -> list[str]:
-    lines = ["Live sketch service (batch %d, EH columnar backend):" % BATCH_SIZE]
+    lines = ["Live sketch service (batch %d, EH columnar layout):" % BATCH_SIZE]
     for mode in ("flat", "hierarchical"):
         row = results[mode]
         lines.append(

@@ -70,5 +70,5 @@ def test_table3_per_variant_update_throughput(benchmark, counter_type, bench_rec
     sketch = benchmark.pedantic(ingest, rounds=3, iterations=1)
     benchmark.extra_info["records"] = len(records)
     # Synopsis model: keeps the recorded perf trajectory comparable across
-    # storage backends.
+    # storage layouts.
     benchmark.extra_info["memory_bytes"] = sketch.synopsis_bytes()

@@ -31,7 +31,7 @@ import time as _time
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
-from .core import BACKENDS, ECMSketch
+from .core import ECMSketch
 
 if TYPE_CHECKING:
     from .core.config import ECMConfig
@@ -200,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo_parser = subparsers.add_parser("demo", help="run a quick end-to-end sanity demo")
     demo_parser.add_argument("--records", type=int, default=10_000)
     demo_parser.add_argument("--epsilon", type=float, default=0.05)
-    demo_parser.add_argument("--backend", choices=["auto", *BACKENDS],
-                             default="auto",
-                             help="counter-grid storage backend ('auto': columnar for "
-                                  "exponential histograms, object for waves)")
     demo_parser.add_argument("--batch-size", type=_positive_int, default=None,
                              help="ingest via the batched fast path (add_many) in chunks "
                                   "of this many records")
@@ -248,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "keys, a hierarchical stack over an integer universe, "
                                    "or per-site sketches behind a periodic-aggregation "
                                    "coordinator")
-    serve_parser.add_argument("--backend", choices=["auto", *BACKENDS],
-                              default="auto",
-                              help="counter-grid storage backend ('auto': columnar for "
-                                   "exponential histograms, object for waves)")
     serve_parser.add_argument("--epsilon", type=float, default=0.05,
                               help="total point-query error budget (default 0.05)")
     serve_parser.add_argument("--delta", type=float, default=0.05)
@@ -416,7 +408,6 @@ def _demo(
     batch_size: int | None = None,
     workers: int | None = None,
     shards: int | None = None,
-    backend: str = "auto",
 ) -> None:
     """A self-contained sanity demo mirroring examples/quickstart.py."""
     from .baselines import ExactStreamSummary
@@ -424,9 +415,7 @@ def _demo(
 
     window = 1_000_000.0
     trace = WorldCupSyntheticTrace(num_records=records).generate()
-    sketch = ECMSketch.for_point_queries(
-        epsilon=epsilon, delta=0.05, window=window, backend=backend
-    )
+    sketch = ECMSketch.for_point_queries(epsilon=epsilon, delta=0.05, window=window)
     exact = ExactStreamSummary(window=window)
     ingest_start = _time.perf_counter()
     if batch_size is None:
@@ -522,7 +511,6 @@ def _serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             window=args.window,
             model=WindowModel(args.window_model),
             counter_type=CounterType.EXPONENTIAL_HISTOGRAM,
-            backend=args.backend,
             universe_bits=args.universe_bits,
             sites=args.sites,
             period=args.period,
@@ -634,7 +622,6 @@ def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) 
             batch_size=args.batch_size,
             workers=args.workers,
             shards=args.shards,
-            backend=args.backend,
         )
         return 0
 

@@ -9,11 +9,10 @@ from .config import (
     split_point_query_deterministic,
     split_point_query_randomized,
 )
-from .counter_store import BACKENDS, CounterStore, ObjectCounterStore, build_store
+from .counter_store import CounterStore, ObjectCounterStore, build_store
 from .countmin import CountMinSketch, dimensions_for_error
 from .ecm_sketch import ECMSketch
 from .errors import (
-    BackendUnavailableError,
     ConfigurationError,
     EmptyStructureError,
     IncompatibleSketchError,
@@ -29,7 +28,6 @@ __all__ = [
     "ECMSketch",
     "CounterStore",
     "ObjectCounterStore",
-    "BACKENDS",
     "build_store",
     "CountMinSketch",
     "dimensions_for_error",
@@ -44,7 +42,6 @@ __all__ = [
     "split_inner_product_deterministic",
     "ReproError",
     "ConfigurationError",
-    "BackendUnavailableError",
     "IncompatibleSketchError",
     "WindowModelError",
     "OutOfOrderArrivalError",

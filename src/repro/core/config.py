@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..windows.base import WindowModel, validate_delta, validate_epsilon, validate_window
-from .counter_store import BACKENDS
+from .counter_store import store_layout
 from .countmin import dimensions_for_error
-from .errors import BackendUnavailableError, ConfigurationError
+from .errors import ConfigurationError
 
 __all__ = [
     "CounterType",
@@ -154,16 +154,9 @@ class ECMConfig:
         seed: Hash seed shared by all sketches that should be mergeable.
         width: Count-Min array width; derived from ``epsilon_cm`` if omitted.
         depth: Count-Min array depth; derived from ``delta`` if omitted.
-        backend: Counter-grid storage backend: ``"auto"`` (the default),
-            ``"columnar"`` (structure-of-arrays buffers, exponential
-            histograms only) or ``"object"`` (one Python counter per cell,
-            any counter type).  ``"auto"`` picks ``"columnar"`` for
-            exponential histograms and ``"object"`` for waves.  An explicit
-            name either gets exactly that backend or raises
-            :class:`~repro.core.errors.BackendUnavailableError`; there is no
-            silent demotion.  The backend is a storage detail: estimates and
-            serialized state are byte-identical across backends, and the
-            field never travels on the wire.
+
+    The counter type decides how the grid is stored (see
+    :attr:`resolved_backend`); no field selects the layout.
     """
 
     epsilon_cm: float
@@ -177,7 +170,6 @@ class ECMConfig:
     seed: int = 0
     width: int = field(default=0)
     depth: int = field(default=0)
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         validate_epsilon(self.epsilon_cm, "epsilon_cm")
@@ -189,11 +181,6 @@ class ECMConfig:
             raise ConfigurationError("model must be a WindowModel")
         if not isinstance(self.counter_type, CounterType):
             raise ConfigurationError("counter_type must be a CounterType")
-        if self.backend != "auto" and self.backend not in BACKENDS:
-            raise ConfigurationError(
-                "unknown backend %r; expected one of: %s"
-                % (self.backend, ", ".join(("auto", *BACKENDS)))
-            )
         derived_width, derived_depth = dimensions_for_error(self.epsilon_cm, self.delta)
         if self.width <= 0:
             self.width = derived_width
@@ -220,7 +207,6 @@ class ECMConfig:
         max_arrivals: int | None = None,
         delta_sw: float = 0.05,
         seed: int = 0,
-        backend: str = "auto",
     ) -> ECMConfig:
         """Configuration minimising memory for a total point-query error budget."""
         if counter_type is CounterType.RANDOMIZED_WAVE:
@@ -237,7 +223,6 @@ class ECMConfig:
             max_arrivals=max_arrivals,
             delta_sw=delta_sw,
             seed=seed,
-            backend=backend,
         )
 
     @classmethod
@@ -251,7 +236,6 @@ class ECMConfig:
         max_arrivals: int | None = None,
         delta_sw: float = 0.05,
         seed: int = 0,
-        backend: str = "auto",
     ) -> ECMConfig:
         """Configuration minimising memory for a total inner-product error budget."""
         if counter_type is CounterType.RANDOMIZED_WAVE:
@@ -270,30 +254,18 @@ class ECMConfig:
             max_arrivals=max_arrivals,
             delta_sw=delta_sw,
             seed=seed,
-            backend=backend,
         )
 
     # ------------------------------------------------------------ summaries
     @property
     def resolved_backend(self) -> str:
-        """Name of the storage backend the sketch will actually use.
+        """Counter-grid layout of sketches built from this configuration.
 
-        ``"auto"`` resolves to ``"columnar"`` for exponential histograms (at
-        every epsilon) and to ``"object"`` for wave counters.  An explicit
-        name resolves to itself, or raises
-        :class:`~repro.core.errors.BackendUnavailableError` when it cannot
-        store this counter type.
+        Read-only: :func:`~repro.core.counter_store.store_layout` derives it
+        from the counter type (``"columnar"`` for exponential histograms,
+        ``"object"`` for waves).
         """
-        is_histogram = self.counter_type is CounterType.EXPONENTIAL_HISTOGRAM
-        if self.backend == "auto":
-            return "columnar" if is_histogram else "object"
-        if self.backend == "columnar" and not is_histogram:
-            raise BackendUnavailableError(
-                "backend 'columnar' cannot serve this configuration: the columnar "
-                "layout only implements exponential-histogram counters; "
-                "counter_type=%s needs the object backend" % (self.counter_type,)
-            )
-        return self.backend
+        return store_layout(self.counter_type)
 
     @property
     def total_point_error(self) -> float:
@@ -314,19 +286,4 @@ class ECMConfig:
 
     def replaced(self, **overrides: object) -> ECMConfig:
         """A copy of the configuration with selected fields replaced."""
-        data = {
-            "epsilon_cm": self.epsilon_cm,
-            "epsilon_sw": self.epsilon_sw,
-            "delta": self.delta,
-            "window": self.window,
-            "model": self.model,
-            "counter_type": self.counter_type,
-            "max_arrivals": self.max_arrivals,
-            "delta_sw": self.delta_sw,
-            "seed": self.seed,
-            "width": self.width,
-            "depth": self.depth,
-            "backend": self.backend,
-        }
-        data.update(overrides)
-        return ECMConfig(**data)  # type: ignore[arg-type]
+        return replace(self, **overrides)  # type: ignore[arg-type]

@@ -15,7 +15,7 @@ lives behind the :class:`CounterStore` interface with two implementations:
   Python objects.
 
 Both stores are required to be *observably identical*: estimates, bucket
-structures and serialized state must match byte-for-byte across backends for
+structures and serialized state must match byte-for-byte across layouts for
 every counter lifecycle (``tests/core/test_columnar_equivalence.py``).
 
 The store interface deliberately mirrors how :class:`~repro.core.ecm_sketch.ECMSketch`
@@ -23,11 +23,12 @@ consumes the grid: scalar updates address one ``(row, column)`` cell, batched
 updates hand over a whole hash row worth of column-grouped runs, and queries
 either read one cell or gather many cells in one call.
 
-Which store a sketch gets is decided by :func:`build_store`: ``"auto"``
-picks ``columnar`` for exponential-histogram grids and ``object`` for waves,
-and an explicit name from :data:`BACKENDS` gets exactly that store or fails
-loudly.  Whether the columnar hot loops run compiled is not a backend
-choice; see :data:`repro.windows.columnar_eh.USE_KERNELS`.
+The counter type alone decides the layout (:func:`store_layout`):
+exponential-histogram grids are columnar, wave grids are objects.  No
+configuration selects otherwise; the object layout of an EH grid exists only
+as the reference the equivalence suites and the columnar benchmark compare
+against.  Whether the columnar hot loops run compiled is not a layout
+choice either; see :data:`repro.windows.columnar_eh.USE_KERNELS`.
 """
 
 from __future__ import annotations
@@ -42,12 +43,9 @@ import numpy as np
 from ..windows.base import SlidingWindowCounter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config -> windows)
-    from .config import ECMConfig
+    from .config import CounterType, ECMConfig
 
-__all__ = ["BACKENDS", "CounterStore", "ObjectCounterStore", "build_store"]
-
-#: Backend names ``ECMConfig.backend`` accepts besides ``"auto"``.
-BACKENDS = ("columnar", "object")
+__all__ = ["CounterStore", "ObjectCounterStore", "build_store", "object_store", "store_layout"]
 
 #: Clock/value payload of a batched ingest: a NumPy array whose dtype
 #: round-trips the original scalars exactly, or a plain list holding the
@@ -69,7 +67,7 @@ class CounterStore(abc.ABC):
     the query entry points must return exactly the reference estimates.
     """
 
-    #: Identifier reported by :attr:`repro.core.ecm_sketch.ECMSketch.backend`.
+    #: Layout name reported by :attr:`repro.core.ecm_sketch.ECMSketch.backend`.
     backend_name: str
 
     #: Capability flag consulted by the sketch hot paths: columnar-family
@@ -171,7 +169,7 @@ class CounterStore(abc.ABC):
     def synopsis_bytes(self) -> int:
         """The paper's analytical 32-bit synopsis footprint, in bytes.
 
-        Backend-independent: both stores report the same number for the same
+        Layout-independent: both stores report the same number for the same
         logical counter state.  This is what transfer-volume accounting and
         the paper-reproduction figures use.
         """
@@ -288,19 +286,33 @@ class ObjectCounterStore(CounterStore):
 CounterFactory = Callable[[int, int], SlidingWindowCounter]
 
 
-def build_store(config: ECMConfig, make_counter: CounterFactory) -> CounterStore:
-    """The counter store for ``config``'s grid, named by ``config.resolved_backend``.
+def store_layout(counter_type: CounterType) -> str:
+    """The counter-grid layout of ``counter_type``: the one place it is decided.
 
-    Raises :class:`~repro.core.errors.BackendUnavailableError` when an
-    explicit ``backend`` cannot store ``config``'s counter type.
+    ``"columnar"`` for exponential histograms (at every epsilon) and
+    ``"object"`` for deterministic and randomized waves, which the columnar
+    layout does not implement.
     """
-    if config.resolved_backend == "object":
-        return ObjectCounterStore(
-            [
-                [make_counter(row, column) for column in range(config.width)]
-                for row in range(config.depth)
-            ]
-        )
+    # Deferred: config imports the windows package, which imports this module.
+    from .config import CounterType
+
+    return "columnar" if counter_type is CounterType.EXPONENTIAL_HISTOGRAM else "object"
+
+
+def object_store(config: ECMConfig, make_counter: CounterFactory) -> ObjectCounterStore:
+    """One reference counter object per cell of ``config``'s grid."""
+    return ObjectCounterStore(
+        [
+            [make_counter(row, column) for column in range(config.width)]
+            for row in range(config.depth)
+        ]
+    )
+
+
+def build_store(config: ECMConfig, make_counter: CounterFactory) -> CounterStore:
+    """The counter store :func:`store_layout` picks for ``config``'s counter type."""
+    if store_layout(config.counter_type) == "object":
+        return object_store(config, make_counter)
     # Deferred: the columnar module imports this one.
     from ..windows.columnar_eh import ColumnarEHStore
 

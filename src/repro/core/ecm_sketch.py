@@ -39,7 +39,7 @@ from ..windows.merge import (
 )
 from ..windows.randomized_wave import RandomizedWave
 from .config import CounterType, ECMConfig
-from .counter_store import CounterStore, build_store
+from .counter_store import CounterFactory, CounterStore, build_store, object_store
 from .countmin import CountMinSketch
 from .errors import (
     ConfigurationError,
@@ -83,6 +83,25 @@ class ECMSketch:
     """
 
     def __init__(self, config: ECMConfig, stream_tag: int = 0) -> None:
+        self._init(config, stream_tag, build_store)
+
+    @classmethod
+    def _on_object_store(cls, config: ECMConfig, stream_tag: int = 0) -> ECMSketch:
+        """The sketch on the object-per-cell reference layout, whatever its counter type.
+
+        Reachable from no configuration: it is the oracle the equivalence
+        suites and the columnar benchmark compare the columnar store against.
+        """
+        sketch = cls.__new__(cls)
+        sketch._init(config, stream_tag, object_store)
+        return sketch
+
+    def _init(
+        self,
+        config: ECMConfig,
+        stream_tag: int,
+        make_store: Callable[[ECMConfig, CounterFactory], CounterStore],
+    ) -> None:
         self.config = config
         self.stream_tag = stream_tag
         self.width = config.width
@@ -91,8 +110,8 @@ class ECMSketch:
         self.model = config.model
         self.counter_type = config.counter_type
         self.hashes = HashFamily(depth=self.depth, width=self.width, seed=config.seed)
-        self._store: CounterStore = build_store(config, self._make_counter)
-        #: Name of the storage backend actually in use.
+        self._store: CounterStore = make_store(config, self._make_counter)
+        #: Name of the counter-grid layout in use (the counter type decides it).
         self.backend = self._store.backend_name
         self._total_arrivals = 0
         self._last_clock: float | None = None
@@ -115,7 +134,6 @@ class ECMSketch:
         max_arrivals: int | None = None,
         seed: int = 0,
         stream_tag: int = 0,
-        backend: str = "auto",
     ) -> ECMSketch:
         """Sketch sized for a total point-query error of ``epsilon``."""
         config = ECMConfig.for_point_queries(
@@ -126,7 +144,6 @@ class ECMSketch:
             counter_type=counter_type,
             max_arrivals=max_arrivals,
             seed=seed,
-            backend=backend,
         )
         return cls(config, stream_tag=stream_tag)
 
@@ -141,7 +158,6 @@ class ECMSketch:
         max_arrivals: int | None = None,
         seed: int = 0,
         stream_tag: int = 0,
-        backend: str = "auto",
     ) -> ECMSketch:
         """Sketch sized for a total inner-product error of ``epsilon``."""
         config = ECMConfig.for_inner_product_queries(
@@ -152,7 +168,6 @@ class ECMSketch:
             counter_type=counter_type,
             max_arrivals=max_arrivals,
             seed=seed,
-            backend=backend,
         )
         return cls(config, stream_tag=stream_tag)
 
@@ -354,7 +369,7 @@ class ECMSketch:
                 (row, column_of_run, run_starts, run_stops, sorted_clocks, sorted_values)
             )
         # All rows in one store call: rows address disjoint cells, so the
-        # columnar backend cascades the whole batch in a single pass.
+        # columnar layout cascades the whole batch in a single pass.
         store.ingest_sorted_rows(payloads)
         if values is None:
             self._total_arrivals += n
@@ -471,7 +486,7 @@ class ECMSketch:
                 if best is None or row_product < best:
                     best = row_product
             return float(best if best is not None else 0.0)
-        # Object backend (mandatory for wave counters, whose estimates are
+        # Object layout (mandatory for wave counters, whose estimates are
         # expensive): keep the lazy skip — other's cell is only estimated
         # when this sketch's cell is non-zero.
         other_store = other._store
@@ -523,8 +538,8 @@ class ECMSketch:
         Counters normally expire lazily, on their own update path, so a cell
         whose stream went quiet retains dead buckets until its next arrival.
         This hook sweeps the whole grid in one call — a single vectorized
-        pass over the shared arrays on the columnar backend, a per-cell loop
-        on the object backend — and is what the periodic-aggregation
+        pass over the shared arrays on the columnar layout, a per-cell loop
+        on the object layout — and is what the periodic-aggregation
         coordinator runs before shipping sketches upstream.  Estimates for
         query ranges ending at or after ``now`` are unaffected.
         """
@@ -648,7 +663,12 @@ class ECMSketch:
             result_config = base.config.replaced()
         else:
             result_config = base.config.replaced(epsilon_sw=epsilon_prime)
-        result = cls(result_config, stream_tag=base.stream_tag)
+        # The result keeps the first input's layout, so reference inputs
+        # aggregate on the reference layout.
+        if base.backend == "object":
+            result = cls._on_object_store(result_config, stream_tag=base.stream_tag)
+        else:
+            result = cls(result_config, stream_tag=base.stream_tag)
 
         for row in range(base.depth):
             for column in range(base.width):
@@ -714,11 +734,11 @@ class ECMSketch:
     def memory_bytes(self) -> int:
         """Footprint of the backing counter store plus the sketch overhead.
 
-        On the object backend this is the paper's analytical 32-bit synopsis
+        On the object layout this is the paper's analytical 32-bit synopsis
         model (the per-cell object graphs *are* the synopsis in the reference
-        implementation).  On the columnar backend it is the true allocation
+        implementation).  On the columnar layout it is the true allocation
         of the shared NumPy arrays — what the process actually holds
-        resident.  Use :meth:`synopsis_bytes` for the backend-independent
+        resident.  Use :meth:`synopsis_bytes` for the layout-independent
         paper-model figure.
         """
         overhead = (self.depth * 2 * _FIELD_BITS + 8 * _FIELD_BITS) // 8
@@ -727,7 +747,7 @@ class ECMSketch:
     def synopsis_bytes(self) -> int:
         """The paper's analytical 32-bit synopsis footprint, in bytes.
 
-        Identical across storage backends for the same logical state; this is
+        Identical across storage layouts for the same logical state; this is
         the quantity the paper's memory/communication figures are drawn in.
         """
         overhead = (self.depth * 2 * _FIELD_BITS + 8 * _FIELD_BITS) // 8
@@ -736,8 +756,8 @@ class ECMSketch:
     def resident_memory_bytes(self) -> int:
         """Estimated true resident memory of the counter grid, in bytes.
 
-        Object backend: a walk of the Python object graph (counter objects,
-        level deques, per-bucket objects).  Columnar backend: the allocation
+        Object layout: a walk of the Python object graph (counter objects,
+        level deques, per-bucket objects).  Columnar layout: the allocation
         of the backing arrays (equal to :meth:`memory_bytes`).
         """
         return self._store.resident_bytes()
@@ -745,7 +765,7 @@ class ECMSketch:
     def counter(self, row: int, column: int) -> SlidingWindowCounter:
         """One cell as a sliding-window counter object (read-only use).
 
-        The object backend returns the live counter; the columnar backend
+        The object layout returns the live counter; the columnar layout
         materialises an equivalent :class:`ExponentialHistogram` on demand
         (mutating it does not write back).
         """

@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "BackendUnavailableError",
     "IncompatibleSketchError",
     "WindowModelError",
     "OutOfOrderArrivalError",
@@ -27,14 +26,6 @@ class ConfigurationError(ReproError, ValueError):
 
     Examples include non-positive epsilon/delta, zero-length sliding windows,
     or a Count-Min array with zero width or depth.
-    """
-
-
-class BackendUnavailableError(ConfigurationError):
-    """Raised when an explicitly-named counter-store backend cannot serve a config.
-
-    ``backend="columnar"`` with wave counters fails loudly with the reason
-    instead of silently demoting to ``"object"``; ``"auto"`` never raises it.
     """
 
 

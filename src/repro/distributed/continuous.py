@@ -189,7 +189,7 @@ class PeriodicAggregationCoordinator:
 
         Before shipping, every site sweeps its whole counter grid with
         :meth:`~repro.core.ecm_sketch.ECMSketch.expire` (one vectorized pass
-        on the columnar backend).  Counters only expire lazily on their own
+        on the columnar layout).  Counters only expire lazily on their own
         update path, so a site whose keys went quiet would otherwise ship
         buckets that left the window long ago — dead weight in both transfer
         volume and merge work.  Dropping them cannot change any answer the

@@ -62,7 +62,6 @@ class FrequentItemsTracker:
         counter_type: CounterType = CounterType.EXPONENTIAL_HISTOGRAM,
         max_arrivals: int | None = None,
         seed: int = 0,
-        backend: str = "auto",
     ) -> None:
         self._sketch = HierarchicalECMSketch(
             universe_bits=universe_bits,
@@ -73,7 +72,6 @@ class FrequentItemsTracker:
             counter_type=counter_type,
             max_arrivals=max_arrivals,
             seed=seed,
-            backend=backend,
         )
         self._encoding: dict[Hashable, int] = {}
         self._decoding: list[Hashable] = []

@@ -58,9 +58,6 @@ class HierarchicalECMSketch:
         max_arrivals: Upper bound on arrivals per window (for wave counters).
         seed: Hash seed shared by all levels (and by mergeable peers).
         stream_tag: Node namespace for randomized-wave identifiers.
-        backend: Counter-grid storage backend of every level sketch
-            (``"columnar"``/``"object"``; see
-            :class:`~repro.core.config.ECMConfig`).
 
     Example:
         >>> hist = HierarchicalECMSketch(universe_bits=10, epsilon=0.05,
@@ -83,7 +80,6 @@ class HierarchicalECMSketch:
         max_arrivals: int | None = None,
         seed: int = 0,
         stream_tag: int = 0,
-        backend: str = "auto",
     ) -> None:
         self.universe_bits = validate_universe_bits(universe_bits)
         self.window = window
@@ -101,7 +97,6 @@ class HierarchicalECMSketch:
                 counter_type=counter_type,
                 max_arrivals=max_arrivals,
                 seed=seed + level,
-                backend=backend,
             )
             self._levels.append(ECMSketch(config, stream_tag=stream_tag))
         self._total_arrivals = 0

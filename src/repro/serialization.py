@@ -18,7 +18,6 @@ same result as the original and can keep ingesting new arrivals.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import numbers
 from collections import deque
@@ -339,22 +338,10 @@ def ecm_sketch_to_dict(sketch: ECMSketch) -> dict[str, Any]:
     }
 
 
-def ecm_sketch_from_dict(payload: dict[str, Any], backend: str | None = None) -> ECMSketch:
-    """Rebuild an ECM-sketch serialized by :func:`ecm_sketch_to_dict`.
-
-    Args:
-        payload: The tagged dictionary.
-        backend: Optional storage-backend override for the rebuilt sketch.
-            The backend is an in-memory layout choice that never travels on
-            the wire (serialized state is byte-identical across backends);
-            callers that know which layout the restored sketch should use —
-            e.g. a service restoring a snapshot under ``backend="object"`` —
-            pass it here instead of accepting the configuration default.
-    """
+def ecm_sketch_from_dict(payload: dict[str, Any]) -> ECMSketch:
+    """Rebuild an ECM-sketch serialized by :func:`ecm_sketch_to_dict`."""
     _require(payload, "ecm_sketch")
     config = config_from_dict(payload["config"])
-    if backend is not None:
-        config = dataclasses.replace(config, backend=backend)
     sketch = ECMSketch(config, stream_tag=int(payload["stream_tag"]))
     _, deserialize_counter = _COUNTER_SERIALIZERS[config.counter_type]
     counters = payload["counters"]
@@ -390,14 +377,8 @@ def hierarchical_to_dict(stack: HierarchicalECMSketch) -> dict[str, Any]:
     }
 
 
-def hierarchical_from_dict(
-    payload: dict[str, Any], backend: str | None = None
-) -> HierarchicalECMSketch:
-    """Rebuild a stack serialized by :func:`hierarchical_to_dict`.
-
-    ``backend`` optionally overrides the storage layout of every level
-    sketch, exactly as in :func:`ecm_sketch_from_dict`.
-    """
+def hierarchical_from_dict(payload: dict[str, Any]) -> HierarchicalECMSketch:
+    """Rebuild a stack serialized by :func:`hierarchical_to_dict`."""
     _require(payload, "hierarchical_ecm_sketch")
     universe_bits = int(payload["universe_bits"])
     levels = payload["levels"]
@@ -413,7 +394,7 @@ def hierarchical_from_dict(
     stack.counter_type = CounterType(payload["counter_type"])
     stack.seed = int(payload["seed"])
     stack.stream_tag = int(payload["stream_tag"])
-    stack._levels = [ecm_sketch_from_dict(level, backend=backend) for level in levels]
+    stack._levels = [ecm_sketch_from_dict(level) for level in levels]
     stack._total_arrivals = int(payload["total_arrivals"])
     stack._last_clock = payload["last_clock"]
     return stack

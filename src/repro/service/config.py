@@ -1,7 +1,7 @@
 """Configuration of the live sketch service.
 
 One :class:`ServiceConfig` fully determines the served sketch state (mode,
-error budgets, window, backend) plus the service-level knobs (micro-batch
+error budgets, window, counter type) plus the service-level knobs (micro-batch
 size, queue bound, background periods).  It round-trips through plain
 dictionaries so snapshots can embed it and a restored process can rebuild an
 identically parameterised service without re-specifying flags.
@@ -9,12 +9,14 @@ identically parameterised service without re-specifying flags.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
 from ..core.config import CounterType
+from ..core.counter_store import store_layout
 from ..core.errors import ConfigurationError
-from ..windows.base import WindowModel
+from ..windows.base import WindowModel, validate_delta, validate_epsilon, validate_window
 
 __all__ = ["ServiceConfig", "SERVICE_MODES"]
 
@@ -31,6 +33,25 @@ __all__ = ["ServiceConfig", "SERVICE_MODES"]
 #:   one period).
 SERVICE_MODES = ("flat", "hierarchical", "multisite")
 
+#: Default of :func:`_decoded` for required keys.
+_ABSENT = object()
+
+
+def _decoded(
+    payload: dict[str, Any], key: str, decode: Callable[[Any], Any], default: Any = _ABSENT
+) -> Any:
+    """``decode(payload[key])``, or ``default`` when an optional key is absent.
+
+    A value ``decode`` rejects raises :class:`ConfigurationError` naming the key.
+    """
+    if key not in payload and default is not _ABSENT:
+        return default
+    value = payload[key]
+    try:
+        return decode(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError("%s: cannot decode %r (%s)" % (key, value, exc)) from exc
+
 
 @dataclass
 class ServiceConfig:
@@ -43,11 +64,9 @@ class ServiceConfig:
         window: Sliding-window length (stream-clock units, or arrivals for
             count-based windows).
         model: Time-based or count-based window model.
-        counter_type: Sliding-window counter algorithm (EH by default).
-        backend: Counter-grid storage backend: ``"auto"``, ``"columnar"``
-            or ``"object"`` (see :attr:`repro.core.config.ECMConfig.backend`).
-            Payloads that name the retired ``"kernels"`` backend decode as
-            ``"columnar"``.
+        counter_type: Sliding-window counter algorithm (EH by default).  It
+            also decides the counter-grid layout (:attr:`resolved_backend`);
+            no field selects the layout.
         universe_bits: Key-universe capacity of the hierarchical mode
             (``2**universe_bits`` distinct integer keys).
         sites: Number of observation sites of the multisite mode.
@@ -110,7 +129,6 @@ class ServiceConfig:
     window: float = 1_000_000.0
     model: WindowModel = WindowModel.TIME_BASED
     counter_type: CounterType = CounterType.EXPONENTIAL_HISTOGRAM
-    backend: str = "auto"
     universe_bits: int = 12
     sites: int = 4
     period: float = 10_000.0
@@ -135,14 +153,17 @@ class ServiceConfig:
             raise ConfigurationError(
                 "mode must be one of %s, got %r" % (", ".join(SERVICE_MODES), self.mode)
             )
+        validate_epsilon(self.epsilon)
+        validate_delta(self.delta)
+        validate_window(self.window)
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive, got %r" % (self.batch_size,))
         if self.queue_chunks <= 0:
             raise ConfigurationError("queue_chunks must be positive, got %r" % (self.queue_chunks,))
         if self.mode == "multisite" and self.sites <= 0:
             raise ConfigurationError("sites must be positive, got %r" % (self.sites,))
-        if self.mode == "multisite" and self.period <= 0:
-            raise ConfigurationError("period must be positive, got %r" % (self.period,))
+        if self.mode == "multisite":
+            validate_window(self.period, "period")
         if self.expire_every is not None and self.expire_every <= 0:
             raise ConfigurationError("expire_every must be positive, got %r" % (self.expire_every,))
         if self.snapshot_every is not None and self.snapshot_every <= 0:
@@ -200,7 +221,6 @@ class ServiceConfig:
             "window": self.window,
             "model": self.model.value,
             "counter_type": self.counter_type.value,
-            "backend": self.backend,
             "universe_bits": self.universe_bits,
             "sites": self.sites,
             "period": self.period,
@@ -223,28 +243,31 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> ServiceConfig:
-        """Rebuild a configuration serialized by :meth:`to_dict`."""
+        """Rebuild a configuration serialized by :meth:`to_dict`.
+
+        A ``"backend"`` key, written by builds where the counter-grid layout
+        was an option, is ignored with any value.  Raises
+        :class:`~repro.core.errors.ConfigurationError` naming the field for
+        a missing, mistyped or out-of-range value.
+        """
         try:
             return cls(
                 mode=payload["mode"],
                 epsilon=payload["epsilon"],
                 delta=payload["delta"],
                 window=payload["window"],
-                model=WindowModel(payload["model"]),
-                counter_type=CounterType(payload["counter_type"]),
-                # "kernels" was the compiled-columnar backend; the columnar
-                # store now picks its kernels itself.
-                backend="columnar" if payload["backend"] == "kernels" else payload["backend"],
-                universe_bits=int(payload["universe_bits"]),
-                sites=int(payload["sites"]),
+                model=_decoded(payload, "model", WindowModel),
+                counter_type=_decoded(payload, "counter_type", CounterType),
+                universe_bits=_decoded(payload, "universe_bits", int),
+                sites=_decoded(payload, "sites", int),
                 period=payload["period"],
-                batch_size=int(payload["batch_size"]),
-                queue_chunks=int(payload["queue_chunks"]),
+                batch_size=_decoded(payload, "batch_size", int),
+                queue_chunks=_decoded(payload, "queue_chunks", int),
                 expire_every=payload.get("expire_every"),
                 snapshot_every=payload.get("snapshot_every"),
                 snapshot_path=payload.get("snapshot_path"),
                 max_arrivals=payload.get("max_arrivals"),
-                seed=int(payload.get("seed", 0)),
+                seed=_decoded(payload, "seed", int, 0),
                 shards=payload.get("shards"),
                 pool=bool(payload.get("pool", False)),
                 pool_dir=payload.get("pool_dir"),
@@ -252,13 +275,18 @@ class ServiceConfig:
                 # Absent in pre-journal snapshots; default to the old posture.
                 journal_dir=payload.get("journal_dir"),
                 journal_fsync=bool(payload.get("journal_fsync", False)),
-                dedup_clients=int(payload.get("dedup_clients", 1_024)),
+                dedup_clients=_decoded(payload, "dedup_clients", int, 1_024),
                 supervise=bool(payload.get("supervise", False)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError("malformed service config payload: %s" % (exc,)) from exc
 
     # --------------------------------------------------------------- summary
+    @property
+    def resolved_backend(self) -> str:
+        """Counter-grid layout of the served sketches, derived from the counter type."""
+        return store_layout(self.counter_type)
+
     def describe(self) -> dict[str, Any]:
         """The subset of the configuration a client needs to build matching load."""
         info: dict[str, Any] = {
@@ -267,7 +295,7 @@ class ServiceConfig:
             "window": self.window,
             "model": self.model.value,
             "counter_type": self.counter_type.value,
-            "backend": self.backend,
+            "backend": self.resolved_backend,
             "batch_size": self.batch_size,
         }
         if self.mode == "hierarchical":

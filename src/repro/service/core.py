@@ -251,7 +251,6 @@ class SketchService:
             counter_type=config.counter_type,
             max_arrivals=config.max_arrivals,
             seed=config.seed,
-            backend=config.backend,
         )
         if config.mode == "flat":
             return ECMSketch(ecm_config)
@@ -265,7 +264,6 @@ class SketchService:
                 counter_type=config.counter_type,
                 max_arrivals=config.max_arrivals,
                 seed=config.seed,
-                backend=config.backend,
             )
         from ..distributed.continuous import PeriodicAggregationCoordinator
 
@@ -905,7 +903,7 @@ class SketchService:
             synopsis = sum(node.sketch.synopsis_bytes() for node in state.nodes)
         stats: dict[str, Any] = {
             "mode": self.config.mode,
-            "backend": self.config.backend,
+            "backend": self.config.resolved_backend,
             "records_ingested": self.records_ingested,
             "ingest_batches": self.ingest_batches,
             "ingest_apply_errors": self.ingest_apply_errors,

@@ -156,7 +156,7 @@ OPS: dict[str, Op] = {op.name: op for op in (
            "serialized root aggregate (the router's merge input)"),
     _op("tenant_create", "tenant", "tenant:str [config:object]",
         "tenant stats; `config` may override sketch parameters (`mode`, `epsilon`, "
-        "`delta`, `window`, `model`, `counter_type`, `backend`, `universe_bits`, `sites`, "
+        "`delta`, `window`, `model`, `counter_type`, `universe_bits`, `sites`, "
         "`period`, `max_arrivals`, `seed`)", mutates=True, http=("PUT", "tenants/{id}")),
     _op("tenant_delete", "tenant", "tenant:str", "`{deleted}`", mutates=True,
         http=("DELETE", "tenants/{id}")),

@@ -3,7 +3,7 @@
 One :class:`TenantPool` hosts many independent sketches ("tenants") inside
 one serving process.  Each tenant is a full
 :class:`~repro.service.core.SketchService` — its own mode, error budgets,
-window model and backend — created from the pool's default configuration
+window model and counter type — created from the pool's default configuration
 plus per-tenant overrides, and addressed by a ``tenant`` id on every
 protocol operation.
 
@@ -43,6 +43,8 @@ from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Hashable, Sequence
 from typing import Any, TypeVar
 
+from ..core.config import CounterType
+from ..core.counter_store import store_layout
 from ..core.errors import ConfigurationError
 from .config import ServiceConfig
 from .core import SketchService
@@ -71,7 +73,6 @@ TENANT_CONFIG_KEYS = frozenset(
         "window",
         "model",
         "counter_type",
-        "backend",
         "universe_bits",
         "sites",
         "period",
@@ -485,11 +486,13 @@ class TenantPool:
             )
             if existing:
                 raise TenantExistsError("tenant %r already exists" % (tenant,))
+            # Built before the catalog insert: a configuration the service
+            # rejects must leave no catalog row behind.
+            service = SketchService(config)
             self._touch_seq += 1
             await self.catalog.call(
                 self.catalog.create, tenant, config.to_dict(), time.time(), self._touch_seq
             )
-            service = SketchService(config)
             await service.start()
             self._resident[tenant] = service
             self.tenants_created += 1
@@ -528,7 +531,7 @@ class TenantPool:
             "tenant": tenant,
             "resident": service is not None,
             "mode": config.get("mode"),
-            "backend": config.get("backend"),
+            "backend": store_layout(CounterType(config["counter_type"])),
             "created_at": row["created_at"],
             "last_touched": row["last_touched"],
             "snapshot_path": row["snapshot_path"],
@@ -654,7 +657,7 @@ class TenantPool:
     def stats(self) -> dict[str, Any]:
         return {
             "mode": self.config.mode,
-            "backend": self.config.backend,
+            "backend": self.config.resolved_backend,
             "pool": True,
             "tenants_total": self._tenant_count,
             "tenants_resident": len(self._resident),

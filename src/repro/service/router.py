@@ -550,7 +550,7 @@ class ShardRouter:
         """Rebuild a router from a shard manifest written by ``snapshot``.
 
         The manifest's configuration pins everything that determines sketch
-        state (mode, epsilon, window, backend, seed, *and* the shard count —
+        state (mode, epsilon, window, counter type, seed, *and* the shard count —
         re-sharding a snapshot is not a restore).  The operational knobs —
         ``snapshot_path``, background periods, batch/queue sizes — follow
         ``overrides`` (the current invocation), mirroring the single-process
@@ -1152,7 +1152,7 @@ class ShardRouter:
         if self.config.pool:
             return {
                 "mode": self.config.mode,
-                "backend": self.config.backend,
+                "backend": self.config.resolved_backend,
                 "pool": True,
                 **supervision,
                 "shards": self.num_shards,
@@ -1172,7 +1172,7 @@ class ShardRouter:
             }
         return {
             "mode": self.config.mode,
-            "backend": self.config.backend,
+            "backend": self.config.resolved_backend,
             "shards": self.num_shards,
             "degraded": self.degraded_shards(),
             **supervision,

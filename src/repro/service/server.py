@@ -374,7 +374,7 @@ async def run_server(
         service = SketchService.from_snapshot(restore)
         # Operational knobs follow the *current* invocation, not the one
         # that wrote the snapshot; only the sketch-state parameters (mode,
-        # epsilon, window, backend, ...) are pinned by the snapshot.
+        # epsilon, window, counter type, ...) are pinned by the snapshot.
         service.config.snapshot_path = config.snapshot_path
         service.config.snapshot_every = config.snapshot_every
         service.config.expire_every = config.expire_every
@@ -411,7 +411,7 @@ async def run_server(
                 server.host,
                 server.port,
                 service.config.mode,
-                service.config.backend,
+                service.config.resolved_backend,
                 ", shards=%d" % service.config.shards
                 if service.config.shards is not None
                 else "",

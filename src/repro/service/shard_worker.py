@@ -60,7 +60,7 @@ def worker_config(config: ServiceConfig, shard_id: int) -> ServiceConfig:
     """Derive one worker's configuration from the router's.
 
     The worker is a plain single-process service (``shards=None``) with the
-    same sketch parameters — identical epsilon/window/backend *and hash seed*,
+    same sketch parameters — identical epsilon/window/counter type *and hash seed*,
     which is what makes per-shard states mergeable (Theorem 4 requires
     matching dimensions and seeds).  Persistence knobs are stripped: the
     router drives every snapshot through explicit per-shard paths, so workers

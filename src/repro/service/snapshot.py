@@ -165,13 +165,13 @@ def service_state_from_snapshot(payload: dict[str, Any]) -> SketchService:
             )
         processed = state_payload.get("records_processed", [0] * len(node_payloads))
         for node, node_payload, count in zip(coordinator.nodes, node_payloads, processed, strict=False):
-            node.sketch = ecm_sketch_from_dict(node_payload, backend=config.backend)
+            node.sketch = ecm_sketch_from_dict(node_payload)
             node.records_processed = int(count)
         root_payload = state_payload.get("root")
         coordinator._root = (
             None
             if root_payload is None
-            else ecm_sketch_from_dict(root_payload, backend=config.backend)
+            else ecm_sketch_from_dict(root_payload)
         )
         coordinator._last_round_clock = state_payload.get("last_round_clock")
         coordinator._next_round_clock = state_payload.get("next_round_clock")
@@ -183,9 +183,9 @@ def service_state_from_snapshot(payload: dict[str, Any]) -> SketchService:
         coordinator.stats.round_clocks = list(recorded.get("round_clocks", []))
         state = coordinator
     elif config.mode == "hierarchical":
-        state = hierarchical_from_dict(state_payload["sketch"], backend=config.backend)
+        state = hierarchical_from_dict(state_payload["sketch"])
     else:
-        state = ecm_sketch_from_dict(state_payload["sketch"], backend=config.backend)
+        state = ecm_sketch_from_dict(state_payload["sketch"])
     applied_seqs = {
         str(client): int(seq)
         for client, seq in dict(payload.get("applied_seqs", {})).items()

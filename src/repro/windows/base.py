@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import numbers
 from collections.abc import Iterable, Sequence
 
 from ..core.errors import ConfigurationError, OutOfOrderArrivalError
@@ -47,12 +48,25 @@ class WindowModel(enum.Enum):
         return self.value
 
 
+def _require_real(value: object, name: str) -> None:
+    """Reject a value that is not a real number (``bool`` included) by name.
+
+    Checked before any comparison, so ``None``, strings and lists fail as
+    :class:`ConfigurationError` rather than as a ``TypeError``.
+    """
+    if type(value) is float or type(value) is int:  # the common case, without the ABC check
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError("%s must be a real number, got %r" % (name, value))
+
+
 def validate_epsilon(epsilon: float, name: str = "epsilon") -> float:
     """Validate a relative-error parameter, returning it unchanged.
 
     Raises:
-        ConfigurationError: if ``epsilon`` is not in ``(0, 1)``.
+        ConfigurationError: if ``epsilon`` is not a real number in ``(0, 1)``.
     """
+    _require_real(epsilon, name)
     if not (0.0 < epsilon < 1.0):
         raise ConfigurationError("%s must be in (0, 1), got %r" % (name, epsilon))
     return float(epsilon)
@@ -62,8 +76,9 @@ def validate_delta(delta: float, name: str = "delta") -> float:
     """Validate a failure-probability parameter, returning it unchanged.
 
     Raises:
-        ConfigurationError: if ``delta`` is not in ``(0, 1)``.
+        ConfigurationError: if ``delta`` is not a real number in ``(0, 1)``.
     """
+    _require_real(delta, name)
     if not (0.0 < delta < 1.0):
         raise ConfigurationError("%s must be in (0, 1), got %r" % (name, delta))
     return float(delta)
@@ -73,8 +88,9 @@ def validate_window(window: float, name: str = "window") -> float:
     """Validate a sliding-window length, returning it unchanged.
 
     Raises:
-        ConfigurationError: if ``window`` is not strictly positive.
+        ConfigurationError: if ``window`` is not a strictly positive real number.
     """
+    _require_real(window, name)
     if window <= 0:
         raise ConfigurationError("%s must be positive, got %r" % (name, window))
     return float(window)

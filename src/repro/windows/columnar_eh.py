@@ -48,7 +48,7 @@ flips the flag to run the interpreted kernels too.
 
 Equivalence contract: every operation leaves the grid in a state whose
 materialisation (:meth:`get_counter`) is bucket-for-bucket identical to the
-reference object backend, including serialized byte equality.  The batched
+reference object layout, including serialized byte equality.  The batched
 ingest only takes the deferred-cascade vector path when no bucket can expire
 during a run (the same gate as the reference ``add_batch``); runs that cross
 the window boundary use the reference fallback, which is exact by
@@ -103,7 +103,7 @@ _MODE_MIXED = -1
 
 def _is_int_clock(value: Any) -> bool:
     """True when ``value`` should serialize as a JSON integer (like the
-    reference backend, which stores the original Python object verbatim)."""
+    reference layout, which stores the original Python object verbatim)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -140,7 +140,7 @@ class ColumnarEHStore(CounterStore):
             raise ConfigurationError("model must be a WindowModel, got %r" % (model,))
         self.model = model
         # Same derivation as ExponentialHistogram.__init__, so a materialised
-        # cell cascades exactly like its object-backend twin.
+        # cell cascades exactly like its object-layout twin.
         self.k = int(math.ceil(1.0 / self.epsilon))
         self._max_per = int(math.ceil(self.k / 2.0)) + 1
         # The slot axis starts small and grows on demand: a (cell, level)
@@ -258,18 +258,18 @@ class ColumnarEHStore(CounterStore):
             as_float = float(value)
         except OverflowError as exc:
             raise ConfigurationError(
-                "the columnar backend requires clocks exactly representable "
+                "the columnar layout requires clocks exactly representable "
                 "as float64; got %r" % (value,)
             ) from exc
         if isinstance(value, numbers.Integral):
             if int(as_float) != int(value):
                 raise ConfigurationError(
-                    "the columnar backend requires clocks exactly representable "
+                    "the columnar layout requires clocks exactly representable "
                     "as float64; got %r" % (value,)
                 )
         elif as_float != value:
             raise ConfigurationError(
-                "the columnar backend requires clocks exactly representable "
+                "the columnar layout requires clocks exactly representable "
                 "as float64; got %r" % (value,)
             )
         return as_float
@@ -278,7 +278,7 @@ class ColumnarEHStore(CounterStore):
     def _require_exact_ints(clocks: np.ndarray) -> None:
         if clocks.size and int(np.abs(clocks).max()) > _MAX_EXACT_INT:
             raise ConfigurationError(
-                "the columnar backend requires clocks exactly representable as "
+                "the columnar layout requires clocks exactly representable as "
                 "float64 (|clock| <= 2**53)"
             )
 
@@ -890,7 +890,7 @@ class ColumnarEHStore(CounterStore):
         return self._materialize(row * self.width + column)
 
     def _materialize(self, cell: int) -> ExponentialHistogram:
-        """An object-backend twin of one cell (bucket-for-bucket identical)."""
+        """An object-layout twin of one cell (bucket-for-bucket identical)."""
         histogram = ExponentialHistogram(
             epsilon=self.epsilon, window=self.window, model=self.model
         )
@@ -926,7 +926,7 @@ class ColumnarEHStore(CounterStore):
     def set_counter(self, row: int, column: int, counter: SlidingWindowCounter) -> None:
         if not isinstance(counter, ExponentialHistogram):
             raise ConfigurationError(
-                "the columnar backend only stores exponential histograms; got %r"
+                "the columnar layout only stores exponential histograms; got %r"
                 % (type(counter).__name__,)
             )
         if (
@@ -996,7 +996,7 @@ class ColumnarEHStore(CounterStore):
         return int(array_bytes) + sys.getsizeof(self._last_clocks)
 
     def synopsis_bytes(self) -> int:
-        """Paper-model footprint: identical to the object backend's report."""
+        """Paper-model footprint: identical to the object layout's report."""
         # Per cell: 3 x 32 bits per bucket plus two 32-bit overhead fields,
         # floor-divided per cell — the exact ExponentialHistogram formula.
         return 12 * self.total_buckets() + 8 * self.cells

@@ -480,7 +480,7 @@ class ExponentialHistogram(SlidingWindowCounter):
         Unlike :meth:`memory_bytes` (the paper's 32-bit synopsis model), this
         walks what the process actually holds: the histogram object, the
         level deques, and one :class:`Bucket` object plus three boxed scalars
-        per bucket.  It is what the columnar backend's array footprint should
+        per bucket.  It is what the columnar layout's array footprint should
         be compared against.
         """
         total = sys.getsizeof(self) + sys.getsizeof(self._levels)

@@ -1,10 +1,11 @@
-"""Cross-backend equivalence: columnar vs object counter stores.
+"""Cross-layout equivalence: columnar vs object counter stores.
 
 The columnar store is a pure storage/execution change: for every counter
 lifecycle — scalar adds, batched adds (weighted and unweighted, int and float
 clocks, window-crossing runs), whole-grid expiry sweeps, merges and
 serialization round-trips — the sketch must be *observably identical* to the
-object-per-cell reference backend: identical estimates (bitwise), identical
+object-per-cell reference layout (``ECMSketch._on_object_store``, which no
+configuration reaches): identical estimates (bitwise), identical
 per-cell bucket structures, and byte-identical serialized state.
 
 Every scenario runs twice, once with the columnar store's NumPy hot loops and
@@ -28,7 +29,13 @@ from hypothesis import strategies as st
 
 from repro.core import ECMConfig, ECMSketch
 from repro.core.errors import ConfigurationError
-from repro.serialization import dumps, ecm_sketch_from_dict, ecm_sketch_to_dict, loads
+from repro.serialization import (
+    dumps,
+    ecm_sketch_from_dict,
+    ecm_sketch_to_dict,
+    histogram_from_dict,
+    loads,
+)
 from repro.windows import ColumnarEHStore, WindowModel, columnar_eh
 
 WINDOW = 400.0
@@ -52,14 +59,11 @@ def _pair(
     model: WindowModel = WindowModel.TIME_BASED,
     seed: int = 3,
 ) -> tuple[ECMSketch, ECMSketch]:
-    """The same configuration on the object and the columnar backend."""
-    sketches = []
-    for name in ("object", "columnar"):
-        config = ECMConfig.for_point_queries(
-            epsilon=epsilon, delta=delta, window=window, model=model, seed=seed, backend=name
-        )
-        sketches.append(ECMSketch(config))
-    return sketches[0], sketches[1]
+    """The same configuration on the object reference and the columnar layout."""
+    config = ECMConfig.for_point_queries(
+        epsilon=epsilon, delta=delta, window=window, model=model, seed=seed
+    )
+    return ECMSketch._on_object_store(config), ECMSketch(config)
 
 
 class _KernelSettingsCase:
@@ -91,8 +95,9 @@ def _assert_twins(reference: ECMSketch, columnar: ECMSketch, keys) -> None:
 
 
 class TestDeterministicLifecycles(_KernelSettingsCase):
-    def test_backend_resolution(self):
-        _, columnar = _pair()
+    def test_layouts(self):
+        reference, columnar = _pair()
+        assert reference.backend == "object"
         assert columnar.backend == "columnar"
         assert isinstance(columnar._store, ColumnarEHStore)
 
@@ -176,7 +181,7 @@ class TestDeterministicLifecycles(_KernelSettingsCase):
         assert columnar.point_query("key", now=99.0 + WINDOW * 3) == 0.0
         assert before > 0
 
-    def test_merges_across_backends(self):
+    def test_merges_across_layouts(self):
         """Merging object- and columnar-backed inputs gives identical roots."""
         ref_a, col_a = _pair(seed=5)
         ref_b, col_b = _pair(seed=5)
@@ -237,26 +242,34 @@ class TestWirePayloads(_KernelSettingsCase):
     store implies sizes from levels.  Payloads breaking that are rejected
     when decoded; mixed int/float clocks are legal and stay byte-identical."""
 
-    def _load(self, backend: str, buckets: list, last_clock) -> ECMSketch:
-        config = ECMConfig.for_point_queries(
-            epsilon=0.15, delta=0.2, window=WINDOW, backend=backend
-        )
+    def _load(self, layout: str, buckets: list, last_clock) -> ECMSketch:
+        """Decode a payload whose cell ``(0, 0)`` holds ``buckets`` onto ``layout``."""
+        config = ECMConfig.for_point_queries(epsilon=0.15, delta=0.2, window=WINDOW)
         payload = ecm_sketch_to_dict(ECMSketch(config))
         cell = payload["counters"][0][0]
         cell["buckets"] = buckets
         cell["total_arrivals"] = sum(bucket[0] for bucket in buckets)
         cell["last_clock"] = last_clock
-        return ecm_sketch_from_dict(payload)
+        if layout == "columnar":
+            return ecm_sketch_from_dict(payload)
+        reference = ECMSketch._on_object_store(config)
+        for row, cells in enumerate(payload["counters"]):
+            for column, counter in enumerate(cells):
+                reference._set_counter(row, column, histogram_from_dict(counter))
+        reference._total_arrivals = payload["total_arrivals"]
+        reference._last_clock = payload["last_clock"]
+        return reference
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_non_power_of_two_bucket_rejected(self, backend):
+    @pytest.mark.parametrize("layout", ["object", "columnar"])
+    def test_non_power_of_two_bucket_rejected(self, layout):
         with pytest.raises(ConfigurationError, match="powers of two"):
-            self._load(backend, [[3, 1, 2.5], [1, 4, 4]], 4)
+            self._load(layout, [[3, 1, 2.5], [1, 4, 4]], 4)
 
     def test_mixed_clock_payload_roundtrip_and_updates(self):
         buckets = [[2, 1, 2.5], [1, 4, 4]]
         reference = self._load("object", buckets, 4)
         columnar = self._load("columnar", buckets, 4)
+        assert reference.backend == "object"
         assert dumps(reference) == dumps(columnar)
         # Keep mutating the mixed-clock state: scalar, batched, expiry.
         for t in range(5, 40):
@@ -298,10 +311,10 @@ class TestMemoryAccounting(_KernelSettingsCase):
 
     def test_columnar_memory_below_object_resident_at_equal_config(self):
         """The satellite regression pin: at equal config and equal state, the
-        columnar backend's reported footprint (true array allocation) must be
-        well below what the object backend actually holds resident — that is
+        columnar layout's reported footprint (true array allocation) must be
+        well below what the object layout actually holds resident — that is
         the point of eliminating per-bucket Python objects.  The object
-        backend's ``memory_bytes()`` itself still reports the paper's 32-bit
+        layout's ``memory_bytes()`` itself still reports the paper's 32-bit
         synopsis model, so the honest comparison is against its
         ``resident_memory_bytes()`` walk."""
         reference, columnar = _pair(epsilon=0.1)
@@ -338,7 +351,7 @@ operation_strategy = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(ops=operation_strategy, integer_clocks=st.booleans(), merge_at_end=st.booleans())
 def test_random_interleavings_stay_identical(use_kernels, ops, integer_clocks, merge_at_end):
-    """Random add_many/expire/estimate/merge interleavings on both backends
+    """Random add_many/expire/estimate/merge interleavings on both layouts
     produce identical estimates, bucket counts and serialized state."""
     with _kernels(use_kernels):
         _random_interleaving(ops, integer_clocks, merge_at_end)

@@ -42,9 +42,7 @@ def trace(seed: int):
 
 
 def reference(seed: int) -> ECMSketch:
-    sketch = ECMSketch.for_point_queries(
-        epsilon=EPSILON, delta=0.05, window=WINDOW, backend="columnar"
-    )
+    sketch = ECMSketch.for_point_queries(epsilon=EPSILON, delta=0.05, window=WINDOW)
     keys, clocks = trace(seed)
     sketch.add_many(keys, clocks)
     return sketch

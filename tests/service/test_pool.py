@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core import ECMSketch
+from repro.core.errors import ConfigurationError
 from repro.service import (
     ServiceConfig,
     TenantCatalog,
@@ -21,11 +22,14 @@ from repro.service import (
 )
 from repro.service.errors import (
     InvalidParameterError,
+    ServiceError,
     TenantEvictedError,
     TenantExistsError,
     TenantNotFoundError,
     TenantRequiredError,
+    error_envelope,
 )
+from repro.service.server import dispatch_service_op
 
 EPSILON = 0.1
 WINDOW = 1_000_000.0
@@ -57,6 +61,14 @@ def trace(seed: int, records: int = 400):
     return keys, clocks
 
 
+async def create_error(pool: TenantPool, tenant: str, config: dict) -> dict:
+    """The wire error envelope of a ``tenant_create`` the pool refuses."""
+    message = {"op": "tenant_create", "tenant": tenant, "config": config}
+    with pytest.raises((ConfigurationError, ServiceError, TypeError)) as caught:
+        await dispatch_service_op(pool, message)
+    return error_envelope(caught.value, "tenant_create")
+
+
 async def fill(pool: TenantPool, tenant: str, seed: int, records: int = 400) -> None:
     keys, clocks = trace(seed, records)
     await pool.ingest(keys, clocks, tenant=tenant)
@@ -64,9 +76,7 @@ async def fill(pool: TenantPool, tenant: str, seed: int, records: int = 400) -> 
 
 
 def reference(seed: int, records: int = 400) -> ECMSketch:
-    sketch = ECMSketch.for_point_queries(
-        epsilon=EPSILON, delta=0.05, window=WINDOW, backend="columnar"
-    )
+    sketch = ECMSketch.for_point_queries(epsilon=EPSILON, delta=0.05, window=WINDOW)
     keys, clocks = trace(seed, records)
     sketch.add_many(keys, clocks)
     return sketch
@@ -137,6 +147,45 @@ class TestTenantLifecycle:
                     await pool.tenant_create("../escape")
                 with pytest.raises(InvalidParameterError):
                     await pool.tenant_create("ok", {"batch_size": 5})
+
+        run(body())
+
+    def test_rejected_create_leaves_no_catalog_row(self, tmp_path):
+        """A configuration the tenant's service rejects is not half-created."""
+
+        async def body():
+            async with TenantPool(pool_config(tmp_path)) as pool:
+                error = await create_error(pool, "acme", {"epsilon": 2.0})
+                assert error["code"] == "INVALID_PARAMETER"
+                assert await pool.tenant_list() == []
+                assert pool.stats()["tenants_total"] == 0
+                await pool.tenant_create("acme", {})
+                await fill(pool, "acme", seed=3)
+                served = await pool.query("point", {"tenant": "acme", "key": "k3"})
+                assert served == reference(seed=3).point_query("k3")
+
+        run(body())
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("universe_bits", None),
+            ("universe_bits", "x"),
+            ("seed", [1]),
+            ("epsilon", "a"),
+            ("epsilon", None),
+            ("delta", True),
+            ("window", None),
+            ("window", "1000"),
+        ],
+    )
+    def test_wrong_typed_config_is_an_invalid_parameter(self, tmp_path, field, value):
+        async def body():
+            async with TenantPool(pool_config(tmp_path)) as pool:
+                error = await create_error(pool, "acme", {field: value})
+                assert error["code"] == "INVALID_PARAMETER"
+                assert field in error["message"]
+                assert await pool.tenant_list() == []
 
         run(body())
 
@@ -299,17 +348,15 @@ class TestMemoryGovernor:
 
 class TestEvictRestoreFidelity:
     MATRIX = [
-        ("flat", "columnar", {}),
-        ("flat", "object", {}),
-        ("hierarchical", "columnar", {"universe_bits": 8}),
-        ("hierarchical", "object", {"universe_bits": 8}),
+        ("flat", {}),
+        ("hierarchical", {"universe_bits": 8}),
     ]
 
-    @pytest.mark.parametrize("mode,backend,extra", MATRIX, ids=lambda value: str(value))
-    def test_restore_is_byte_identical(self, tmp_path, mode, backend, extra):
+    @pytest.mark.parametrize("mode,extra", MATRIX, ids=lambda value: str(value))
+    def test_restore_is_byte_identical(self, tmp_path, mode, extra):
         async def body():
             async with TenantPool(pool_config(tmp_path)) as pool:
-                overrides = dict(mode=mode, backend=backend, **extra)
+                overrides = dict(mode=mode, **extra)
                 await pool.tenant_create("alpha", overrides)
                 keys, clocks = trace(seed=3)
                 if mode == "hierarchical":

@@ -75,7 +75,7 @@ class TestFlatIngestAndQueries:
 
         service_bytes, ingested = run(body())
         reference = ECMSketch(ECMConfig.for_point_queries(
-            epsilon=0.05, delta=0.05, window=1_000_000.0, backend="columnar"))
+            epsilon=0.05, delta=0.05, window=1_000_000.0))
         reference.add_many(keys, clocks)
         assert ingested == len(keys)
         assert service_bytes == dumps(reference)

@@ -70,9 +70,7 @@ class TestServiceSmoke:
             # the serial reference, then compare served answers exactly.
             info = {"mode": "flat", "model": "time"}
             trace, clocks = build_replay_stream(info, RECORDS, seed=SEED)
-            reference = ECMSketch.for_point_queries(
-                epsilon=EPSILON, delta=0.05, window=WINDOW, backend="columnar"
-            )
+            reference = ECMSketch.for_point_queries(epsilon=EPSILON, delta=0.05, window=WINDOW)
             reference.add_many([record.key for record in trace], clocks)
             probe_keys = sorted({record.key for record in list(trace)[:500]})[:64]
             with SyncServiceClient.connect(port=port) as client:

@@ -12,8 +12,8 @@ same trace.
   The references never touch router code, so this catches partitioning,
   ordering and merge bugs rather than re-deriving them.
 
-Random traces sweep window models (time/count), storage backends
-(columnar/object) and shard counts (1, 2, 4, 7) under hypothesis.
+Random traces sweep window models (time/count) and shard counts
+(1, 2, 4, 7) under hypothesis.
 """
 
 from __future__ import annotations
@@ -132,18 +132,16 @@ hier_traces = st.lists(
 )
 
 models = st.sampled_from([WindowModel.TIME_BASED, WindowModel.COUNT_BASED])
-backends = st.sampled_from(["columnar", "object"])
 shard_counts = st.sampled_from(SHARD_COUNTS)
 
 
-def _config(mode: str, model: WindowModel, backend: str, shards: int | None) -> ServiceConfig:
+def _config(mode: str, model: WindowModel, shards: int | None) -> ServiceConfig:
     return ServiceConfig(
         mode=mode,
         epsilon=EPSILON,
         delta=DELTA,
         window=40.0,
         model=model,
-        backend=backend,
         universe_bits=UNIVERSE_BITS,
         batch_size=32,
         expire_every=None,
@@ -198,13 +196,13 @@ def _ref_sum(references: list[SketchService], op: str, message: dict[str, Any]) 
 # Flat mode
 # --------------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
-@given(trace=flat_traces, model=models, backend=backends, shards=shard_counts)
-def test_flat_router_matches_references(trace, model, backend, shards):
+@given(trace=flat_traces, model=models, shards=shard_counts)
+def test_flat_router_matches_references(trace, model, shards):
     keys = [key for key, _gap in trace]
     clocks = _clocks(model, [gap for _key, gap in trace], len(trace))
 
     async def body():
-        config = _config("flat", model, backend, shards)
+        config = _config("flat", model, shards)
         router, references = await _drive(config, keys, clocks)
         try:
             probe_keys = sorted(set(keys)) + ["missing-key"]
@@ -232,16 +230,16 @@ def test_flat_router_matches_references(trace, model, backend, shards):
 
 
 @settings(max_examples=10, deadline=None)
-@given(trace=flat_traces, model=models, backend=backends)
-def test_flat_single_shard_router_is_byte_identical(trace, model, backend):
+@given(trace=flat_traces, model=models)
+def test_flat_single_shard_router_is_byte_identical(trace, model):
     """shards=1 adds plumbing but zero approximation: every answer is equal
     to a *monolithic* serial service (not just a worker-config reference)."""
     keys = [key for key, _gap in trace]
     clocks = _clocks(model, [gap for _key, gap in trace], len(trace))
 
     async def body():
-        router, _ = await _drive(_config("flat", model, backend, 1), keys, clocks)
-        serial = SketchService(_config("flat", model, backend, None))
+        router, _ = await _drive(_config("flat", model, 1), keys, clocks)
+        serial = SketchService(_config("flat", model, None))
         await serial.start()
         await serial.ingest(keys, clocks)
         await serial.drain()
@@ -292,16 +290,15 @@ def _reference_quantile(
 @given(
     trace=hier_traces,
     model=models,
-    backend=backends,
     shards=shard_counts,
     phi=st.sampled_from([0.05, 0.2, 0.5]),
 )
-def test_hierarchical_router_matches_references(trace, model, backend, shards, phi):
+def test_hierarchical_router_matches_references(trace, model, shards, phi):
     keys = [key for key, _gap in trace]
     clocks = _clocks(model, [gap for _key, gap in trace], len(trace))
 
     async def body():
-        config = _config("hierarchical", model, backend, shards)
+        config = _config("hierarchical", model, shards)
         router, references = await _drive(config, keys, clocks)
         try:
             for key in sorted(set(keys))[:16]:
@@ -358,14 +355,14 @@ def test_hierarchical_router_matches_references(trace, model, backend, shards, p
 
 
 @settings(max_examples=10, deadline=None)
-@given(trace=hier_traces, model=models, backend=backends)
-def test_hierarchical_single_shard_router_is_byte_identical(trace, model, backend):
+@given(trace=hier_traces, model=models)
+def test_hierarchical_single_shard_router_is_byte_identical(trace, model):
     keys = [key for key, _gap in trace]
     clocks = _clocks(model, [gap for _key, gap in trace], len(trace))
 
     async def body():
-        router, _ = await _drive(_config("hierarchical", model, backend, 1), keys, clocks)
-        serial = SketchService(_config("hierarchical", model, backend, None))
+        router, _ = await _drive(_config("hierarchical", model, 1), keys, clocks)
+        serial = SketchService(_config("hierarchical", model, None))
         await serial.start()
         await serial.ingest(keys, clocks)
         await serial.drain()

@@ -61,9 +61,7 @@ def _build_references():
         bucket[1].append(clock)
     references = []
     for shard in range(SHARDS):
-        sketch = ECMSketch.for_point_queries(
-            epsilon=EPSILON, delta=0.05, window=WINDOW, backend="columnar"
-        )
+        sketch = ECMSketch.for_point_queries(epsilon=EPSILON, delta=0.05, window=WINDOW)
         sub_keys, sub_clocks = per_shard[shard]
         if sub_keys:
             sketch.add_many(sub_keys, sub_clocks)

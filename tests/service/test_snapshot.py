@@ -4,19 +4,24 @@ The acceptance bar is byte-identity: serialize the service mid-stream,
 restore into a fresh service (simulating a new process), ingest the rest of
 the stream into both the restored service and an uninterrupted reference,
 and require identical serialized sketch state and identical query answers —
-for all window models and both storage backends.
+for all window models.  Payloads written while the counter-grid layout was
+an option (a ``"backend"`` key in their configs) still restore.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sqlite3
 
 import pytest
 
+from repro.core import ECMConfig, ECMSketch
 from repro.core.errors import ConfigurationError
-from repro.serialization import dumps
-from repro.service import ServiceConfig, SketchService
+from repro.serialization import config_from_dict, config_to_dict, dumps
+from repro.cli import build_parser
+from repro.service import ServiceConfig, ShardRouter, SketchService, TenantPool
+from repro.service.errors import InvalidParameterError
 from repro.service.snapshot import (
     SNAPSHOT_KIND,
     load_snapshot,
@@ -61,11 +66,8 @@ def _probe_answers(service: SketchService, mode: str, keys):
 
 @pytest.mark.parametrize("mode", ["flat", "hierarchical"])
 @pytest.mark.parametrize("model", [WindowModel.TIME_BASED, WindowModel.COUNT_BASED])
-@pytest.mark.parametrize("backend", ["columnar", "object"])
 class TestMidStreamRoundTrip:
-    def test_restored_run_is_byte_identical_to_uninterrupted(
-        self, tmp_path, mode, model, backend
-    ):
+    def test_restored_run_is_byte_identical_to_uninterrupted(self, tmp_path, mode, model):
         records = 1_200
         # Windows sized so part of the stream expires: the snapshot must
         # carry partially-expired structures faithfully too.
@@ -76,7 +78,6 @@ class TestMidStreamRoundTrip:
             mode=mode,
             model=model,
             window=window,
-            backend=backend,
             universe_bits=8,
             epsilon=0.1,
             batch_size=128,
@@ -210,28 +211,112 @@ class TestSnapshotFiles:
         with pytest.raises(ConfigurationError):
             service_state_from_snapshot(payload)
 
-    def test_restores_snapshot_naming_the_retired_kernels_backend(self, tmp_path):
-        """Snapshots from builds with a separate compiled ``kernels`` backend
-        restore onto the columnar store, byte-identical."""
-        path = tmp_path / "old.json"
 
+def _with_legacy_backend(path, value: str) -> None:
+    """Rewrite a snapshot or manifest as a build that wrote ``"backend"`` would."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["config"]["backend"] = value
+    write_snapshot(path, payload)
+
+
+async def _service_round_trip(tmp_path, value: str) -> tuple[bytes, bytes]:
+    path = str(tmp_path / "service.json")
+    config = ServiceConfig(mode="flat", expire_every=None, snapshot_path=path)
+    async with SketchService(config) as service:
+        await service.ingest(["a", "b", "a"], [1.0, 2.0, 3.0])
+        await service.drain()
+        service.snapshot_now()
+    original = open(path, "rb").read()
+    _with_legacy_backend(path, value)
+    async with SketchService.from_snapshot(path) as restored:
+        restored.snapshot_now()
+    return original, open(path, "rb").read()
+
+
+async def _manifest_round_trip(tmp_path, value: str) -> tuple[bytes, bytes]:
+    manifest = str(tmp_path / "manifest.json")
+    config = ServiceConfig(mode="flat", shards=2, expire_every=None, snapshot_path=manifest)
+    router = ShardRouter(config, local=True)
+    await router.start()
+    await router.ingest(["a", "b", "c", "a"], [1.0, 2.0, 3.0, 4.0])
+    await router.drain()
+    await router.stop(drain=True)
+    with open(manifest, encoding="utf-8") as handle:
+        written = json.load(handle)
+    shard_paths = [entry["path"] for entry in written["shards"]]
+    original = [open(shard_path, "rb").read() for shard_path in shard_paths]
+    for shard_path in [manifest, *shard_paths]:
+        _with_legacy_backend(shard_path, value)
+    restored = ShardRouter.from_manifest(manifest, local=True)
+    await restored.start()
+    await restored.stop(drain=True)
+    with open(manifest, encoding="utf-8") as handle:
+        rewritten = json.load(handle)
+    assert rewritten["config"] == written["config"]
+    assert rewritten["epoch"] == written["epoch"] + 1
+    again = [open(entry["path"], "rb").read() for entry in rewritten["shards"]]
+    return b"".join(original), b"".join(again)
+
+
+async def _catalog_round_trip(tmp_path, value: str) -> tuple[bytes, bytes]:
+    config = ServiceConfig(
+        mode="flat", pool=True, pool_dir=str(tmp_path / "pool"), expire_every=None
+    )
+    async with TenantPool(config) as pool:
+        await pool.tenant_create("alpha")
+        await pool.ingest(["a", "b", "a"], [1.0, 2.0, 3.0], tenant="alpha")
+        path = await pool.snapshot_async(tenant="alpha")
+        catalog_path = pool.catalog.path
+    original = open(path, "rb").read()
+    _with_legacy_backend(path, value)
+    with sqlite3.connect(catalog_path) as catalog:
+        (row,) = catalog.execute("SELECT config FROM tenants WHERE tenant = 'alpha'")
+        row_config = dict(json.loads(row[0]), backend=value)
+        catalog.execute(
+            "UPDATE tenants SET config = ? WHERE tenant = 'alpha'", (json.dumps(row_config),)
+        )
+    catalog.close()
+    async with TenantPool(config) as pool:
+        (listed,) = await pool.tenant_list()
+        assert listed["backend"] == "columnar"
+        assert await pool.snapshot_async(tenant="alpha") == path
+    return original, open(path, "rb").read()
+
+
+class TestLegacyBackendKey:
+    """The counter type decides the layout; a ``"backend"`` key is history."""
+
+    @pytest.mark.parametrize("value", ["auto", "columnar", "object", "kernels"])
+    @pytest.mark.parametrize(
+        "round_trip",
+        [_service_round_trip, _manifest_round_trip, _catalog_round_trip],
+        ids=["snapshot", "manifest", "catalog"],
+    )
+    def test_payload_naming_a_backend_restores_byte_identical(self, tmp_path, round_trip, value):
+        original, rewritten = run(round_trip(tmp_path, value))
+        assert b'"backend"' not in rewritten
+        assert rewritten == original
+
+    @pytest.mark.parametrize("value", ["auto", "columnar", "object", "kernels"])
+    def test_sketch_config_ignores_a_backend_key(self, value):
+        config = ECMConfig.for_point_queries(epsilon=0.1, delta=0.1, window=100.0)
+        payload = dict(config_to_dict(config), backend=value)
+        assert config_from_dict(payload) == config
+        assert ECMSketch(config_from_dict(payload)).backend == "columnar"
+
+    def test_tenant_create_rejects_a_backend_key(self, tmp_path):
         async def body():
-            config = ServiceConfig(mode="flat", backend="columnar", snapshot_path=str(path))
-            async with SketchService(config) as service:
-                await service.ingest(["a", "b", "a"], [1.0, 2.0, 3.0])
-                await service.drain()
-                service.snapshot_now()
-                return dumps(service.state)
+            config = ServiceConfig(pool=True, pool_dir=str(tmp_path), expire_every=None)
+            async with TenantPool(config) as pool:
+                with pytest.raises(InvalidParameterError, match="tenants may set: .*counter_type"):
+                    await pool.tenant_create("alpha", {"backend": "object"})
+                assert await pool.tenant_list() == []
 
-        original = run(body())
-        payload = load_snapshot(path)
-        payload["config"]["backend"] = "kernels"
-        write_snapshot(path, payload)
-        restored = SketchService.from_snapshot(path)
-        assert restored.config.backend == "columnar"
-        assert restored.state.backend == "columnar"
-        assert dumps(restored.state) == original
+        run(body())
 
-    def test_kernels_backend_is_unknown_outside_decoding(self):
-        with pytest.raises(ConfigurationError, match="auto, columnar, object"):
-            SketchService(ServiceConfig(mode="flat", backend="kernels"))
+    def test_serve_has_no_backend_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--backend", "columnar"])
+        with pytest.raises(TypeError):
+            ServiceConfig(backend="columnar")  # type: ignore[call-arg]

@@ -134,14 +134,14 @@ class TestServeReplayParsers:
         args = build_parser().parse_args(["serve"])
         assert args.port == 7600
         assert args.mode == "flat"
-        assert args.backend == "auto"
+        assert not hasattr(args, "backend")
         assert args.batch_size == 1024
         assert args.restore is None
 
     def test_serve_full_flag_surface(self):
         args = build_parser().parse_args([
             "serve", "--mode", "multisite", "--sites", "8", "--period", "500",
-            "--backend", "object", "--window-model", "count",
+            "--window-model", "count",
             "--snapshot-every", "2.5", "--snapshot-path", "snap.json",
             "--restore", "old.json", "--queue-chunks", "16",
         ])
@@ -156,6 +156,8 @@ class TestServeReplayParsers:
             build_parser().parse_args(["serve", "--mode", "turbo"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "ram"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["demo", "--backend", "object"])
 
     def test_serve_rejects_snapshot_period_without_path(self):
         code, lines = run_cli(["serve", "--snapshot-every", "5"])
