@@ -3,10 +3,12 @@
 Covers the two performance claims of the sharded-simulation work:
 
 * **Aggregation speedup** — merging 32+ site sketches through the vectorized
-  ``ECMSketch.merge_many`` must be at least 3x faster than the replay-based
-  reference ``ECMSketch.aggregate`` (identical output, enforced by the
-  equivalence suite).
-* **Site-count scaling** — the per-site cost of a flat ``merge_many`` stays
+  ``ECMSketch.aggregate`` must be at least 3x faster than the private replay
+  reference ``ECMSketch._aggregate_reference`` (identical output, asserted
+  here and by the equivalence suite).  Randomized-wave reference timings run
+  with ``_SELECTION_CUTOFF`` forced to infinity, so that row compares the
+  selection trim against the sort-only trim.
+* **Site-count scaling** — the per-site cost of a flat ``aggregate`` stays
   roughly constant as the deployment grows (near-linear total cost).
 
 It also records the runner's sharded-ingest throughput at 1 and 2 workers.
@@ -19,14 +21,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import time
+from unittest import mock
 
 import pytest
 
 from repro.core import CounterType, ECMConfig, ECMSketch
 from repro.distributed import run_sharded_ingest
+from repro.serialization import dumps
 from repro.streams import WorldCupSyntheticTrace
+from repro.windows import randomized_wave
 
 WINDOW = 1_000_000.0
 #: Site count of the headline aggregation comparison.
@@ -85,6 +91,12 @@ def _best_of(thunk, rounds: int = 3) -> float:
     return min(_timed(thunk) for _ in range(rounds))
 
 
+def _reference_aggregate(sketches: list[ECMSketch]) -> ECMSketch:
+    """The replay reference, with randomized waves on the sort-only trim."""
+    with mock.patch.object(randomized_wave, "_SELECTION_CUTOFF", math.inf):
+        return ECMSketch._aggregate_reference(sketches)
+
+
 # ------------------------------------------------------------ pytest-benchmark
 @pytest.mark.benchmark(group="aggregation-32-sites")
 @pytest.mark.parametrize(
@@ -94,7 +106,7 @@ def _best_of(thunk, rounds: int = 3) -> float:
 )
 def test_aggregate_reference(benchmark, counter_type):
     sketches = _build_site_sketches(counter_type, AGGREGATION_SITES)
-    benchmark(lambda: ECMSketch.aggregate(sketches))
+    benchmark(lambda: _reference_aggregate(sketches))
 
 
 @pytest.mark.benchmark(group="aggregation-32-sites")
@@ -103,13 +115,13 @@ def test_aggregate_reference(benchmark, counter_type):
     [CounterType.EXPONENTIAL_HISTOGRAM, CounterType.DETERMINISTIC_WAVE],
     ids=["eh", "dw"],
 )
-def test_merge_many_vectorized(benchmark, counter_type):
+def test_aggregate_vectorized(benchmark, counter_type):
     sketches = _build_site_sketches(counter_type, AGGREGATION_SITES)
-    benchmark(lambda: ECMSketch.merge_many(sketches))
+    benchmark(lambda: ECMSketch.aggregate(sketches))
 
 
 def test_aggregation_speedup_report(capsys):
-    """Measure and report the merge_many/aggregate ratio at 32 sites.
+    """Measure and report the reference/aggregate ratio at 32 sites.
 
     The acceptance bar is a >= 3x aggregation speedup for the deterministic
     counters.  Wall-clock ratios are noisy on loaded machines, so the floor
@@ -137,9 +149,10 @@ def test_aggregation_speedup_report(capsys):
                 "%s aggregation speedup regressed to %.2fx (< 3x floor)"
                 % (variant, results[variant]["speedup"])
             )
-        # Randomized waves auto-fall back to the reference trim below the
-        # selection cutoff, so the vectorized path must never be slower
-        # (0.9x leaves a noise margin on the shared-sort-dominated timing).
+        # Randomized waves keep the sort below the selection cutoff, so the
+        # selection-enabled path must never be slower than the sort-only
+        # reference (0.9x leaves a noise margin on the shared-sort-dominated
+        # timing).
         assert results["rw"]["speedup"] >= 0.9, (
             "rw aggregation regressed to %.2fx of the reference path"
             % (results["rw"]["speedup"],)
@@ -157,8 +170,10 @@ def _run_aggregation_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
     ):
         arrivals = ARRIVALS_PER_SITE if counter_type is not CounterType.RANDOMIZED_WAVE else 1_500
         sketches = _build_site_sketches(counter_type, AGGREGATION_SITES, arrivals)
-        reference = _best_of(lambda: ECMSketch.aggregate(sketches), rounds)
-        vectorized = _best_of(lambda: ECMSketch.merge_many(sketches), rounds)
+        # Identical bytes first: a speedup over a different answer is void.
+        assert dumps(_reference_aggregate(sketches)) == dumps(ECMSketch.aggregate(sketches)), label
+        reference = _best_of(lambda: _reference_aggregate(sketches), rounds)
+        vectorized = _best_of(lambda: ECMSketch.aggregate(sketches), rounds)
         results[label] = {
             "sites": AGGREGATION_SITES,
             "arrivals_per_site": arrivals,
@@ -170,11 +185,11 @@ def _run_aggregation_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
 
 
 def _run_scaling_sweep(rounds: int = 3) -> list[dict[str, float]]:
-    """merge_many cost per site as the deployment grows (near-linear target)."""
+    """aggregate cost per site as the deployment grows (near-linear target)."""
     rows: list[dict[str, float]] = []
     for num_sites in SCALING_SITES:
         sketches = _build_site_sketches(CounterType.EXPONENTIAL_HISTOGRAM, num_sites)
-        seconds = _best_of(lambda: ECMSketch.merge_many(sketches), rounds)
+        seconds = _best_of(lambda: ECMSketch.aggregate(sketches), rounds)
         rows.append(
             {
                 "sites": num_sites,
@@ -218,7 +233,7 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     aggregation = _run_aggregation_comparison(rounds=args.rounds)
-    print("Aggregation of %d site sketches (reference replay vs vectorized merge_many):" % AGGREGATION_SITES)
+    print("Aggregation of %d site sketches (reference replay vs vectorized aggregate):" % AGGREGATION_SITES)
     for variant, row in aggregation.items():
         print(
             "  %-3s reference %7.3fs   vectorized %7.3fs   speedup %5.2fx"
@@ -226,7 +241,7 @@ def main(argv: list[str] | None = None) -> None:
         )
 
     scaling = _run_scaling_sweep(rounds=args.rounds)
-    print("merge_many site-count scaling (ECM-EH, %d arrivals/site):" % ARRIVALS_PER_SITE)
+    print("aggregate site-count scaling (ECM-EH, %d arrivals/site):" % ARRIVALS_PER_SITE)
     for row in scaling:
         print(
             "  %3d sites: %7.3fs total   %7.2f ms/site"

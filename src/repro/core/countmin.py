@@ -202,27 +202,11 @@ class CountMinSketch:
     def merged(cls, sketches: Sequence[CountMinSketch]) -> CountMinSketch:
         """Return a new sketch equal to the sum of ``sketches``.
 
-        Reference implementation: iterated pairwise :meth:`merge_inplace`.
-        The vectorized :meth:`merge_many` produces identical state and is
-        what the distributed hot paths use.
-        """
-        if not sketches:
-            raise ConfigurationError("cannot merge an empty list of sketches")
-        base = sketches[0]
-        result = cls(width=base.width, depth=base.depth, seed=base.seed)
-        for sketch in sketches:
-            result.merge_inplace(sketch)
-        return result
-
-    @classmethod
-    def merge_many(cls, sketches: Sequence[CountMinSketch]) -> CountMinSketch:
-        """NumPy-batched n-ary merge, state-identical to :meth:`merged`.
-
         Counters are accumulated as whole ``depth x width`` arrays, one
         vectorized add per input sketch.  The per-cell accumulation order is
-        exactly the left-fold of the pairwise reference, so the resulting
-        floating-point counters (and therefore the serialized state) are
-        bit-identical.
+        exactly a left fold of :meth:`merge_inplace` into an empty sketch, so
+        the floating-point counters (and therefore the serialized state) are
+        bit-identical to that fold.
         """
         if not sketches:
             raise ConfigurationError("cannot merge an empty list of sketches")

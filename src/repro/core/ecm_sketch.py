@@ -31,9 +31,8 @@ from ..windows.base import SlidingWindowCounter, WindowModel
 from ..windows.deterministic_wave import DeterministicWave
 from ..windows.exponential_histogram import ExponentialHistogram
 from ..windows.merge import (
+    _replay_merge,
     aggregated_error,
-    bulk_merge_deterministic_waves,
-    bulk_merge_exponential_histograms,
     merge_deterministic_waves,
     merge_exponential_histograms,
 )
@@ -596,11 +595,13 @@ class ECMSketch:
     ) -> ECMSketch:
         """Order-preserving aggregation of ECM-sketches (Section 5.3).
 
-        Reference implementation: every cell is merged through the replay-
-        based algorithms of :mod:`repro.windows.merge`.  The vectorized
-        :meth:`merge_many` produces byte-identical state (enforced by the
-        serialization-equality suite) and is what the distributed hot paths
-        use.
+        Every cell's input counters are merged through the NumPy-batched
+        algorithms of :mod:`repro.windows.merge` (deferred exponential-
+        histogram cascade, arithmetic wave reconstruction) or the
+        randomized-wave sample union, which walk the replay events as arrays
+        instead of unit arrivals.  The state is byte-identical to replaying
+        every event through the counters' scalar ``add`` (the private
+        :meth:`_aggregate_reference`, enforced by the equivalence suite).
 
         Args:
             sketches: Input sketches with identical configurations.
@@ -621,22 +622,19 @@ class ECMSketch:
         return cls._aggregate_with(sketches, epsilon_prime, cls._merge_cells)
 
     @classmethod
-    def merge_many(
+    def _aggregate_reference(
         cls,
         sketches: Sequence[ECMSketch],
         epsilon_prime: float | None = None,
     ) -> ECMSketch:
-        """Vectorized order-preserving aggregation (state-identical to
-        :meth:`aggregate`).
+        """Replay reference of :meth:`aggregate` (for tests and benchmarks).
 
-        Every cell's input counters are merged through the NumPy-batched bulk
-        algorithms (deferred exponential-histogram cascade, arithmetic wave
-        reconstruction, batched randomized-wave sample union), which walk the
-        replay events as arrays instead of unit arrivals.  The aggregation
-        semantics, guarantees and error accounting of :meth:`aggregate` apply
-        unchanged; the serialized result is byte-for-byte the same.
+        Deterministic cells replay every event through the scalar ``add``;
+        randomized-wave cells take the same sample union as :meth:`aggregate`
+        (patch ``repro.windows.randomized_wave._SELECTION_CUTOFF`` to
+        ``math.inf`` to force its sort-only trim).
         """
-        return cls._aggregate_with(sketches, epsilon_prime, cls._bulk_merge_cells)
+        return cls._aggregate_with(sketches, epsilon_prime, cls._replay_merge_cells)
 
     @classmethod
     def _aggregate_with(
@@ -693,29 +691,23 @@ class ECMSketch:
         cells: Sequence[SlidingWindowCounter],
         epsilon_prime: float,
     ) -> SlidingWindowCounter:
-        """Replay-based reference merge of one cell across input sketches."""
+        """Merge of one cell across input sketches."""
         if counter_type is CounterType.EXPONENTIAL_HISTOGRAM:
             return merge_exponential_histograms(list(cells), epsilon_prime=epsilon_prime)
         if counter_type is CounterType.DETERMINISTIC_WAVE:
             return merge_deterministic_waves(list(cells), epsilon_prime=epsilon_prime)
-        return RandomizedWave.merged(list(cells), vectorized=False)
+        return RandomizedWave.merged(list(cells))
 
     @staticmethod
-    def _bulk_merge_cells(
+    def _replay_merge_cells(
         counter_type: CounterType,
         cells: Sequence[SlidingWindowCounter],
         epsilon_prime: float,
     ) -> SlidingWindowCounter:
-        """Vectorized merge of one cell across input sketches."""
-        if counter_type is CounterType.EXPONENTIAL_HISTOGRAM:
-            return bulk_merge_exponential_histograms(list(cells), epsilon_prime=epsilon_prime)
-        if counter_type is CounterType.DETERMINISTIC_WAVE:
-            return bulk_merge_deterministic_waves(list(cells), epsilon_prime=epsilon_prime)
-        return RandomizedWave.merged(list(cells), vectorized=True)
-
-    def merged_with(self, others: Sequence[ECMSketch], epsilon_prime: float | None = None) -> ECMSketch:
-        """Convenience wrapper over :meth:`merge_many` including ``self``."""
-        return ECMSketch.merge_many([self, *others], epsilon_prime=epsilon_prime)
+        """Replay-based reference merge of one cell across input sketches."""
+        if counter_type is CounterType.RANDOMIZED_WAVE:
+            return RandomizedWave.merged(list(cells))
+        return _replay_merge(list(cells), epsilon_prime=epsilon_prime)
 
     # ----------------------------------------------------- guarantees & size
     def point_error_bound(self, arrivals_in_range: float) -> float:

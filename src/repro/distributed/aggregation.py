@@ -107,9 +107,7 @@ def hierarchical_aggregate(
             # Every child ships its sketch to the vertex that merges it.
             report.record_shipment(child.level, sketch.serialized_bytes())
             child_sketches.append(sketch)
-        # merge_many is the vectorized aggregation; its state is byte-identical
-        # to ECMSketch.aggregate (the replay-based reference).
-        held[vertex.vertex_id] = ECMSketch.merge_many(child_sketches, epsilon_prime=epsilon_prime)
+        held[vertex.vertex_id] = ECMSketch.aggregate(child_sketches, epsilon_prime=epsilon_prime)
 
     root_sketch = held[tree.root_id]
     setattr(root_sketch, "aggregation_report", report)

@@ -20,7 +20,7 @@ phases:
    :mod:`repro.serialization`, whose round-trip is exact.
 3. **Join** — the filled sites feed the usual aggregation machinery
    (:func:`~repro.distributed.aggregation.hierarchical_aggregate`), which
-   merges sketches through the vectorized ``ECMSketch.merge_many`` path.
+   merges sketches through ``ECMSketch.aggregate``.
 
 Equivalence guarantee: a site's sketch depends only on its own arrival
 subsequence, which partitioning preserves in order; the batched ingestion

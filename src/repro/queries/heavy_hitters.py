@@ -191,7 +191,6 @@ class FrequentItemsTracker:
         range_length: float | None = None,
         now: float | None = None,
         absolute_threshold: float | None = None,
-        batched: bool = True,
     ) -> dict[Hashable, float]:
         """Keys whose estimated in-range frequency reaches the threshold.
 
@@ -203,7 +202,6 @@ class FrequentItemsTracker:
             range_length=range_length,
             now=now,
             absolute_threshold=absolute_threshold,
-            batched=batched,
         )
         return {
             self._decode(code): estimate

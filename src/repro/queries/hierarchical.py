@@ -16,7 +16,7 @@ Both the ingest and the query side have batched fast paths producing results
 (and, for ingest, serialized state) identical to the scalar loops:
 :meth:`HierarchicalECMSketch.add_many` computes all-level prefixes with NumPy
 right-shifts and feeds each level's :meth:`~repro.core.ecm_sketch.ECMSketch.add_many`,
-the default heavy-hitter descent walks the dyadic tree breadth-first with one
+the heavy-hitter descent walks the dyadic tree breadth-first with one
 vectorized lookup per level, and :meth:`HierarchicalECMSketch.quantiles`
 shares a single memo of dyadic prefix estimates across all requested
 fractions.
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.config import CounterType, ECMConfig
 from ..core.ecm_sketch import ECMSketch
-from ..core.errors import ConfigurationError, EmptyStructureError
+from ..core.errors import ConfigurationError, EmptyStructureError, IncompatibleSketchError
 from ..windows.base import WindowModel
 from .dyadic import children_of, dyadic_cover, prefix_of, validate_universe_bits
 
@@ -259,7 +259,6 @@ class HierarchicalECMSketch:
         range_length: float | None = None,
         now: float | None = None,
         absolute_threshold: float | None = None,
-        batched: bool = True,
     ) -> dict[int, float]:
         """Group-testing detection of frequent keys (Theorem 5).
 
@@ -269,6 +268,11 @@ class HierarchicalECMSketch:
         key with positive in-range frequency, and admitting estimate-zero
         prefixes would enumerate the entire ``2**universe_bits`` universe.
 
+        The descent is level-synchronized and breadth-first: one vectorized
+        sketch lookup per frontier level.  The private
+        :meth:`_heavy_hitters_scalar` is its depth-first reference and returns
+        the same mapping (enforced by the equivalence suite).
+
         Args:
             phi: Relative frequency threshold (fraction of in-range arrivals).
                 Ignored when ``absolute_threshold`` is given.
@@ -276,25 +280,14 @@ class HierarchicalECMSketch:
             now: Right edge of the query range.
             absolute_threshold: Minimum number of occurrences; when given the
                 detection uses it directly instead of ``phi * ||a_r||_1``.
-            batched: Use the level-synchronized breadth-first descent (one
-                vectorized sketch lookup per frontier level).  ``False``
-                selects the scalar depth-first reference, which returns the
-                same mapping (enforced by the equivalence suite).
 
         Returns:
             Mapping from detected key to its estimated in-range frequency.
         """
-        if absolute_threshold is None:
-            if not (0.0 < phi <= 1.0):
-                raise ConfigurationError("phi must be in (0, 1], got %r" % (phi,))
-            threshold = phi * self.estimate_total(range_length, now)
-        else:
-            threshold = float(absolute_threshold)
+        threshold = self._detection_threshold(phi, range_length, now, absolute_threshold)
         if threshold <= 0.0:
             return {}
         now_value = self._resolve_now(now)
-        if not batched:
-            return self._heavy_hitters_scalar(threshold, range_length, now_value)
         # The two prefixes of the coarsest maintained level cover the
         # universe; every level of survivors is expanded with one batched
         # lookup instead of per-prefix scalar queries.  The frontier lives in
@@ -323,9 +316,17 @@ class HierarchicalECMSketch:
         }
 
     def _heavy_hitters_scalar(
-        self, threshold: float, range_length: float | None, now_value: float
+        self,
+        phi: float,
+        range_length: float | None = None,
+        now: float | None = None,
+        absolute_threshold: float | None = None,
     ) -> dict[int, float]:
-        """Scalar depth-first group-testing descent (reference path)."""
+        """Scalar depth-first reference of :meth:`heavy_hitters` (same mapping)."""
+        threshold = self._detection_threshold(phi, range_length, now, absolute_threshold)
+        if threshold <= 0.0:
+            return {}
+        now_value = self._resolve_now(now)
         result: dict[int, float] = {}
         top_level = self.universe_bits - 1
         frontier: list[tuple[int, int]] = [(0, top_level), (1, top_level)]
@@ -339,6 +340,20 @@ class HierarchicalECMSketch:
             else:
                 frontier.extend(children_of(prefix, level))
         return result
+
+    def _detection_threshold(
+        self,
+        phi: float,
+        range_length: float | None,
+        now: float | None,
+        absolute_threshold: float | None,
+    ) -> float:
+        """``absolute_threshold``, else ``phi * ||a_r||_1`` (validating ``phi``)."""
+        if absolute_threshold is not None:
+            return float(absolute_threshold)
+        if not (0.0 < phi <= 1.0):
+            raise ConfigurationError("phi must be in (0, 1], got %r" % (phi,))
+        return phi * self.estimate_total(range_length, now)
 
     def quantile(
         self,
@@ -438,14 +453,20 @@ class HierarchicalECMSketch:
 
     # ----------------------------------------------------------------- merge
     def is_compatible_with(self, other: HierarchicalECMSketch) -> bool:
-        """True when two stacks can be aggregated level by level."""
+        """True when two stacks can be aggregated level by level.
+
+        Requires the same universe and pairwise-compatible level sketches
+        (dimensions, hash seed, window, window model and counter type), so a
+        stack built with a different ``epsilon``, ``delta`` or ``seed`` is
+        rejected here rather than by a level during :meth:`aggregate`.
+        """
         return (
             isinstance(other, HierarchicalECMSketch)
             and self.universe_bits == other.universe_bits
-            and self.seed == other.seed
-            and self.window == other.window
-            and self.model == other.model
-            and self.counter_type == other.counter_type
+            and all(
+                mine.is_compatible_with(theirs)
+                for mine, theirs in zip(self._levels, other._levels, strict=True)
+            )
         )
 
     @classmethod
@@ -454,14 +475,21 @@ class HierarchicalECMSketch:
         stacks: Sequence[HierarchicalECMSketch],
         epsilon_prime: float | None = None,
     ) -> HierarchicalECMSketch:
-        """Order-preserving aggregation of hierarchical sketches (level by level)."""
+        """Order-preserving aggregation of hierarchical sketches (level by level).
+
+        Raises:
+            ConfigurationError: for an empty list of stacks.
+            IncompatibleSketchError: when :meth:`is_compatible_with` rejects
+                a pair of stacks.
+        """
         if not stacks:
             raise ConfigurationError("cannot aggregate an empty list of stacks")
         base = stacks[0]
         for other in stacks[1:]:
             if not base.is_compatible_with(other):
-                raise ConfigurationError(
-                    "hierarchical sketches must share universe, seed, window and counter type"
+                raise IncompatibleSketchError(
+                    "hierarchical sketches must share universe, seed, window, "
+                    "counter type and level-sketch dimensions to be aggregated"
                 )
         result = cls.__new__(cls)
         result.universe_bits = base.universe_bits

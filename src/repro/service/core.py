@@ -869,7 +869,7 @@ class SketchService:
         """Serialized root aggregate of the latest round (multisite only).
 
         The shard router merges these per-worker roots with
-        :meth:`~repro.core.ecm_sketch.ECMSketch.merge_many` to answer
+        :meth:`~repro.core.ecm_sketch.ECMSketch.aggregate` to answer
         cross-shard self-join queries (Theorem 4 order-preserving
         aggregation over the wire format).
         """

@@ -52,7 +52,7 @@ Operations (see :meth:`repro.service.server.SketchServer` for dispatch):
 ``staleness``             coordinator lag in clock units (multisite)
 ``root_state``            serialized root aggregate of the latest round plus
                           its clock (multisite; the router merges these via
-                          ``ECMSketch.merge_many`` for cross-shard self-joins)
+                          ``ECMSketch.aggregate`` for cross-shard self-joins)
 ``expire``                sweep out-of-window state from every cell now
 ``snapshot``              write a snapshot now (optional explicit ``path`` —
                           how the router drives per-shard snapshot files);

@@ -27,7 +27,7 @@ Merge semantics per operation (key-partitioned modes):
 * multisite ``point``/``arrivals``/``self_join`` — each worker coordinates
   its own block of sites; frequencies sum across blocks, and self-join
   fetches every worker's serialized root aggregate and merges them through
-  :meth:`~repro.core.ecm_sketch.ECMSketch.merge_many` (the wire-format
+  :meth:`~repro.core.ecm_sketch.ECMSketch.aggregate` (the wire-format
   state transfer shared with the distributed runner).
 
 Ordering is enforced per shard, not globally: the router keeps one ingest
@@ -1000,7 +1000,7 @@ class ShardRouter:
             # product terms: the per-shard self-joins sum exactly.
             return await self._fan_sum(message)
         # Multisite: merge every worker's root aggregate (wire-format state
-        # transfer + merge_many) and self-join the merged sketch — the
+        # transfer + aggregate) and self-join the merged sketch — the
         # cross-shard product terms are real here, one sketch per site block.
         payloads = await self._fan({"op": "root_state"})
         sketches = [ecm_sketch_from_dict(payload["sketch"]) for payload in payloads]
@@ -1009,7 +1009,7 @@ class ShardRouter:
             for payload in payloads
             if payload.get("round_clock") is not None
         ]
-        merged = sketches[0] if len(sketches) == 1 else ECMSketch.merge_many(sketches)
+        merged = sketches[0] if len(sketches) == 1 else ECMSketch.aggregate(sketches)
         now = max(clocks) if clocks else None
         return float(merged.self_join(message.get("range"), now=now))
 

@@ -14,8 +14,6 @@ from .exponential_histogram import Bucket, ExponentialHistogram
 from .merge import (
     aggregated_error,
     bucket_replay_events,
-    bulk_merge_deterministic_waves,
-    bulk_merge_exponential_histograms,
     epsilon_for_levels,
     merge_deterministic_waves,
     merge_exponential_histograms,
@@ -41,6 +39,4 @@ __all__ = [
     "wave_replay_events",
     "merge_exponential_histograms",
     "merge_deterministic_waves",
-    "bulk_merge_exponential_histograms",
-    "bulk_merge_deterministic_waves",
 ]

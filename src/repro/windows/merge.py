@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -40,8 +41,6 @@ __all__ = [
     "wave_replay_events",
     "merge_exponential_histograms",
     "merge_deterministic_waves",
-    "bulk_merge_exponential_histograms",
-    "bulk_merge_deterministic_waves",
 ]
 
 ReplayEvent = tuple[float, int]
@@ -170,7 +169,7 @@ def _gather_sorted_events(
 ) -> tuple[list[float], list[int]]:
     """Replay events of all sources, stably sorted by clock, as two lists.
 
-    Produces exactly the event sequence the replay-based merges build —
+    Produces exactly the event sequence the replay reference builds —
     source by source, then ``sort(key=clock)`` — but orders it with one
     stable NumPy argsort.  Stability makes the permutation unique, so as long
     as the clock keys survive the NumPy round-trip exactly the result matches
@@ -205,6 +204,15 @@ def merge_exponential_histograms(
 ) -> ExponentialHistogram:
     """Aggregate time-based exponential histograms into one (paper Section 5.1).
 
+    Every input bucket's replay events are gathered into NumPy arrays,
+    ordered with one stable argsort and handed as one run to
+    :meth:`~repro.windows.exponential_histogram.ExponentialHistogram.add_batch`,
+    whose deferred-cascade bulk path materialises only the retained buckets.
+    The result serializes byte-for-byte the same as replaying each event
+    through :meth:`~repro.windows.exponential_histogram.ExponentialHistogram.add`
+    (the private :func:`_replay_merge` reference, enforced by the window
+    merge equivalence suite).
+
     Args:
         histograms: The input histograms.  They must all be time-based and
             cover the same window length.
@@ -216,19 +224,7 @@ def merge_exponential_histograms(
         A new :class:`ExponentialHistogram` summarising the order-preserving
         union of the input streams.
     """
-    window = _validate_time_based(histograms)
-    if epsilon_prime is None:
-        epsilon_prime = histograms[0].epsilon
-    merged = ExponentialHistogram(
-        epsilon=epsilon_prime, window=window, model=WindowModel.TIME_BASED
-    )
-    events: list[ReplayEvent] = []
-    for histogram in histograms:
-        events.extend(bucket_replay_events(histogram))
-    events.sort(key=lambda event: event[0])
-    for clock, count in events:
-        merged.add(clock, count)
-    return merged
+    return _bulk_merge(histograms, epsilon_prime)
 
 
 def merge_deterministic_waves(
@@ -239,83 +235,67 @@ def merge_deterministic_waves(
     """Aggregate time-based deterministic waves into one wave.
 
     Mirrors :func:`merge_exponential_histograms` using checkpoint-delimited
-    replay events.  ``max_arrivals`` of the aggregate defaults to the sum of
-    the inputs' bounds (the union stream can carry at most that many arrivals
-    per window).
+    replay events and the arithmetic bulk path of
+    :meth:`~repro.windows.deterministic_wave.DeterministicWave.add_batch`,
+    which materialises only the retained checkpoints of each level.
+    ``max_arrivals`` of the aggregate defaults to the sum of the inputs'
+    bounds (the union stream can carry at most that many arrivals per
+    window).
     """
-    window = _validate_time_based(waves)
+    return _bulk_merge(waves, epsilon_prime, max_arrivals)
+
+
+def _empty_aggregate(
+    synopses: Sequence, epsilon_prime: float | None, max_arrivals: int | None
+) -> tuple[Any, Callable[[Any], list[ReplayEvent]]]:
+    """The empty aggregate of validated inputs, plus their replay-event function."""
+    window = _validate_time_based(synopses)
     if epsilon_prime is None:
-        epsilon_prime = waves[0].epsilon
-    if max_arrivals is None:
-        max_arrivals = sum(wave.max_arrivals for wave in waves)
-    merged = DeterministicWave(
-        epsilon=epsilon_prime,
-        window=window,
-        max_arrivals=max_arrivals,
-        model=WindowModel.TIME_BASED,
+        epsilon_prime = synopses[0].epsilon
+    if isinstance(synopses[0], DeterministicWave):
+        if max_arrivals is None:
+            max_arrivals = sum(wave.max_arrivals for wave in synopses)
+        wave = DeterministicWave(
+            epsilon=epsilon_prime,
+            window=window,
+            max_arrivals=max_arrivals,
+            model=WindowModel.TIME_BASED,
+        )
+        return wave, wave_replay_events
+    histogram = ExponentialHistogram(
+        epsilon=epsilon_prime, window=window, model=WindowModel.TIME_BASED
     )
+    return histogram, bucket_replay_events
+
+
+def _bulk_merge(
+    synopses: Sequence, epsilon_prime: float | None, max_arrivals: int | None = None
+) -> Any:
+    """One sorted ``add_batch`` run of every input's replay events."""
+    merged, replay_events = _empty_aggregate(synopses, epsilon_prime, max_arrivals)
+    clocks, counts = _gather_sorted_events(synopses, replay_events)
+    if clocks:
+        merged.add_batch(clocks, counts, assume_ordered=True)
+    return merged
+
+
+def _replay_merge(
+    synopses: Sequence,
+    epsilon_prime: float | None = None,
+    max_arrivals: int | None = None,
+) -> Any:
+    """Reference aggregation: replay every event through the scalar ``add``.
+
+    The paper's algorithm as written — walk the union stream's replay events
+    in timestamp order, one insert-and-cascade at a time.  The public merges
+    must produce byte-identical state; only the equivalence tests, the
+    benchmarks and ``ECMSketch._aggregate_reference`` call this.
+    """
+    merged, replay_events = _empty_aggregate(synopses, epsilon_prime, max_arrivals)
     events: list[ReplayEvent] = []
-    for wave in waves:
-        events.extend(wave_replay_events(wave))
+    for synopsis in synopses:
+        events.extend(replay_events(synopsis))
     events.sort(key=lambda event: event[0])
     for clock, count in events:
         merged.add(clock, count)
-    return merged
-
-
-# ----------------------------------------------------------------- bulk merge
-def bulk_merge_exponential_histograms(
-    histograms: Sequence[ExponentialHistogram],
-    epsilon_prime: float | None = None,
-) -> ExponentialHistogram:
-    """Vectorized :func:`merge_exponential_histograms` (identical state).
-
-    The replay-based reference merge walks every unit arrival of the union
-    stream through the scalar insert-and-cascade machinery.  This variant
-    gathers all replay events into NumPy arrays, orders them with one stable
-    argsort, and hands the whole run to
-    :meth:`~repro.windows.exponential_histogram.ExponentialHistogram.add_batch`,
-    whose deferred-cascade bulk path materialises only the retained buckets.
-    The merged histogram serializes byte-for-byte the same as the reference
-    (enforced by ``tests/windows/test_bulk_merge_equivalence.py``).
-    """
-    window = _validate_time_based(histograms)
-    if epsilon_prime is None:
-        epsilon_prime = histograms[0].epsilon
-    merged = ExponentialHistogram(
-        epsilon=epsilon_prime, window=window, model=WindowModel.TIME_BASED
-    )
-    clocks, counts = _gather_sorted_events(histograms, bucket_replay_events)
-    if clocks:
-        merged.add_batch(clocks, counts, assume_ordered=True)
-    return merged
-
-
-def bulk_merge_deterministic_waves(
-    waves: Sequence[DeterministicWave],
-    epsilon_prime: float | None = None,
-    max_arrivals: int | None = None,
-) -> DeterministicWave:
-    """Vectorized :func:`merge_deterministic_waves` (identical state).
-
-    Mirrors :func:`bulk_merge_exponential_histograms`: one stable NumPy sort
-    of all checkpoint-delimited replay events, then a single
-    :meth:`~repro.windows.deterministic_wave.DeterministicWave.add_batch`
-    call, whose arithmetic bulk path materialises only the retained
-    checkpoints of each level.
-    """
-    window = _validate_time_based(waves)
-    if epsilon_prime is None:
-        epsilon_prime = waves[0].epsilon
-    if max_arrivals is None:
-        max_arrivals = sum(wave.max_arrivals for wave in waves)
-    merged = DeterministicWave(
-        epsilon=epsilon_prime,
-        window=window,
-        max_arrivals=max_arrivals,
-        model=WindowModel.TIME_BASED,
-    )
-    clocks, counts = _gather_sorted_events(waves, wave_replay_events)
-    if clocks:
-        merged.add_batch(clocks, counts, assume_ordered=True)
     return merged

@@ -52,8 +52,8 @@ DEFAULT_CAPACITY_CONSTANT = 4.0
 #: partition, index juggling) that only amortizes on unions a few times the
 #: retained capacity, while Timsort gallops through the pre-sorted
 #: per-contributor runs.  Measured breakeven is ~2.5-3k entries; below the
-#: cutoff the merge falls back to the reference sort so the vectorized path
-#: is never slower than it.
+#: cutoff the merge uses the sort, so the selection is never the slower
+#: choice.
 _SELECTION_CUTOFF = 3072
 
 #: C-level clock key for the reference trim's stable sort (same ordering and
@@ -203,19 +203,19 @@ class RandomizedWaveCopy:
     def entry_count(self) -> int:
         return sum(len(bucket) for bucket in self._levels if bucket is not None)
 
-    def merge_from(self, others: list[RandomizedWaveCopy], vectorized: bool = True) -> None:
+    def merge_from(self, others: list[RandomizedWaveCopy]) -> None:
         """Union this copy with others sharing the same hash coefficients.
 
-        Each level's union is processed as one batch.  With ``vectorized``
-        (the default), levels whose union is both over capacity and large
-        enough to amortize the NumPy setup (``_SELECTION_CUTOFF``) are
-        trimmed by an O(n) selection (:func:`_select_newest`) instead of
-        fully sorting the union only to discard most of it — the dominant
-        cost for dense low levels, which hold every contributor's sample.
-        Smaller unions keep the adaptive Python sort: it exploits the
-        pre-sorted per-contributor runs, which a flat argsort cannot, and
-        below the cutoff it beats the selection outright.  Both strategies
-        yield identical merged state.
+        Each level's union is processed as one batch.  Levels whose union is
+        both over capacity and large enough to amortize the NumPy setup
+        (``_SELECTION_CUTOFF``) are trimmed by an O(n) selection
+        (:func:`_select_newest`) instead of fully sorting the union only to
+        discard most of it — the dominant cost for dense low levels, which
+        hold every contributor's sample.  Smaller unions keep the adaptive
+        Python sort: it exploits the pre-sorted per-contributor runs, which a
+        flat argsort cannot, and below the cutoff it beats the selection
+        outright.  Both strategies yield identical merged state (tests force
+        the sort-only reference by setting the cutoff to ``math.inf``).
         """
         for level in range(self.num_levels):
             combined: list[_Entry] = list(self._levels[level] or ())
@@ -231,11 +231,7 @@ class RandomizedWaveCopy:
                     if other_horizon > horizon:
                         horizon = other_horizon
             selection = None
-            if (
-                vectorized
-                and len(combined) > self.per_level
-                and len(combined) >= _SELECTION_CUTOFF
-            ):
+            if len(combined) > self.per_level and len(combined) >= _SELECTION_CUTOFF:
                 selection = _select_newest(combined, self.per_level)
             if selection is not None:
                 combined, newest_dropped_clock = selection
@@ -366,13 +362,11 @@ class RandomizedWave(SlidingWindowCounter):
             and self.num_copies == other.num_copies
         )
 
-    def merge_inplace(self, others: list[RandomizedWave], vectorized: bool = True) -> None:
+    def merge_inplace(self, others: list[RandomizedWave]) -> None:
         """Union the samples of ``others`` into this wave (lossless aggregation).
 
         Args:
             others: The waves to union into this one.
-            vectorized: Use the NumPy-batched sample ordering (identical
-                state; ``False`` keeps the pure-Python reference path).
 
         Raises:
             IncompatibleSketchError: if any input was built with different
@@ -389,14 +383,14 @@ class RandomizedWave(SlidingWindowCounter):
                     "dimensions to be merged"
                 )
         for idx, copy in enumerate(self._copies):
-            copy.merge_from([other._copies[idx] for other in others], vectorized=vectorized)
+            copy.merge_from([other._copies[idx] for other in others])
         self._total_arrivals += sum(other._total_arrivals for other in others)
         clocks = [self._last_clock] + [other._last_clock for other in others]
         known = [c for c in clocks if c is not None]
         self._last_clock = max(known) if known else None
 
     @classmethod
-    def merged(cls, waves: list[RandomizedWave], vectorized: bool = True) -> RandomizedWave:
+    def merged(cls, waves: list[RandomizedWave]) -> RandomizedWave:
         """Return a new wave equal to the lossless union of ``waves``."""
         if not waves:
             raise ConfigurationError("cannot merge an empty list of waves")
@@ -411,7 +405,7 @@ class RandomizedWave(SlidingWindowCounter):
             stream_tag=base.stream_tag,
             capacity_constant=base.capacity_constant,
         )
-        result.merge_inplace(list(waves), vectorized=vectorized)
+        result.merge_inplace(list(waves))
         return result
 
     # --------------------------------------------------------------- memory

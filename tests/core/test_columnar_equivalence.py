@@ -190,11 +190,11 @@ class TestDeterministicLifecycles(_KernelSettingsCase):
                 sketch.add("a%d" % (t % 7), clock=float(t))
             for sketch in (ref_b, col_b):
                 sketch.add("b%d" % (t % 5), clock=float(t))
-        merged_ref = ECMSketch.merge_many([ref_a, ref_b])
-        merged_col = ECMSketch.merge_many([col_a, col_b])
-        merged_mixed = ECMSketch.merge_many([ref_a, col_b])
+        merged_ref = ECMSketch.aggregate([ref_a, ref_b])
+        merged_col = ECMSketch.aggregate([col_a, col_b])
+        merged_mixed = ECMSketch.aggregate([ref_a, col_b])
         assert dumps(merged_ref) == dumps(merged_col) == dumps(merged_mixed)
-        assert dumps(ECMSketch.aggregate([col_a, col_b])) == dumps(merged_col)
+        assert dumps(ECMSketch._aggregate_reference([col_a, col_b])) == dumps(merged_col)
 
     def test_serialization_roundtrip_keeps_ingesting(self):
         reference, columnar = _pair()
@@ -405,6 +405,6 @@ def _random_interleaving(ops, integer_clocks: bool, merge_at_end: bool) -> None:
                 == columnar.counter(row, column).bucket_count()
             )
     if merge_at_end:
-        assert dumps(ECMSketch.merge_many([reference, reference])) == dumps(
-            ECMSketch.merge_many([columnar, columnar])
+        assert dumps(ECMSketch.aggregate([reference, reference])) == dumps(
+            ECMSketch.aggregate([columnar, columnar])
         )

@@ -56,12 +56,6 @@ class TestAggregationBasics:
         with pytest.raises(WindowModelError):
             ECMSketch.aggregate(sketches)
 
-    def test_merged_with_helper(self, uniform_trace):
-        config = ECMConfig.for_point_queries(epsilon=0.1, delta=0.1, window=WINDOW)
-        sketches = _partition_and_feed(uniform_trace, config, 3)
-        merged = sketches[0].merged_with(sketches[1:])
-        assert merged.total_arrivals() == len(uniform_trace)
-
 
 class TestAggregationAccuracy:
     @pytest.mark.parametrize("num_parts", [2, 4, 8])

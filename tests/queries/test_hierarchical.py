@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import random
+from unittest import mock
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core import CounterType, ECMSketch
+from repro.core.errors import ConfigurationError, IncompatibleSketchError
 from repro.queries import HierarchicalECMSketch
+from repro.serialization import dumps
+from repro.windows import randomized_wave
 
 
 WINDOW = 10_000.0
@@ -189,8 +195,53 @@ class TestAggregation:
         b = _build(universe_bits=4, seed=2)
         a.add(1, clock=1.0)
         b.add(1, clock=1.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(IncompatibleSketchError):
             HierarchicalECMSketch.aggregate([a, b])
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"epsilon": 0.1}, {"delta": 0.01}, {"universe_bits": 5}, {"seed": 3}, {"window": 500.0}],
+        ids=["epsilon", "delta", "universe_bits", "seed", "window"],
+    )
+    def test_mismatched_stacks_are_incompatible(self, changes):
+        params = {"universe_bits": 4, "epsilon": 0.05, "delta": 0.05, "window": WINDOW}
+        a = HierarchicalECMSketch(**params)
+        b = HierarchicalECMSketch(**{**params, **changes})
+        a.add(1, clock=1.0)
+        b.add(1, clock=1.0)
+        assert not a.is_compatible_with(b)
+        assert not b.is_compatible_with(a)
+        with pytest.raises(IncompatibleSketchError):
+            HierarchicalECMSketch.aggregate([a, b])
+
+    @pytest.mark.parametrize(
+        "counter_type",
+        [CounterType.EXPONENTIAL_HISTOGRAM, CounterType.DETERMINISTIC_WAVE, CounterType.RANDOMIZED_WAVE],
+        ids=["eh", "dw", "rw"],
+    )
+    def test_aggregate_matches_per_level_reference(self, counter_type):
+        stacks = []
+        for site in range(3):
+            rng = random.Random(site)
+            stack = HierarchicalECMSketch(
+                universe_bits=6,
+                epsilon=0.15,
+                delta=0.15,
+                window=WINDOW,
+                counter_type=counter_type,
+                max_arrivals=4_000,
+                seed=9,
+                stream_tag=site,
+            )
+            clocks = sorted(rng.random() * WINDOW for _ in range(400))
+            stack.add_many([rng.randrange(64) for _ in clocks], clocks)
+            stacks.append(stack)
+        merged = HierarchicalECMSketch.aggregate(stacks)
+        with mock.patch.object(randomized_wave, "_SELECTION_CUTOFF", math.inf):
+            for level in range(6):
+                reference = ECMSketch._aggregate_reference([stack.level_sketch(level) for stack in stacks])
+                assert dumps(merged.level_sketch(level)) == dumps(reference)
+        assert merged.total_arrivals() == sum(stack.total_arrivals() for stack in stacks)
 
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ConfigurationError):

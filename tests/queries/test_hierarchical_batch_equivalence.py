@@ -177,24 +177,20 @@ class TestBatchedQueryEquivalence:
     @pytest.mark.parametrize("phi", [0.01, 0.05, 0.2, 0.9])
     def test_batched_descent_matches_scalar(self, fed_stack, phi):
         stack, now = fed_stack
-        assert stack.heavy_hitters(phi=phi, now=now, batched=True) == stack.heavy_hitters(
-            phi=phi, now=now, batched=False
-        )
+        assert stack.heavy_hitters(phi=phi, now=now) == stack._heavy_hitters_scalar(phi=phi, now=now)
 
     def test_batched_descent_matches_scalar_in_range(self, fed_stack):
         stack, now = fed_stack
-        batched = stack.heavy_hitters(phi=0.1, range_length=100.0, now=now, batched=True)
-        scalar = stack.heavy_hitters(phi=0.1, range_length=100.0, now=now, batched=False)
+        batched = stack.heavy_hitters(phi=0.1, range_length=100.0, now=now)
+        scalar = stack._heavy_hitters_scalar(phi=0.1, range_length=100.0, now=now)
         assert batched == scalar
 
     def test_batched_descent_with_absolute_threshold(self, fed_stack):
         stack, now = fed_stack
         for threshold in (5.0, 50.0, 1e9):
-            assert stack.heavy_hitters(
-                phi=0.0, absolute_threshold=threshold, now=now, batched=True
-            ) == stack.heavy_hitters(
-                phi=0.0, absolute_threshold=threshold, now=now, batched=False
-            )
+            batched = stack.heavy_hitters(phi=0.0, absolute_threshold=threshold, now=now)
+            scalar = stack._heavy_hitters_scalar(phi=0.0, absolute_threshold=threshold, now=now)
+            assert batched == scalar
 
     def test_shared_scan_quantiles_match_scalar(self, fed_stack):
         stack, now = fed_stack
@@ -228,7 +224,7 @@ class TestGroupTestingGuarantee:
         for key in keys:
             truth[key] = truth.get(key, 0) + 1
         detected = stack.heavy_hitters(phi=phi, now=now)
-        scalar = stack.heavy_hitters(phi=phi, now=now, batched=False)
+        scalar = stack._heavy_hitters_scalar(phi=phi, now=now)
         assert detected == scalar
         # Point estimates never under-count by more than eps * total (w.h.p.),
         # so everything at or above (phi + eps) * total must be detected.
@@ -260,9 +256,9 @@ class TestTrackerBatchEquivalence:
         assert dumps(batched) == dumps(scalar)
         assert batched.distinct_keys() == scalar.distinct_keys()
         now = clocks[-1]
-        assert batched.heavy_hitters(phi=0.05, now=now) == scalar.heavy_hitters(
-            phi=0.05, now=now, batched=False
-        )
+        assert batched.heavy_hitters(phi=0.05, now=now) == scalar.heavy_hitters(phi=0.05, now=now)
+        detected = batched.sketch().heavy_hitters(phi=0.05, now=now)
+        assert detected == scalar.sketch()._heavy_hitters_scalar(phi=0.05, now=now)
 
     def test_add_many_assigns_codes_in_first_appearance_order(self):
         tracker = FrequentItemsTracker(

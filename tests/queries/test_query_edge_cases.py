@@ -99,9 +99,13 @@ class TestEmptyWindowRegressions:
         monkeypatch.setattr(ECMSketch, "point_query_many", counting_batched)
         return calls
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+    @pytest.mark.parametrize(
+        "descent",
+        [HierarchicalECMSketch.heavy_hitters, HierarchicalECMSketch._heavy_hitters_scalar],
+        ids=["batched", "scalar"],
+    )
     def test_empty_16_bit_stack_returns_nothing_without_descending(
-        self, monkeypatch, batched
+        self, monkeypatch, descent
     ):
         # Regression: the threshold phi * ||a_r||_1 is 0.0 on an empty window,
         # and `estimate < threshold` never pruned, so heavy_hitters used to
@@ -111,7 +115,7 @@ class TestEmptyWindowRegressions:
             universe_bits=16, epsilon=0.1, delta=0.1, window=1_000.0
         )
         calls = self._count_point_queries(monkeypatch)
-        assert stack.heavy_hitters(phi=0.1, batched=batched) == {}
+        assert descent(stack, phi=0.1) == {}
         assert calls["count"] == 0
 
     def test_window_that_slid_past_all_arrivals_returns_nothing(self):

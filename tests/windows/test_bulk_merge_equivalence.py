@@ -1,17 +1,21 @@
-"""Serialized-state equality of the bulk merge layer vs the replay reference.
+"""Serialized-state equality of the window merges vs the replay reference.
 
-The vectorized merges (``bulk_merge_exponential_histograms``,
-``bulk_merge_deterministic_waves`` and the NumPy-ordered randomized-wave
-sample union) promise *byte-identical* synopsis state relative to the
-replay-based reference algorithms.  These tests drive varied workloads — int
-and float clocks, tied clocks, expiring windows that defeat the deferred
-cascade, degenerate inputs — through both implementations and compare the
-full serialized wire format.
+The public merges (``merge_exponential_histograms`` and
+``merge_deterministic_waves``, one sorted ``add_batch`` run each) promise
+*byte-identical* synopsis state relative to the private replay reference
+``_replay_merge``, which walks every replay event through the scalar
+``add``.  The randomized-wave sample union's O(n) selection trim is compared
+with its sort-only reference by patching ``_SELECTION_CUTOFF``.  These tests
+drive varied workloads — int and float clocks, tied clocks, expiring windows
+that defeat the deferred cascade, degenerate inputs — through both
+implementations and compare the full serialized wire format.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -22,11 +26,11 @@ from repro.windows import (
     ExponentialHistogram,
     RandomizedWave,
     WindowModel,
-    bulk_merge_deterministic_waves,
-    bulk_merge_exponential_histograms,
     merge_deterministic_waves,
     merge_exponential_histograms,
+    randomized_wave,
 )
+from repro.windows.merge import _replay_merge
 
 
 def make_clocks(rng: random.Random, count: int, int_clocks: bool, mean_gap: float = 4.0):
@@ -70,43 +74,39 @@ class TestBulkHistogramMerge:
         # deferred-cascade fast path and exercises the exact fallback.
         rng = random.Random(7)
         histograms = build_histograms(rng, 6, 1_500, window, int_clocks=int_clocks)
-        reference = merge_exponential_histograms(histograms)
-        bulk = bulk_merge_exponential_histograms(histograms)
+        reference = _replay_merge(histograms)
+        bulk = merge_exponential_histograms(histograms)
         assert dumps(bulk) == dumps(reference)
 
     def test_custom_epsilon_prime(self):
         rng = random.Random(11)
         histograms = build_histograms(rng, 3, 800, 1e6)
-        reference = merge_exponential_histograms(histograms, epsilon_prime=0.02)
-        bulk = bulk_merge_exponential_histograms(histograms, epsilon_prime=0.02)
+        reference = _replay_merge(histograms, epsilon_prime=0.02)
+        bulk = merge_exponential_histograms(histograms, epsilon_prime=0.02)
         assert dumps(bulk) == dumps(reference)
         assert bulk.epsilon == 0.02
 
     def test_single_input_and_empty_inputs(self):
         rng = random.Random(3)
         (histogram,) = build_histograms(rng, 1, 400, 1e6)
-        assert dumps(bulk_merge_exponential_histograms([histogram])) == dumps(
-            merge_exponential_histograms([histogram])
-        )
+        assert dumps(merge_exponential_histograms([histogram])) == dumps(_replay_merge([histogram]))
         empty = ExponentialHistogram(epsilon=0.1, window=1e6)
-        assert dumps(bulk_merge_exponential_histograms([empty, empty])) == dumps(
-            merge_exponential_histograms([empty, empty])
-        )
+        assert dumps(merge_exponential_histograms([empty, empty])) == dumps(_replay_merge([empty, empty]))
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigurationError):
-            bulk_merge_exponential_histograms([])
+            merge_exponential_histograms([])
 
     def test_count_based_rejected(self):
         histogram = ExponentialHistogram(epsilon=0.1, window=100, model=WindowModel.COUNT_BASED)
         with pytest.raises(WindowModelError):
-            bulk_merge_exponential_histograms([histogram])
+            merge_exponential_histograms([histogram])
 
     def test_mismatched_windows_rejected(self):
         one = ExponentialHistogram(epsilon=0.1, window=100.0)
         other = ExponentialHistogram(epsilon=0.1, window=200.0)
         with pytest.raises(IncompatibleSketchError):
-            bulk_merge_exponential_histograms([one, other])
+            merge_exponential_histograms([one, other])
 
 
 class TestBulkWaveMerge:
@@ -115,27 +115,27 @@ class TestBulkWaveMerge:
     def test_matches_replay_reference(self, int_clocks, window):
         rng = random.Random(13)
         waves = build_waves(rng, 5, 1_200, window, int_clocks=int_clocks)
-        reference = merge_deterministic_waves(waves)
-        bulk = bulk_merge_deterministic_waves(waves)
+        reference = _replay_merge(waves)
+        bulk = merge_deterministic_waves(waves)
         assert dumps(bulk) == dumps(reference)
 
     def test_explicit_parameters(self):
         rng = random.Random(17)
         waves = build_waves(rng, 3, 600, 1e6)
-        reference = merge_deterministic_waves(waves, epsilon_prime=0.03, max_arrivals=50_000)
-        bulk = bulk_merge_deterministic_waves(waves, epsilon_prime=0.03, max_arrivals=50_000)
+        reference = _replay_merge(waves, epsilon_prime=0.03, max_arrivals=50_000)
+        bulk = merge_deterministic_waves(waves, epsilon_prime=0.03, max_arrivals=50_000)
         assert dumps(bulk) == dumps(reference)
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigurationError):
-            bulk_merge_deterministic_waves([])
+            merge_deterministic_waves([])
 
     def test_count_based_rejected(self):
         wave = DeterministicWave(
             epsilon=0.1, window=100, max_arrivals=1_000, model=WindowModel.COUNT_BASED
         )
         with pytest.raises(WindowModelError):
-            bulk_merge_deterministic_waves([wave])
+            merge_deterministic_waves([wave])
 
 
 class TestWaveBulkLoad:
@@ -197,23 +197,41 @@ class TestWaveBulkLoad:
 
 
 class TestRandomizedWaveUnion:
-    def build_waves(self, num=4, count=1_500, window=50_000.0):
+    def build_waves(self, num=4, count=1_500, window=50_000.0, epsilon=0.15):
         waves = []
         for tag in range(num):
             rng = random.Random(100 + tag)
             wave = RandomizedWave(
-                epsilon=0.15, delta=0.15, window=window, max_arrivals=20_000, stream_tag=tag
+                epsilon=epsilon, delta=0.15, window=window, max_arrivals=20_000, stream_tag=tag
             )
             for clock in make_clocks(rng, count, False):
                 wave.add(clock)
             waves.append(wave)
         return waves
 
-    def test_vectorized_union_matches_python_reference(self):
+    @staticmethod
+    def union_with_cutoff(waves, cutoff):
+        with mock.patch.object(randomized_wave, "_SELECTION_CUTOFF", cutoff):
+            return RandomizedWave.merged(waves)
+
+    @pytest.mark.parametrize("cutoff", [0, randomized_wave._SELECTION_CUTOFF])
+    def test_selection_union_matches_sort_reference(self, cutoff):
+        # Cutoff 0 sends every over-capacity level through the selection
+        # trim; the default cutoff is what ``merged`` runs unpatched.
         waves = self.build_waves()
-        vectorized = RandomizedWave.merged(waves, vectorized=True)
-        reference = RandomizedWave.merged(waves, vectorized=False)
-        assert dumps(vectorized) == dumps(reference)
+        selected = self.union_with_cutoff(waves, cutoff)
+        reference = self.union_with_cutoff(waves, math.inf)
+        assert dumps(selected) == dumps(reference)
+
+    def test_large_union_takes_selection_at_default_cutoff(self):
+        # 16 contributors at a fine epsilon push the dense low levels past
+        # the default cutoff, so the unpatched merge selects there.
+        waves = self.build_waves(num=16, count=1_500, epsilon=0.04)
+        spy = mock.patch.object(randomized_wave, "_select_newest", wraps=randomized_wave._select_newest)
+        with spy as select_newest:
+            merged = RandomizedWave.merged(waves)
+        assert select_newest.called
+        assert dumps(merged) == dumps(self.union_with_cutoff(waves, math.inf))
 
     def test_union_with_capacity_pressure(self):
         # A coarse epsilon keeps per-level capacity tiny, so the union has to
@@ -227,6 +245,4 @@ class TestRandomizedWaveUnion:
             for clock in make_clocks(rng, 2_000, False):
                 wave.add(clock)
             waves.append(wave)
-        assert dumps(RandomizedWave.merged(waves, vectorized=True)) == dumps(
-            RandomizedWave.merged(waves, vectorized=False)
-        )
+        assert dumps(self.union_with_cutoff(waves, 0)) == dumps(self.union_with_cutoff(waves, math.inf))
