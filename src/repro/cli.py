@@ -19,8 +19,8 @@ regenerating EXPERIMENTS.md numbers or exploring parameter settings.
 
 Each subcommand imports what it runs when it runs: ``serve`` never loads
 the experiments, the analysis harnesses or the exact baselines, which keeps
-the start-up of a server (and of each of its spawned shard workers, which
-re-import this module) short.
+the start-up of a server short.  (Shard workers start from
+:mod:`repro.service.shard_worker` and never import this module.)
 """
 
 from __future__ import annotations

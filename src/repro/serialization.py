@@ -22,18 +22,32 @@ import json
 import numbers
 from collections import deque
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core.config import CounterType, ECMConfig
 from .core.countmin import CountMinSketch
 from .core.ecm_sketch import ECMSketch
 from .core.errors import ConfigurationError
-from .queries.heavy_hitters import FrequentItemsTracker
-from .queries.hierarchical import HierarchicalECMSketch
 from .windows.base import WindowModel
 from .windows.deterministic_wave import DeterministicWave, WaveCheckpoint
 from .windows.exponential_histogram import Bucket, ExponentialHistogram
 from .windows.randomized_wave import RandomizedWave, _Entry
+
+if TYPE_CHECKING:
+    # Imported where a stack is (de)serialized: flat snapshots never load
+    # the hierarchy.
+    from .queries.heavy_hitters import FrequentItemsTracker
+    from .queries.hierarchical import HierarchicalECMSketch
+
+    Serializable = (
+        ExponentialHistogram
+        | DeterministicWave
+        | RandomizedWave
+        | CountMinSketch
+        | ECMSketch
+        | HierarchicalECMSketch
+        | FrequentItemsTracker
+    )
 
 __all__ = [
     "FORMAT_VERSION",
@@ -61,16 +75,6 @@ __all__ = [
 
 #: Version tag embedded in every serialized payload.
 FORMAT_VERSION = 1
-
-Serializable = (
-    ExponentialHistogram
-    | DeterministicWave
-    | RandomizedWave
-    | CountMinSketch
-    | ECMSketch
-    | HierarchicalECMSketch
-    | FrequentItemsTracker
-)
 
 
 def _require(payload: dict[str, Any], kind: str) -> None:
@@ -387,6 +391,8 @@ def hierarchical_from_dict(payload: dict[str, Any]) -> HierarchicalECMSketch:
             "level count %d does not match universe_bits %d"
             % (len(levels), universe_bits)
         )
+    from .queries.hierarchical import HierarchicalECMSketch
+
     stack = HierarchicalECMSketch.__new__(HierarchicalECMSketch)
     stack.universe_bits = universe_bits
     stack.window = payload["window"]
@@ -427,6 +433,8 @@ def tracker_to_dict(tracker: FrequentItemsTracker) -> dict[str, Any]:
 def tracker_from_dict(payload: dict[str, Any]) -> FrequentItemsTracker:
     """Rebuild a tracker serialized by :func:`tracker_to_dict`."""
     _require(payload, "frequent_items_tracker")
+    from .queries.heavy_hitters import FrequentItemsTracker
+
     tracker = FrequentItemsTracker.__new__(FrequentItemsTracker)
     tracker._sketch = hierarchical_from_dict(payload["sketch"])
     tracker._decoding = list(payload["keys"])
@@ -448,8 +456,6 @@ _TO_DICT: dict[type, Callable[[Any], dict[str, Any]]] = {
     RandomizedWave: randomized_wave_to_dict,
     CountMinSketch: countmin_to_dict,
     ECMSketch: ecm_sketch_to_dict,
-    HierarchicalECMSketch: hierarchical_to_dict,
-    FrequentItemsTracker: tracker_to_dict,
 }
 
 _FROM_DICT: dict[str, Callable[[dict[str, Any]], Any]] = {
@@ -464,6 +470,14 @@ _FROM_DICT: dict[str, Callable[[dict[str, Any]], Any]] = {
 }
 
 
+def _stack_serializers() -> dict[type, Callable[[Any], dict[str, Any]]]:
+    """The :mod:`repro.queries` serializers, keyed by classes imported here."""
+    from .queries.heavy_hitters import FrequentItemsTracker
+    from .queries.hierarchical import HierarchicalECMSketch
+
+    return {HierarchicalECMSketch: hierarchical_to_dict, FrequentItemsTracker: tracker_to_dict}
+
+
 def to_dict(obj: Serializable | ECMConfig) -> dict[str, Any]:
     """Serialize any wire-format structure to its tagged dictionary form.
 
@@ -473,7 +487,7 @@ def to_dict(obj: Serializable | ECMConfig) -> dict[str, Any]:
     """
     if isinstance(obj, ECMConfig):
         return config_to_dict(obj)
-    serializer = _TO_DICT.get(type(obj))
+    serializer = _TO_DICT.get(type(obj)) or _stack_serializers().get(type(obj))
     if serializer is None:
         raise ConfigurationError("cannot serialize objects of type %r" % (type(obj),))
     return serializer(obj)

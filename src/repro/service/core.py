@@ -47,7 +47,6 @@ import numpy as np
 from ..core.config import ECMConfig
 from ..core.ecm_sketch import ECMSketch
 from ..core.errors import EmptyStructureError
-from ..queries.hierarchical import HierarchicalECMSketch
 from ..streams.stream import StreamRecord
 from .config import ServiceConfig
 from .errors import (
@@ -62,9 +61,10 @@ from .journal import IngestJournal, JournalRecord
 from .ops import query_handler
 
 if TYPE_CHECKING:
-    # Multisite only: imported where a multisite state is built, so the
-    # other modes never load the distributed package.
+    # Imported where a state of their mode is built, so a flat server never
+    # loads the hierarchy or the distributed package.
     from ..distributed.continuous import PeriodicAggregationCoordinator
+    from ..queries.hierarchical import HierarchicalECMSketch
 
     ServiceState = ECMSketch | HierarchicalECMSketch | PeriodicAggregationCoordinator
 
@@ -255,6 +255,8 @@ class SketchService:
         if config.mode == "flat":
             return ECMSketch(ecm_config)
         if config.mode == "hierarchical":
+            from ..queries.hierarchical import HierarchicalECMSketch
+
             return HierarchicalECMSketch(
                 universe_bits=config.universe_bits,
                 epsilon=config.epsilon,
@@ -572,6 +574,7 @@ class SketchService:
     def _apply_chunks(self, chunks: list[_IngestChunk]) -> None:
         """Apply coalesced chunks in arrival order, grouped per site."""
         state = self.state
+        multisite = self.config.mode == "multisite"
         batch_cap = self.config.batch_size
         index = 0
         while index < len(chunks):
@@ -607,10 +610,11 @@ class SketchService:
                     clocks.extend(chunk.clocks)
                     if values is not None and chunk.values is not None:
                         values.extend(chunk.values)
-            if isinstance(state, (ECMSketch, HierarchicalECMSketch)):
+            if not multisite:
+                sketch = cast("ECMSketch | HierarchicalECMSketch", state)
                 for start in range(0, len(keys), batch_cap):
                     stop = start + batch_cap
-                    state.add_many(
+                    sketch.add_many(
                         keys[start:stop],
                         clocks[start:stop],
                         values[start:stop] if values is not None else None,
@@ -625,7 +629,9 @@ class SketchService:
                     )
                     for i in range(len(keys))
                 ]
-                state.observe_batch(records, batch_size=batch_cap)
+                cast("PeriodicAggregationCoordinator", state).observe_batch(
+                    records, batch_size=batch_cap
+                )
             count = len(keys)
             weight = count if values is None else sum(values)
             self.records_ingested += weight
@@ -676,11 +682,12 @@ class SketchService:
         state = self.state
         if isinstance(state, ECMSketch):
             state.expire(clock)
-        elif isinstance(state, HierarchicalECMSketch):
-            for level in range(state.universe_bits):
-                state.level_sketch(level).expire(clock)
+        elif self.config.mode == "hierarchical":
+            stack = self._require_hierarchical()
+            for level in range(stack.universe_bits):
+                stack.level_sketch(level).expire(clock)
         else:
-            for node in state.nodes:
+            for node in self._require_multisite().nodes:
                 node.sketch.expire(clock)
 
     async def _snapshot_loop(self) -> None:
@@ -788,11 +795,11 @@ class SketchService:
         return self.state
 
     def _require_hierarchical(self) -> HierarchicalECMSketch:
-        if not isinstance(self.state, HierarchicalECMSketch):
+        if self.config.mode != "hierarchical":
             raise ModeMismatchError(
                 "operation requires mode=hierarchical (running %s)" % self.config.mode
             )
-        return self.state
+        return cast("HierarchicalECMSketch", self.state)
 
     def _require_multisite(self) -> PeriodicAggregationCoordinator:
         if self.config.mode != "multisite":
@@ -807,9 +814,10 @@ class SketchService:
         state = self.state
         if isinstance(state, ECMSketch):
             return float(state.point_query(key, range_length))
-        if isinstance(state, HierarchicalECMSketch):
-            return float(state.point_query(_as_int_key(key), range_length))
-        return float(state.query_frequency(key, range_length))
+        if self.config.mode == "hierarchical":
+            stack = self._require_hierarchical()
+            return float(stack.point_query(_as_int_key(key), range_length))
+        return float(self._require_multisite().query_frequency(key, range_length))
 
     def _query_range(self, message: dict[str, Any]) -> float:
         stack = self._require_hierarchical()
@@ -852,9 +860,8 @@ class SketchService:
         return float(self._require_flat().self_join(message.get("range")))
 
     def _query_arrivals(self, message: dict[str, Any]) -> float:
-        state = self.state
-        if isinstance(state, HierarchicalECMSketch):
-            return float(state.estimate_total(message.get("range")))
+        if self.config.mode == "hierarchical":
+            return float(self._require_hierarchical().estimate_total(message.get("range")))
         sketch = self._require_flat()
         return float(sketch.estimate_arrivals(message.get("range")))
 
@@ -892,15 +899,16 @@ class SketchService:
 
     def stats(self) -> dict[str, Any]:
         """Live service counters."""
-        state = self.state
         memory: int
         synopsis: int
-        if isinstance(state, (ECMSketch, HierarchicalECMSketch)):
-            memory = state.memory_bytes()
-            synopsis = state.synopsis_bytes()
+        if self.config.mode != "multisite":
+            sketch = cast("ECMSketch | HierarchicalECMSketch", self.state)
+            memory = sketch.memory_bytes()
+            synopsis = sketch.synopsis_bytes()
         else:
-            memory = sum(node.sketch.memory_bytes() for node in state.nodes)
-            synopsis = sum(node.sketch.synopsis_bytes() for node in state.nodes)
+            nodes = self._require_multisite().nodes
+            memory = sum(node.sketch.memory_bytes() for node in nodes)
+            synopsis = sum(node.sketch.synopsis_bytes() for node in nodes)
         stats: dict[str, Any] = {
             "mode": self.config.mode,
             "backend": self.config.resolved_backend,

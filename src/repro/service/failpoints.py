@@ -28,9 +28,9 @@ Disarmed failpoints are zero-cost beyond one truthiness check of an empty
 dict — the hot ingest path pays nothing in production.
 
 Process-wide by design: a failpoint describes *this process* failing, and
-every server/worker process carries its own registry (spawn-context worker
-processes re-import this module fresh, so a respawned worker boots clean
-unless the environment re-arms it).
+every server/worker process carries its own registry (each worker is a
+fresh interpreter that imports this module anew, so a respawned worker
+boots clean unless the environment re-arms it).
 """
 
 from __future__ import annotations

@@ -12,22 +12,40 @@ explicit per-shard path on request, and restores from that snapshot through
 the ordinary ``run_server(restore=...)`` path (the wire-format state
 transfer of :mod:`repro.serialization`, shared with the distributed runner).
 
-Workers are spawned with the ``spawn`` start method: the router process runs
-an asyncio loop plus executor threads, and forking such a process inherits
-locks in unknown states.  The freshly spawned interpreter re-imports
-:mod:`repro` (so the package must be importable in the child — via an
-installed distribution or an inherited ``PYTHONPATH``), builds the worker's
-service from a plain-dictionary config, binds an ephemeral port, and
-announces ``(pid, port)`` back through a one-shot pipe.
+A worker is a plain ``python -m repro.service.shard_worker`` child
+(fork-then-exec, so nothing of the router's event loop, threads or locks
+crosses over), started with the router's interpreter flags and with the
+parent directory of the router's ``repro`` package first on ``PYTHONPATH``,
+so both import the same code.  Its arguments are one JSON document: the
+worker's configuration, host, label, restore path and the descriptor of its
+ready pipe.  Three descriptors tie it to the router:
+
+* **Readiness** — the write end of a one-shot pipe, passed with
+  ``pass_fds``.  The worker writes its bound port and closes it; the router
+  holds no copy, so a worker that dies during boot reads as EOF at once.
+* **Exit** — :meth:`ShardProcess.join` waits on a pidfd of the worker
+  (polling ``Popen.poll`` where pidfds are missing); exit codes are
+  ``Popen``'s, negative for a signal (``-9`` after SIGKILL).
+* **Lifeline** — the worker's stdin is a pipe whose write end only the
+  router holds.  When the router dies, even by SIGKILL, the worker reads
+  EOF and drains and exits exactly as on SIGTERM, releasing its journal and
+  port.
+
+When the router's ``__main__`` ran from a script file (``__spec__`` is
+``None``), the worker first runs that file as ``__mp_main__``, the contract
+of ``multiprocessing``'s spawn start method: code a script runs at import
+time (span wrappers, for instance) then runs in every worker too.  Routers
+started with ``python -m`` re-run nothing.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import multiprocessing.connection
+import contextlib
+import json
 import os
 import signal
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -37,13 +55,13 @@ from .journal import journal_dir_for_shard
 
 __all__ = ["ShardUnavailableError", "ShardProcess", "worker_config", "sites_of_shard"]
 
-#: Start method of worker processes (see module docstring for why not fork).
-_SPAWN = multiprocessing.get_context("spawn")
-
-#: How long a spawned worker may take to announce its port.  Spawn boots a
-#: fresh interpreter and imports NumPy; heavily loaded single-core CI
+#: How long a started worker may take to announce its port.  A worker boots
+#: a fresh interpreter and imports NumPy; heavily loaded single-core CI
 #: machines take seconds, not milliseconds.
 _READY_TIMEOUT = 120.0
+
+#: Poll period of :meth:`ShardProcess.join` where ``os.pidfd_open`` is missing.
+_EXIT_POLL_S = 0.05
 
 
 def sites_of_shard(sites: int, shards: int, shard_id: int) -> range:
@@ -102,30 +120,60 @@ def worker_config(config: ServiceConfig, shard_id: int) -> ServiceConfig:
     )
 
 
-def _shard_worker_main(
-    config_payload: dict,
-    host: str,
-    restore: str | None,
-    label: str,
-    connection: multiprocessing.connection.Connection,
-) -> None:
-    """Entry point of a spawned worker process."""
+def _main_script() -> str | None:
+    """The router's main script, if ``__main__`` ran from a file.
+
+    Mirrors spawn's choice: a main run as a module (``python -m``, so
+    ``__spec__`` is set) or with no file (``-c``, the REPL) is not re-run.
+    """
+    main = sys.modules.get("__main__")
+    path = getattr(main, "__file__", None)
+    if path is None or getattr(main, "__spec__", None) is not None:
+        return None
+    return os.path.abspath(path)
+
+
+def _worker_main(argv: list[str]) -> int:
+    """Entry point of a worker process (``argv``: the JSON launch document)."""
+    launch = json.loads(argv[0])
+    if launch["main"] is not None:
+        import runpy
+
+        # As ``python script.py`` runs it: the script's directory leads.
+        sys.path.insert(0, os.path.dirname(launch["main"]))
+        runpy.run_path(launch["main"], run_name="__mp_main__")
+
     from .server import run_server
 
-    config = ServiceConfig.from_dict(config_payload)
+    config = ServiceConfig.from_dict(launch["config"])
+    ready_fd = launch["ready_fd"]
+
+    def lifeline_readable() -> None:
+        if not os.read(0, 4096):
+            asyncio.get_running_loop().remove_reader(0)
+            signal.raise_signal(signal.SIGTERM)
 
     def ready(port: int) -> None:
-        connection.send({"pid": os.getpid(), "port": port})
-        connection.close()
+        # A router that died during boot reads as EPIPE here and as EOF on
+        # the lifeline just below.
+        with contextlib.suppress(BrokenPipeError):
+            os.write(ready_fd, b"%d\n" % port)
+        os.close(ready_fd)
+        asyncio.get_running_loop().add_reader(0, lifeline_readable)
 
-    code = asyncio.run(
-        run_server(config, host=host, port=0, restore=restore, ready=ready, label=label)
+    server = run_server(
+        config,
+        host=launch["host"],
+        port=0,
+        restore=launch["restore"],
+        ready=ready,
+        label=launch["label"],
     )
-    sys.exit(code)
+    return asyncio.run(server)
 
 
 class ShardProcess:
-    """Handle on one spawned shard-worker process.
+    """Handle on one shard-worker process.
 
     Args:
         shard_id: Index of the shard this worker owns.
@@ -142,85 +190,134 @@ class ShardProcess:
         host: str = "127.0.0.1",
         restore: str | None = None,
     ) -> None:
+        # Here, not at the top: workers run this module too but start none.
+        from .launch import repro_env
+
         self.shard_id = shard_id
         self.config = config
         self.host = host
         self.restore = restore
         self.port: int | None = None
-        receive_end, send_end = _SPAWN.Pipe(duplex=False)
-        self._ready_connection = receive_end
-        self.process = _SPAWN.Process(
-            target=_shard_worker_main,
-            args=(config.to_dict(), host, restore, "repro-shard%d" % shard_id, send_end),
-            name="repro-shard%d" % shard_id,
-            daemon=True,
-        )
-        self.process.start()
-        # The child holds its own duplicate of the send end; closing ours
-        # makes a worker crash surface as EOF on the receive end instead of
-        # a silent hang.
-        send_end.close()
+        ready_read, ready_write = os.pipe()
+        launch = {
+            "config": config.to_dict(),
+            "host": host,
+            "restore": restore,
+            "label": "repro-shard%d" % shard_id,
+            "ready_fd": ready_write,
+            "main": _main_script(),
+        }
+        try:
+            self.process = subprocess.Popen(
+                [
+                    sys.executable,
+                    # The router's -O/-B/-W/-X flags, as spawn passed them.
+                    *subprocess._args_from_interpreter_flags(),  # type: ignore[attr-defined]
+                    "-m",
+                    "repro.service.shard_worker",
+                    json.dumps(launch),
+                ],
+                stdin=subprocess.PIPE,
+                env=repro_env(),
+                pass_fds=(ready_write,),
+            )
+        except BaseException:
+            os.close(ready_read)
+            raise
+        finally:
+            # The child holds its own duplicate of the write end; closing
+            # ours makes a worker crash surface as EOF instead of a hang.
+            os.close(ready_write)
+        # Closed by wait_ready, or with the handle if nobody waits.
+        self._ready = os.fdopen(ready_read, "rb", buffering=0)
 
     @property
-    def pid(self) -> int | None:
+    def pid(self) -> int:
         return self.process.pid
 
     def is_alive(self) -> bool:
-        return self.process.is_alive()
+        return self.process.poll() is None
 
     @property
     def exitcode(self) -> int | None:
-        return self.process.exitcode
+        return self.process.poll()
 
     async def wait_ready(self, timeout: float = _READY_TIMEOUT) -> int:
         """Wait for the worker's port announcement; returns the port.
 
-        Wakes on the ready pipe's file descriptor, which turns readable when
-        the worker announces its port and also at EOF when the worker dies
-        first (the child holds the only send end), so a worker that dies
-        during boot fails fast instead of timing out.
+        Wakes on the ready pipe, which turns readable when the worker
+        announces its port and also at EOF when the worker dies first (the
+        child holds the only write end), so a worker that dies during boot
+        fails fast instead of timing out.
         """
-        connection = self._ready_connection
-        if not await _readable(connection.fileno(), timeout):
-            self.kill()
-            raise ShardUnavailableError(
-                "shard %d worker did not become ready within %.0f s" % (self.shard_id, timeout)
-            )
         try:
-            payload = connection.recv()
-        except EOFError:
+            if not await _readable(self._ready.fileno(), timeout):
+                self.kill()  # reprolint: disable=RL002 -- one kill(2), never blocks
+                raise ShardUnavailableError(
+                    "shard %d worker did not become ready within %.0f s" % (self.shard_id, timeout)
+                )
+            # One write of a few bytes: atomic, so one read gets all of it.
+            announcement = self._ready.read(64)
+        finally:
+            self._ready.close()
+        if not announcement:
             await self.join(timeout=5.0)
             raise ShardUnavailableError(
                 "shard %d worker exited during boot (exit code %r)"
                 % (self.shard_id, self.exitcode)
-            ) from None
-        finally:
-            connection.close()
-        self.port = int(payload["port"])
+            )
+        self.port = int(announcement)
         return self.port
 
     def kill(self) -> None:
         """SIGKILL the worker (fault injection / last-resort cleanup)."""
-        if self.process.is_alive():
+        if self.is_alive():
             self.process.kill()
 
     def terminate(self) -> None:
         """SIGTERM the worker (its server drains and exits gracefully)."""
-        if self.process.is_alive():
-            os.kill(self.process.pid, signal.SIGTERM)  # type: ignore[arg-type]
+        if self.is_alive():
+            self.process.terminate()
 
     async def join(self, timeout: float = 30.0) -> int | None:
         """Wait (without blocking the loop) for the process to exit.
 
-        Wakes on the process sentinel; returns the exit code, or ``None``
-        if the process is still running after ``timeout`` seconds.
+        Returns the exit code, or ``None`` if the process is still running
+        after ``timeout`` seconds.  Reaping the worker also closes the
+        router's end of its lifeline.
         """
-        if self.process.is_alive() and not await _readable(self.process.sentinel, timeout):
+        if not await _reaped(self.process, timeout):
             return None
-        # The sentinel reads EOF while the process exits, a moment before
-        # it can be reaped; a zero-timeout join could miss the exit code.
-        self.process.join()
-        return self.process.exitcode
+        if self.process.stdin is not None:
+            self.process.stdin.close()
+        return self.process.returncode
+
+
+async def _reaped(process: subprocess.Popen[bytes], timeout: float) -> bool:
+    """Wait until ``process`` exits and reap it; ``False`` on timeout.
+
+    Wakes on a pidfd, which turns readable when the process exits; where
+    ``os.pidfd_open`` is missing (non-Linux, kernels before 5.3) it polls.
+    """
+    if process.poll() is not None:
+        return True
+    try:
+        pidfd = os.pidfd_open(process.pid)
+    except (AttributeError, OSError):
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while process.poll() is None:
+            if loop.time() >= deadline:
+                return False
+            await asyncio.sleep(_EXIT_POLL_S)
+        return True
+    try:
+        if not await _readable(pidfd, timeout):
+            return False
+    finally:
+        os.close(pidfd)
+    process.wait()  # exited: reaps at once
+    return True
 
 
 async def _readable(fd: int, timeout: float) -> bool:
@@ -244,3 +341,7 @@ async def _readable(fd: int, timeout: float) -> bool:
     finally:
         loop.remove_reader(fd)
     return True
+
+
+if __name__ == "__main__":
+    sys.exit(_worker_main(sys.argv[1:]))

@@ -4,13 +4,18 @@
   boot runs with bytecode writing off (``PYTHONDONTWRITEBYTECODE``, the
   ``-B`` flag), and a ``sitecustomize`` hook on the subprocess path records
   ``sys.modules`` when each interpreter exits: the server itself and, for a
-  sharded server, every spawned worker.
+  sharded server, every worker.  Every Python process of the tree dumps, so
+  the dumps also pin the process tree: the router plus one worker per
+  shard, and no ``multiprocessing`` resource tracker.
 * **Subprocess environment.**  :func:`~repro.service.launch.repro_env` puts
   ``src/`` first on ``PYTHONPATH`` and never adds an empty entry (which
   Python reads as the current directory).
 * **Worker readiness.**  :class:`~repro.service.shard_worker.ShardProcess`
-  waits on the ready pipe and the process sentinel, so a worker that dies
+  waits on the ready pipe and the worker's pidfd, so a worker that dies
   during boot fails at once instead of at the deadline.
+* **Main-module re-run.**  A router whose ``__main__`` is a script file has
+  each worker run that script once as ``__mp_main__`` (spawn's contract);
+  a ``python -m repro`` router has its workers re-run nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -44,6 +51,9 @@ FLAT_UNUSED = (
     "repro.service.router",
     "repro.service.shard_worker",
     "repro.service.supervision",
+    "repro.queries.hierarchical",
+    "repro.streams.generators",
+    "multiprocessing",
     "sqlite3",
 )
 
@@ -52,8 +62,35 @@ SHARDED_UNUSED = (
     "repro.service.pool",
     "repro.service.supervision",
     "repro.distributed.runner",
+    "multiprocessing",
     "sqlite3",
 )
+
+#: Never imported by the worker of a ``python -m repro`` router: the flat
+#: budget (its entry point runs as ``__main__``, so not even
+#: ``repro.service.shard_worker`` by name) and no re-run of the CLI.
+WORKER_UNUSED = (*FLAT_UNUSED, "repro.cli")
+
+#: A router started from a script file.  Every run of the script appends
+#: ``<pid> <__name__>`` to the marker file: once as ``__main__`` in the
+#: router, and once as ``__mp_main__`` in each worker that re-runs it.
+_ROUTER_SCRIPT = """\
+import asyncio
+import os
+
+with open(os.environ["BOOT_MARKER"], "a", encoding="utf-8") as marker:
+    marker.write("%d %s\\n" % (os.getpid(), __name__))
+
+if __name__ == "__main__":
+    from repro.service import ServiceConfig, ShardRouter
+
+    async def boot_and_stop():
+        router = ShardRouter(ServiceConfig(mode="flat", shards=2, expire_every=None))
+        await router.start()
+        await router.stop()
+
+    asyncio.run(boot_and_stop())
+"""
 
 _SITECUSTOMIZE = """\
 import atexit
@@ -97,8 +134,7 @@ def _boot_modules(tmp_path: Path, *args: object) -> tuple[set[str], list[set[str
         for path in dumps.glob("modules-*.json")
     }
     router = processes.pop(server.process.pid)
-    workers = [modules for modules in processes.values() if "repro.service.server" in modules]
-    return router, workers
+    return router, list(processes.values())
 
 
 class TestImportBudget:
@@ -117,13 +153,32 @@ class TestImportBudget:
         )
         assert {"repro.service.router", "repro.service.shard_worker"} <= modules
         assert _loaded(modules, SHARDED_UNUSED) == []
-        # Each spawned worker re-imports the CLI as ``__mp_main__`` and then
-        # serves flat: the flat budget plus its own entry point.
+        # The tree is the router and exactly one worker per shard.  Each
+        # worker is ``python -m repro.service.shard_worker`` serving flat; a
+        # ``python -m`` main is never re-run, so no worker imports the CLI.
         assert len(workers) == 2
-        worker_unused = tuple(name for name in FLAT_UNUSED if name != "repro.service.shard_worker")
         for worker in workers:
-            assert "repro.service.shard_worker" in worker
-            assert _loaded(worker, worker_unused) == []
+            assert "repro.service.server" in worker
+            assert _loaded(worker, WORKER_UNUSED) == []
+
+
+class TestMainRerun:
+    def test_script_main_runs_once_in_each_worker(self, tmp_path):
+        script = tmp_path / "router_script.py"
+        marker = tmp_path / "marker.txt"
+        script.write_text(_ROUTER_SCRIPT, encoding="utf-8")
+        router = subprocess.run(
+            [sys.executable, str(script)],
+            env=repro_env({"BOOT_MARKER": str(marker)}),
+            capture_output=True,
+            text=True,
+            timeout=180,
+        )
+        assert router.returncode == 0, router.stdout + router.stderr
+        runs = [line.split() for line in marker.read_text(encoding="utf-8").splitlines()]
+        assert sorted(name for _, name in runs) == ["__main__", "__mp_main__", "__mp_main__"]
+        pids = [int(pid) for pid, _ in runs]
+        assert len(set(pids)) == 3  # the router once, each worker once
 
 
 class TestReproEnv:
@@ -162,7 +217,10 @@ class TestWorkerReadiness:
 
         assert asyncio.run(body()) < 60.0
 
-    def test_ready_announcement_and_join_on_kill(self):
+    @pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "poll"])
+    def test_ready_announcement_and_join_on_kill(self, monkeypatch, pidfd):
+        if not pidfd:
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
         config = ServiceConfig(mode="flat", shards=1, expire_every=None)
 
         async def body() -> None:
