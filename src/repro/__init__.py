@@ -24,43 +24,47 @@ Package layout:
 * :mod:`repro.streams` — synthetic traces standing in for the paper's data sets;
 * :mod:`repro.baselines` — exact summaries used to measure observed error;
 * :mod:`repro.analysis` — error metrics, memory accounting and throughput harnesses.
+
+``repro``, :mod:`repro.core`, :mod:`repro.windows`, :mod:`repro.streams`,
+:mod:`repro.distributed` and :mod:`repro.service` resolve their public names
+on first access, so a process loads only the layers it uses: ``import
+repro`` loads no NumPy, and the shard router of ``repro serve --shards N``
+imports neither NumPy nor any sketch code.
 """
 
-from .core import (
-    ConfigurationError,
-    CounterType,
-    CountMinSketch,
-    ECMConfig,
-    ECMSketch,
-    HashFamily,
-    IncompatibleSketchError,
-    ReproError,
-    WindowModelError,
-)
-from .windows import (
-    DeterministicWave,
-    ExactWindowCounter,
-    ExponentialHistogram,
-    RandomizedWave,
-    WindowModel,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ECMSketch",
-    "ECMConfig",
-    "CounterType",
-    "CountMinSketch",
-    "HashFamily",
-    "WindowModel",
-    "ExponentialHistogram",
-    "DeterministicWave",
-    "RandomizedWave",
-    "ExactWindowCounter",
-    "ReproError",
-    "ConfigurationError",
-    "IncompatibleSketchError",
-    "WindowModelError",
-]
+#: Every public name of the package and the submodule that defines it,
+#: imported on first access (PEP 562).
+_EXPORTS: dict[str, str] = {
+    "ECMSketch": "core.ecm_sketch",
+    "ECMConfig": "core.config",
+    "CounterType": "core.config",
+    "CountMinSketch": "core.countmin",
+    "HashFamily": "core.hashing",
+    "WindowModel": "windows.base",
+    "ExponentialHistogram": "windows.exponential_histogram",
+    "DeterministicWave": "windows.deterministic_wave",
+    "RandomizedWave": "windows.randomized_wave",
+    "ExactWindowCounter": "windows.exact_window",
+    "ReproError": "core.errors",
+    "ConfigurationError": "core.errors",
+    "IncompatibleSketchError": "core.errors",
+    "WindowModelError": "core.errors",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + submodule, __name__), name)
+    globals()[name] = value
+    return value

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ..core.config import CounterType
-from ..core.countmin import dimensions_for_error
+from ..core.config import CounterType, dimensions_for_error
 from ..core.errors import ConfigurationError
 
 __all__ = [

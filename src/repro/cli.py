@@ -31,8 +31,6 @@ import time as _time
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
-from .core import ECMSketch
-
 if TYPE_CHECKING:
     from .core.config import ECMConfig
     from .streams.stream import Stream
@@ -411,6 +409,7 @@ def _demo(
 ) -> None:
     """A self-contained sanity demo mirroring examples/quickstart.py."""
     from .baselines import ExactStreamSummary
+    from .core.ecm_sketch import ECMSketch
     from .streams import WorldCupSyntheticTrace
 
     window = 1_000_000.0

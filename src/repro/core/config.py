@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from ..windows.base import WindowModel, validate_delta, validate_epsilon, validate_window
-from .counter_store import store_layout
-from .countmin import dimensions_for_error
 from .errors import ConfigurationError
 
 __all__ = [
@@ -42,6 +40,8 @@ __all__ = [
     "split_inner_product_deterministic",
     "point_query_error",
     "inner_product_error",
+    "dimensions_for_error",
+    "store_layout",
     "ECMConfig",
 ]
 
@@ -62,7 +62,32 @@ class CounterType(enum.Enum):
         return self is not CounterType.RANDOMIZED_WAVE
 
 
+def store_layout(counter_type: CounterType) -> str:
+    """The counter-grid layout of ``counter_type``: the one place it is decided.
+
+    ``"columnar"`` for exponential histograms (at every epsilon) and
+    ``"object"`` for deterministic and randomized waves, which the columnar
+    layout does not implement.
+    """
+    return "columnar" if counter_type is CounterType.EXPONENTIAL_HISTOGRAM else "object"
+
+
 # ----------------------------------------------------------------- error maths
+def dimensions_for_error(epsilon: float, delta: float) -> tuple[int, int]:
+    """Width and depth of a Count-Min array for a target ``(epsilon, delta)``.
+
+    Uses the standard sizing ``w = ceil(e / epsilon)`` and
+    ``d = ceil(ln(1 / delta))``.
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ConfigurationError("epsilon must be in (0, 1), got %r" % (epsilon,))
+    if not (0.0 < delta < 1.0):
+        raise ConfigurationError("delta must be in (0, 1), got %r" % (delta,))
+    width = int(math.ceil(math.e / epsilon))
+    depth = int(math.ceil(math.log(1.0 / delta)))
+    return max(1, width), max(1, depth)
+
+
 def point_query_error(epsilon_sw: float, epsilon_cm: float) -> float:
     """Total point-query error for a given split (Theorem 1)."""
     return epsilon_sw + epsilon_cm + epsilon_sw * epsilon_cm
@@ -261,7 +286,7 @@ class ECMConfig:
     def resolved_backend(self) -> str:
         """Counter-grid layout of sketches built from this configuration.
 
-        Read-only: :func:`~repro.core.counter_store.store_layout` derives it
+        Read-only: :func:`store_layout` derives it
         from the counter type (``"columnar"`` for exponential histograms,
         ``"object"`` for waves).
         """

@@ -36,14 +36,15 @@ from __future__ import annotations
 import abc
 import sys
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from ..windows.base import SlidingWindowCounter
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config -> windows)
-    from .config import CounterType, ECMConfig
+# ``store_layout`` is defined in the NumPy-free config module; it stays
+# importable from here.
+from .config import ECMConfig, store_layout
 
 __all__ = ["CounterStore", "ObjectCounterStore", "build_store", "object_store", "store_layout"]
 
@@ -284,19 +285,6 @@ class ObjectCounterStore(CounterStore):
 #: Builds one reference counter for a grid cell; the object store calls it
 #: once per cell, the columnar store ignores it.
 CounterFactory = Callable[[int, int], SlidingWindowCounter]
-
-
-def store_layout(counter_type: CounterType) -> str:
-    """The counter-grid layout of ``counter_type``: the one place it is decided.
-
-    ``"columnar"`` for exponential histograms (at every epsilon) and
-    ``"object"`` for deterministic and randomized waves, which the columnar
-    layout does not implement.
-    """
-    # Deferred: config imports the windows package, which imports this module.
-    from .config import CounterType
-
-    return "columnar" if counter_type is CounterType.EXPONENTIAL_HISTOGRAM else "object"
 
 
 def object_store(config: ECMConfig, make_counter: CounterFactory) -> ObjectCounterStore:

@@ -12,32 +12,19 @@ sliding-window counter; see :mod:`repro.core.ecm_sketch`.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
+# ``dimensions_for_error`` is defined in the NumPy-free config module; it
+# stays importable from here.
+from .config import dimensions_for_error
 from .errors import ConfigurationError, IncompatibleSketchError
 from .hashing import HashFamily
 
 __all__ = ["CountMinSketch", "dimensions_for_error"]
 
 _COUNTER_BITS = 32
-
-
-def dimensions_for_error(epsilon: float, delta: float) -> tuple[int, int]:
-    """Width and depth of a Count-Min array for a target ``(epsilon, delta)``.
-
-    Uses the standard sizing ``w = ceil(e / epsilon)`` and
-    ``d = ceil(ln(1 / delta))``.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ConfigurationError("epsilon must be in (0, 1), got %r" % (epsilon,))
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError("delta must be in (0, 1), got %r" % (delta,))
-    width = int(math.ceil(math.e / epsilon))
-    depth = int(math.ceil(math.log(1.0 / delta)))
-    return max(1, width), max(1, depth)
 
 
 class CountMinSketch:

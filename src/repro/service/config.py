@@ -13,8 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.config import CounterType
-from ..core.counter_store import store_layout
+from ..core.config import CounterType, store_layout
 from ..core.errors import ConfigurationError
 from ..windows.base import WindowModel, validate_delta, validate_epsilon, validate_window
 

@@ -42,10 +42,7 @@ from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
 from typing import TYPE_CHECKING, Any, cast
 
-import numpy as np
-
 from ..core.config import ECMConfig
-from ..core.ecm_sketch import ECMSketch
 from ..core.errors import EmptyStructureError
 from ..streams.stream import StreamRecord
 from .config import ServiceConfig
@@ -61,8 +58,10 @@ from .journal import IngestJournal, JournalRecord
 from .ops import query_handler
 
 if TYPE_CHECKING:
-    # Imported where a state of their mode is built, so a flat server never
-    # loads the hierarchy or the distributed package.
+    # Imported where a state of their mode is built: a flat server never
+    # loads the hierarchy or the distributed package, and the shard router,
+    # which builds no state, loads no sketch code (and no NumPy) at all.
+    from ..core.ecm_sketch import ECMSketch
     from ..distributed.continuous import PeriodicAggregationCoordinator
     from ..queries.hierarchical import HierarchicalECMSketch
 
@@ -79,53 +78,33 @@ __all__ = [
 ]
 
 
-#: Chunk size from which clock validation switches to the vectorized NumPy
-#: pass; below it, per-element checks are cheaper (and give the precise
-#: offending value in the error message).
-_VECTOR_VALIDATE_CUTOFF = 64
-
-
 def validate_clock_column(clocks: Sequence[float], previous: float | None) -> None:
     """Reject non-numeric, non-finite or out-of-order clocks, pre-ack.
 
     Finiteness matters for more than hygiene: every comparison against NaN is
     False, so one NaN clock would disable the ordering high-water mark for
-    the rest of the stream.  Large chunks validate through one vectorized
-    pass — this runs per arrival on the ack hot path.  Shared by the
-    single-process service (global high-water mark) and the shard router
-    (per-shard high-water marks).
+    the rest of the stream.  One pure-Python pass at every chunk length,
+    which stops at the first offending clock and names it.  It runs per
+    arrival on the ack hot path, so plain ``int`` and ``float`` clocks skip
+    the ``isinstance`` checks.  Shared by the single-process service (global
+    high-water mark) and the shard router (per-shard high-water marks).
     """
-    if len(clocks) >= _VECTOR_VALIDATE_CUTOFF:
-        array = np.asarray(clocks)
-        if (
-            array.ndim == 1
-            and array.dtype != np.bool_
-            and (np.issubdtype(array.dtype, np.floating)
-                 or np.issubdtype(array.dtype, np.integer))
-        ):
-            if not np.isfinite(array).all():
-                raise IngestRejectedError("clocks must be finite")
-            if (np.diff(array) < 0).any() or (
-                previous is not None and float(array[0]) < previous
-            ):
-                raise ClockRegressionError(
-                    "out-of-order clocks (high-water mark %r); arrival clocks "
-                    "must be non-decreasing" % (previous,)
-                )
-            return
-        # Mixed/object dtype: fall through to the scalar walk, which names
-        # the offending element.
+    isfinite = math.isfinite
+    mark = -math.inf if previous is None else previous
     for clock in clocks:
-        if not isinstance(clock, (int, float)) or isinstance(clock, bool):
+        kind = type(clock)
+        if kind is not float and kind is not int and (
+            not isinstance(clock, (int, float)) or isinstance(clock, bool)
+        ):
             raise IngestRejectedError("clocks must be numbers, got %r" % (clock,))
-        if not math.isfinite(clock):
+        if not isfinite(clock):
             raise IngestRejectedError("clocks must be finite, got %r" % (clock,))
-        if previous is not None and clock < previous:
+        if clock < mark:
             raise ClockRegressionError(
                 "out-of-order clock %r (high-water mark %r); arrival clocks "
-                "must be non-decreasing" % (clock, previous)
+                "must be non-decreasing" % (clock, mark)
             )
-        previous = clock
+        mark = clock
 
 
 def validate_values_column(values: Sequence[int]) -> None:
@@ -253,6 +232,8 @@ class SketchService:
             seed=config.seed,
         )
         if config.mode == "flat":
+            from ..core.ecm_sketch import ECMSketch
+
             return ECMSketch(ecm_config)
         if config.mode == "hierarchical":
             from ..queries.hierarchical import HierarchicalECMSketch
@@ -679,9 +660,8 @@ class SketchService:
         clock = self._applied_clock
         if clock is None:
             return
-        state = self.state
-        if isinstance(state, ECMSketch):
-            state.expire(clock)
+        if self.config.mode == "flat":
+            self._require_flat().expire(clock)
         elif self.config.mode == "hierarchical":
             stack = self._require_hierarchical()
             for level in range(stack.universe_bits):
@@ -790,9 +770,9 @@ class SketchService:
         return query_handler(self, op, self.config.mode)(message)
 
     def _require_flat(self) -> ECMSketch:
-        if not isinstance(self.state, ECMSketch):
+        if self.config.mode != "flat":
             raise ModeMismatchError("operation requires mode=flat (running %s)" % self.config.mode)
-        return self.state
+        return cast("ECMSketch", self.state)
 
     def _require_hierarchical(self) -> HierarchicalECMSketch:
         if self.config.mode != "hierarchical":
@@ -811,9 +791,8 @@ class SketchService:
     def _query_point(self, message: dict[str, Any]) -> float:
         key = _require_param(message, "key")
         range_length = message.get("range")
-        state = self.state
-        if isinstance(state, ECMSketch):
-            return float(state.point_query(key, range_length))
+        if self.config.mode == "flat":
+            return float(self._require_flat().point_query(key, range_length))
         if self.config.mode == "hierarchical":
             stack = self._require_hierarchical()
             return float(stack.point_query(_as_int_key(key), range_length))

@@ -43,8 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Hashable, Sequence
 from typing import Any, TypeVar
 
-from ..core.config import CounterType
-from ..core.counter_store import store_layout
+from ..core.config import CounterType, store_layout
 from ..core.errors import ConfigurationError
 from .config import ServiceConfig
 from .core import SketchService

@@ -57,11 +57,7 @@ from collections import deque
 from collections.abc import Awaitable, Hashable, Sequence
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from ..core.ecm_sketch import ECMSketch
 from ..core.errors import ConfigurationError, EmptyStructureError
-from ..serialization import ecm_sketch_from_dict
 from .config import ServiceConfig
 from .core import (
     IngestRejectedError,
@@ -151,23 +147,30 @@ def shard_of(key: Hashable, shards: int) -> int:
     return zlib.crc32(data) % shards
 
 
-#: Chunks at least this long take the vectorized partitioning path.
+#: All-``int`` columns at least this long take the vectorized partitioning path.
 _VECTOR_PARTITION_CUTOFF = 64
 
 
 def shard_column(keys: Sequence[Hashable], shards: int) -> list[int]:
     """Shard index of every key in a column (vectorized for integer keys).
 
-    The NumPy path reproduces :func:`shard_of` bit-for-bit: unsigned 64-bit
-    wrap-around multiply, the same xor-shift, the same modulus.  Columns
-    that are not plain machine integers (strings, mixed types, big ints
-    promoted to object dtype) fall back to the scalar loop.
+    A column of at least :data:`_VECTOR_PARTITION_CUTOFF` plain ``int`` keys
+    that NumPy holds as one signed or unsigned 64-bit array goes through
+    NumPy, which reproduces :func:`shard_of` bit-for-bit: unsigned 64-bit
+    wrap-around multiply, the same xor-shift, the same modulus.  Every other
+    column (strings, bools, mixed types, ints that do not fit one 64-bit
+    array) runs the scalar loop, and one that is not all ``int`` builds no
+    array first.
+    NumPy is imported here, on the first all-``int`` column, and nowhere
+    else in the router.
     """
     if shards <= 1:
         return [0] * len(keys)
-    if len(keys) >= _VECTOR_PARTITION_CUTOFF:
+    if len(keys) >= _VECTOR_PARTITION_CUTOFF and all(type(key) is int for key in keys):
+        import numpy as np
+
         array = np.asarray(keys)
-        if array.ndim == 1 and np.issubdtype(array.dtype, np.integer):
+        if array.dtype.kind in "iu":
             mixed = array.astype(np.uint64) * np.uint64(_GOLDEN)
             mixed ^= mixed >> np.uint64(29)
             return (mixed % np.uint64(shards)).astype(np.int64).tolist()
@@ -1002,6 +1005,9 @@ class ShardRouter:
         # Multisite: merge every worker's root aggregate (wire-format state
         # transfer + aggregate) and self-join the merged sketch — the
         # cross-shard product terms are real here, one sketch per site block.
+        from ..core.ecm_sketch import ECMSketch
+        from ..serialization import ecm_sketch_from_dict
+
         payloads = await self._fan({"op": "root_state"})
         sketches = [ecm_sketch_from_dict(payload["sketch"]) for payload in payloads]
         clocks = [

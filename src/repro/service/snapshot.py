@@ -11,6 +11,11 @@ the recorded high-water mark.
 Writes are atomic: the document lands in a temporary file in the target
 directory, is fsynced, and is moved over the destination with
 :func:`os.replace` — a crash mid-write leaves the previous snapshot intact.
+
+The serialization code is imported by the two functions that build or read
+a state, and it loads the sketch classes of the mode it meets: a flat
+server never loads the hierarchy, and the shard router, which writes only
+its manifest through :func:`write_snapshot`, loads no sketch code at all.
 """
 
 from __future__ import annotations
@@ -22,14 +27,6 @@ import tempfile
 from typing import Any, TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
-from ..core.ecm_sketch import ECMSketch
-from ..queries.hierarchical import HierarchicalECMSketch
-from ..serialization import (
-    ecm_sketch_from_dict,
-    ecm_sketch_to_dict,
-    hierarchical_from_dict,
-    hierarchical_to_dict,
-)
 from . import failpoints
 from .config import ServiceConfig
 
@@ -56,29 +53,31 @@ def snapshot_payload(service: SketchService) -> dict[str, Any]:
     the service drains the queue before its final shutdown snapshot, so a
     graceful stop loses nothing that was acknowledged.
     """
+    from ..serialization import ecm_sketch_to_dict, hierarchical_to_dict
     from .core import SketchService  # local import: cycle with core
 
     assert isinstance(service, SketchService)
-    state = service.state
+    mode = service.config.mode
     state_payload: dict[str, Any]
-    if isinstance(state, ECMSketch):
-        state_payload = {"sketch": ecm_sketch_to_dict(state)}
-    elif isinstance(state, HierarchicalECMSketch):
-        state_payload = {"sketch": hierarchical_to_dict(state)}
+    if mode == "flat":
+        state_payload = {"sketch": ecm_sketch_to_dict(service._require_flat())}
+    elif mode == "hierarchical":
+        state_payload = {"sketch": hierarchical_to_dict(service._require_hierarchical())}
     else:
         # Multisite: the periodic-aggregation coordinator.
+        coordinator = service._require_multisite()
         state_payload = {
-            "nodes": [ecm_sketch_to_dict(node.sketch) for node in state.nodes],
-            "records_processed": [node.records_processed for node in state.nodes],
-            "root": None if state._root is None else ecm_sketch_to_dict(state._root),
-            "last_round_clock": state._last_round_clock,
-            "next_round_clock": state._next_round_clock,
+            "nodes": [ecm_sketch_to_dict(node.sketch) for node in coordinator.nodes],
+            "records_processed": [node.records_processed for node in coordinator.nodes],
+            "root": None if coordinator._root is None else ecm_sketch_to_dict(coordinator._root),
+            "last_round_clock": coordinator._last_round_clock,
+            "next_round_clock": coordinator._next_round_clock,
             "stats": {
-                "arrivals": state.stats.arrivals,
-                "rounds": state.stats.rounds,
-                "transfer_bytes": state.stats.transfer_bytes,
-                "messages": state.stats.messages,
-                "round_clocks": list(state.stats.round_clocks),
+                "arrivals": coordinator.stats.arrivals,
+                "rounds": coordinator.stats.rounds,
+                "transfer_bytes": coordinator.stats.transfer_bytes,
+                "messages": coordinator.stats.messages,
+                "round_clocks": list(coordinator.stats.round_clocks),
             },
         }
     return {
@@ -144,6 +143,7 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, Any]:
 
 def service_state_from_snapshot(payload: dict[str, Any]) -> SketchService:
     """Rebuild a :class:`~repro.service.core.SketchService` from a snapshot."""
+    from ..serialization import ecm_sketch_from_dict, hierarchical_from_dict
     from .core import SketchService
 
     config = ServiceConfig.from_dict(payload["config"])

@@ -6,7 +6,9 @@
   ``sys.modules`` when each interpreter exits: the server itself and, for a
   sharded server, every worker.  Every Python process of the tree dumps, so
   the dumps also pin the process tree: the router plus one worker per
-  shard, and no ``multiprocessing`` resource tracker.
+  shard, and no ``multiprocessing`` resource tracker.  The router of a
+  sharded flat server holds no sketch, so it loads neither NumPy nor any
+  sketch code, and a flat server stays on the flat path when it snapshots.
 * **Subprocess environment.**  :func:`~repro.service.launch.repro_env` puts
   ``src/`` first on ``PYTHONPATH`` and never adds an empty entry (which
   Python reads as the current directory).
@@ -26,11 +28,12 @@ import os
 import subprocess
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
 
-from repro.service import ServeProcess, ServiceConfig, repro_env
+from repro.service import ServeProcess, ServiceConfig, SyncServiceClient, repro_env
 from repro.service.shard_worker import ShardProcess, ShardUnavailableError, worker_config
 
 pytestmark = pytest.mark.integration
@@ -70,6 +73,21 @@ SHARDED_UNUSED = (
 #: budget (its entry point runs as ``__main__``, so not even
 #: ``repro.service.shard_worker`` by name) and no re-run of the CLI.
 WORKER_UNUSED = (*FLAT_UNUSED, "repro.cli")
+
+#: Never imported by the router of a flat sharded server, even after it has
+#: partitioned string keys, routed a point query and summed the per-shard
+#: self-joins: the workers hold the sketches, so the router needs neither
+#: NumPy (nor ``_hashlib``, which only the sketch hashing pulls in) nor the
+#: sketch, counter, serialization or hierarchy code.
+ROUTER_UNUSED = (
+    "numpy",
+    "_hashlib",
+    "repro.core.ecm_sketch",
+    "repro.core.hashing",
+    "repro.windows.columnar_eh",
+    "repro.serialization",
+    "repro.queries.hierarchical",
+)
 
 #: A router started from a script file.  Every run of the script appends
 #: ``<pid> <__name__>`` to the marker file: once as ``__main__`` in the
@@ -117,8 +135,20 @@ def _loaded(modules: set[str], names: tuple[str, ...]) -> list[str]:
     )
 
 
-def _boot_modules(tmp_path: Path, *args: object) -> tuple[set[str], list[set[str]]]:
-    """Boot and stop ``repro serve``; the server's and each worker's modules."""
+def _string_chunk_and_queries(port: int) -> None:
+    """One string-key ingest chunk, then a point and a self-join query."""
+    keys = ["key-%d" % (index % 97) for index in range(1024)]
+    with SyncServiceClient.connect(port=port) as client:
+        client.ingest(keys, [float(index) for index in range(len(keys))])
+        client.drain()
+        assert client.point("key-3") > 0
+        assert client.self_join() > 0
+
+
+def _boot_modules(
+    tmp_path: Path, *args: object, drive: Callable[[int], None] | None = None
+) -> tuple[set[str], list[set[str]]]:
+    """Boot ``repro serve``, run ``drive(port)``, stop it; each process's modules."""
     hook = tmp_path / "hook"
     dumps = tmp_path / "dumps"
     hook.mkdir()
@@ -127,7 +157,9 @@ def _boot_modules(tmp_path: Path, *args: object) -> tuple[set[str], list[set[str
     env = repro_env({"PYTHONDONTWRITEBYTECODE": "1"})
     env["PYTHONPATH"] = os.pathsep.join([str(hook), env["PYTHONPATH"]])
     with ServeProcess(*args, env=env) as server:
-        server.wait_ready()
+        port = server.wait_ready()
+        if drive is not None:
+            drive(port)
         assert server.stop() == 0, server.output
     processes = {
         int(path.stem.split("-")[1]): set(json.loads(path.read_text(encoding="utf-8")))
@@ -147,6 +179,23 @@ class TestImportBudget:
         assert "repro.service.journal" in modules
         assert _loaded(modules, FLAT_UNUSED) == []
 
+    def test_flat_server_snapshot_stays_on_the_flat_path(self, tmp_path):
+        # A ``snapshot`` op, then the final snapshot of the SIGTERM drain:
+        # serializing a flat sketch loads no hierarchy.
+        snapshot = tmp_path / "snap.json"
+
+        def ingest_and_snapshot(port: int) -> None:
+            _string_chunk_and_queries(port)
+            with SyncServiceClient.connect(port=port) as client:
+                assert client.snapshot() == str(snapshot)
+
+        modules, _ = _boot_modules(
+            tmp_path, "--mode", "flat", "--snapshot-path", snapshot, drive=ingest_and_snapshot
+        )
+        assert snapshot.is_file()
+        assert "repro.serialization" in modules
+        assert _loaded(modules, FLAT_UNUSED) == []
+
     def test_sharded_router_adds_only_the_router_and_worker_handles(self, tmp_path):
         modules, workers = _boot_modules(
             tmp_path, "--mode", "flat", "--shards", 2, "--journal-dir", tmp_path / "journal"
@@ -160,6 +209,18 @@ class TestImportBudget:
         for worker in workers:
             assert "repro.service.server" in worker
             assert _loaded(worker, WORKER_UNUSED) == []
+
+    def test_sharded_router_loads_no_numpy_and_no_sketch_code(self, tmp_path):
+        modules, workers = _boot_modules(
+            tmp_path,
+            "--mode", "flat", "--shards", 2, "--journal-dir", tmp_path / "journal",
+            drive=_string_chunk_and_queries,
+        )
+        assert _loaded(modules, ROUTER_UNUSED) == []
+        # The sketches live in the workers, which load all of it.
+        assert len(workers) == 2
+        for worker in workers:
+            assert {"numpy", "repro.core.ecm_sketch", "repro.windows.columnar_eh"} <= worker
 
 
 class TestMainRerun:

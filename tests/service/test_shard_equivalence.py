@@ -98,6 +98,35 @@ class TestPartitionFunction:
         """Columns long enough for the NumPy path still match bit-for-bit."""
         assert shard_column(keys, shards) == [shard_of(key, shards) for key in keys]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.one_of(
+            # Signed and unsigned 64-bit columns, and columns NumPy can only
+            # hold as objects or floats (ints beyond 64 bits, or both signs
+            # past 2**63): the vector path or the scalar loop, never a lossy
+            # conversion.
+            st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=64, max_size=200),
+            st.lists(st.integers(min_value=-(2**31), max_value=-1), min_size=64, max_size=200),
+            st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=64, max_size=200),
+            st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=64, max_size=200),
+            st.lists(st.integers(min_value=2**64, max_value=2**70), min_size=64, max_size=200),
+            # JSON ``true``/``false`` hash like the integers 1 and 0, alone
+            # and inside an integer column.
+            st.lists(st.booleans(), min_size=64, max_size=200),
+            st.lists(st.one_of(st.booleans(), st.integers(-5, 5)), min_size=64, max_size=200),
+            # Mixed keys take the scalar loop.
+            st.lists(
+                st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=8)),
+                min_size=64,
+                max_size=200,
+            ),
+        ),
+        shards=st.integers(min_value=2, max_value=9),
+    )
+    def test_shard_column_long_columns_match_scalar(self, keys, shards):
+        """Every long column partitions exactly like the scalar function."""
+        assert shard_column(keys, shards) == [shard_of(key, shards) for key in keys]
+
 
 # --------------------------------------------------------------------------
 # Trace strategies

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
 import repro
+from repro.service.launch import repro_env
 
 
 class TestTopLevelExports:
@@ -78,3 +82,53 @@ class TestTopLevelExports:
                 attribute = getattr(cls, attribute_name)
                 if callable(attribute):
                     assert attribute.__doc__, "%s.%s lacks a docstring" % (cls.__name__, attribute_name)
+
+
+class TestLazyPackages:
+    """``repro``, ``repro.core`` and ``repro.windows`` resolve names on first use."""
+
+    def test_package_imports_load_no_numpy(self):
+        # A fresh interpreter: this one has long since imported NumPy.
+        probe = (
+            "import json, sys\n"
+            "import repro, repro.core, repro.windows, repro.service.config\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=repro_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        modules = set(json.loads(result.stdout))
+        assert "numpy" not in modules
+        assert not {"repro.core.ecm_sketch", "repro.core.countmin", "repro.core.counter_store"} & modules
+
+    @pytest.mark.parametrize("package_name", ["repro", "repro.core", "repro.windows"])
+    def test_every_export_is_its_defining_submodules_object(self, package_name):
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            if name == "__version__":
+                continue
+            submodule = importlib.import_module(
+                "%s.%s" % (package_name, package._EXPORTS[name])
+            )
+            assert getattr(package, name) is vars(submodule)[name], (package_name, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        for package in (repro, repro.core, repro.windows):
+            with pytest.raises(AttributeError):
+                package.no_such_name  # noqa: B018
+
+    def test_moved_config_helpers_keep_their_old_homes(self):
+        from repro.core import config
+        from repro.core.counter_store import store_layout
+        from repro.core.countmin import dimensions_for_error
+
+        assert dimensions_for_error is config.dimensions_for_error
+        assert store_layout is config.store_layout
+        assert dimensions_for_error(0.1, 0.05) == (28, 3)
+        assert store_layout(config.CounterType.EXPONENTIAL_HISTOGRAM) == "columnar"
+        assert store_layout(config.CounterType.DETERMINISTIC_WAVE) == "object"
