@@ -38,7 +38,7 @@ def test_ablation_propagation_period(benchmark, bench_records):
             coordinator = PeriodicAggregationCoordinator(num_nodes=16, config=config, period=period)
             worst_error = 0.0
             for record in stream:
-                coordinator.observe_record(record)
+                coordinator.observe(record.node, record.key, record.timestamp, record.value)
                 # Query at maximum staleness: right before each refresh.
                 if coordinator.stats.rounds and record.timestamp - coordinator.last_round_clock > 0.9 * period:
                     arrivals = exact.arrivals(None, record.timestamp)

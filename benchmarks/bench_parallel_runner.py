@@ -29,7 +29,7 @@ from unittest import mock
 import pytest
 
 from repro.core import CounterType, ECMConfig, ECMSketch
-from repro.distributed import run_sharded_ingest
+from repro.distributed import ShardedIngestRunner
 from repro.serialization import dumps
 from repro.streams import WorldCupSyntheticTrace
 from repro.windows import randomized_wave
@@ -206,9 +206,10 @@ def _run_runner_throughput(records: int = 20_000, num_sites: int = 16) -> list[d
     config = ECMConfig.for_point_queries(epsilon=0.1, delta=0.1, window=WINDOW)
     rows: list[dict[str, float]] = []
     for workers in (1, 2):
-        _, report = run_sharded_ingest(
-            trace, num_nodes=num_sites, config=config, workers=workers
-        )
+        runner = ShardedIngestRunner(config, workers=workers)
+        runner.ingest(trace, num_nodes=num_sites)
+        report = runner.last_report
+        assert report is not None
         rows.append(
             {
                 "workers": workers,

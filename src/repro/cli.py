@@ -665,13 +665,13 @@ def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) 
         names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         if args.batch_size is not None and any(name != "table3" for name in names):
             out("note: --batch-size currently affects only the table3 (update-rate) "
-                "experiment; other experiments ingest per-record.")
+                "experiment; the other experiments ignore it.")
         distributed_names = {"figure5", "table4", "figure6"}
         if (args.workers is not None or args.shards is not None) and any(
             name not in distributed_names for name in names
         ):
             out("note: --workers/--shards affect only the distributed experiments "
-                "(figure5, table4, figure6); other experiments ingest per-record.")
+                "(figure5, table4, figure6); other experiments run in-process.")
         collected: list[object] = []
         for name in names:
             rows, table = EXPERIMENTS[name](args)

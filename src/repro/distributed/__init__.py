@@ -19,7 +19,6 @@ _EXPORTS: dict[str, str] = {
     "ShardPlan": "runner",
     "RunnerReport": "runner",
     "ShardedIngestRunner": "runner",
-    "run_sharded_ingest": "runner",
     "PeriodicAggregationCoordinator": "continuous",
     "PropagationStats": "continuous",
     "GeometricMonitor": "geometric",

@@ -162,43 +162,27 @@ class DistributedDeployment:
         return len(self.nodes)
 
     def ingest(
-        self,
-        stream: Stream,
-        workers: int | None = None,
-        shards: int | None = None,
-        batch_size: int | None = None,
+        self, stream: Stream, workers: int | None = None, shards: int | None = None
     ) -> None:
         """Route every record of the stream to the site that observed it.
 
         Records whose ``node`` exceeds the deployment size are assigned by
         modulo, which lets experiments reuse a trace generated for a different
-        node count (Figure 6's artificial networks).
+        node count (Figure 6's artificial networks).  Ingestion runs through
+        the sharded runner (:mod:`repro.distributed.runner`): sites are
+        grouped into shards and fed through the batched fast path.  The
+        resulting site sketches are identical to one :meth:`observe` per
+        record, whatever ``workers`` and ``shards`` are.
 
         Args:
             stream: The logical stream to partition across the sites.
-            workers: When given (or when ``shards``/``batch_size`` is given),
-                ingest through the sharded runner
-                (:mod:`repro.distributed.runner`): sites are grouped into
-                shards, replayed through the batched fast path, and — with
-                ``workers >= 2`` — simulated in parallel worker processes.
-                The resulting site sketches are identical to the default
-                per-record loop.
+            workers: Worker processes; ``None`` or 1 runs in-process, ``>= 2``
+                simulates the shards in parallel worker processes.
             shards: Number of shard work units (defaults to ``workers``).
-            batch_size: ``add_many`` chunk size for the sharded path.
         """
-        if workers is None and shards is None and batch_size is None:
-            for record in stream:
-                node = self.nodes[record.node % len(self.nodes)]
-                node.observe_record(record)
-            return
-        from .runner import DEFAULT_BATCH_SIZE, ShardedIngestRunner
+        from .runner import ShardedIngestRunner
 
-        runner = ShardedIngestRunner(
-            self.config,
-            workers=workers,
-            shards=shards,
-            batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
-        )
+        runner = ShardedIngestRunner(self.config, workers=workers, shards=shards)
         runner.ingest(stream, num_nodes=len(self.nodes), nodes=self.nodes)
         self.last_ingest_report = runner.last_report
 

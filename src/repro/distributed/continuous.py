@@ -18,14 +18,14 @@ observed staleness — so the period can be chosen quantitatively (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 
 from ..core.config import ECMConfig
 from ..core.ecm_sketch import ECMSketch
 from ..core.errors import ConfigurationError, EmptyStructureError
-from ..streams.stream import Stream, StreamRecord
+from ..streams.stream import Stream
 from .aggregation import AggregationReport, hierarchical_aggregate
-from .node import StreamNode
+from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode
 from .topology import AggregationTree
 
 __all__ = ["PropagationStats", "PeriodicAggregationCoordinator"]
@@ -61,10 +61,12 @@ class PeriodicAggregationCoordinator:
         >>> from repro.core import ECMConfig
         >>> config = ECMConfig.for_point_queries(epsilon=0.2, delta=0.2, window=1000.0)
         >>> coordinator = PeriodicAggregationCoordinator(num_nodes=2, config=config, period=10.0)
-        >>> coordinator.observe(0, "x", clock=1.0)
-        >>> coordinator.observe(1, "x", clock=12.0)   # crosses t=10: triggers a round
-        >>> coordinator.stats.rounds >= 1
+        >>> coordinator.observe(0, "x", clock=1.0)    # arms the first round at t=11
+        False
+        >>> coordinator.observe(1, "x", clock=12.0)   # crosses t=11: triggers a round
         True
+        >>> coordinator.stats.rounds
+        1
     """
 
     def __init__(
@@ -110,78 +112,105 @@ class PeriodicAggregationCoordinator:
             return True
         return False
 
-    def observe_record(self, record: StreamRecord) -> bool:
-        """Process one stream record."""
-        return self.observe(record.node, record.key, record.timestamp, record.value)
+    def observe_stream(self, stream: Stream, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+        """Process a whole stream in order, routing each record to its site.
 
-    def observe_stream(self, stream: Stream, batch_size: int | None = None) -> None:
-        """Process a whole stream in order.
+        Rounds, stats and query answers are identical to one :meth:`observe`
+        per record; see :meth:`observe_columns`.
+        """
+        keys, clocks, values = stream.columns()
+        sites = [record.node for record in stream]
+        self.observe_columns(sites, keys, clocks, values, batch_size)
+
+    def observe_columns(
+        self,
+        sites: int | Sequence[int],
+        keys: Sequence[Hashable],
+        clocks: Sequence[float],
+        values: Sequence[int] | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> None:
+        """Process one in-order run of arrivals, preserving round semantics.
+
+        This is the batched core of :meth:`observe_stream` and the ingest
+        path of the live sketch service (:mod:`repro.service`), which feeds
+        the coordinator one site's micro-batch at a time.  The arrivals
+        between two rounds reach their sites through
+        :meth:`~repro.distributed.node.StreamNode.observe_columns`, and
+        aggregation rounds fire at exactly the stream clocks where one
+        :meth:`observe` per arrival would fire them, regardless of
+        ``batch_size``.
 
         Args:
-            stream: The stream to route across the sites.
-            batch_size: When given, feed the sites through the batched fast
-                path: records between two aggregation rounds are grouped per
-                site and ingested via
-                :meth:`~repro.distributed.node.StreamNode.observe_batch`,
-                with rounds still triggered at exactly the clocks the
-                per-record path would trigger them.  Rounds, stats and
-                query answers are identical to per-record processing.
+            sites: The observing site of every arrival: one id for the whole
+                run, or one id per arrival.
+            keys: Item keys, in stream order.
+            clocks: Clock values, one per key.
+            values: Optional per-arrival weights (defaults to 1 each).
+            batch_size: ``add_many`` chunk size of the sites.
         """
-        self.observe_batch(list(stream), batch_size=batch_size)
-
-    def observe_batch(
-        self, records: list[StreamRecord], batch_size: int | None = None
-    ) -> None:
-        """Process one in-order run of records, preserving round semantics.
-
-        This is the reusable core of :meth:`observe_stream` — and the ingest
-        path of the live sketch service (:mod:`repro.service`), which feeds
-        the coordinator micro-batches as they leave its queue.  Aggregation
-        rounds fire at exactly the stream clocks where per-record
-        :meth:`observe` calls would fire them, regardless of ``batch_size``.
-        """
-        if batch_size is None:
-            for record in records:
-                self.observe_record(record)
-            return
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive, got %r" % (batch_size,))
         position = 0
-        total = len(records)
+        total = len(keys)
         while position < total:
             next_round = self._next_round_clock
             if next_round is None:
-                # First arrival: observe it, then establish the round schedule
-                # — exactly the per-record path's bootstrap step.
-                record = records[position]
-                self.nodes[record.node % len(self.nodes)].observe_record(record)
-                self.stats.arrivals += 1
-                self._next_round_clock = record.timestamp + self.period
+                # First arrival: observe() establishes the round schedule.
+                self.observe(
+                    sites if isinstance(sites, int) else sites[position],
+                    keys[position],
+                    clocks[position],
+                    1 if values is None else values[position],
+                )
                 position += 1
                 continue
-            # Extend the segment until the record that crosses the round
-            # boundary (it is observed *before* the round runs) or the cap.
-            scan = position
-            boundary: int | None = None
-            while scan < total and scan - position < batch_size:
-                if records[scan].timestamp >= next_round:
-                    boundary = scan
-                    break
-                scan += 1
-            stop = boundary + 1 if boundary is not None else scan
-            self._observe_segment(records[position:stop])
+            # Extend the segment up to the arrival that crosses the round
+            # boundary: it is observed *before* the round runs.
+            boundary = next(
+                (index for index in range(position, total) if clocks[index] >= next_round),
+                None,
+            )
+            stop = total if boundary is None else boundary + 1
+            self._observe_segment(sites, keys, clocks, values, position, stop, batch_size)
             if boundary is not None:
-                self.run_round(now=records[boundary].timestamp)
+                self.run_round(now=clocks[boundary])
             position = stop
 
-    def _observe_segment(self, segment: list[StreamRecord]) -> None:
-        """Feed one round-free run of records to its sites, batched per site."""
-        per_node: dict = {}
-        for record in segment:
-            per_node.setdefault(record.node % len(self.nodes), []).append(record)
-        for node_id, node_records in per_node.items():
-            self.nodes[node_id].observe_batch(node_records)
-        self.stats.arrivals += len(segment)
+    def _observe_segment(
+        self,
+        sites: int | Sequence[int],
+        keys: Sequence[Hashable],
+        clocks: Sequence[float],
+        values: Sequence[int] | None,
+        start: int,
+        stop: int,
+        batch_size: int,
+    ) -> None:
+        """Feed arrivals ``[start, stop)``, which span no round, to their sites."""
+        num_nodes = len(self.nodes)
+        if isinstance(sites, int):
+            self.nodes[sites % num_nodes].observe_columns(
+                keys[start:stop],
+                clocks[start:stop],
+                None if values is None else values[start:stop],
+                batch_size,
+            )
+        else:
+            per_node: dict[int, NodeColumns] = {}
+            for index in range(start, stop):
+                node_id = sites[index] % num_nodes
+                entry = per_node.get(node_id)
+                if entry is None:
+                    entry = per_node[node_id] = ([], [], [])
+                entry[0].append(keys[index])
+                entry[1].append(clocks[index])
+                entry[2].append(1 if values is None else values[index])
+            for node_id, (node_keys, node_clocks, node_values) in per_node.items():
+                self.nodes[node_id].observe_columns(
+                    node_keys, node_clocks, node_values, batch_size
+                )
+        self.stats.arrivals += stop - start
 
     # ----------------------------------------------------------------- rounds
     def run_round(self, now: float) -> ECMSketch:

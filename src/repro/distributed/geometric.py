@@ -31,7 +31,7 @@ import numpy as np
 from ..core.config import ECMConfig
 from ..core.errors import ConfigurationError
 from ..streams.stream import Stream
-from .node import StreamNode
+from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode
 
 __all__ = [
     "ThresholdFunction",
@@ -170,9 +170,10 @@ class GeometricMonitor:
         >>> config = ECMConfig.for_point_queries(epsilon=0.2, delta=0.2, window=1e6)
         >>> monitor = GeometricMonitor(num_sites=2, config=config, threshold=1e9)
         >>> monitor.initialize(now=0.0)
-        >>> monitor.observe(0, "k1", clock=1.0)
-        >>> monitor.stats.synchronizations >= 1
-        True
+        >>> monitor.observe(0, "k1", clock=1.0)   # threshold far away: no sync
+        False
+        >>> monitor.stats.synchronizations       # just the initial one
+        1
     """
 
     def __init__(
@@ -250,33 +251,35 @@ class GeometricMonitor:
         self._arrivals_since_check[site_id % len(self.sites)] = 0
         return self._check_site(site, clock)
 
-    def observe_stream(self, stream: Stream, batch_size: int | None = None) -> None:
+    def observe_stream(self, stream: Stream, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         """Process a whole stream, routing records to their observing sites.
+
+        Records are buffered per site and ingested through
+        :meth:`~repro.distributed.node.StreamNode.observe_columns`.  All
+        buffers are flushed before every local constraint check (a
+        synchronisation reads every site's statistics vector), so checks run
+        against exactly the state one :meth:`observe` per record would see —
+        protocol decisions, stats and estimates are identical.
 
         Args:
             stream: The stream to route across the sites.
-            batch_size: When given, buffer records per site and ingest them
-                through :meth:`~repro.distributed.node.StreamNode.observe_batch`.
-                All buffers are flushed before every local constraint check
-                (a synchronisation reads every site's statistics vector), so
-                checks run against exactly the state the per-record path
-                would see — protocol decisions, stats and estimates are
-                identical.
+            batch_size: Buffered records that force a flush between checks.
         """
-        if batch_size is None:
-            for record in stream:
-                self.observe(record.node, record.key, record.timestamp, record.value)
-            return
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive, got %r" % (batch_size,))
         if self.estimate_vector is None:
             raise ConfigurationError("call initialize() before observing arrivals")
-        buffers: dict[int, list] = {}
+        buffers: dict[int, NodeColumns] = {}
         buffered = 0
         num_sites = len(self.sites)
         for record in stream:
             site_index = record.node % num_sites
-            buffers.setdefault(site_index, []).append(record)
+            entry = buffers.get(site_index)
+            if entry is None:
+                entry = buffers[site_index] = ([], [], [])
+            entry[0].append(record.key)
+            entry[1].append(record.timestamp)
+            entry[2].append(record.value)
             buffered += 1
             self.stats.arrivals += 1
             self._arrivals_since_check[site_index] += 1
@@ -290,12 +293,11 @@ class GeometricMonitor:
                 buffered = 0
         self._flush_buffers(buffers)
 
-    def _flush_buffers(self, buffers: dict[int, list]) -> None:
-        """Ingest and clear all per-site record buffers (stream order kept)."""
-        for site_index, records in buffers.items():
-            if records:
-                self.sites[site_index].node.observe_batch(records)
-                records.clear()
+    def _flush_buffers(self, buffers: dict[int, NodeColumns]) -> None:
+        """Ingest and drop all per-site buffers (stream order kept)."""
+        for site_index, (keys, clocks, values) in buffers.items():
+            self.sites[site_index].node.observe_columns(keys, clocks, values)
+        buffers.clear()
 
     def _check_site(self, site: _MonitoredSite, now: float) -> bool:
         """Evaluate the local geometric constraint of one site."""

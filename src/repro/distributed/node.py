@@ -9,14 +9,20 @@ monitoring protocol in :mod:`repro.distributed.geometric`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 
 from ..core.config import ECMConfig
 from ..core.ecm_sketch import ECMSketch
 from ..core.errors import ConfigurationError
-from ..streams.stream import Stream, StreamRecord
+from ..streams.stream import Stream
 
 __all__ = ["StreamNode"]
+
+#: Default ``add_many`` chunk size of the batched ingest paths.
+DEFAULT_BATCH_SIZE = 1_024
+
+#: One site's arrivals, pivoted into parallel (keys, clocks, values) lists.
+NodeColumns = tuple[list[Hashable], list[float], list[int]]
 
 
 class StreamNode:
@@ -43,74 +49,43 @@ class StreamNode:
         self.sketch.add(key, clock, value)
         self.records_processed += 1
 
-    def observe_record(self, record: StreamRecord) -> None:
-        """Process one :class:`~repro.streams.stream.StreamRecord`."""
-        self.observe(record.key, record.timestamp, record.value)
+    def observe_stream(self, stream: Stream, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+        """Process every record of a local stream in order, through the batched path.
 
-    def observe_stream(self, stream: Stream, batch_size: int | None = None) -> None:
-        """Process every record of a local stream in order.
-
-        Args:
-            stream: The node's local stream.
-            batch_size: When given, ingest through the batched fast path
-                (:meth:`~repro.core.ecm_sketch.ECMSketch.add_many`) in chunks
-                of this many records.  The resulting sketch state is identical
-                to per-record ingestion, only faster.
+        The resulting sketch state is identical to one :meth:`observe` per
+        record, only faster.
         """
-        if batch_size is None:
-            for record in stream:
-                self.observe_record(record)
-            return
-        for chunk in stream.iter_batches(batch_size):
-            self.observe_batch(chunk)
-
-    def observe_batch(self, records: Sequence[StreamRecord]) -> None:
-        """Process one chunk of in-order records through the batched path."""
-        if not records:
-            return
-        # add_many itself routes all-unit weights onto the counts-free path.
-        self.sketch.add_many(
-            [record.key for record in records],
-            [record.timestamp for record in records],
-            [record.value for record in records],
-        )
-        self.records_processed += len(records)
-
-    def observe_records(self, records: Iterable[StreamRecord]) -> None:
-        """Process an iterable of records in the given order."""
-        for record in records:
-            self.observe_record(record)
+        keys, clocks, values = stream.columns()
+        self.observe_columns(keys, clocks, values, batch_size)
 
     def observe_columns(
         self,
         keys: Sequence[Hashable],
         clocks: Sequence[float],
         values: Sequence[int] | None = None,
-        batch_size: int | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         """Process pre-pivoted parallel columns through the batched path.
 
-        This is the ingestion seam of the sharded runner
-        (:mod:`repro.distributed.runner`): worker processes receive each
-        node's local stream as plain (keys, clocks, values) lists — the
-        cheapest layout to pickle — and feed them here in chunks.  The
-        resulting sketch state is identical to per-record ingestion.
+        This is the ingestion seam of every simulated site: the sharded
+        runner (:mod:`repro.distributed.runner`), whose worker processes
+        receive each node's local stream as plain (keys, clocks, values)
+        lists — the cheapest layout to pickle — and the periodic-aggregation
+        coordinator both feed it.  The resulting sketch state is identical to
+        one :meth:`observe` per arrival.
 
         Args:
             keys: Item keys, in stream order.
             clocks: Non-decreasing clock values, one per key.
             values: Optional per-arrival weights (defaults to 1 each).
-            batch_size: Chunk size for ``add_many`` (defaults to the whole
-                run at once).
+            batch_size: Chunk size for ``add_many``.
         """
-        total = len(keys)
-        if not total:
-            return
-        step = total if batch_size is None else batch_size
-        if step <= 0:
+        if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive, got %r" % (batch_size,))
-        for start in range(0, total, step):
-            stop = start + step
+        total = len(keys)
+        for start in range(0, total, batch_size):
+            stop = start + batch_size
+            # add_many itself routes all-unit weights onto the counts-free path.
             self.sketch.add_many(
                 keys[start:stop],
                 clocks[start:stop],

@@ -1,33 +1,35 @@
 """Sharded, parallel simulation of distributed ECM-sketch deployments.
 
 The paper's distributed experiments (Sections 5 and 7.3) simulate every
-observation site inside one Python process, feeding arrivals one record at a
-time.  That serial loop caps the reachable deployment size long before the
-algorithms do: the sketches themselves compose freely (Theorems 1 and 4), so
-nothing about the *simulation* has to be sequential across sites.
+observation site inside one Python process.  A serial simulation caps the
+reachable deployment size long before the algorithms do: the sketches
+themselves compose freely (Theorems 1 and 4), so nothing about the
+*simulation* has to be sequential across sites.
 
 This module exploits exactly that independence.  A run is split into three
 phases:
 
 1. **Partition** — the logical stream is routed to its observation sites
-   (``record.node % num_nodes``, the same rule the serial path uses) and the
-   sites are grouped into *shards*, one work unit per shard.
+   (``record.node % num_nodes``) and the sites are grouped into *shards*,
+   one work unit per shard.
 2. **Ingest** — each shard replays its sites' local streams through the
    batched fast path (:meth:`~repro.distributed.node.StreamNode.observe_columns`,
    built on ``ECMSketch.add_many``).  With ``workers >= 2`` the shards run in
    separate OS processes (:class:`concurrent.futures.ProcessPoolExecutor`);
-   site state travels back as the explicit wire format of
-   :mod:`repro.serialization`, whose round-trip is exact.
+   site state travels both ways — a non-empty site's sketch out, the filled
+   sketch back — as the explicit wire format of :mod:`repro.serialization`,
+   whose round-trip is exact.
 3. **Join** — the filled sites feed the usual aggregation machinery
    (:func:`~repro.distributed.aggregation.hierarchical_aggregate`), which
    merges sketches through ``ECMSketch.aggregate``.
 
 Equivalence guarantee: a site's sketch depends only on its own arrival
 subsequence, which partitioning preserves in order; the batched ingestion
-path is state-identical to per-record ingestion; and the wire format
-round-trips exactly.  A parallel run therefore produces sites — and hence a
-root sketch — serialized byte-for-byte the same as the serial simulation
-(enforced by ``tests/distributed/test_runner.py``).
+path is state-identical to one ``observe`` per arrival; and the wire format
+round-trips exactly.  Every run therefore produces sites — and hence a root
+sketch — serialized byte-for-byte the same as feeding each arrival to its
+site's :meth:`~repro.distributed.node.StreamNode.observe` (enforced by
+``tests/distributed/test_runner.py``).
 """
 
 from __future__ import annotations
@@ -35,21 +37,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from collections.abc import Hashable
 from typing import Any
 
 from ..core.config import ECMConfig
 from ..core.errors import ConfigurationError
 from ..streams.stream import Stream
-from .node import StreamNode
+from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode
 
-__all__ = ["ShardPlan", "RunnerReport", "ShardedIngestRunner", "run_sharded_ingest"]
+__all__ = ["ShardPlan", "RunnerReport", "ShardedIngestRunner"]
 
-#: Default ``add_many`` chunk size used when replaying a site's local stream.
-DEFAULT_BATCH_SIZE = 1_024
-
-#: One site's local stream, pivoted into the picklable column layout.
-NodeColumns = tuple[list[Hashable], list[float], list[int]]
+#: One site's work item: its id, its arrivals and, when the site already
+#: holds arrivals, its serialized sketch to continue from.
+SiteWork = tuple[int, NodeColumns, dict[str, Any] | None]
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,8 @@ def plan_shards(num_nodes: int, shards: int) -> list[ShardPlan]:
 def _partition_columns(stream: Stream, num_nodes: int) -> dict[int, NodeColumns]:
     """Route every record to its site, as per-site column lists.
 
-    Uses the same ``record.node % num_nodes`` rule as
-    :meth:`~repro.distributed.aggregation.DistributedDeployment.ingest`, so a
-    trace generated for a different node count lands on the same sites.
+    Sites are assigned by ``record.node % num_nodes``, so a trace generated
+    for a different node count lands on the same sites.
     """
     columns: dict[int, NodeColumns] = {}
     for record in stream:
@@ -136,7 +134,7 @@ def _partition_columns(stream: Stream, num_nodes: int) -> dict[int, NodeColumns]
 
 
 def _ingest_shard_payload(
-    payload: tuple[dict[str, Any], list[tuple[int, NodeColumns]], int],
+    payload: tuple[dict[str, Any], list[SiteWork], int],
 ) -> list[tuple[int, int, dict[str, Any]]]:
     """Worker entry point: simulate one shard's sites and ship their state.
 
@@ -147,13 +145,15 @@ def _ingest_shard_payload(
     """
     # Imported here as well so the function stays self-contained under spawn
     # start methods (fork inherits the parent's imports anyway).
-    from ..serialization import config_from_dict, ecm_sketch_to_dict
+    from ..serialization import config_from_dict, ecm_sketch_from_dict, ecm_sketch_to_dict
 
-    config_payload, node_columns, batch_size = payload
+    config_payload, site_work, batch_size = payload
     config = config_from_dict(config_payload)
     results: list[tuple[int, int, dict[str, Any]]] = []
-    for node_id, (keys, clocks, values) in node_columns:
+    for node_id, (keys, clocks, values), sketch_payload in site_work:
         node = StreamNode(node_id=node_id, config=config)
+        if sketch_payload is not None:
+            node.sketch = ecm_sketch_from_dict(sketch_payload)
         node.observe_columns(keys, clocks, values, batch_size=batch_size)
         results.append((node_id, node.records_processed, ecm_sketch_to_dict(node.sketch)))
     return results
@@ -209,15 +209,17 @@ class ShardedIngestRunner:
         Args:
             stream: The logical stream to partition across sites.
             num_nodes: Number of observation sites.
-            nodes: Existing (fresh) sites to fill, e.g. a
+            nodes: Existing sites to feed, e.g. a
                 :class:`~repro.distributed.aggregation.DistributedDeployment`'s;
-                created when omitted.  Parallel runs replace each listed
-                site's sketch with the shard-built one.
+                created empty when omitted.  Sites that already hold
+                arrivals continue from their current state: parallel runs
+                ship such a site's sketch to the worker and replace it with
+                the continued one.
 
         Returns:
             The filled sites, ordered by site id.
         """
-        from ..serialization import config_to_dict, ecm_sketch_from_dict
+        from ..serialization import config_to_dict, ecm_sketch_from_dict, ecm_sketch_to_dict
 
         if nodes is None:
             nodes = [StreamNode(node_id=i, config=self.config) for i in range(num_nodes)]
@@ -249,9 +251,18 @@ class ShardedIngestRunner:
                     )
         else:
             config_payload = config_to_dict(self.config)
-            payloads = [
-                (config_payload, work, self.batch_size) for work in shard_work if work
-            ]
+            payloads: list[tuple[dict[str, Any], list[SiteWork], int]] = []
+            for work in shard_work:
+                if not work:
+                    continue
+                site_work: list[SiteWork] = []
+                for node_id, node_columns in work:
+                    # A site that already holds arrivals continues from its
+                    # sketch, not from an empty one.
+                    sketch = nodes[node_id].sketch
+                    shipped = None if sketch.last_clock is None else ecm_sketch_to_dict(sketch)
+                    site_work.append((node_id, node_columns, shipped))
+                payloads.append((config_payload, site_work, self.batch_size))
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 for shard_results in pool.map(_ingest_shard_payload, payloads):
                     for node_id, processed, sketch_payload in shard_results:
@@ -262,20 +273,3 @@ class ShardedIngestRunner:
         self.last_report = report
         return nodes
 
-
-def run_sharded_ingest(
-    stream: Stream,
-    num_nodes: int,
-    config: ECMConfig,
-    workers: int | None = None,
-    shards: int | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    nodes: list[StreamNode] | None = None,
-) -> tuple[list[StreamNode], RunnerReport]:
-    """Convenience wrapper: build a runner, ingest, return sites and report."""
-    runner = ShardedIngestRunner(
-        config, workers=workers, shards=shards, batch_size=batch_size
-    )
-    filled = runner.ingest(stream, num_nodes=num_nodes, nodes=nodes)
-    assert runner.last_report is not None
-    return filled, runner.last_report

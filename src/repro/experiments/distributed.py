@@ -125,8 +125,8 @@ def _run_deployment(
     shards: int | None = None,
 ) -> DistributedDeployment:
     deployment = DistributedDeployment(num_nodes=num_nodes, config=config)
-    # ingest() itself picks the per-record loop when workers/shards are both
-    # None, and the sharded runner (identical site sketches) otherwise.
+    # ingest() always runs the sharded runner (in-process when workers is
+    # None or 1); the site sketches are identical for every workers/shards.
     deployment.ingest(stream, workers=workers, shards=shards)
     return deployment
 
@@ -148,9 +148,9 @@ def run_distributed_error_experiment(
 
     ECM-RW self-join rows are skipped (no guarantee, as in the paper);
     ECM-DW is excluded by default for the same reason the paper excludes it.
-    With ``workers``/``shards`` the sites are simulated through the sharded
-    parallel runner; the measured errors and transfer volumes are identical
-    to the serial simulation.
+    ``workers``/``shards`` spread the sites' simulation over worker
+    processes; the measured errors and transfer volumes are identical for
+    every setting.
     """
     if variants is None:
         variants = (CounterType.EXPONENTIAL_HISTOGRAM, CounterType.RANDOMIZED_WAVE)

@@ -71,9 +71,9 @@ def run_network_size_experiment(
 ) -> list[NetworkSizeRow]:
     """Regenerate Figure 6 for one data set.
 
-    With ``workers``/``shards`` every simulated network is ingested through
-    the sharded parallel runner (identical results to the serial loop), which
-    is what makes the larger artificial networks tractable.
+    ``workers``/``shards`` spread every simulated network's ingest over
+    worker processes (identical results for every setting), which is what
+    makes the larger artificial networks tractable.
     """
     if variants is None:
         variants = (CounterType.EXPONENTIAL_HISTOGRAM, CounterType.RANDOMIZED_WAVE)

@@ -65,7 +65,6 @@ _EXPORTS: dict[str, str] = {
     "ServiceClient": "client",
     "SyncServiceClient": "client",
     "RetryPolicy": "client",
-    "wait_for_server": "client",
     "HeavyHitter": "models",
     "ServerInfo": "models",
     "ServerStats": "models",

@@ -39,7 +39,6 @@ import contextlib
 
 import asyncio
 import random
-import socket
 import time
 import uuid
 from collections.abc import Hashable, Sequence
@@ -69,7 +68,6 @@ __all__ = [
     "RetryPolicy",
     "ServiceClient",
     "SyncServiceClient",
-    "wait_for_server",
 ]
 
 #: Bound on establishing one TCP connection (RL006): a black-holed endpoint
@@ -103,26 +101,6 @@ class RetryPolicy:
         """Backoff before retry number ``retry_index`` (0-based), jittered."""
         delay = min(self.max_delay, self.base_delay * (2.0**retry_index))
         return delay * (1.0 + random.random() * self.jitter)
-
-
-def wait_for_server(host: str = "127.0.0.1", port: int = 7600, timeout: float = 30.0) -> None:
-    """Block until a server accepts TCP connections on ``host:port``.
-
-    The standard boot handshake for anything spawning ``repro serve`` as a
-    subprocess (tests, benchmarks, scripts): poll with short connects until
-    the listener is up.
-
-    Raises:
-        TimeoutError: Nothing listened within ``timeout`` seconds.
-    """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            socket.create_connection((host, port), timeout=0.25).close()
-            return
-        except OSError:
-            time.sleep(0.05)
-    raise TimeoutError("no server listening on %s:%d after %.0f s" % (host, port, timeout))
 
 
 def _unwrap(response: dict[str, Any]) -> Any:

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Any, cast
 
 from ..core.config import ECMConfig
 from ..core.errors import EmptyStructureError
-from ..streams.stream import StreamRecord
 from .config import ServiceConfig
 from .errors import (
     ClockRegressionError,
@@ -601,17 +600,8 @@ class SketchService:
                         values[start:stop] if values is not None else None,
                     )
             else:
-                records = [
-                    StreamRecord(
-                        timestamp=clocks[i],
-                        key=keys[i],
-                        node=site,
-                        value=values[i] if values is not None else 1,
-                    )
-                    for i in range(len(keys))
-                ]
-                cast("PeriodicAggregationCoordinator", state).observe_batch(
-                    records, batch_size=batch_cap
+                cast("PeriodicAggregationCoordinator", state).observe_columns(
+                    site, keys, clocks, values, batch_size=batch_cap
                 )
             count = len(keys)
             weight = count if values is None else sum(values)

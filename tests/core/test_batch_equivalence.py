@@ -390,7 +390,8 @@ class TestStreamAndNodeBatching:
         config = ECMConfig.for_point_queries(epsilon=0.2, delta=0.2, window=1e6)
         scalar_node = StreamNode(node_id=1, config=config)
         batched_node = StreamNode(node_id=1, config=config)
-        scalar_node.observe_stream(stream)
+        for record in stream:
+            scalar_node.observe(record.key, record.timestamp, record.value)
         batched_node.observe_stream(stream, batch_size=64)
         assert dumps(scalar_node.sketch) == dumps(batched_node.sketch)
         assert scalar_node.records_processed == batched_node.records_processed

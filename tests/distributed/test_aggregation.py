@@ -14,7 +14,6 @@ from repro.distributed import (
     StreamNode,
     hierarchical_aggregate,
 )
-from repro.streams import StreamRecord
 
 
 WINDOW = 100_000.0
@@ -31,7 +30,7 @@ class TestStreamNode:
     def test_observe_and_query(self):
         node = StreamNode(node_id=0, config=_config())
         node.observe("k", clock=1.0)
-        node.observe_record(StreamRecord(timestamp=2.0, key="k"))
+        node.observe("k", clock=2.0)
         assert node.records_processed == 2
         assert node.local_point_query("k", now=2.0) >= 2.0
         assert node.local_self_join(now=2.0) >= 4.0

@@ -97,7 +97,7 @@ class TestQueries:
         max_staleness = 0.0
         started = False
         for record in uniform_trace:
-            coordinator.observe_record(record)
+            coordinator.observe(record.node, record.key, record.timestamp, record.value)
             if coordinator.stats.rounds > 0:
                 started = True
                 max_staleness = max(max_staleness, coordinator.staleness(record.timestamp))

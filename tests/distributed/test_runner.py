@@ -2,9 +2,10 @@
 
 The runner's contract is that a parallel, sharded, batched simulation
 produces site sketches — and therefore a root aggregate — serialized
-byte-for-byte the same as the plain per-record serial simulation.  The same
-guarantee extends to the batched feeding modes of the periodic-aggregation
-coordinator and the geometric monitor.
+byte-for-byte the same as feeding every record to its site's ``observe``,
+one arrival at a time.  The same guarantee extends to the batched stream
+paths of the periodic-aggregation coordinator and the geometric monitor.
+Every reference below is that explicit per-arrival ``observe`` loop.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from repro.distributed import (
     GeometricMonitor,
     PeriodicAggregationCoordinator,
     ShardedIngestRunner,
+    StreamNode,
     hierarchical_aggregate,
-    run_sharded_ingest,
 )
 from repro.distributed.runner import plan_shards
 from repro.serialization import dumps
+from repro.streams.stream import Stream
 
 WINDOW = 100_000.0
 
@@ -67,21 +69,51 @@ class TestShardPlanning:
 
 class TestRunnerEquivalence:
     def serial_deployment(self, trace, config, num_nodes=8):
+        """The reference: one ``observe`` per record, in stream order."""
         deployment = DistributedDeployment(num_nodes=num_nodes, config=config)
-        deployment.ingest(trace)
+        for record in trace:
+            deployment.observe(record.node, record.key, record.timestamp, record.value)
         return deployment
 
     def test_in_process_sharded_ingest_matches_serial(self, wc98_trace, eh_config):
         serial = self.serial_deployment(wc98_trace, eh_config)
-        nodes, report = run_sharded_ingest(
-            wc98_trace, num_nodes=8, config=eh_config, workers=1, shards=3, batch_size=256
-        )
+        runner = ShardedIngestRunner(eh_config, workers=1, shards=3, batch_size=256)
+        nodes = runner.ingest(wc98_trace, num_nodes=8)
+        report = runner.last_report
+        assert report is not None
         assert report.shards == 3
         assert report.records == len(wc98_trace)
         assert sum(report.per_shard_records) == len(wc98_trace)
         for mine, theirs in zip(nodes, serial.nodes, strict=False):
             assert mine.records_processed == theirs.records_processed
             assert dumps(mine.sketch) == dumps(theirs.sketch)
+
+    def test_default_ingest_matches_serial(self, wc98_trace, eh_config):
+        serial = self.serial_deployment(wc98_trace, eh_config)
+        deployment = DistributedDeployment(num_nodes=8, config=eh_config)
+        deployment.ingest(wc98_trace)
+        assert deployment.last_ingest_report is not None
+        assert deployment.last_ingest_report.workers == 1
+        for mine, theirs in zip(deployment.nodes, serial.nodes, strict=True):
+            assert mine.records_processed == theirs.records_processed
+            assert dumps(mine.sketch) == dumps(theirs.sketch)
+        assert dumps(deployment.aggregate()) == dumps(serial.aggregate())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeat_ingest_continues_from_site_state(self, wc98_trace, eh_config, workers):
+        # A second ingest into non-empty sites must extend their sketches,
+        # in-process and in worker processes alike.
+        records = list(wc98_trace)
+        half = len(records) // 2
+        serial = self.serial_deployment(wc98_trace, eh_config)
+        deployment = DistributedDeployment(num_nodes=8, config=eh_config)
+        deployment.ingest(Stream(records[:half]), workers=workers)
+        deployment.ingest(Stream(records[half:]), workers=workers)
+        assert deployment.total_records() == len(records)
+        for mine, theirs in zip(deployment.nodes, serial.nodes, strict=True):
+            assert mine.records_processed == theirs.records_processed
+            assert dumps(mine.sketch) == dumps(theirs.sketch)
+        assert deployment.aggregate().total_arrivals() == wc98_trace.total_arrivals()
 
     def test_parallel_workers_match_serial(self, wc98_trace, eh_config):
         serial = self.serial_deployment(wc98_trace, eh_config)
@@ -98,15 +130,15 @@ class TestRunnerEquivalence:
         # round-trip through worker processes must preserve all of it.
         serial = self.serial_deployment(wc98_trace, rw_config_small)
         parallel = DistributedDeployment(num_nodes=8, config=rw_config_small)
-        parallel.ingest(wc98_trace, workers=2, shards=4, batch_size=128)
+        runner = ShardedIngestRunner(rw_config_small, workers=2, shards=4, batch_size=128)
+        runner.ingest(wc98_trace, num_nodes=8, nodes=parallel.nodes)
         assert dumps(parallel.aggregate()) == dumps(serial.aggregate())
 
     def test_empty_stream(self, eh_config):
-        from repro.streams.stream import Stream
-
-        nodes, report = run_sharded_ingest(
-            Stream([]), num_nodes=4, config=eh_config, workers=1
-        )
+        runner = ShardedIngestRunner(eh_config, workers=1)
+        nodes = runner.ingest(Stream([]), num_nodes=4)
+        report = runner.last_report
+        assert report is not None
         assert report.records == 0
         assert all(node.records_processed == 0 for node in nodes)
 
@@ -120,8 +152,6 @@ class TestRunnerEquivalence:
 
     def test_node_list_length_mismatch_rejected(self, wc98_trace, eh_config):
         runner = ShardedIngestRunner(eh_config)
-        from repro.distributed import StreamNode
-
         with pytest.raises(ConfigurationError):
             runner.ingest(wc98_trace, num_nodes=4, nodes=[StreamNode(0, eh_config)])
 
@@ -151,7 +181,8 @@ class TestAggregationTreeEdgeCases:
 class TestBatchedProtocolEquivalence:
     def test_periodic_coordinator_batched_matches_scalar(self, wc98_trace, eh_config):
         scalar = PeriodicAggregationCoordinator(num_nodes=4, config=eh_config, period=WINDOW / 8)
-        scalar.observe_stream(wc98_trace)
+        for record in wc98_trace:
+            scalar.observe(record.node, record.key, record.timestamp, record.value)
         batched = PeriodicAggregationCoordinator(num_nodes=4, config=eh_config, period=WINDOW / 8)
         batched.observe_stream(wc98_trace, batch_size=512)
         assert batched.stats.rounds == scalar.stats.rounds
@@ -174,7 +205,8 @@ class TestBatchedProtocolEquivalence:
             num_sites=4, config=eh_config, threshold=threshold, check_every=check_every
         )
         scalar.initialize(now=0.0)
-        scalar.observe_stream(wc98_trace)
+        for record in wc98_trace:
+            scalar.observe(record.node, record.key, record.timestamp, record.value)
         batched = GeometricMonitor(
             num_sites=4, config=eh_config, threshold=threshold, check_every=check_every
         )

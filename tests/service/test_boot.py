@@ -39,8 +39,8 @@ from repro.service.shard_worker import ShardProcess, ShardUnavailableError, work
 pytestmark = pytest.mark.integration
 
 #: Never imported by a flat server: offline experiments, analysis and exact
-#: baselines, the distributed simulation, every serving layer a flat server
-#: does not run, and the tenant catalog's SQLite.
+#: baselines, the distributed simulation and its stream records, every
+#: serving layer a flat server does not run, and the tenant catalog's SQLite.
 FLAT_UNUSED = (
     "repro.experiments",
     "repro.analysis",
@@ -55,7 +55,7 @@ FLAT_UNUSED = (
     "repro.service.shard_worker",
     "repro.service.supervision",
     "repro.queries.hierarchical",
-    "repro.streams.generators",
+    "repro.streams",
     "multiprocessing",
     "sqlite3",
 )
@@ -78,7 +78,7 @@ WORKER_UNUSED = (*FLAT_UNUSED, "repro.cli")
 #: partitioned string keys, routed a point query and summed the per-shard
 #: self-joins: the workers hold the sketches, so the router needs neither
 #: NumPy (nor ``_hashlib``, which only the sketch hashing pulls in) nor the
-#: sketch, counter, serialization or hierarchy code.
+#: sketch, counter, serialization, hierarchy or stream-record code.
 ROUTER_UNUSED = (
     "numpy",
     "_hashlib",
@@ -87,6 +87,7 @@ ROUTER_UNUSED = (
     "repro.windows.columnar_eh",
     "repro.serialization",
     "repro.queries.hierarchical",
+    "repro.streams",
 )
 
 #: A router started from a script file.  Every run of the script appends

@@ -323,6 +323,40 @@ class TestMultisiteMode:
         assert self_join == reference.query_self_join()
         assert staleness == reference.staleness(records[-1].timestamp)
 
+    def test_chunks_spanning_several_rounds_match_per_arrival_observe(self):
+        """Rounds inside one chunk fire where per-arrival ``observe`` fires them."""
+        trace = WorldCupSyntheticTrace(num_records=8_000, num_nodes=1).generate()
+        keys, clocks, _ = trace.columns()
+        values = [1 + index % 3 for index in range(len(keys))]
+        period = 10_000.0
+        chunk = 2_000  # ~250k clock units: each chunk crosses ~25 rounds
+
+        async def body():
+            config = ServiceConfig(mode="multisite", sites=1, period=period, batch_size=256)
+            async with SketchService(config) as service:
+                for start in range(0, len(keys), chunk):
+                    stop = start + chunk
+                    await service.ingest(
+                        keys[start:stop], clocks[start:stop], values=values[start:stop]
+                    )
+                await service.drain()
+                return service.state
+
+        served = run(body())
+        reference = PeriodicAggregationCoordinator(
+            num_nodes=1,
+            config=ECMConfig.for_point_queries(epsilon=0.05, delta=0.05, window=1_000_000.0),
+            period=period,
+        )
+        for key, clock, value in zip(keys, clocks, values, strict=True):
+            reference.observe(0, key, clock, value)
+        assert reference.stats.rounds > 4 * len(keys) // chunk
+        assert served.stats.round_clocks == reference.stats.round_clocks
+        assert served.stats.arrivals == reference.stats.arrivals == len(keys)
+        for mine, theirs in zip(served.nodes, reference.nodes, strict=True):
+            assert dumps(mine.sketch) == dumps(theirs.sketch)
+        assert dumps(served.root_sketch()) == dumps(reference.root_sketch())
+
 
 class TestReviewRegressions:
     """Pins for review findings: bad input must die at validation, not apply."""
