@@ -24,6 +24,8 @@ counters the aggregation inflates the window error from ``eps_sw`` to
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Sequence
+from itertools import repeat
+from typing import Any
 
 import numpy as np
 
@@ -58,10 +60,26 @@ _FIELD_BITS = 32
 #: re-fingerprinting of the working set for bounded overhead on
 #: high-cardinality streams.
 _FINGERPRINT_CACHE_LIMIT = 1 << 17
+#: Runs shorter than this replay through :meth:`ECMSketch.add` inside
+#: ``add_many``: below it the vectorized pass's fixed set-up (fingerprint
+#: array, one argsort per row, the store dispatch; roughly 200 us) costs more
+#: than the per-arrival work it saves.  Measured break-even on a 2-vCPU Xeon:
+#: about 24-32 arrivals for EH and RW grids at epsilon 0.05-0.2.
+_SCALAR_RUN_LIMIT = 32
 #: Batch size below which ``point_query_many`` walks items one by one: the
 #: NumPy dispatch and cell-dedup overheads of the vectorized pass only
 #: amortize past a few dozen items.  Both paths return identical estimates.
 _VECTORIZED_QUERY_CUTOFF = 32
+
+
+def _as_list(column: Sequence[Any]) -> Sequence[Any]:
+    """A NumPy column as Python scalars; any other sequence unchanged."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _python_scalar(value: Any) -> Any:
+    """``value`` as a Python scalar: a NumPy one would poison the JSON wire format."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 class ECMSketch:
@@ -276,10 +294,12 @@ class ECMSketch:
         # `asarray` without an explicit dtype keeps integer clocks integral
         # through the sort round-trip (count-based windows use arrival
         # indices), so counters store exactly the clock values the scalar
-        # path would have stored.
-        clocks_array = np.asarray(clocks)
-        if (self._last_clock is not None and clocks_array[0] < self._last_clock) or (
-            n > 1 and bool((clocks_array[1:] < clocks_array[:-1]).any())
+        # path would have stored.  Short runs skip the array: the walk below
+        # checks their order, then they replay through add().
+        clocks_array = np.asarray(clocks) if n >= _SCALAR_RUN_LIMIT else None
+        if clocks_array is None or (
+            (self._last_clock is not None and clocks_array[0] < self._last_clock)
+            or bool((clocks_array[1:] < clocks_array[:-1]).any())
         ):
             previous = self._last_clock
             for clock in clocks:
@@ -289,6 +309,15 @@ class ECMSketch:
                         % (clock, previous)
                     )
                 previous = clock
+        if clocks_array is None:
+            # Validated above, so the replay commits all or nothing too.
+            # `tolist` hands add() Python scalars, as the vector path stores.
+            scalar_values = repeat(1) if values is None else _as_list(values)
+            for item, clock, value in zip(_as_list(items), _as_list(clocks), scalar_values):
+                self.add(item, clock, value)
+            self._total_arrivals = _python_scalar(self._total_arrivals)
+            self._last_clock = _python_scalar(self._last_clock)
+            return
 
         # Fingerprint each item once.  Integer NumPy arrays (the hierarchical
         # stack's per-level prefixes) fingerprint as one dtype cast — a
@@ -370,18 +399,8 @@ class ECMSketch:
         # All rows in one store call: rows address disjoint cells, so the
         # columnar layout cascades the whole batch in a single pass.
         store.ingest_sorted_rows(payloads)
-        if values is None:
-            self._total_arrivals += n
-        else:
-            total_weight = sum(values)
-            # A NumPy integer (ndarray values input) would poison the JSON
-            # wire format downstream, like the last_clock guard below.
-            self._total_arrivals += (
-                total_weight.item() if isinstance(total_weight, np.generic) else total_weight
-            )
-        last_clock = clocks[-1]
-        # A NumPy scalar here would poison the JSON wire format downstream.
-        self._last_clock = last_clock.item() if isinstance(last_clock, np.generic) else last_clock
+        self._total_arrivals += n if values is None else _python_scalar(sum(values))
+        self._last_clock = _python_scalar(clocks[-1])
 
     # --------------------------------------------------------------- queries
     def _resolve_now(self, now: float | None) -> float:

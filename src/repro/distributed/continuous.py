@@ -25,7 +25,7 @@ from ..core.ecm_sketch import ECMSketch
 from ..core.errors import ConfigurationError, EmptyStructureError
 from ..streams.stream import Stream
 from .aggregation import AggregationReport, hierarchical_aggregate
-from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode
+from .node import DEFAULT_BATCH_SIZE, StreamNode, observe_partitioned
 from .topology import AggregationTree
 
 __all__ = ["PropagationStats", "PeriodicAggregationCoordinator"]
@@ -124,7 +124,7 @@ class PeriodicAggregationCoordinator:
 
     def observe_columns(
         self,
-        sites: int | Sequence[int],
+        sites: Sequence[int],
         keys: Sequence[Hashable],
         clocks: Sequence[float],
         values: Sequence[int] | None = None,
@@ -142,8 +142,7 @@ class PeriodicAggregationCoordinator:
         ``batch_size``.
 
         Args:
-            sites: The observing site of every arrival: one id for the whole
-                run, or one id per arrival.
+            sites: The observing site of every arrival.
             keys: Item keys, in stream order.
             clocks: Clock values, one per key.
             values: Optional per-arrival weights (defaults to 1 each).
@@ -158,7 +157,7 @@ class PeriodicAggregationCoordinator:
             if next_round is None:
                 # First arrival: observe() establishes the round schedule.
                 self.observe(
-                    sites if isinstance(sites, int) else sites[position],
+                    sites[position],
                     keys[position],
                     clocks[position],
                     1 if values is None else values[position],
@@ -172,45 +171,18 @@ class PeriodicAggregationCoordinator:
                 None,
             )
             stop = total if boundary is None else boundary + 1
-            self._observe_segment(sites, keys, clocks, values, position, stop, batch_size)
+            observe_partitioned(
+                self.nodes,
+                sites[position:stop],
+                keys[position:stop],
+                clocks[position:stop],
+                None if values is None else values[position:stop],
+                batch_size,
+            )
+            self.stats.arrivals += stop - position
             if boundary is not None:
                 self.run_round(now=clocks[boundary])
             position = stop
-
-    def _observe_segment(
-        self,
-        sites: int | Sequence[int],
-        keys: Sequence[Hashable],
-        clocks: Sequence[float],
-        values: Sequence[int] | None,
-        start: int,
-        stop: int,
-        batch_size: int,
-    ) -> None:
-        """Feed arrivals ``[start, stop)``, which span no round, to their sites."""
-        num_nodes = len(self.nodes)
-        if isinstance(sites, int):
-            self.nodes[sites % num_nodes].observe_columns(
-                keys[start:stop],
-                clocks[start:stop],
-                None if values is None else values[start:stop],
-                batch_size,
-            )
-        else:
-            per_node: dict[int, NodeColumns] = {}
-            for index in range(start, stop):
-                node_id = sites[index] % num_nodes
-                entry = per_node.get(node_id)
-                if entry is None:
-                    entry = per_node[node_id] = ([], [], [])
-                entry[0].append(keys[index])
-                entry[1].append(clocks[index])
-                entry[2].append(1 if values is None else values[index])
-            for node_id, (node_keys, node_clocks, node_values) in per_node.items():
-                self.nodes[node_id].observe_columns(
-                    node_keys, node_clocks, node_values, batch_size
-                )
-        self.stats.arrivals += stop - start
 
     # ----------------------------------------------------------------- rounds
     def run_round(self, now: float) -> ECMSketch:

@@ -31,7 +31,7 @@ import numpy as np
 from ..core.config import ECMConfig
 from ..core.errors import ConfigurationError
 from ..streams.stream import Stream
-from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode
+from .node import DEFAULT_BATCH_SIZE, StreamNode, observe_partitioned
 
 __all__ = [
     "ThresholdFunction",
@@ -254,50 +254,43 @@ class GeometricMonitor:
     def observe_stream(self, stream: Stream, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         """Process a whole stream, routing records to their observing sites.
 
-        Records are buffered per site and ingested through
-        :meth:`~repro.distributed.node.StreamNode.observe_columns`.  All
-        buffers are flushed before every local constraint check (a
-        synchronisation reads every site's statistics vector), so checks run
-        against exactly the state one :meth:`observe` per record would see —
-        protocol decisions, stats and estimates are identical.
+        The records between two local constraint checks reach their sites
+        through :meth:`~repro.distributed.node.StreamNode.observe_columns`
+        before the check runs (a synchronisation reads every site's
+        statistics vector), so checks run against exactly the state one
+        :meth:`observe` per record would see — protocol decisions, stats and
+        estimates are identical.
 
         Args:
             stream: The stream to route across the sites.
-            batch_size: Buffered records that force a flush between checks.
+            batch_size: ``add_many`` chunk size of the sites.
         """
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive, got %r" % (batch_size,))
         if self.estimate_vector is None:
             raise ConfigurationError("call initialize() before observing arrivals")
-        buffers: dict[int, NodeColumns] = {}
-        buffered = 0
-        num_sites = len(self.sites)
-        for record in stream:
-            site_index = record.node % num_sites
-            entry = buffers.get(site_index)
-            if entry is None:
-                entry = buffers[site_index] = ([], [], [])
-            entry[0].append(record.key)
-            entry[1].append(record.timestamp)
-            entry[2].append(record.value)
-            buffered += 1
-            self.stats.arrivals += 1
-            self._arrivals_since_check[site_index] += 1
-            if self._arrivals_since_check[site_index] >= self.check_every:
-                self._flush_buffers(buffers)
-                buffered = 0
-                self._arrivals_since_check[site_index] = 0
-                self._check_site(self.sites[site_index], record.timestamp)
-            elif buffered >= batch_size:
-                self._flush_buffers(buffers)
-                buffered = 0
-        self._flush_buffers(buffers)
-
-    def _flush_buffers(self, buffers: dict[int, NodeColumns]) -> None:
-        """Ingest and drop all per-site buffers (stream order kept)."""
-        for site_index, (keys, clocks, values) in buffers.items():
-            self.sites[site_index].node.observe_columns(keys, clocks, values)
-        buffers.clear()
+        keys, clocks, values = stream.columns()
+        nodes = [site.node for site in self.sites]
+        sites = [record.node % len(nodes) for record in stream]
+        since_check = self._arrivals_since_check
+        start = 0
+        for index, site_index in enumerate(sites):
+            since_check[site_index] += 1
+            if since_check[site_index] < self.check_every:
+                continue
+            since_check[site_index] = 0
+            stop = index + 1
+            observe_partitioned(
+                nodes, sites[start:stop], keys[start:stop], clocks[start:stop],
+                values[start:stop], batch_size,
+            )
+            self.stats.arrivals += stop - start
+            start = stop
+            self._check_site(self.sites[site_index], clocks[index])
+        observe_partitioned(
+            nodes, sites[start:], keys[start:], clocks[start:], values[start:], batch_size
+        )
+        self.stats.arrivals += len(sites) - start
 
     def _check_site(self, site: _MonitoredSite, now: float) -> bool:
         """Evaluate the local geometric constraint of one site."""

@@ -10,6 +10,7 @@ monitoring protocol in :mod:`repro.distributed.geometric`.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
+from itertools import repeat
 
 from ..core.config import ECMConfig
 from ..core.ecm_sketch import ECMSketch
@@ -23,6 +24,32 @@ DEFAULT_BATCH_SIZE = 1_024
 
 #: One site's arrivals, pivoted into parallel (keys, clocks, values) lists.
 NodeColumns = tuple[list[Hashable], list[float], list[int]]
+
+
+def partition_columns(
+    sites: Sequence[int],
+    keys: Sequence[Hashable],
+    clocks: Sequence[float],
+    values: Sequence[int] | None,
+    num_nodes: int,
+) -> dict[int, NodeColumns]:
+    """Route arrivals to their sites, as per-site columns in stream order.
+
+    Arrival ``i`` lands on site ``sites[i] % num_nodes``, so a trace generated
+    for a different node count still lands on valid sites.  ``values``
+    defaults to 1 per arrival.
+    """
+    columns: dict[int, NodeColumns] = {}
+    weights = repeat(1) if values is None else values
+    for site, key, clock, value in zip(sites, keys, clocks, weights):
+        node_id = site % num_nodes
+        entry = columns.get(node_id)
+        if entry is None:
+            entry = columns[node_id] = ([], [], [])
+        entry[0].append(key)
+        entry[1].append(clock)
+        entry[2].append(value)
+    return columns
 
 
 class StreamNode:
@@ -121,3 +148,22 @@ class StreamNode:
             self.records_processed,
             self.config.counter_type.value,
         )
+
+
+def observe_partitioned(
+    nodes: Sequence[StreamNode],
+    sites: Sequence[int],
+    keys: Sequence[Hashable],
+    clocks: Sequence[float],
+    values: Sequence[int] | None,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> None:
+    """Feed a run of arrivals to ``nodes``, arrival ``i`` to ``sites[i] % len(nodes)``.
+
+    Each node receives its own arrivals, in stream order, through
+    :meth:`StreamNode.observe_columns`, so its state is identical to one
+    :meth:`StreamNode.observe` per arrival.
+    """
+    per_node = partition_columns(sites, keys, clocks, values, len(nodes))
+    for node_id, (node_keys, node_clocks, node_values) in per_node.items():
+        nodes[node_id].observe_columns(node_keys, node_clocks, node_values, batch_size)

@@ -42,7 +42,7 @@ from typing import Any
 from ..core.config import ECMConfig
 from ..core.errors import ConfigurationError
 from ..streams.stream import Stream
-from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode
+from .node import DEFAULT_BATCH_SIZE, NodeColumns, StreamNode, partition_columns
 
 __all__ = ["ShardPlan", "RunnerReport", "ShardedIngestRunner"]
 
@@ -112,25 +112,6 @@ def plan_shards(num_nodes: int, shards: int) -> list[ShardPlan]:
         plans.append(ShardPlan(shard_id=shard_id, node_ids=tuple(range(start, start + size))))
         start += size
     return plans
-
-
-def _partition_columns(stream: Stream, num_nodes: int) -> dict[int, NodeColumns]:
-    """Route every record to its site, as per-site column lists.
-
-    Sites are assigned by ``record.node % num_nodes``, so a trace generated
-    for a different node count lands on the same sites.
-    """
-    columns: dict[int, NodeColumns] = {}
-    for record in stream:
-        node_id = record.node % num_nodes
-        entry = columns.get(node_id)
-        if entry is None:
-            entry = ([], [], [])
-            columns[node_id] = entry
-        entry[0].append(record.key)
-        entry[1].append(record.timestamp)
-        entry[2].append(record.value)
-    return columns
 
 
 def _ingest_shard_payload(
@@ -229,7 +210,9 @@ class ShardedIngestRunner:
             )
         report = RunnerReport(workers=self.workers, records=len(stream))
         started = time.perf_counter()
-        columns = _partition_columns(stream, num_nodes)
+        keys, clocks, values = stream.columns()
+        sites = [record.node for record in stream]
+        columns = partition_columns(sites, keys, clocks, values, num_nodes)
         report.partition_seconds = time.perf_counter() - started
 
         plans = plan_shards(num_nodes, self.shards)

@@ -601,7 +601,7 @@ class SketchService:
                     )
             else:
                 cast("PeriodicAggregationCoordinator", state).observe_columns(
-                    site, keys, clocks, values, batch_size=batch_cap
+                    [site] * len(keys), keys, clocks, values, batch_size=batch_cap
                 )
             count = len(keys)
             weight = count if values is None else sum(values)

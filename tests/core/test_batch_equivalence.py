@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.core import CounterType, CountMinSketch, ECMSketch
+from repro.core import ecm_sketch as ecm_sketch_module
 from repro.core.errors import ConfigurationError, OutOfOrderArrivalError
 from repro.core.hashing import HashFamily, MERSENNE_PRIME_61
 from repro.serialization import dumps, histogram_to_dict
@@ -346,6 +347,94 @@ class TestECMSketchBatchEquivalence:
         merged_scalar = ECMSketch.aggregate(locals_scalar)
         merged_batched = ECMSketch.aggregate(locals_batched)
         assert dumps(merged_scalar) == dumps(merged_batched)
+
+
+class TestScalarRunLimit:
+    """``add_many`` replays runs below ``_SCALAR_RUN_LIMIT`` through ``add``."""
+
+    @pytest.mark.parametrize("counter_type", ALL_COUNTER_TYPES, ids=lambda c: c.value)
+    def test_runs_around_the_limit_match_scalar(self, counter_type):
+        import numpy as np
+
+        limit = ecm_sketch_module._SCALAR_RUN_LIMIT
+        rng = random.Random(5)
+        kwargs = dict(epsilon=0.2, delta=0.2, window=300.0, counter_type=counter_type,
+                      max_arrivals=5000, stream_tag=3)
+        scalar = ECMSketch.for_point_queries(**kwargs)
+        batched = ECMSketch.for_point_queries(**kwargs)
+        items, clocks, values = make_keyed_stream(rng, 6 * limit, WindowModel.TIME_BASED)
+        items = [int(item[4:]) for item in items]
+        for item, clock, value in zip(items, clocks, values, strict=False):
+            scalar.add(item, clock, value)
+        position = 0
+        for step in (limit - 1, limit, limit + 1, 1, limit - 1, limit):
+            stop = position + step
+            # NumPy columns, as the hierarchical stack hands them over.
+            batched.add_many(
+                np.array(items[position:stop], dtype=np.int64),
+                np.array(clocks[position:stop]),
+                np.array(values[position:stop], dtype=np.int64),
+            )
+            position = stop
+        batched.add_many(items[position:], clocks[position:], values[position:])
+        assert dumps(scalar) == dumps(batched)
+        assert type(batched.total_arrivals()) is int
+        assert type(batched.last_clock) is float
+
+    def test_short_runs_skip_the_vectorized_pass(self, monkeypatch):
+        limit = ecm_sketch_module._SCALAR_RUN_LIMIT
+        sketch = ECMSketch.for_point_queries(epsilon=0.1, delta=0.1, window=1e6)
+        calls = []
+        original = sketch._store.ingest_sorted_rows
+        monkeypatch.setattr(
+            sketch._store, "ingest_sorted_rows", lambda rows: calls.append(rows) or original(rows)
+        )
+        sketch.add_many(["a"] * (limit - 1), [float(i) for i in range(limit - 1)])
+        assert calls == []
+        sketch.add_many(["a"] * limit, [float(limit + i) for i in range(limit)])
+        assert len(calls) == 1
+        assert sketch.total_arrivals() == 2 * limit - 1
+        # NumPy scalars inside a plain list leave Python ones behind, as on
+        # the vectorized pass (the JSON wire format needs them).
+        import numpy as np
+
+        sketch.add_many(["b"], [np.float64(3 * limit)], [np.int64(2)])
+        assert len(calls) == 1
+        assert type(sketch.last_clock) is float
+        assert type(sketch.total_arrivals()) is int
+        assert sketch.total_arrivals() == 2 * limit + 1
+
+    @pytest.mark.parametrize("counter_type", ALL_COUNTER_TYPES, ids=lambda c: c.value)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
+    def test_vectorized_pass_on_short_runs_matches_scalar(self, counter_type, model, monkeypatch):
+        # With the limit off, short runs (and the mixed-clock and zero-weight
+        # corners above) still exercise the vectorized pass.
+        monkeypatch.setattr(ecm_sketch_module, "_SCALAR_RUN_LIMIT", 0)
+        rng = random.Random(17)
+        kwargs = dict(epsilon=0.2, delta=0.2, window=300.0, model=model,
+                      counter_type=counter_type, max_arrivals=5000, stream_tag=7)
+        scalar = ECMSketch.for_point_queries(**kwargs)
+        batched = ECMSketch.for_point_queries(**kwargs)
+        items, clocks, values = make_keyed_stream(rng, 300, model)
+        for item, clock, value in zip(items, clocks, values, strict=False):
+            scalar.add(item, clock, value)
+        position = 0
+        while position < len(items):
+            step = rng.choice([1, 2, 5, 13])
+            batched.add_many(
+                items[position : position + step],
+                clocks[position : position + step],
+                values[position : position + step],
+            )
+            position += step
+        assert dumps(scalar) == dumps(batched)
+        mixed_scalar = ECMSketch.for_point_queries(**kwargs)
+        mixed_batched = ECMSketch.for_point_queries(**kwargs)
+        mixed_items, mixed_clocks, mixed_values = ["x", "y", "x", "z"], [1, 2.5, 7, 9], [2, 0, 1, 1]
+        for item, clock, value in zip(mixed_items, mixed_clocks, mixed_values, strict=False):
+            mixed_scalar.add(item, clock, value)
+        mixed_batched.add_many(mixed_items, mixed_clocks, mixed_values)
+        assert dumps(mixed_scalar) == dumps(mixed_batched)
 
 
 class TestStreamAndNodeBatching:

@@ -198,7 +198,7 @@ class TestBatchedProtocolEquivalence:
         with pytest.raises(ConfigurationError):
             coordinator.observe_stream(wc98_trace, batch_size=0)
 
-    @pytest.mark.parametrize("check_every", [1, 40])
+    @pytest.mark.parametrize("check_every", [1, 40, 400])
     def test_geometric_monitor_batched_matches_scalar(self, wc98_trace, eh_config, check_every):
         threshold = 2e5
         scalar = GeometricMonitor(
