@@ -10,7 +10,9 @@ actually move them between processes:
 * ``*_to_dict`` / ``*_from_dict`` — lossless conversion to plain Python
   dictionaries (JSON-compatible scalars, lists and dicts only);
 * :func:`dumps` / :func:`loads` — JSON byte strings with a type tag, suitable
-  for sockets, message queues or files.
+  for sockets, message queues or files;
+* :func:`to_json_pieces` — the text of :func:`dumps` as pieces, ECM-sketches
+  and stacks encoded one counter at a time, for writers that stream it.
 
 Round-tripping is exact: a deserialized structure answers every query with the
 same result as the original and can keep ingesting new arrivals.
@@ -69,12 +71,18 @@ __all__ = [
     "tracker_from_dict",
     "to_dict",
     "from_dict",
+    "to_json_pieces",
     "dumps",
     "loads",
 ]
 
 #: Version tag embedded in every serialized payload.
 FORMAT_VERSION = 1
+
+
+def _encode(payload: Any) -> str:
+    """Compact JSON text, the encoding of every serialized payload."""
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def _require(payload: dict[str, Any], kind: str) -> None:
@@ -324,9 +332,8 @@ _COUNTER_SERIALIZERS: dict[
 }
 
 
-def ecm_sketch_to_dict(sketch: ECMSketch) -> dict[str, Any]:
-    """Serialize a whole ECM-sketch (configuration plus every counter)."""
-    serialize_counter, _ = _COUNTER_SERIALIZERS[sketch.counter_type]
+def _ecm_sketch_envelope(sketch: ECMSketch) -> dict[str, Any]:
+    """Every key of an ECM-sketch payload but ``counters``, which comes last."""
     return {
         "kind": "ecm_sketch",
         "version": FORMAT_VERSION,
@@ -335,11 +342,38 @@ def ecm_sketch_to_dict(sketch: ECMSketch) -> dict[str, Any]:
         "total_arrivals": sketch.total_arrivals(),
         "last_clock": sketch.last_clock,
         "effective_epsilon_sw": sketch.effective_epsilon_sw,
-        "counters": [
-            [serialize_counter(sketch.counter(row, column)) for column in range(sketch.width)]
-            for row in range(sketch.depth)
-        ],
     }
+
+
+def ecm_sketch_to_dict(sketch: ECMSketch) -> dict[str, Any]:
+    """Serialize a whole ECM-sketch (configuration plus every counter)."""
+    serialize_counter, _ = _COUNTER_SERIALIZERS[sketch.counter_type]
+    payload = _ecm_sketch_envelope(sketch)
+    payload["counters"] = [
+        [serialize_counter(sketch.counter(row, column)) for column in range(sketch.width)]
+        for row in range(sketch.depth)
+    ]
+    return payload
+
+
+def _ecm_sketch_pieces(sketch: ECMSketch) -> list[str]:
+    """The JSON text of :func:`ecm_sketch_to_dict`, encoded one counter at a time.
+
+    Each counter goes through its serializer and ``json.dumps`` on its own,
+    and its dictionary is dropped before the next one is built, so the
+    whole grid never exists as nested dictionaries.
+    """
+    serialize_counter, _ = _COUNTER_SERIALIZERS[sketch.counter_type]
+    envelope = _encode(_ecm_sketch_envelope(sketch))
+    pieces = [envelope[:-1], ',"counters":[']
+    for row in range(sketch.depth):
+        pieces.append("[" if row == 0 else "],[")
+        for column in range(sketch.width):
+            if column:
+                pieces.append(",")
+            pieces.append(_encode(serialize_counter(sketch.counter(row, column))))
+    pieces.append("]]}")
+    return pieces
 
 
 def ecm_sketch_from_dict(payload: dict[str, Any]) -> ECMSketch:
@@ -361,8 +395,8 @@ def ecm_sketch_from_dict(payload: dict[str, Any]) -> ECMSketch:
 
 
 # -------------------------------------------------------- hierarchical stacks
-def hierarchical_to_dict(stack: HierarchicalECMSketch) -> dict[str, Any]:
-    """Serialize a hierarchical (dyadic) stack: one ECM-sketch per level."""
+def _hierarchical_envelope(stack: HierarchicalECMSketch) -> dict[str, Any]:
+    """Every key of a stack payload but ``levels``, which comes last."""
     return {
         "kind": "hierarchical_ecm_sketch",
         "version": FORMAT_VERSION,
@@ -374,11 +408,28 @@ def hierarchical_to_dict(stack: HierarchicalECMSketch) -> dict[str, Any]:
         "stream_tag": stack.stream_tag,
         "total_arrivals": stack.total_arrivals(),
         "last_clock": stack._last_clock,
-        "levels": [
-            ecm_sketch_to_dict(stack.level_sketch(level))
-            for level in range(stack.universe_bits)
-        ],
     }
+
+
+def hierarchical_to_dict(stack: HierarchicalECMSketch) -> dict[str, Any]:
+    """Serialize a hierarchical (dyadic) stack: one ECM-sketch per level."""
+    payload = _hierarchical_envelope(stack)
+    payload["levels"] = [
+        ecm_sketch_to_dict(stack.level_sketch(level)) for level in range(stack.universe_bits)
+    ]
+    return payload
+
+
+def _hierarchical_pieces(stack: HierarchicalECMSketch) -> list[str]:
+    """The JSON text of :func:`hierarchical_to_dict`, one level after another."""
+    envelope = _encode(_hierarchical_envelope(stack))
+    pieces = [envelope[:-1], ',"levels":[']
+    for level in range(stack.universe_bits):
+        if level:
+            pieces.append(",")
+        pieces.extend(_ecm_sketch_pieces(stack.level_sketch(level)))
+    pieces.append("]}")
+    return pieces
 
 
 def hierarchical_from_dict(payload: dict[str, Any]) -> HierarchicalECMSketch:
@@ -481,9 +532,9 @@ def _stack_serializers() -> dict[type, Callable[[Any], dict[str, Any]]]:
 def to_dict(obj: Serializable | ECMConfig) -> dict[str, Any]:
     """Serialize any wire-format structure to its tagged dictionary form.
 
-    Type-dispatching twin of :func:`dumps` without the JSON layer — callers
-    that embed sketches inside larger documents (e.g. the sketch service's
-    snapshots) compose payloads from this and encode once at the end.
+    Type-dispatching twin of :func:`dumps` without the JSON layer.  Callers
+    that embed large sketches inside larger documents (the sketch service's
+    snapshots) use :func:`to_json_pieces` instead.
     """
     if isinstance(obj, ECMConfig):
         return config_to_dict(obj)
@@ -503,9 +554,25 @@ def from_dict(payload: dict[str, Any]) -> Serializable | ECMConfig:
     return deserializer(payload)
 
 
+def to_json_pieces(obj: Serializable | ECMConfig) -> list[str]:
+    """The JSON text of :func:`to_dict` as pieces that join into :func:`dumps`.
+
+    ECM-sketches and stacks are encoded one counter at a time, so a caller
+    that writes the pieces out in order (the sketch service's snapshots)
+    never holds the state as nested dictionaries nor as one string.
+    """
+    if isinstance(obj, ECMSketch):
+        return _ecm_sketch_pieces(obj)
+    from .queries.hierarchical import HierarchicalECMSketch
+
+    if isinstance(obj, HierarchicalECMSketch):
+        return _hierarchical_pieces(obj)
+    return [_encode(to_dict(obj))]
+
+
 def dumps(obj: Serializable | ECMConfig) -> bytes:
     """Serialize a sketch, synopsis or configuration to JSON bytes."""
-    return json.dumps(to_dict(obj), separators=(",", ":")).encode("utf-8")
+    return "".join(to_json_pieces(obj)).encode("utf-8")
 
 
 def loads(data: bytes) -> Serializable | ECMConfig:

@@ -194,6 +194,7 @@ class SketchService:
         self.duplicate_chunks = 0
         self.journal_errors = 0
         self.last_snapshot_path: str | None = None
+        self.last_snapshot_bytes = 0
         self._applied_clock: float | None = applied_clock
         self._submitted_clock: float | None = applied_clock
         self._pending_arrivals = 0
@@ -672,10 +673,12 @@ class SketchService:
     async def snapshot_async(self, path: str | None = None) -> str:
         """Snapshot without stalling the event loop for the disk write.
 
-        The payload is built on the loop (that is what makes it a consistent
-        cut between micro-batches), but the JSON encode + fsync + rename —
-        tens of milliseconds even for modest states — run in the default
-        executor so ingest and queries keep flowing.
+        The cut runs on the loop — that is what makes it consistent between
+        micro-batches — and it already encodes every sketch to JSON text,
+        one counter at a time (:func:`~repro.service.snapshot.snapshot_payload`).
+        Writing those pieces, the fsync, the rename and the directory fsync
+        run in the default executor, so ingest and queries keep flowing
+        while the disk works.
 
         Args:
             path: Explicit destination; overrides ``config.snapshot_path``
@@ -709,17 +712,16 @@ class SketchService:
                 await loop.run_in_executor(
                     self._journal_executor, self._journal.rotate, applied_jseq
                 )
-        self.snapshots_written += 1
-        self.last_snapshot_path = path_written
+            self._snapshot_landed(path_written)
         return path_written
 
     def snapshot_now(self, path: str | None = None) -> str:
         """Write an atomic snapshot of the applied state; returns the path.
 
-        Synchronous (blocks the caller, and the event loop when called from
-        it) — the right tool at shutdown and in scripts; the periodic
-        snapshot task and the ``snapshot`` protocol op use
-        :meth:`snapshot_async` instead.
+        Synchronous — the cut, the encode and the disk write all block the
+        caller, and the event loop when called from it: the right tool at
+        shutdown and in scripts; the periodic snapshot task and the
+        ``snapshot`` protocol op use :meth:`snapshot_async` instead.
         """
         from .snapshot import snapshot_payload, write_snapshot
 
@@ -736,9 +738,13 @@ class SketchService:
                 self._journal_executor.submit(self._journal.rotate, applied_jseq).result()
             else:
                 self._journal.rotate(applied_jseq)
-        self.snapshots_written += 1
-        self.last_snapshot_path = path_written
+        self._snapshot_landed(path_written)
         return path_written
+
+    def _snapshot_landed(self, path: str) -> None:
+        self.snapshots_written += 1
+        self.last_snapshot_path = path
+        self.last_snapshot_bytes = os.path.getsize(path)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -893,6 +899,7 @@ class SketchService:
             "synopsis_bytes": synopsis,
             "snapshots_written": self.snapshots_written,
             "last_snapshot_path": self.last_snapshot_path,
+            "last_snapshot_bytes": self.last_snapshot_bytes,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "draining": self._stopping,
             "duplicate_chunks": self.duplicate_chunks,

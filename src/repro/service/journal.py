@@ -31,7 +31,10 @@ heals — but not power-loss-durable.  ``fsync_each=True`` upgrades to a
 per-append ``os.fsync`` for callers that want the stronger contract and can
 afford the throughput cost; it also fsyncs the journal *directory* whenever
 an epoch file is created, so the new file's directory entry survives power
-loss too.  Rotation always fsyncs before switching files.
+loss too.  Rotation always fsyncs before switching files, and it deletes
+covered epochs only after :func:`~repro.service.snapshot.write_snapshot`
+has fsynced the snapshot *and* its directory: power loss cannot keep the
+old snapshot yet lose epochs that only the new one covers.
 
 All methods do blocking file I/O and are meant to be called from the
 service's single-thread journal executor, never directly on the event loop
@@ -49,12 +52,22 @@ from typing import Any
 
 from . import failpoints
 
-__all__ = ["IngestJournal", "JournalRecord", "journal_dir_for_shard"]
+__all__ = ["IngestJournal", "JournalRecord", "fsync_directory", "journal_dir_for_shard"]
 
 _FILE_PATTERN = re.compile(r"^wal\.(\d+)\.ndjson$")
 
 #: Journal file format version (bump on incompatible record changes).
 JOURNAL_VERSION = 1
+
+
+def fsync_directory(directory: str | os.PathLike) -> None:
+    """Flush a directory's entries: a file created or renamed in it then
+    survives power loss (the file's own fsync covers only its bytes)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def journal_dir_for_shard(base: str, shard: int) -> str:
@@ -203,15 +216,7 @@ class IngestJournal:
                 # directory entry is metadata of the directory, so it must be
                 # fsynced too or the freshly created epoch can vanish whole.
                 os.fsync(self._file.fileno())
-                self._fsync_directory()
-
-    def _fsync_directory(self) -> None:
-        """Flush the journal directory's entries (new-file durability)."""
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+                fsync_directory(self.directory)
 
     def _write_header(self) -> None:
         header = {

@@ -8,9 +8,20 @@ Restoring a snapshot into a fresh process yields a service whose answers are
 byte-identical to the process that wrote it, and which keeps ingesting from
 the recorded high-water mark.
 
-Writes are atomic: the document lands in a temporary file in the target
-directory, is fsynced, and is moved over the destination with
-:func:`os.replace` — a crash mid-write leaves the previous snapshot intact.
+Snapshots stream.  :func:`snapshot_payload` takes the consistent cut: a
+small envelope dictionary whose sketches are already JSON text, encoded one
+counter at a time (:func:`~repro.serialization.to_json_pieces`), so the
+state never exists as a graph of per-bucket lists.  :func:`write_snapshot`
+writes the envelope and those pieces to the file in order and never joins
+the document into one string; the bytes are those of ``json.dumps`` over
+the ``*_to_dict`` form of the same state.
+
+Writes are atomic and durable: the document lands in a temporary file in
+the target directory, is fsynced, is moved over the destination with
+:func:`os.replace`, and the directory is fsynced so the rename itself
+survives power loss — a crash mid-write leaves the previous snapshot
+intact, and the journal rotation a caller runs after a returned write cannot
+reach the disk ahead of the snapshot it relies on.
 
 The serialization code is imported by the two functions that build or read
 a state, and it loads the sketch classes of the mode it meets: a flat
@@ -19,16 +30,18 @@ its manifest through :func:`write_snapshot`, loads no sketch code at all.
 """
 
 from __future__ import annotations
-import contextlib
 
+import contextlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from typing import Any, TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
 from . import failpoints
 from .config import ServiceConfig
+from .journal import fsync_directory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import SketchService
@@ -46,30 +59,85 @@ SNAPSHOT_KIND = "service_snapshot"
 SNAPSHOT_VERSION = 1
 
 
+class _JSONText:
+    """A value already encoded as JSON, kept as the pieces it was encoded in."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[str]) -> None:
+        self.pieces = pieces
+
+
+def _holds_text(value: Any) -> bool:
+    if isinstance(value, _JSONText):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_text(item) for item in value.values())
+    if isinstance(value, list):
+        return any(_holds_text(item) for item in value)
+    return False
+
+
+def _json_chunks(value: Any) -> Iterator[str]:
+    """``json.dumps(value, separators=(",", ":"))`` in order, as chunks.
+
+    Containers holding pre-encoded text (whose keys are strings, like every
+    envelope :func:`snapshot_payload` builds) are walked and the text is
+    spliced in; everything else is encoded by ``json.dumps`` whole.
+    """
+    if isinstance(value, _JSONText):
+        yield from value.pieces
+    elif isinstance(value, dict) and _holds_text(value):
+        opening = "{"
+        for key, item in value.items():
+            yield opening + json.dumps(key) + ":"
+            yield from _json_chunks(item)
+            opening = ","
+        yield "}"
+    elif isinstance(value, list) and _holds_text(value):
+        opening = "["
+        for item in value:
+            yield opening
+            yield from _json_chunks(item)
+            opening = ","
+        yield "]"
+    else:
+        yield json.dumps(value, separators=(",", ":"))
+
+
 def snapshot_payload(service: SketchService) -> dict[str, Any]:
-    """Serialize the *applied* state of a service to a plain dictionary.
+    """Take the consistent cut of a service's *applied* state.
+
+    Returns the snapshot envelope as a dictionary.  Every ECM-sketch in it
+    (the flat sketch, the stack, each site sketch and the root) is already
+    JSON text, encoded here one counter at a time, so the cut no longer
+    depends on the live state; those values are for :func:`write_snapshot`
+    to write out, while the envelope's other fields read as plain values.
 
     Arrivals still sitting in the ingest queue are not part of the snapshot;
     the service drains the queue before its final shutdown snapshot, so a
     graceful stop loses nothing that was acknowledged.
     """
-    from ..serialization import ecm_sketch_to_dict, hierarchical_to_dict
+    from ..serialization import to_json_pieces
     from .core import SketchService  # local import: cycle with core
+
+    def encoded(sketch: Any) -> _JSONText:
+        return _JSONText(to_json_pieces(sketch))
 
     assert isinstance(service, SketchService)
     mode = service.config.mode
     state_payload: dict[str, Any]
     if mode == "flat":
-        state_payload = {"sketch": ecm_sketch_to_dict(service._require_flat())}
+        state_payload = {"sketch": encoded(service._require_flat())}
     elif mode == "hierarchical":
-        state_payload = {"sketch": hierarchical_to_dict(service._require_hierarchical())}
+        state_payload = {"sketch": encoded(service._require_hierarchical())}
     else:
         # Multisite: the periodic-aggregation coordinator.
         coordinator = service._require_multisite()
         state_payload = {
-            "nodes": [ecm_sketch_to_dict(node.sketch) for node in coordinator.nodes],
+            "nodes": [encoded(node.sketch) for node in coordinator.nodes],
             "records_processed": [node.records_processed for node in coordinator.nodes],
-            "root": None if coordinator._root is None else ecm_sketch_to_dict(coordinator._root),
+            "root": None if coordinator._root is None else encoded(coordinator._root),
             "last_round_clock": coordinator._last_round_clock,
             "next_round_clock": coordinator._next_round_clock,
             "stats": {
@@ -96,7 +164,12 @@ def snapshot_payload(service: SketchService) -> dict[str, Any]:
 
 
 def write_snapshot(path: str | os.PathLike, payload: dict[str, Any]) -> str:
-    """Atomically write a snapshot document; returns the final path."""
+    """Atomically and durably write a snapshot document; returns the final path.
+
+    ``payload`` is a :func:`snapshot_payload` cut or any plain
+    JSON-compatible dictionary (the shard router's manifest).  The document
+    is written piece by piece; it is never joined into one string.
+    """
     destination = os.fspath(path)
     directory = os.path.dirname(destination) or "."
     os.makedirs(directory, exist_ok=True)
@@ -106,14 +179,15 @@ def write_snapshot(path: str | os.PathLike, payload: dict[str, Any]) -> str:
     corrupt = failpoints.fire("snapshot.write")
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            document = json.dumps(payload, separators=(",", ":"))
+            chunks: Iterable[str] = _json_chunks(payload)
             if corrupt is not None and corrupt[0] == "corrupt":
                 # Injected corruption: half the document reaches the file —
                 # what a crash inside an unprotected (non-atomic) writer
                 # would leave.  The atomic-replace path still runs, so this
                 # exercises the *reader's* validation, not the temp cleanup.
-                document = document[: len(document) // 2]
-            handle.write(document)
+                document = "".join(chunks)
+                chunks = [document[: len(document) // 2]]
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, destination)
@@ -121,6 +195,11 @@ def write_snapshot(path: str | os.PathLike, payload: dict[str, Any]) -> str:
         with contextlib.suppress(OSError):
             os.unlink(temporary)
         raise
+    # The rename is an entry of the directory: until the directory is
+    # fsynced, power loss can undo it even though the file's bytes are on
+    # disk, while the journal rotation the caller runs next deletes epochs
+    # that only this snapshot covers.
+    fsync_directory(directory)
     return destination
 
 

@@ -12,15 +12,25 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import sqlite3
+import stat
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core import ECMConfig, ECMSketch
 from repro.core.errors import ConfigurationError
-from repro.serialization import config_from_dict, config_to_dict, dumps
+from repro.serialization import (
+    config_from_dict,
+    config_to_dict,
+    dumps,
+    ecm_sketch_to_dict,
+    hierarchical_to_dict,
+)
 from repro.cli import build_parser
-from repro.service import ServiceConfig, ShardRouter, SketchService, TenantPool
+from repro.service import ServiceConfig, ShardRouter, SketchService, TenantPool, failpoints
 from repro.service.errors import InvalidParameterError
 from repro.service.snapshot import (
     SNAPSHOT_KIND,
@@ -31,6 +41,7 @@ from repro.service.snapshot import (
 )
 from repro.streams import IntegerZipfTrace, WorldCupSyntheticTrace
 from repro.windows.base import WindowModel
+from repro.windows.columnar_eh import _MODE_MIXED
 
 
 def run(coroutine):
@@ -198,18 +209,201 @@ class TestSnapshotFiles:
         assert payload["config"]["mode"] == "flat"
 
     def test_restore_rejects_site_count_mismatch(self, tmp_path):
+        path = tmp_path / "m.json"
+
         async def body():
             config = ServiceConfig(mode="multisite", sites=2, period=10.0,
-                                   snapshot_path=str(tmp_path / "m.json"))
+                                   snapshot_path=str(path))
             async with SketchService(config) as service:
                 await service.ingest(["a"], [1.0], site=0)
                 await service.drain()
-                return snapshot_payload(service)
+                write_snapshot(path, snapshot_payload(service))
 
-        payload = run(body())
+        run(body())
+        payload = load_snapshot(path)
         payload["config"]["sites"] = 3
         with pytest.raises(ConfigurationError):
             service_state_from_snapshot(payload)
+
+
+def _reference_document(service: SketchService) -> str:
+    """``json.dumps`` of the cut with every sketch in its ``*_to_dict`` form."""
+    payload = snapshot_payload(service)
+    state = payload["state"]
+    if service.config.mode == "flat":
+        state["sketch"] = ecm_sketch_to_dict(service.state)
+    elif service.config.mode == "hierarchical":
+        state["sketch"] = hierarchical_to_dict(service.state)
+    else:
+        coordinator = service.state
+        state["nodes"] = [ecm_sketch_to_dict(node.sketch) for node in coordinator.nodes]
+        root = coordinator._root
+        state["root"] = None if root is None else ecm_sketch_to_dict(root)
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _streamed_case(case: str):
+    """``(config, [(keys, clocks, site), ...])`` for one streamed-document case."""
+    mode = "hierarchical" if case.startswith("hier") else "flat"
+    model = WindowModel.COUNT_BASED if case.endswith("count") else WindowModel.TIME_BASED
+    keys, clocks = _columns(mode, model, 900)
+    window = 300.0 if model is WindowModel.COUNT_BASED else 500_000.0
+    config = ServiceConfig(
+        mode=mode,
+        model=model,
+        window=window,
+        universe_bits=8,
+        epsilon=0.1,
+        expire_every=None,
+    )
+    if case == "flat-int":
+        return config, [(keys, [int(clock) for clock in clocks], 0)]
+    if case == "flat-mixed":
+        # Integer clocks first, then floats: the columnar store holds both.
+        whole = [int(clock) for clock in clocks[:450]]
+        return config, [(keys[:450], whole, 0), (keys[450:], clocks[450:], 0)]
+    if case == "flat-empty":
+        return config, []
+    if case.startswith("multisite"):
+        config = ServiceConfig(mode="multisite", sites=2, period=200_000.0, expire_every=None)
+        if case == "multisite-before-round":
+            return config, [(keys[:10], clocks[:10], 1)]
+        return config, [(keys[:450], clocks[:450], 0), (keys[450:], clocks[450:], 1)]
+    return config, [(keys, clocks, 0)]
+
+
+class TestStreamedDocument:
+    """The streamed file is byte for byte the document ``json.dumps`` writes."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "flat-float",
+            "flat-int",
+            "flat-count",
+            "flat-mixed",
+            "flat-empty",
+            "hier-float",
+            "hier-count",
+            "multisite",
+            "multisite-before-round",
+        ],
+    )
+    def test_file_is_json_dumps_of_the_dict_form(self, tmp_path, case):
+        config, chunks = _streamed_case(case)
+        path = tmp_path / "snap.json"
+
+        async def body():
+            async with SketchService(config) as service:
+                for keys, clocks, site in chunks:
+                    await service.ingest(keys, clocks, site=site)
+                await service.drain()
+                write_snapshot(path, snapshot_payload(service))
+                return service, _reference_document(service)
+
+        service, document = run(body())
+        if case == "flat-mixed":
+            assert service.state._store._flag_mode == _MODE_MIXED
+        if case.startswith("multisite"):
+            assert (service.state._root is None) == (case == "multisite-before-round")
+        assert path.read_text(encoding="utf-8") == document
+
+    def test_router_manifest_is_json_dumps_of_its_dict(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+
+        async def body():
+            config = ServiceConfig(
+                mode="flat", shards=2, expire_every=None, snapshot_path=str(manifest)
+            )
+            router = ShardRouter(config, local=True)
+            await router.start()
+            await router.ingest(["a", "b", "c", "a"], [1.0, 2.0, 3.0, 4.0])
+            await router.drain()
+            await router.stop(drain=True)
+
+        run(body())
+        text = manifest.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+
+    def test_corrupt_failpoint_writes_the_first_half_of_the_document(self, tmp_path):
+        config, chunks = _streamed_case("flat-float")
+        path = tmp_path / "snap.json"
+
+        async def body():
+            async with SketchService(config) as service:
+                for keys, clocks, site in chunks:
+                    await service.ingest(keys, clocks, site=site)
+                await service.drain()
+                failpoints.arm("snapshot.write", "corrupt")
+                try:
+                    write_snapshot(path, snapshot_payload(service))
+                finally:
+                    failpoints.disarm("snapshot.write")
+                return _reference_document(service)
+
+        document = run(body())
+        assert path.read_text(encoding="utf-8") == document[: len(document) // 2]
+        with pytest.raises(ConfigurationError):
+            load_snapshot(path)
+
+    def test_rename_is_durable_before_write_returns(self, tmp_path, monkeypatch):
+        # A journal rotation follows a returned write and may delete epochs
+        # only the new snapshot covers: the rename must be on disk first.
+        events = []
+        replace, fsync = os.replace, os.fsync
+
+        def spy_replace(source, destination):
+            replace(source, destination)
+            events.append("replace")
+
+        def spy_fsync(descriptor):
+            directory = stat.S_ISDIR(os.fstat(descriptor).st_mode)
+            events.append("fsync directory" if directory else "fsync file")
+            fsync(descriptor)
+
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        write_snapshot(tmp_path / "snap.json", {"kind": SNAPSHOT_KIND, "version": 1})
+        assert events == ["fsync file", "replace", "fsync directory"]
+
+    def test_memory_is_bounded_by_the_file(self, tmp_path):
+        # Neither the whole state as per-bucket lists nor the whole document
+        # as one string: the peak stays within twice the file.
+        config = ServiceConfig(mode="flat", window=1e12, epsilon=0.05, expire_every=None)
+        service = SketchService(config)
+        count = 200_000
+        keys = np.random.default_rng(3).integers(0, 5_000, count)
+        service.state.add_many(keys, np.arange(1, count + 1, dtype=np.int64))
+        sketch = service.state
+        buckets = sum(
+            sketch.counter(row, column).bucket_count()
+            for row in range(sketch.depth)
+            for column in range(sketch.width)
+        )
+        assert buckets >= 40_000
+        path = tmp_path / "snap.json"
+        write_snapshot(tmp_path / "warm.json", snapshot_payload(service))  # imports
+        tracemalloc.start()
+        try:
+            write_snapshot(path, snapshot_payload(service))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * os.path.getsize(path)
+
+    def test_stats_report_the_last_snapshot_size(self, tmp_path):
+        config = ServiceConfig(mode="flat", snapshot_path=str(tmp_path / "s.json"))
+
+        async def body():
+            async with SketchService(config) as service:
+                before = service.stats()["last_snapshot_bytes"]
+                await service.ingest(["a", "b"], [1.0, 2.0])
+                await service.drain()
+                path = await service.snapshot_async()
+                return before, service.stats()["last_snapshot_bytes"], os.path.getsize(path)
+
+        before, after, size = run(body())
+        assert (before, after) == (0, size)
 
 
 def _with_legacy_backend(path, value: str) -> None:
