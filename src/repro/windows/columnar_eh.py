@@ -19,11 +19,23 @@ shared NumPy arrays::
     oldest_end float64 (cells,)                 lower bound on the oldest live
                                                 bucket end (+inf when empty)
 
-``cells`` indexes the grid row-major (``row * width + column``); the level
-and slot axes grow on demand.  Within one ``(cell, level)`` the live buckets
-occupy ``slots[0:count]`` oldest-first — exactly the deque order of the
-reference implementation — so cascaded merges pop from the left, appends go
-at ``count``, and expiry is a prefix drop followed by a left shift.
+``cells`` indexes the grid row-major (``row * width + column``).  Within one
+``(cell, level)`` the live buckets occupy ``slots[0:count]`` oldest-first —
+exactly the deque order of the reference implementation — so cascaded merges
+pop from the left, appends go at ``count``, and expiry is a prefix drop
+followed by a left shift.
+
+The level and slot axes grow on demand.  The level axis holds exactly one
+plane per level any cell has reached, so the grid follows the paper's
+``log(eps * N)`` level count instead of keeping idle planes.  The slot axis
+doubles toward the ``max_per_level + 2`` cascade bound.  A slot grid of
+128 KiB or more (glibc's default mmap threshold) lives in its own private
+anonymous mapping, and a growth copies it into the larger grid a chunk at a
+time, handing each copied stretch of the old mapping back to the kernel.  A
+growth then peaks at the new grid plus one chunk, and outgrown grids leave
+no free holes in the heap.  A store holds at most two mappings (four once
+its clocks mix).  Smaller grids, platforms without ``MAP_PRIVATE`` or
+``madvise``, and refused mappings use ordinary heap arrays.
 
 Every bucket at level ``l`` holds exactly ``2**l`` arrivals, so sizes are
 implied by the level index and no per-bucket size array exists.  That holds
@@ -58,6 +70,7 @@ construction.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 import sys
 from collections import deque
@@ -83,9 +96,6 @@ USE_KERNELS = HAVE_NUMBA
 #: Clock magnitude above which an integer does not round-trip float64 exactly.
 _MAX_EXACT_INT = 1 << 53
 
-#: Initial number of level planes; doubles on demand.
-_INITIAL_LEVELS = 2
-
 #: Initial slot capacity per (cell, level).  The slot axis grows on demand
 #: toward ``max_per_level + 2``, so sparse grids (the tiny-epsilon
 #: hierarchical stacks of Section 6.1) never pay for the worst-case per-level
@@ -100,11 +110,69 @@ _MODE_INT = 1
 _MODE_UNSET = 2
 _MODE_MIXED = -1
 
+#: Slot grids of at least this many bytes get their own anonymous mapping:
+#: glibc's default mmap threshold, below which ``malloc`` serves the heap.
+_MAP_MIN_BYTES = 128 * 1024
+
+#: Bytes of an outgrown grid one growth step copies (and, when the grid is
+#: mapped, hands back to the kernel).
+_COPY_CHUNK_BYTES = 64 * 1024
+
+#: Private anonymous mappings and ``madvise`` exist on this platform.
+_CAN_MAP = hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_DONTNEED")
+
+
+def _zeroed_grid(shape: tuple[int, int, int], dtype: np.dtype) -> np.ndarray:
+    """A zeroed slot grid: a private anonymous mapping from ``_MAP_MIN_BYTES``
+    up, a heap array below that or where mapping is unavailable or fails."""
+    nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
+    if _CAN_MAP and nbytes >= _MAP_MIN_BYTES:
+        try:
+            mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        except OSError:
+            pass
+        else:
+            return np.ndarray(shape, dtype=dtype, buffer=mapping)
+    return np.zeros(shape, dtype=dtype)
+
+
+def _move_grid(source: np.ndarray, target: np.ndarray) -> None:
+    """Copy ``source`` into the leading corner of ``target``, a few cells at a
+    time.  A mapped ``source`` gives each copied stretch's pages back at once,
+    so a growth holds the larger grid plus one chunk, never both grids."""
+    cells, levels, slots = source.shape
+    cell_bytes = levels * slots * source.itemsize
+    step = max(1, _COPY_CHUNK_BYTES // cell_bytes)
+    # Only a mapped grid's base is its mmap (heap grids own their data).
+    release = getattr(source.base, "madvise", None)
+    released = 0
+    for low in range(0, cells, step):
+        high = min(low + step, cells)
+        target[low:high, :levels, :slots] = source[low:high]
+        if release is None:
+            continue
+        # madvise needs a page-aligned start: release the whole pages copied
+        # so far, and the tail once the last cell is copied.
+        done = high * cell_bytes
+        if high < cells:
+            done -= done % mmap.PAGESIZE
+        if done > released:
+            release(mmap.MADV_DONTNEED, released, done - released)
+            released = done
+
 
 def _is_int_clock(value: Any) -> bool:
     """True when ``value`` should serialize as a JSON integer (like the
     reference layout, which stores the original Python object verbatim)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and in-row index of every element of a ragged array whose rows
+    hold ``lengths`` elements, in row-major order."""
+    owner = np.repeat(np.arange(lengths.shape[0]), lengths)
+    index = np.arange(owner.shape[0]) - (np.cumsum(lengths) - lengths)[owner]
+    return owner, index
 
 
 class ColumnarEHStore(CounterStore):
@@ -147,11 +215,12 @@ class ColumnarEHStore(CounterStore):
         # only ever holds up to max_per live buckets, but near-empty grids
         # would waste ~max_per slots per level if allocated eagerly.
         self._slots = min(self._max_per + 2, _INITIAL_SLOTS)
-        self._num_levels = _INITIAL_LEVELS
-        cells, levels, slots = self.cells, self._num_levels, self._slots
-        self._starts = np.zeros((cells, levels, slots), dtype=np.float64)
-        self._ends = np.zeros((cells, levels, slots), dtype=np.float64)
-        self._counts = np.zeros((cells, levels), dtype=np.int32)
+        # One level plane to start; _ensure_level adds the planes cells reach.
+        self._num_levels = 1
+        cells = self.cells
+        self._starts = _zeroed_grid((cells, 1, self._slots), np.dtype(np.float64))
+        self._ends = _zeroed_grid((cells, 1, self._slots), np.dtype(np.float64))
+        self._counts = np.zeros((cells, 1), dtype=np.int32)
         self._totals = np.zeros(cells, dtype=np.int64)
         self._uppers = np.zeros(cells, dtype=np.int64)
         self._oldest_end = np.full(cells, np.inf, dtype=np.float64)
@@ -162,22 +231,6 @@ class ColumnarEHStore(CounterStore):
         self._start_int: np.ndarray | None = None
         self._end_int: np.ndarray | None = None
         self._flag_mode = _MODE_UNSET
-        # Reusable index vectors for the cascade hot path (grown on demand;
-        # slices of these are views, so no per-call allocations).
-        self._lane_cache = np.arange(256, dtype=np.int64)
-        self._row_cache = np.arange(256, dtype=np.int64)[:, None]
-
-    def _lanes(self, n: int) -> np.ndarray:
-        if n > self._lane_cache.shape[0]:
-            self._lane_cache = np.arange(max(n, 2 * self._lane_cache.shape[0]), dtype=np.int64)
-        return self._lane_cache[:n]
-
-    def _row_index(self, n: int) -> np.ndarray:
-        if n > self._row_cache.shape[0]:
-            self._row_cache = np.arange(
-                max(n, 2 * self._row_cache.shape[0]), dtype=np.int64
-            )[:, None]
-        return self._row_cache[:n]
 
     # ------------------------------------------------------------------ growth
     def _slot_arrays(self) -> list[np.ndarray]:
@@ -186,32 +239,12 @@ class ColumnarEHStore(CounterStore):
             return [self._starts, self._ends]
         return [self._starts, self._ends, self._start_int, self._end_int]
 
-    def _reassign_slot_arrays(self, arrays: list[np.ndarray]) -> None:
-        self._starts, self._ends = arrays[0], arrays[1]
-        if self._start_int is not None:
-            self._start_int, self._end_int = arrays[2], arrays[3]
-
     def _ensure_level(self, level: int) -> None:
-        if level < self._num_levels:
-            return
-        # Growing the level axis copies every allocated array, so overshoot
-        # the demand generously: +8 planes of headroom means the next growth
-        # needs ~256x more arrivals in the deepest cell (one level per
-        # doubling), turning the doubling ladder a skewed stream would
-        # otherwise climb (2 -> 4 -> 8 -> 16, each step copying the whole
-        # store) into at most one or two small copies per store lifetime.
-        new_levels = max(level + 8, self._num_levels * 2)
-        pad = new_levels - self._num_levels
-        cells, slots = self.cells, self._slots
-        grown = [
-            np.concatenate([array, np.zeros((cells, pad, slots), dtype=array.dtype)], axis=1)
-            for array in self._slot_arrays()
-        ]
-        self._reassign_slot_arrays(grown)
-        self._counts = np.concatenate(
-            [self._counts, np.zeros((cells, pad), dtype=np.int32)], axis=1
-        )
-        self._num_levels = new_levels
+        # Exactly the planes the deepest cell reached: a store grows one
+        # level per doubling of its busiest cell, so the few small copies
+        # cost less than the idle planes any headroom would keep resident.
+        if level >= self._num_levels:
+            self._regrid(level + 1, self._slots)
 
     def _ensure_slots(self, needed: int) -> None:
         if needed <= self._slots:
@@ -219,27 +252,43 @@ class ColumnarEHStore(CounterStore):
         # Double toward the canonical ceiling (max_per + 2 covers the scalar
         # cascade's transient max_per + 1 occupancy); only loaded states can
         # demand more.
-        new_slots = min(
-            max(needed, self._slots * 2), max(self._max_per + 2, needed)
+        self._regrid(
+            self._num_levels,
+            min(max(needed, self._slots * 2), max(self._max_per + 2, needed)),
         )
-        pad = new_slots - self._slots
-        cells, levels = self.cells, self._num_levels
-        grown = [
-            np.concatenate([array, np.zeros((cells, levels, pad), dtype=array.dtype)], axis=2)
-            for array in self._slot_arrays()
-        ]
-        self._reassign_slot_arrays(grown)
-        self._slots = new_slots
+
+    def _regrid(self, levels: int, slots: int) -> None:
+        """Move every slot array into a larger ``(cells, levels, slots)`` grid.
+
+        Reallocation invalidates every alias of the old grids (and of
+        ``_counts`` when the level axis grows); a mapped old grid reads zeros
+        afterwards.
+        """
+        grown = []
+        for array in self._slot_arrays():
+            target = _zeroed_grid((self.cells, levels, slots), array.dtype)
+            _move_grid(array, target)
+            grown.append(target)
+        self._starts, self._ends = grown[0], grown[1]
+        if self._start_int is not None:
+            self._start_int, self._end_int = grown[2], grown[3]
+        if levels != self._num_levels:
+            counts = np.zeros((self.cells, levels), dtype=np.int32)
+            counts[:, : self._num_levels] = self._counts
+            self._counts = counts
+        self._num_levels, self._slots = levels, slots
 
     # ------------------------------------------------------------ clock flags
     def _materialize_flags(self) -> None:
         """Materialise the per-bucket int/float flag arrays (mixed clocks)."""
         if self._start_int is not None:
             return
-        fill = self._flag_mode == _MODE_INT
         shape = (self.cells, self._num_levels, self._slots)
-        self._start_int = np.full(shape, fill, dtype=bool)
-        self._end_int = np.full(shape, fill, dtype=bool)
+        self._start_int = _zeroed_grid(shape, np.dtype(bool))
+        self._end_int = _zeroed_grid(shape, np.dtype(bool))
+        if self._flag_mode == _MODE_INT:
+            self._start_int.fill(True)
+            self._end_int.fill(True)
         self._flag_mode = _MODE_MIXED
 
     def _note_clock_flag(self, is_int: bool) -> None:
@@ -592,54 +641,68 @@ class ColumnarEHStore(CounterStore):
         Level-0 buckets are unit buckets (``start == end``, size 1), so level
         0 cascades a single clock field; higher levels cascade ``(start,
         end)`` pairs and sizes stay implied by the level index throughout.
+        Each level lays its cells' sequences end to end in one flat array, so
+        the temporaries scale with the buckets moved, never with the number
+        of runs times the longest run.
         """
         if USE_KERNELS:
             self._kernel_cascade(cells, unit_clocks, unit_offsets, unit_counts)
             return
-        max_units = int(unit_counts.max())
-        lane = self._lanes(max_units)[None, :]
-        gather = np.minimum(unit_offsets[:-1, None] + lane, unit_clocks.size - 1)
-        padded_units = unit_clocks[gather]
-        # ---- level 0: one clock field ------------------------------------
-        self._ensure_level(0)
-        existing = self._counts[cells, 0].astype(np.int64)
-        totals = existing + unit_counts
-        sequence = self._compact_level(cells, 0, self._ends, padded_units, existing, totals)
-        merges, retained = self._apply_level(cells, 0, sequence, sequence, existing, totals)
-        if merges is None:
-            return
-        incoming_starts = sequence[:, 0 : 2 * int(merges.max()) : 2]
-        incoming_ends = sequence[:, 1 : 2 * int(merges.max()) : 2]
-        incoming_counts = merges
-        active = cells
-        level = 1
+        max_per = self._max_per
+        # Level 0 receives unit buckets, and its live buckets are unit
+        # buckets too: one clock field serves as both start and end.
+        incoming_starts = incoming_ends = unit_clocks
+        incoming_counts = unit_counts.astype(np.int64)
+        level = 0
         while True:
-            keep = incoming_counts > 0
-            if not keep.all():
-                if not keep.any():
-                    return
-                active = active[keep]
-                incoming_starts = incoming_starts[keep]
-                incoming_ends = incoming_ends[keep]
-                incoming_counts = incoming_counts[keep]
             self._ensure_level(level)
-            existing = self._counts[active, level].astype(np.int64)
+            existing = self._counts[cells, level].astype(np.int64)
             totals = existing + incoming_counts
-            seq_starts = self._compact_level(
-                active, level, self._starts, incoming_starts, existing, totals
+            # (totals - max_per + 1) // 2 clamped at zero: the arithmetic
+            # shift floors negatives, so one maximum() replaces the where().
+            merges = np.maximum((totals - (max_per - 1)) >> 1, 0)
+            retained = totals - 2 * merges
+            self._ensure_slots(int(retained.max()))
+            # Every cell's level-sequence ``live buckets ++ incoming buckets``,
+            # laid end to end in one flat array.  The grids are C-contiguous,
+            # so a flat index into them (from each cell's slot 0 at this
+            # level) reads and writes through a 1-D view.
+            slot0 = (cells * self._num_levels + level) * self._slots
+            first = np.cumsum(totals) - totals
+            live_owner, live_index = _ragged(existing)
+            live_at = first[live_owner] + live_index
+            live_from = slot0[live_owner] + live_index
+            incoming_at = np.arange(incoming_starts.shape[0]) + np.repeat(
+                first + existing - (np.cumsum(incoming_counts) - incoming_counts),
+                incoming_counts,
             )
-            seq_ends = self._compact_level(
-                active, level, self._ends, incoming_ends, existing, totals
-            )
-            merges, retained = self._apply_level(
-                active, level, seq_starts, seq_ends, existing, totals
-            )
-            if merges is None:
+            starts, ends = self._starts.reshape(-1), self._ends.reshape(-1)
+            size = int(first[-1] + totals[-1])
+            seq_ends = np.empty(size, dtype=np.float64)
+            seq_ends[live_at] = ends[live_from]
+            seq_ends[incoming_at] = incoming_ends
+            seq_starts = seq_ends
+            if level:
+                seq_starts = np.empty(size, dtype=np.float64)
+                seq_starts[live_at] = starts[live_from]
+                seq_starts[incoming_at] = incoming_starts
+            # The tail after a cell's ``merges`` leading pairs stays here...
+            kept_owner, kept_index = _ragged(retained)
+            kept_at = first[kept_owner] + 2 * merges[kept_owner] + kept_index
+            kept_to = slot0[kept_owner] + kept_index
+            starts[kept_to] = seq_starts[kept_at]
+            ends[kept_to] = seq_ends[kept_at]
+            self._counts[cells, level] = retained
+            carried = merges > 0
+            if not carried.any():
                 return
-            pair_stop = 2 * int(merges.max())
-            incoming_starts = seq_starts[:, 0:pair_stop:2]
-            incoming_ends = seq_ends[:, 1:pair_stop:2]
-            incoming_counts = merges
+            # ... and each leading pair merges into one bucket a level up.
+            pair_owner, pair_index = _ragged(merges)
+            pair_at = first[pair_owner] + 2 * pair_index
+            incoming_starts = seq_starts[pair_at]
+            incoming_ends = seq_ends[pair_at + 1]
+            incoming_counts = merges[carried]
+            cells = cells[carried]
             level += 1
 
     def _kernel_cascade(
@@ -686,73 +749,6 @@ class ColumnarEHStore(CounterStore):
             max_per,
         )
 
-    def _compact_level(
-        self,
-        cells: np.ndarray,
-        level: int,
-        slot_array: np.ndarray,
-        incoming: np.ndarray,
-        existing: np.ndarray,
-        totals: np.ndarray,
-    ) -> np.ndarray:
-        """Per-cell ``[existing buckets | incoming buckets]`` as a padded matrix."""
-        total_max = int(totals.max())
-        num_cells = cells.shape[0]
-        if not existing.any():
-            if incoming.shape[1] == total_max:
-                return incoming
-            return incoming[:, :total_max]
-        # Place the existing slots first, then scatter incoming at each
-        # cell's own offset; one spare lane absorbs the clipped tails of
-        # cells with fewer incoming buckets.
-        slots = self._slots
-        sequence = np.empty((num_cells, total_max + 1), dtype=np.float64)
-        copy_width = min(slots, total_max + 1)
-        sequence[:, :copy_width] = slot_array[cells, level, :copy_width]
-        lane = self._lanes(incoming.shape[1])[None, :]
-        scatter = np.minimum(existing[:, None] + lane, total_max)
-        sequence[self._row_index(num_cells), scatter] = incoming
-        return sequence[:, :total_max]
-
-    def _apply_level(
-        self,
-        cells: np.ndarray,
-        level: int,
-        seq_starts: np.ndarray,
-        seq_ends: np.ndarray,
-        existing: np.ndarray,
-        totals: np.ndarray,
-    ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Write one level's retained buckets back; return the merge counts."""
-        max_per = self._max_per
-        # (totals - max_per + 1) // 2 clamped at zero: the arithmetic shift
-        # floors negatives, so one maximum() replaces the where().
-        merges = np.maximum((totals - (max_per - 1)) >> 1, 0)
-        retained = totals - 2 * merges
-        retained_max = int(retained.max())
-        # Retained counts never exceed max_per, but the lazily-grown slot
-        # axis may still be narrower than this level's write-back width.
-        self._ensure_slots(retained_max)
-        total_max = seq_ends.shape[1]
-        merges_max = int(merges.max())
-        if merges_max == 0:
-            # Nothing overflows: the sequences are already final — append the
-            # incoming region in place (the existing prefix is unchanged).
-            width = retained_max
-            self._starts[cells, level, :width] = seq_starts[:, :width]
-            self._ends[cells, level, :width] = seq_ends[:, :width]
-            self._counts[cells, level] = retained
-            return None, retained
-        retain_index = np.minimum(
-            2 * merges[:, None] + self._lanes(retained_max)[None, :],
-            max(total_max - 1, 0),
-        )
-        rows = self._row_index(cells.shape[0])
-        self._starts[cells, level, :retained_max] = seq_starts[rows, retain_index]
-        self._ends[cells, level, :retained_max] = seq_ends[rows, retain_index]
-        self._counts[cells, level] = retained
-        return merges, retained
-
     # ------------------------------------------------------------------ expiry
     def expire_all(self, now: float) -> None:
         threshold = now - self.window
@@ -783,7 +779,7 @@ class ColumnarEHStore(CounterStore):
         used = int(live_levels[-1]) + 1
         counts = counts[:, :used]
         max_live = int(counts.max())
-        lane = self._lanes(max_live)
+        lane = np.arange(max_live)
         block = np.ix_(candidates, np.arange(used), lane)
         ends = self._ends[block]
         valid = lane[None, None, :] < counts[:, :, None]

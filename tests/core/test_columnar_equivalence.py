@@ -20,9 +20,13 @@ The deterministic tests pin the named scenarios; the hypothesis driver
 from __future__ import annotations
 
 import contextlib
+import errno
+import mmap
 import random
+import tracemalloc
 from collections.abc import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,6 +337,162 @@ class TestMemoryAccounting(_KernelSettingsCase):
         assert columnar.resident_memory_bytes() < reference.resident_memory_bytes()
         # Identical synopsis accounting (the paper model is storage-agnostic).
         assert columnar.synopsis_bytes() == reference.synopsis_bytes()
+
+
+def _deepest_live_level(store: ColumnarEHStore) -> int:
+    """Deepest level at which some cell of ``store`` holds a live bucket."""
+    return int(np.flatnonzero(store._counts.any(axis=0))[-1])
+
+
+def _columnar_store(sketch: ECMSketch) -> ColumnarEHStore:
+    store = sketch._store
+    assert isinstance(store, ColumnarEHStore)
+    return store
+
+
+def _skewed_batch(rng: random.Random, start: float, size: int) -> tuple[list, list]:
+    """A batch where one key takes about four arrivals in five."""
+    items = ["hot" if rng.random() < 0.8 else "k%d" % rng.randrange(50) for _ in range(size)]
+    return items, [start + 0.5 * index for index in range(size)]
+
+
+class TestGridGrowth(_KernelSettingsCase):
+    """The level axis holds exactly the planes the cells reached; large grids
+    live in their own mapping, and a refused mapping falls back to the heap."""
+
+    def test_level_axis_is_one_past_the_deepest_level_reached(self):
+        # The window outlasts the stream, so nothing expires while the
+        # arrivals come in: the deepest live level is the deepest reached.
+        reference, columnar = _pair(window=1e6)
+        store = _columnar_store(columnar)
+        assert store._num_levels == 1
+        rng = random.Random(21)
+        items, clocks = _skewed_batch(rng, 0.0, 3000)
+        for sketch in (reference, columnar):
+            sketch.add_many(items, clocks)
+        deepest = _deepest_live_level(store)
+        assert deepest >= 5
+        assert store._num_levels == deepest + 1
+        for t in range(3000, 5000):
+            for sketch in (reference, columnar):
+                sketch.add("hot", clock=float(t), value=3)
+        deepest = _deepest_live_level(store)
+        assert store._num_levels == deepest + 1
+        # Expiry empties the top levels but keeps the planes they reached.
+        for sketch in (reference, columnar):
+            sketch.expire(4000.0 + 1e6)
+        assert store._num_levels == deepest + 1
+        assert _deepest_live_level(store) < deepest
+        _assert_twins(reference, columnar, ["hot", "k1", "k2"])
+        # A restore sizes the grid to the levels its payload holds.
+        restored = ecm_sketch_from_dict(ecm_sketch_to_dict(columnar))
+        restored_store = _columnar_store(restored)
+        assert restored_store._num_levels == _deepest_live_level(restored_store) + 1
+        assert dumps(restored) == dumps(columnar)
+        # So does an aggregate of two live sketches.
+        other_ref, other = _pair(window=1e6)
+        items, clocks = _skewed_batch(rng, 0.0, 2000)
+        for sketch in (other_ref, other):
+            sketch.add_many(items, clocks)
+        merged = ECMSketch.aggregate([restored, other])
+        merged_store = _columnar_store(merged)
+        assert merged_store._num_levels == _deepest_live_level(merged_store) + 1
+        assert dumps(merged) == dumps(ECMSketch.aggregate([reference, other_ref]))
+
+    @pytest.mark.skipif(not columnar_eh._CAN_MAP, reason="no anonymous private mappings")
+    def test_large_grids_are_mapped_small_grids_are_heap_arrays(self):
+        small = ColumnarEHStore(2, 16, 0.1, WINDOW)
+        assert small._starts.base is None and small._ends.base is None
+        # 4096 cells x 1 level x 8 slots x 8 bytes = 256 KiB per grid.
+        large = ColumnarEHStore(4, 1024, 0.1, WINDOW)
+        assert isinstance(large._starts.base, mmap.mmap)
+        assert isinstance(large._ends.base, mmap.mmap)
+        assert large._starts.base is not large._ends.base
+        for cell in range(0, large.cells, 7):
+            large.add_single(cell // 1024, cell % 1024, 1.0, count=40)
+        assert large._num_levels > 1
+        assert isinstance(large._starts.base, mmap.mmap)
+        assert isinstance(large._ends.base, mmap.mmap)
+
+    @pytest.mark.skipif(not columnar_eh._CAN_MAP, reason="no anonymous private mappings")
+    def test_growth_returns_the_outgrown_mapping(self):
+        source = columnar_eh._zeroed_grid((600, 4, 16), np.dtype(np.float64))
+        assert isinstance(source.base, mmap.mmap)
+        source[...] = np.arange(source.size, dtype=np.float64).reshape(source.shape)
+        expected = source.copy()
+        target = columnar_eh._zeroed_grid((600, 5, 16), np.dtype(np.float64))
+        columnar_eh._move_grid(source, target)
+        assert np.array_equal(target[:, :4], expected)
+        assert not target[:, 4:].any()
+        # Every copied page went back to the kernel: a stale alias reads 0.
+        assert not source.any()
+
+    def test_large_sketch_stays_identical_on_mapped_grids(self):
+        reference, columnar = _pair(epsilon=0.01, delta=0.05)
+        self._drive(reference, columnar)
+        store = _columnar_store(columnar)
+        if columnar_eh._CAN_MAP:
+            assert all(isinstance(array.base, mmap.mmap) for array in store._slot_arrays())
+
+    def test_refused_mappings_fall_back_to_heap_arrays(self, monkeypatch):
+        class RefusedMapping(mmap.mmap):
+            def __new__(cls, *args, **kwargs):
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", RefusedMapping)
+        reference, columnar = _pair(epsilon=0.01, delta=0.05)
+        self._drive(reference, columnar)
+        store = _columnar_store(columnar)
+        assert store._starts.nbytes >= columnar_eh._MAP_MIN_BYTES
+        assert all(array.base is None for array in store._slot_arrays())
+
+    @staticmethod
+    def _drive(reference: ECMSketch, columnar: ECMSketch) -> None:
+        """Grow a wide grid past the mapping threshold through every path."""
+        rng = random.Random(5)
+        items, clocks = _skewed_batch(rng, 0.0, 4000)
+        for sketch in (reference, columnar):
+            sketch.add_many(items, clocks)
+        for t in range(200):
+            for sketch in (reference, columnar):
+                sketch.add("k%d" % (t % 50), clock=2000.0 + t, value=1 + t % 3)
+        for sketch in (reference, columnar):
+            sketch.expire(2199.0 + WINDOW / 2)
+        # Mixed int/float clocks materialise the flag planes.
+        for sketch in (reference, columnar):
+            sketch.add("hot", clock=2500)
+            sketch.add_many(["hot", "k3"], [2501.5, 2502])
+        _assert_twins(reference, columnar, ["hot", "k1", "k3"])
+        assert _columnar_store(columnar)._starts.nbytes >= columnar_eh._MAP_MIN_BYTES
+
+
+class TestHeavyRuns(_KernelSettingsCase):
+    def test_one_heavy_run_allocates_like_spread_runs(self):
+        """A batch whose runs differ wildly in length pads none of them to the
+        longest: one weight of 16,384 among 999 unit weights peaks like the
+        same units spread evenly, and matches the per-arrival replay."""
+        config = ECMConfig.for_point_queries(epsilon=0.05, delta=0.05, window=1e9)
+        keys = list(range(1000))
+        clocks = [float(t) for t in range(1000)]
+        heavy = [1] * 999 + [16_384]
+        peaks = {}
+        sketches = {}
+        for name, values in (("heavy", heavy), ("spread", [17] * 1000)):
+            sketch = ECMSketch(config)
+            sketch.add("warm", clock=-1.0)
+            tracemalloc.start()
+            try:
+                sketch.add_many(keys, clocks, values)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sketches[name] = sketch
+        assert peaks["heavy"] <= 2 * peaks["spread"]
+        replay = ECMSketch(config)
+        replay.add("warm", clock=-1.0)
+        for key, clock, value in zip(keys, clocks, heavy, strict=True):
+            replay.add(key, clock, value)
+        assert dumps(sketches["heavy"]) == dumps(replay)
 
 
 # --------------------------------------------------------------- hypothesis
