@@ -163,7 +163,8 @@ class CounterStore(abc.ABC):
 
         Object store: the paper's analytical 32-bit synopsis model (the
         object graph *is* the synopsis in the reference implementation).
-        Columnar store: the true allocation of the backing arrays.
+        Columnar store: the bytes its arrays occupy (the pool rows handed
+        out, not the spare capacity no access reaches).
         """
 
     @abc.abstractmethod

@@ -747,10 +747,10 @@ class ECMSketch:
 
         On the object layout this is the paper's analytical 32-bit synopsis
         model (the per-cell object graphs *are* the synopsis in the reference
-        implementation).  On the columnar layout it is the true allocation
-        of the shared NumPy arrays — what the process actually holds
-        resident.  Use :meth:`synopsis_bytes` for the layout-independent
-        paper-model figure.
+        implementation).  On the columnar layout it is the bytes the shared
+        NumPy arrays occupy (the pool rows handed out, not the spare capacity
+        no access reaches) — what the process actually holds resident.  Use
+        :meth:`synopsis_bytes` for the layout-independent paper-model figure.
         """
         overhead = (self.depth * 2 * _FIELD_BITS + 8 * _FIELD_BITS) // 8
         return self._store.memory_bytes() + overhead
@@ -768,8 +768,8 @@ class ECMSketch:
         """Estimated true resident memory of the counter grid, in bytes.
 
         Object layout: a walk of the Python object graph (counter objects,
-        level deques, per-bucket objects).  Columnar layout: the allocation
-        of the backing arrays (equal to :meth:`memory_bytes`).
+        level deques, per-bucket objects).  Columnar layout: the bytes the
+        backing arrays occupy (equal to :meth:`memory_bytes`).
         """
         return self._store.resident_bytes()
 

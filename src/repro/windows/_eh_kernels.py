@@ -3,10 +3,12 @@
 The three hot loops of :class:`~repro.windows.columnar_eh.ColumnarEHStore` —
 the deferred per-level cascade of a batched ingest, the expire/compaction
 sweep, and the point-query grid walk — are pure array arithmetic over the
-store's structure-of-arrays buffers (``starts``/``ends`` float64 planes,
-``counts`` int32, ``totals``/``uppers`` int64, ``oldest_end`` float64).  This
-module expresses them as ``numba.njit``-compilable functions operating
-directly on those arrays.
+store's structure-of-arrays buffers (the ``starts``/``ends`` float64 row
+pools, the int32 ``row_map`` and ``counts``, ``totals``/``uppers`` int64,
+``oldest_end`` float64).  This module expresses them as
+``numba.njit``-compilable functions operating directly on those arrays.
+Bucket ``slot`` of ``(cell, level)`` lives at
+``starts[row_map[cell, level], slot]``.
 
 Compilation is optional.  When numba is importable (the ``repro[kernels]``
 extra) every kernel is compiled in ``nopython`` mode and
@@ -20,7 +22,7 @@ forms) byte-identical to the reference.
 objects, fixed-dtype arrays only, and per-cell scratch buffers allocated with
 ``np.empty`` inside the loop (numba supports allocation in nopython mode).
 They read bucket sizes from the level index (``2**level``) and never touch
-the per-bucket int/float flag planes; the store keeps mixed-clock expiry on
+the per-bucket int/float flag pools; the store keeps mixed-clock expiry on
 its NumPy sweep, and its batched ingest never cascades a mixed-clock store.
 """
 
@@ -62,6 +64,7 @@ except ImportError:  # pragma: no cover - the container default
 def cascade_runs(  # pragma: no cover - measured via the equivalence suite
     starts: np.ndarray,
     ends: np.ndarray,
+    row_map: np.ndarray,
     counts: np.ndarray,
     cells: np.ndarray,
     unit_clocks: np.ndarray,
@@ -79,14 +82,15 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
     structure is identical bucket-for-bucket.
 
     Preconditions (established by the caller): level and slot axes
-    pre-grown to the cascade's precomputed demand, no expiry possible
-    mid-run.
+    pre-grown to the cascade's precomputed demand, a pool row bound to every
+    ``(cell, level)`` that keeps a bucket, no expiry possible mid-run.
     """
     for i in range(cells.shape[0]):
         cell = cells[i]
         low = unit_offsets[i]
         n_in = unit_offsets[i + 1] - low
         # ---- level 0: unit buckets, start == end == the arrival clock ----
+        row = row_map[cell, 0]
         c0 = counts[cell, 0]
         total = c0 + n_in
         merges = (total - (max_per - 1)) >> 1
@@ -96,8 +100,8 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
         if merges == 0:
             for j in range(n_in):
                 clock = unit_clocks[low + j]
-                starts[cell, 0, c0 + j] = clock
-                ends[cell, 0, c0 + j] = clock
+                starts[row, c0 + j] = clock
+                ends[row, c0 + j] = clock
             counts[cell, 0] = retained
             continue
         carry_starts = np.empty(merges, np.float64)
@@ -105,12 +109,12 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
         for m in range(merges):
             k = 2 * m
             if k < c0:
-                carry_starts[m] = starts[cell, 0, k]
+                carry_starts[m] = starts[row, k]
             else:
                 carry_starts[m] = unit_clocks[low + (k - c0)]
             k += 1
             if k < c0:
-                carry_ends[m] = ends[cell, 0, k]
+                carry_ends[m] = ends[row, k]
             else:
                 carry_ends[m] = unit_clocks[low + (k - c0)]
         # Retained tail, shifted left in place (source index 2*merges + r is
@@ -118,12 +122,12 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
         for r in range(retained):
             k = 2 * merges + r
             if k < c0:
-                starts[cell, 0, r] = starts[cell, 0, k]
-                ends[cell, 0, r] = ends[cell, 0, k]
+                starts[row, r] = starts[row, k]
+                ends[row, r] = ends[row, k]
             else:
                 clock = unit_clocks[low + (k - c0)]
-                starts[cell, 0, r] = clock
-                ends[cell, 0, r] = clock
+                starts[row, r] = clock
+                ends[row, r] = clock
         counts[cell, 0] = retained
         # ---- higher levels: cascade (start, end) pairs ----
         incoming_starts = carry_starts
@@ -131,6 +135,7 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
         n_incoming = merges
         level = 1
         while n_incoming > 0:
+            row = row_map[cell, level]
             live = counts[cell, level]
             total = live + n_incoming
             merges = (total - (max_per - 1)) >> 1
@@ -139,8 +144,8 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
             retained = total - 2 * merges
             if merges == 0:
                 for j in range(n_incoming):
-                    starts[cell, level, live + j] = incoming_starts[j]
-                    ends[cell, level, live + j] = incoming_ends[j]
+                    starts[row, live + j] = incoming_starts[j]
+                    ends[row, live + j] = incoming_ends[j]
                 counts[cell, level] = retained
                 break
             carry_starts = np.empty(merges, np.float64)
@@ -148,22 +153,22 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
             for m in range(merges):
                 k = 2 * m
                 if k < live:
-                    carry_starts[m] = starts[cell, level, k]
+                    carry_starts[m] = starts[row, k]
                 else:
                     carry_starts[m] = incoming_starts[k - live]
                 k += 1
                 if k < live:
-                    carry_ends[m] = ends[cell, level, k]
+                    carry_ends[m] = ends[row, k]
                 else:
                     carry_ends[m] = incoming_ends[k - live]
             for r in range(retained):
                 k = 2 * merges + r
                 if k < live:
-                    starts[cell, level, r] = starts[cell, level, k]
-                    ends[cell, level, r] = ends[cell, level, k]
+                    starts[row, r] = starts[row, k]
+                    ends[row, r] = ends[row, k]
                 else:
-                    starts[cell, level, r] = incoming_starts[k - live]
-                    ends[cell, level, r] = incoming_ends[k - live]
+                    starts[row, r] = incoming_starts[k - live]
+                    ends[row, r] = incoming_ends[k - live]
             counts[cell, level] = retained
             incoming_starts = carry_starts
             incoming_ends = carry_ends
@@ -175,13 +180,14 @@ def cascade_runs(  # pragma: no cover - measured via the equivalence suite
 def expire_cells(  # pragma: no cover - measured via the equivalence suite
     starts: np.ndarray,
     ends: np.ndarray,
+    row_map: np.ndarray,
     counts: np.ndarray,
     uppers: np.ndarray,
     oldest_end: np.ndarray,
     candidates: np.ndarray,
     threshold: float,
 ) -> None:
-    """Prefix-drop expiry sweep over candidate cells (no flag planes).
+    """Prefix-drop expiry sweep over candidate cells (no flag pools).
 
     Within one ``(cell, level)`` the buckets are time-ordered, so the expired
     set is a prefix; survivors shift left and the per-cell ``oldest_end``
@@ -196,18 +202,19 @@ def expire_cells(  # pragma: no cover - measured via the equivalence suite
             live = counts[cell, level]
             if live == 0:
                 continue
+            row = row_map[cell, level]
             expired = 0
-            while expired < live and ends[cell, level, expired] <= threshold:
+            while expired < live and ends[row, expired] <= threshold:
                 expired += 1
             if expired:
                 removed += np.int64(expired) << level
                 for slot in range(live - expired):
-                    starts[cell, level, slot] = starts[cell, level, slot + expired]
-                    ends[cell, level, slot] = ends[cell, level, slot + expired]
+                    starts[row, slot] = starts[row, slot + expired]
+                    ends[row, slot] = ends[row, slot + expired]
                 live -= expired
                 counts[cell, level] = live
-            if live > 0 and ends[cell, level, 0] < new_oldest:
-                new_oldest = ends[cell, level, 0]
+            if live > 0 and ends[row, 0] < new_oldest:
+                new_oldest = ends[row, 0]
         uppers[cell] -= removed
         oldest_end[cell] = new_oldest
 
@@ -216,6 +223,7 @@ def expire_cells(  # pragma: no cover - measured via the equivalence suite
 def estimate_cells_canonical(  # pragma: no cover - measured via the suite
     starts: np.ndarray,
     ends: np.ndarray,
+    row_map: np.ndarray,
     counts: np.ndarray,
     cells: np.ndarray,
     start: float,
@@ -241,12 +249,13 @@ def estimate_cells_canonical(  # pragma: no cover - measured via the suite
             live = counts[cell, level]
             if live == 0:
                 continue
+            row = row_map[cell, level]
             size = float(np.int64(1) << level)
             for slot in range(live):
-                end = ends[cell, level, slot]
+                end = ends[row, slot]
                 if end > start:
                     total += size
-                    bucket_start = starts[cell, level, slot]
+                    bucket_start = starts[row, slot]
                     if end < min_end or (end == min_end and bucket_start < oldest_start):
                         min_end = end
                         oldest_start = bucket_start

@@ -11,31 +11,40 @@ dominated by per-bucket object headers.
 :class:`ColumnarEHStore` stores *all* ``w x d`` histograms of one sketch in
 shared NumPy arrays::
 
-    starts     float64 (cells, levels, slots)   oldest-arrival clock per bucket
-    ends       float64 (cells, levels, slots)   newest-arrival clock per bucket
-    counts     int32   (cells, levels)          live buckets per level
-    totals     int64   (cells,)                 arrivals ever, per cell
-    uppers     int64   (cells,)                 sum of live bucket sizes
-    oldest_end float64 (cells,)                 lower bound on the oldest live
-                                                bucket end (+inf when empty)
+    starts     float64 (rows, slots)     oldest-arrival clock per bucket
+    ends       float64 (rows, slots)     newest-arrival clock per bucket
+    row_map    int32   (cells, levels)   pool row of each (cell, level)
+    counts     int32   (cells, levels)   live buckets per level
+    totals     int64   (cells,)          arrivals ever, per cell
+    uppers     int64   (cells,)          sum of live bucket sizes
+    oldest_end float64 (cells,)          lower bound on the oldest live
+                                         bucket end (+inf when empty)
 
-``cells`` indexes the grid row-major (``row * width + column``).  Within one
-``(cell, level)`` the live buckets occupy ``slots[0:count]`` oldest-first —
-exactly the deque order of the reference implementation — so cascaded merges
-pop from the left, appends go at ``count``, and expiry is a prefix drop
-followed by a left shift.
+``cells`` indexes the grid row-major (``row * width + column``).  The slot
+arrays are a *row pool*: one row holds the buckets of one ``(cell, level)``,
+and ``row_map`` says which.  Row 0 is a permanently empty sentinel that every
+``(cell, level)`` maps to until it first stores a bucket, so every read is a
+plain gather (``starts[row_map[cells]]``) masked by ``counts``.  Within one
+row the live buckets occupy ``slots[0:count]`` oldest-first -- exactly the
+deque order of the reference implementation -- so cascaded merges pop from
+the left, appends go at ``count``, and expiry is a prefix drop followed by a
+left shift.
 
-The level and slot axes grow on demand.  The level axis holds exactly one
-plane per level any cell has reached, so the grid follows the paper's
-``log(eps * N)`` level count instead of keeping idle planes.  The slot axis
-doubles toward the ``max_per_level + 2`` cascade bound.  A slot grid of
-128 KiB or more (glibc's default mmap threshold) lives in its own private
-anonymous mapping, and a growth copies it into the larger grid a chunk at a
-time, handing each copied stretch of the old mapping back to the kernel.  A
-growth then peaks at the new grid plus one chunk, and outgrown grids leave
-no free holes in the heap.  A store holds at most two mappings (four once
-its clocks mix).  Smaller grids, platforms without ``MAP_PRIVATE`` or
-``madvise``, and refused mappings use ordinary heap arrays.
+A cell pays for a level only once it stores a bucket there, so the pool
+follows each cell's own ``log(eps * N)`` depth (paper Table 2) instead of the
+busiest cell's.  A row stays bound to its ``(cell, level)`` for the life of
+the store.  A new level widens only ``row_map`` and ``counts``; slot data is
+never copied for it.  The pool grows by rows (doubling its capacity) and its
+slot axis doubles toward the ``max_per_level + 2`` cascade bound; both copy
+only the rows in use.  A pool of 128 KiB or more (glibc's default mmap
+threshold) lives in its own private anonymous mapping, so its unused
+capacity is never paged in, and a growth copies it into the larger pool a
+chunk at a time, handing each copied stretch of the old mapping back to the
+kernel.  A growth then peaks at the new pool's rows in use plus one chunk,
+and outgrown pools leave no free holes in the heap.  A store holds at most
+two mappings (four once its clocks mix).  Smaller pools, platforms without
+``MAP_PRIVATE`` or ``madvise``, and refused mappings use ordinary heap
+arrays.
 
 Every bucket at level ``l`` holds exactly ``2**l`` arrivals, so sizes are
 implied by the level index and no per-bucket size array exists.  That holds
@@ -96,11 +105,20 @@ USE_KERNELS = HAVE_NUMBA
 #: Clock magnitude above which an integer does not round-trip float64 exactly.
 _MAX_EXACT_INT = 1 << 53
 
-#: Initial slot capacity per (cell, level).  The slot axis grows on demand
-#: toward ``max_per_level + 2``, so sparse grids (the tiny-epsilon
-#: hierarchical stacks of Section 6.1) never pay for the worst-case per-level
-#: bucket cap.
+#: Initial slot capacity per pool row.  The slot axis grows on demand toward
+#: ``max_per_level + 2``, so sparse grids (the tiny-epsilon hierarchical
+#: stacks of Section 6.1) never pay for the worst-case per-level bucket cap.
 _INITIAL_SLOTS = 8
+
+#: Initial pool capacity in rows, the sentinel included.  The pool doubles
+#: as ``(cell, level)`` pairs claim rows, so a sketch whose keys touch few
+#: cells (the coarse levels of a dyadic stack) stays this small.
+_INITIAL_ROWS = 64
+
+#: Weight from which ``add_single`` cascades an arrival's units as one
+#: vector run instead of one Python-level insert each: the run's fixed cost
+#: (a few dozen NumPy calls per level) only pays off from here.
+_WEIGHTED_CASCADE_MIN = 96
 
 #: Store-wide clock modes: every clock so far was an int / was a float; the
 #: store is empty; or the stream mixed both and per-bucket flag arrays are
@@ -110,11 +128,11 @@ _MODE_INT = 1
 _MODE_UNSET = 2
 _MODE_MIXED = -1
 
-#: Slot grids of at least this many bytes get their own anonymous mapping:
+#: Pools of at least this many bytes get their own anonymous mapping:
 #: glibc's default mmap threshold, below which ``malloc`` serves the heap.
 _MAP_MIN_BYTES = 128 * 1024
 
-#: Bytes of an outgrown grid one growth step copies (and, when the grid is
+#: Bytes of an outgrown pool one growth step copies (and, when the pool is
 #: mapped, hands back to the kernel).
 _COPY_CHUNK_BYTES = 64 * 1024
 
@@ -122,10 +140,11 @@ _COPY_CHUNK_BYTES = 64 * 1024
 _CAN_MAP = hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_DONTNEED")
 
 
-def _zeroed_grid(shape: tuple[int, int, int], dtype: np.dtype) -> np.ndarray:
-    """A zeroed slot grid: a private anonymous mapping from ``_MAP_MIN_BYTES``
-    up, a heap array below that or where mapping is unavailable or fails."""
-    nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
+def _zeroed_grid(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A zeroed ``(rows, slots)`` pool: a private anonymous mapping from
+    ``_MAP_MIN_BYTES`` up, a heap array below that or where mapping is
+    unavailable or fails."""
+    nbytes = shape[0] * shape[1] * dtype.itemsize
     if _CAN_MAP and nbytes >= _MAP_MIN_BYTES:
         try:
             mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
@@ -136,25 +155,27 @@ def _zeroed_grid(shape: tuple[int, int, int], dtype: np.dtype) -> np.ndarray:
     return np.zeros(shape, dtype=dtype)
 
 
-def _move_grid(source: np.ndarray, target: np.ndarray) -> None:
-    """Copy ``source`` into the leading corner of ``target``, a few cells at a
-    time.  A mapped ``source`` gives each copied stretch's pages back at once,
-    so a growth holds the larger grid plus one chunk, never both grids."""
-    cells, levels, slots = source.shape
-    cell_bytes = levels * slots * source.itemsize
-    step = max(1, _COPY_CHUNK_BYTES // cell_bytes)
-    # Only a mapped grid's base is its mmap (heap grids own their data).
+def _move_grid(source: np.ndarray, target: np.ndarray, rows: int) -> None:
+    """Copy the first ``rows`` rows of ``source`` into the leading corner of
+    ``target``, a few rows at a time.  A mapped ``source`` gives each copied
+    stretch's pages back at once, so a growth holds the larger pool plus one
+    chunk, never both pools; rows past ``rows`` are never read, so a mapped
+    pool's unused capacity is never paged in."""
+    slots = source.shape[1]
+    row_bytes = slots * source.itemsize
+    step = max(1, _COPY_CHUNK_BYTES // row_bytes)
+    # Only a mapped pool's base is its mmap (heap pools own their data).
     release = getattr(source.base, "madvise", None)
     released = 0
-    for low in range(0, cells, step):
-        high = min(low + step, cells)
-        target[low:high, :levels, :slots] = source[low:high]
+    for low in range(0, rows, step):
+        high = min(low + step, rows)
+        target[low:high, :slots] = source[low:high]
         if release is None:
             continue
         # madvise needs a page-aligned start: release the whole pages copied
-        # so far, and the tail once the last cell is copied.
-        done = high * cell_bytes
-        if high < cells:
+        # so far, and the tail once the last row is copied.
+        done = high * row_bytes
+        if high < rows:
             done -= done % mmap.PAGESIZE
         if done > released:
             release(mmap.MADV_DONTNEED, released, done - released)
@@ -213,13 +234,18 @@ class ColumnarEHStore(CounterStore):
         self._max_per = int(math.ceil(self.k / 2.0)) + 1
         # The slot axis starts small and grows on demand: a (cell, level)
         # only ever holds up to max_per live buckets, but near-empty grids
-        # would waste ~max_per slots per level if allocated eagerly.
+        # would waste ~max_per slots per row if allocated eagerly.
         self._slots = min(self._max_per + 2, _INITIAL_SLOTS)
-        # One level plane to start; _ensure_level adds the planes cells reach.
+        # One level column to start; _ensure_level adds the ones cells reach.
         self._num_levels = 1
         cells = self.cells
-        self._starts = _zeroed_grid((cells, 1, self._slots), np.dtype(np.float64))
-        self._ends = _zeroed_grid((cells, 1, self._slots), np.dtype(np.float64))
+        self._starts = _zeroed_grid((_INITIAL_ROWS, self._slots), np.dtype(np.float64))
+        self._ends = _zeroed_grid((_INITIAL_ROWS, self._slots), np.dtype(np.float64))
+        #: Pool row of each (cell, level); 0, the empty sentinel row, until
+        #: the pair first stores a bucket.
+        self._row_map = np.zeros((cells, 1), dtype=np.int32)
+        #: Rows handed out so far, the sentinel included: the next free row.
+        self._next_row = 1
         self._counts = np.zeros((cells, 1), dtype=np.int32)
         self._totals = np.zeros(cells, dtype=np.int64)
         self._uppers = np.zeros(cells, dtype=np.int64)
@@ -234,17 +260,23 @@ class ColumnarEHStore(CounterStore):
 
     # ------------------------------------------------------------------ growth
     def _slot_arrays(self) -> list[np.ndarray]:
-        """Every allocated ``(cells, levels, slots)`` array."""
+        """Every allocated ``(rows, slots)`` pool array."""
         if self._start_int is None or self._end_int is None:
             return [self._starts, self._ends]
         return [self._starts, self._ends, self._start_int, self._end_int]
 
     def _ensure_level(self, level: int) -> None:
-        # Exactly the planes the deepest cell reached: a store grows one
-        # level per doubling of its busiest cell, so the few small copies
-        # cost less than the idle planes any headroom would keep resident.
-        if level >= self._num_levels:
-            self._regrid(level + 1, self._slots)
+        # Exactly the levels the deepest cell reached.  A new level is one
+        # more int32 column of the row map and of the counts; the pool itself
+        # is untouched until a cell stores a bucket there.
+        if level < self._num_levels:
+            return
+        levels = level + 1
+        for name in ("_row_map", "_counts"):
+            grown = np.zeros((self.cells, levels), dtype=np.int32)
+            grown[:, : self._num_levels] = getattr(self, name)
+            setattr(self, name, grown)
+        self._num_levels = levels
 
     def _ensure_slots(self, needed: int) -> None:
         if needed <= self._slots:
@@ -252,43 +284,67 @@ class ColumnarEHStore(CounterStore):
         # Double toward the canonical ceiling (max_per + 2 covers the scalar
         # cascade's transient max_per + 1 occupancy); only loaded states can
         # demand more.
-        self._regrid(
-            self._num_levels,
+        self._repool(
+            self._starts.shape[0],
             min(max(needed, self._slots * 2), max(self._max_per + 2, needed)),
         )
 
-    def _regrid(self, levels: int, slots: int) -> None:
-        """Move every slot array into a larger ``(cells, levels, slots)`` grid.
+    def _ensure_rows(self, needed: int) -> None:
+        capacity = self._starts.shape[0]
+        if needed > capacity:
+            self._repool(max(needed, 2 * capacity), self._slots)
 
-        Reallocation invalidates every alias of the old grids (and of
-        ``_counts`` when the level axis grows); a mapped old grid reads zeros
-        afterwards.
+    def _repool(self, capacity: int, slots: int) -> None:
+        """Move the rows in use of every pool array into a larger pool.
+
+        Reallocation invalidates every alias of the old pools; a mapped old
+        pool reads zeros afterwards.
         """
         grown = []
         for array in self._slot_arrays():
-            target = _zeroed_grid((self.cells, levels, slots), array.dtype)
-            _move_grid(array, target)
+            target = _zeroed_grid((capacity, slots), array.dtype)
+            _move_grid(array, target, self._next_row)
             grown.append(target)
         self._starts, self._ends = grown[0], grown[1]
         if self._start_int is not None:
             self._start_int, self._end_int = grown[2], grown[3]
-        if levels != self._num_levels:
-            counts = np.zeros((self.cells, levels), dtype=np.int32)
-            counts[:, : self._num_levels] = self._counts
-            self._counts = counts
-        self._num_levels, self._slots = levels, slots
+        self._slots = slots
+
+    def _claim_row(self, cell: int, level: int) -> int:
+        """Bind the next free pool row to ``(cell, level)``, which has none."""
+        row = self._next_row
+        self._ensure_rows(row + 1)
+        self._row_map[cell, level] = row
+        self._next_row = row + 1
+        return row
+
+    def _claim_rows(self, cells: np.ndarray, level: int) -> np.ndarray:
+        """Pool rows of distinct ``cells`` that store a bucket at ``level``,
+        binding a fresh row to each that has none yet."""
+        rows = self._row_map[cells, level]
+        fresh = rows == 0
+        claimed = int(np.count_nonzero(fresh))
+        if claimed:
+            first = self._next_row
+            self._ensure_rows(first + claimed)
+            rows[fresh] = np.arange(first, first + claimed, dtype=np.int32)
+            self._row_map[cells[fresh], level] = rows[fresh]
+            self._next_row = first + claimed
+        return rows
 
     # ------------------------------------------------------------ clock flags
     def _materialize_flags(self) -> None:
         """Materialise the per-bucket int/float flag arrays (mixed clocks)."""
         if self._start_int is not None:
             return
-        shape = (self.cells, self._num_levels, self._slots)
+        shape = self._starts.shape
         self._start_int = _zeroed_grid(shape, np.dtype(bool))
         self._end_int = _zeroed_grid(shape, np.dtype(bool))
         if self._flag_mode == _MODE_INT:
-            self._start_int.fill(True)
-            self._end_int.fill(True)
+            # Later writes set their own flags: only the rows in use need
+            # the store-wide mode, and the unused capacity stays untouched.
+            self._start_int[: self._next_row] = True
+            self._end_int[: self._next_row] = True
         self._flag_mode = _MODE_MIXED
 
     def _note_clock_flag(self, is_int: bool) -> None:
@@ -340,10 +396,9 @@ class ColumnarEHStore(CounterStore):
         return now - range_length
 
     def _recompute_oldest_end(self, cell: int) -> None:
-        counts = self._counts[cell]
-        live = counts > 0
+        live = self._counts[cell] > 0
         if live.any():
-            self._oldest_end[cell] = self._ends[cell][live, 0].min()
+            self._oldest_end[cell] = self._ends[self._row_map[cell][live], 0].min()
         else:
             self._oldest_end[cell] = np.inf
 
@@ -364,23 +419,53 @@ class ColumnarEHStore(CounterStore):
         self._note_clock_flag(is_int)
         self._last_clocks[cell] = clock
         self._totals[cell] += count
-        for _ in range(count):
-            self._insert_unit(cell, clock_f, is_int)
+        if (
+            count < _WEIGHTED_CASCADE_MIN
+            or count > _BULK_EXPANSION_LIMIT
+            or self._start_int is not None
+        ):
+            # Light weights, weights whose unit expansion would outweigh
+            # the structure, and per-bucket clock flags insert unit by unit.
+            for _ in range(count):
+                self._insert_unit(cell, clock_f, is_int)
+        else:
+            self._add_weighted(cell, clock_f, count)
         self._expire_cell(cell, clock_f)
+
+    def _add_weighted(self, cell: int, clock_f: float, count: int) -> None:
+        """``count`` unit arrivals at one clock through the vector cascade.
+
+        The scalar path inserts every unit and expires once, after the last,
+        so no expiry falls between the inserts.  That is the precondition
+        under which the deferred cascade leaves the same buckets as the
+        interleaved inserts; the caller's expiry then follows as before.
+        """
+        self._uppers[cell] += count
+        if clock_f < self._oldest_end[cell]:
+            self._oldest_end[cell] = clock_f
+        self._deferred_cascade(
+            np.array([cell], dtype=np.int64),
+            np.full(count, clock_f),
+            np.array([0, count], dtype=np.int64),
+            np.array([count], dtype=np.int64),
+        )
 
     def _insert_unit(self, cell: int, clock_f: float, is_int: bool) -> None:
         """Append one unit bucket at level 0 and cascade overflowing levels."""
         counts = self._counts
-        level0_count = int(counts[cell, 0])
-        self._ensure_slots(level0_count + 1)
+        live = int(counts[cell, 0])
+        row = int(self._row_map[cell, 0])
+        if not row or live >= self._slots:
+            self._ensure_slots(live + 1)
+            row = row or self._claim_row(cell, 0)
         starts, ends = self._starts, self._ends
-        starts[cell, 0, level0_count] = clock_f
-        ends[cell, 0, level0_count] = clock_f
+        starts[row, live] = clock_f
+        ends[row, live] = clock_f
         start_flags, end_flags = self._start_int, self._end_int
         if start_flags is not None and end_flags is not None:
-            start_flags[cell, 0, level0_count] = is_int
-            end_flags[cell, 0, level0_count] = is_int
-        live = level0_count + 1
+            start_flags[row, live] = is_int
+            end_flags[row, live] = is_int
+        live += 1
         counts[cell, 0] = live
         self._uppers[cell] += 1
         if clock_f < self._oldest_end[cell]:
@@ -391,37 +476,35 @@ class ColumnarEHStore(CounterStore):
         level = 0
         shift_arrays = self._slot_arrays()
         while live > max_per:
-            merged_start = starts[cell, level, 0]
-            merged_end = ends[cell, level, 1]
+            merged_start = starts[row, 0]
+            merged_end = ends[row, 1]
             if start_flags is not None and end_flags is not None:
-                merged_start_int = start_flags[cell, level, 0]
-                merged_end_int = end_flags[cell, level, 1]
+                merged_start_int = start_flags[row, 0]
+                merged_end_int = end_flags[row, 1]
             for array in shift_arrays:
-                view = array[cell, level]
+                view = array[row]
                 view[: live - 2] = view[2:live]
             counts[cell, level] = live - 2
-            if level + 1 >= self._num_levels:
-                self._ensure_level(level + 1)
-                counts = self._counts
-                starts, ends = self._starts, self._ends
-                start_flags, end_flags = self._start_int, self._end_int
-                shift_arrays = self._slot_arrays()
-            next_count = int(counts[cell, level + 1])
-            if next_count + 1 > self._slots:
-                # Lazy slot growth; reallocation invalidates every local
-                # alias.
-                self._ensure_slots(next_count + 1)
-                starts, ends = self._starts, self._ends
-                start_flags, end_flags = self._start_int, self._end_int
-                shift_arrays = self._slot_arrays()
-            starts[cell, level + 1, next_count] = merged_start
-            ends[cell, level + 1, next_count] = merged_end
-            if start_flags is not None and end_flags is not None:
-                start_flags[cell, level + 1, next_count] = merged_start_int
-                end_flags[cell, level + 1, next_count] = merged_end_int
-            live = next_count + 1
-            counts[cell, level + 1] = live
             level += 1
+            if level >= self._num_levels:
+                self._ensure_level(level)
+                counts = self._counts
+            live = int(counts[cell, level])
+            row = int(self._row_map[cell, level])
+            if not row or live >= self._slots:
+                # Lazy growth; reallocation invalidates every local alias.
+                self._ensure_slots(live + 1)
+                row = row or self._claim_row(cell, level)
+                starts, ends = self._starts, self._ends
+                start_flags, end_flags = self._start_int, self._end_int
+                shift_arrays = self._slot_arrays()
+            starts[row, live] = merged_start
+            ends[row, live] = merged_end
+            if start_flags is not None and end_flags is not None:
+                start_flags[row, live] = merged_start_int
+                end_flags[row, live] = merged_end_int
+            live += 1
+            counts[cell, level] = live
 
     def _expire_cell(self, cell: int, now_f: float) -> None:
         threshold = now_f - self.window
@@ -430,21 +513,26 @@ class ColumnarEHStore(CounterStore):
             # would be a pure no-op.
             return
         counts = self._counts
-        for level in range(self._num_levels):
-            live = int(counts[cell, level])
+        rows = self._row_map[cell].tolist()
+        ends = self._ends
+        oldest = math.inf
+        for level, live in enumerate(counts[cell].tolist()):
             if not live:
                 continue
-            # Within-level buckets are time-ordered, so expired ones form a
-            # prefix.
-            expired = int((self._ends[cell, level, :live] <= threshold).sum())
-            if not expired:
-                continue
-            self._uppers[cell] -= expired << level
-            for array in self._slot_arrays():
-                view = array[cell, level]
-                view[: live - expired] = view[expired:live]
-            counts[cell, level] = live - expired
-        self._recompute_oldest_end(cell)
+            row = rows[level]
+            if ends[row, 0] <= threshold:
+                # Within-level buckets are time-ordered, so expired ones
+                # form a prefix.
+                expired = int(np.searchsorted(ends[row, :live], threshold, side="right"))
+                self._uppers[cell] -= expired << level
+                for array in self._slot_arrays():
+                    view = array[row]
+                    view[: live - expired] = view[expired:live]
+                live -= expired
+                counts[cell, level] = live
+            if live and ends[row, 0] < oldest:
+                oldest = ends[row, 0]
+        self._oldest_end[cell] = oldest
 
     # ------------------------------------------------------------ batched adds
     def ingest_sorted_row(
@@ -632,6 +720,10 @@ class ColumnarEHStore(CounterStore):
     ) -> None:
         """Append each cell's unit run at level 0 and cascade all levels.
 
+        Every run holds at least one unit (``ECMSketch.add_many`` drops zero
+        weights), so each cell stores a bucket at every level it reaches and
+        claims a pool row there if it has none.
+
         Equivalent to the reference ``_add_unit_run``: appending every unit
         bucket first and then merging each level's oldest pairs greedily
         yields the same final structure as interleaving merges after every
@@ -663,11 +755,12 @@ class ColumnarEHStore(CounterStore):
             merges = np.maximum((totals - (max_per - 1)) >> 1, 0)
             retained = totals - 2 * merges
             self._ensure_slots(int(retained.max()))
+            rows = self._claim_rows(cells, level)
             # Every cell's level-sequence ``live buckets ++ incoming buckets``,
-            # laid end to end in one flat array.  The grids are C-contiguous,
-            # so a flat index into them (from each cell's slot 0 at this
-            # level) reads and writes through a 1-D view.
-            slot0 = (cells * self._num_levels + level) * self._slots
+            # laid end to end in one flat array.  The pools are C-contiguous,
+            # so a flat index into them (from each cell's row at this level)
+            # reads and writes through a 1-D view.
+            slot0 = rows.astype(np.int64) * self._slots
             first = np.cumsum(totals) - totals
             live_owner, live_index = _ragged(existing)
             live_at = first[live_owner] + live_index
@@ -713,35 +806,34 @@ class ColumnarEHStore(CounterStore):
         unit_counts: np.ndarray,
     ) -> None:
         """:meth:`_deferred_cascade` through the ``cascade_runs`` kernel."""
-        # Pre-size the level and slot axes: merge counts per level follow from
-        # the bucket counts alone (totals -> merges -> carried pairs), so the
-        # kernel's exact demand is a handful of vectorized passes here and the
-        # kernel loop never needs to reallocate.
+        # Pre-size the row map, the pool and the slot axis: merge counts per
+        # level follow from the bucket counts alone (totals -> merges ->
+        # carried pairs), so the kernel's exact demand is a handful of
+        # vectorized passes here and the kernel loop never needs to
+        # reallocate.
         max_per = self._max_per
-        counts = self._counts
-        num_levels = self._num_levels
         incoming = unit_counts.astype(np.int64)
         active = cells
         level = 0
         need_slots = 0
         while True:
-            if level < num_levels:
-                totals = counts[active, level].astype(np.int64) + incoming
-            else:
-                totals = incoming
+            self._ensure_level(level)
+            totals = self._counts[active, level].astype(np.int64) + incoming
             merges = np.maximum((totals - (max_per - 1)) >> 1, 0)
-            need_slots = max(need_slots, int((totals - 2 * merges).max()))
+            retained = totals - 2 * merges
+            need_slots = max(need_slots, int(retained.max()))
+            self._claim_rows(active, level)
             if not merges.any():
                 break
             keep = merges > 0
             active = active[keep]
             incoming = merges[keep]
             level += 1
-        self._ensure_level(level)
         self._ensure_slots(need_slots)
         cascade_runs(
             self._starts,
             self._ends,
+            self._row_map,
             self._counts,
             cells,
             unit_clocks,
@@ -756,11 +848,12 @@ class ColumnarEHStore(CounterStore):
         if not candidates.size:
             return
         if USE_KERNELS and self._start_int is None:
-            # The kernel shifts the clock planes only; mixed-clock stores
-            # also shift their flag planes, which the NumPy sweep handles.
+            # The kernel shifts the clock pools only; mixed-clock stores
+            # also shift their flag pools, which the NumPy sweep handles.
             expire_cells(
                 self._starts,
                 self._ends,
+                self._row_map,
                 self._counts,
                 self._uppers,
                 self._oldest_end,
@@ -778,10 +871,10 @@ class ColumnarEHStore(CounterStore):
         # all dead weight for this sweep.
         used = int(live_levels[-1]) + 1
         counts = counts[:, :used]
+        rows = self._row_map[candidates, :used]
         max_live = int(counts.max())
         lane = np.arange(max_live)
-        block = np.ix_(candidates, np.arange(used), lane)
-        ends = self._ends[block]
+        ends = self._ends[rows[:, :, None], lane]
         valid = lane[None, None, :] < counts[:, :, None]
         # Within-level buckets are time-ordered, so the expired set is a
         # per-level prefix and the sum directly gives the shift distance.
@@ -797,10 +890,10 @@ class ColumnarEHStore(CounterStore):
             # source and target slots is safe).
             surviving = valid & ~expired_mask & (drop > 0)[:, :, None]
             cand_pos, level_idx, slot_idx = np.nonzero(surviving)
-            cell_idx = candidates[cand_pos]
+            row_idx = rows[cand_pos, level_idx]
             target_idx = slot_idx - drop[cand_pos, level_idx]
             for array in self._slot_arrays():
-                array[cell_idx, level_idx, target_idx] = array[cell_idx, level_idx, slot_idx]
+                array[row_idx, target_idx] = array[row_idx, slot_idx]
             counts = (counts - drop).astype(np.int32)
             self._counts[candidates[:, None], np.arange(used)[None, :]] = counts
         # Exact refresh: the post-shift first end of each level is the
@@ -819,26 +912,35 @@ class ColumnarEHStore(CounterStore):
             last = self._last_clocks[cell]
             now = last if last is not None else 0.0
         start = self._query_start(range_length, now)
-        counts = self._counts[cell]
-        if not counts.any():
+        # One cell holds a handful of live levels: walk them in Python.
+        # Ends (and starts) rise within a level, so its in-window buckets
+        # are a suffix, and the suffix's first bucket is the level's oldest.
+        # Across levels the oldest is the minimum end, ties broken by the
+        # minimum start, then by the lower level: what estimate_cells picks.
+        rows = self._row_map[cell].tolist()
+        starts, ends = self._starts, self._ends
+        total = 0
+        oldest_end = oldest_start = math.inf
+        oldest_level = 0
+        for level, live in enumerate(self._counts[cell].tolist()):
+            if not live:
+                continue
+            row = rows[level]
+            first = 0
+            if ends[row, 0] <= start:
+                first = int(np.searchsorted(ends[row, :live], start, side="right"))
+                if first == live:
+                    continue
+            total += (live - first) << level
+            end = ends[row, first]
+            bucket_start = starts[row, first]
+            if end < oldest_end or (end == oldest_end and bucket_start < oldest_start):
+                oldest_end, oldest_start, oldest_level = end, bucket_start, level
+        if not total:
             return 0.0
-        valid = np.arange(self._slots)[None, :] < counts[:, None]
-        ends = self._ends[cell]
-        in_window = valid & (ends > start)
-        if not in_window.any():
-            return 0.0
-        level_sizes = np.left_shift(np.int64(1), np.arange(self._num_levels, dtype=np.int64))
-        total = float((in_window.sum(axis=1) * level_sizes).sum())
-        masked_ends = np.where(in_window, ends, np.inf)
-        min_end = masked_ends.min()
-        tie = in_window & (ends == min_end)
-        masked_starts = np.where(tie, self._starts[cell], np.inf)
-        flat = int(masked_starts.argmin())
-        level, slot = divmod(flat, self._slots)
-        bucket_start = self._starts[cell, level, slot]
-        if bucket_start <= start:
-            total -= float(1 << level) / 2.0
-        return total
+        if oldest_start <= start:
+            return total - float(1 << oldest_level) / 2.0
+        return float(total)
 
     def estimate_cells(
         self, cells: np.ndarray, range_length: float | None, now: float
@@ -849,33 +951,35 @@ class ColumnarEHStore(CounterStore):
             estimate_cells_canonical(
                 self._starts,
                 self._ends,
+                self._row_map,
                 self._counts,
                 np.ascontiguousarray(cells, dtype=np.int64),
                 start,
                 out,
             )
             return out
-        slots = self._slots
-        levels = self._num_levels
         counts = self._counts[cells]
-        valid = np.arange(slots)[None, None, :] < counts[:, :, None]
-        ends = self._ends[cells]
-        in_window = valid & (ends > start)
-        level_sizes = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
-        totals = (in_window.sum(axis=2) * level_sizes[None, :]).sum(axis=1).astype(np.float64)
-        num = cells.shape[0]
-        flat_window = in_window.reshape(num, levels * slots)
-        has_overlap = flat_window.any(axis=1)
-        masked_ends = np.where(in_window, ends, np.inf).reshape(num, levels * slots)
-        min_ends = masked_ends.min(axis=1)
-        tie = flat_window & (masked_ends == min_ends[:, None])
-        masked_starts = np.where(tie, self._starts[cells].reshape(num, levels * slots), np.inf)
-        oldest = masked_starts.argmin(axis=1)
-        rows = np.arange(num)
-        oldest_starts = masked_starts[rows, oldest]
-        oldest_sizes = level_sizes[oldest // slots]
-        partial = has_overlap & (oldest_starts <= start)
-        return totals - np.where(partial, oldest_sizes / 2.0, 0.0)
+        rows = self._row_map[cells]
+        ends = np.take(self._ends, rows, axis=0)
+        in_window = (np.arange(self._slots) < counts[:, :, None]) & (ends > start)
+        window_counts = in_window.sum(axis=2)
+        level_sizes = np.left_shift(np.int64(1), np.arange(self._num_levels, dtype=np.int64))
+        totals = (window_counts * level_sizes).sum(axis=1).astype(np.float64)
+        # Ends and starts rise within a level, so each level's in-window
+        # buckets are a suffix of its live ones, and the suffix's first
+        # bucket is the level's oldest.  The oldest overall has the minimum
+        # end, ties broken by the minimum start, then by the lower level:
+        # the bucket the reference and the kernel pick.
+        has = window_counts > 0
+        first = np.minimum(counts - window_counts, self._slots - 1)
+        first_ends = np.where(has, np.take_along_axis(ends, first[:, :, None], axis=2)[:, :, 0], np.inf)
+        first_starts = np.where(has, self._starts[rows, first], np.inf)
+        tie = first_ends == first_ends.min(axis=1)[:, None]
+        tie_starts = np.where(tie, first_starts, np.inf)
+        oldest = tie_starts.argmin(axis=1)
+        oldest_starts = tie_starts[np.arange(cells.shape[0]), oldest]
+        partial = has.any(axis=1) & (oldest_starts <= start)
+        return totals - np.where(partial, level_sizes[oldest] / 2.0, 0.0)
 
     def estimate_grid(self, range_length: float | None, now: float) -> list[list[float]]:
         estimates = self.estimate_cells(np.arange(self.cells, dtype=np.int64), range_length, now)
@@ -891,6 +995,7 @@ class ColumnarEHStore(CounterStore):
             epsilon=self.epsilon, window=self.window, model=self.model
         )
         counts = self._counts[cell]
+        rows = self._row_map[cell]
         live_levels = np.flatnonzero(counts)
         used = int(live_levels[-1]) + 1 if live_levels.size else 0
         uniform_int = self._flag_mode == _MODE_INT
@@ -899,15 +1004,16 @@ class ColumnarEHStore(CounterStore):
             bucket_deque: deque = deque()
             live = int(counts[level])
             if live:
-                starts = self._starts[cell, level, :live].tolist()
-                ends = self._ends[cell, level, :live].tolist()
+                row = rows[level]
+                starts = self._starts[row, :live].tolist()
+                ends = self._ends[row, :live].tolist()
                 size = 1 << level
                 if self._start_int is None:
                     start_ints = [uniform_int] * live
                     end_ints = start_ints
                 else:
-                    start_ints = self._start_int[cell, level, :live].tolist()
-                    end_ints = self._end_int[cell, level, :live].tolist()
+                    start_ints = self._start_int[row, :live].tolist()
+                    end_ints = self._end_int[row, :live].tolist()
                 for j in range(live):
                     start = int(starts[j]) if start_ints[j] else starts[j]
                     end = int(ends[j]) if end_ints[j] else ends[j]
@@ -953,18 +1059,21 @@ class ColumnarEHStore(CounterStore):
                 if self._start_int is not None:
                     break
         self._counts[cell, :] = 0
-        if levels:
-            self._ensure_level(len(levels) - 1)
-            self._ensure_slots(max(len(level) for level in levels))
-        start_flags = self._start_int
-        end_flags = self._end_int
-        for level, bucket_deque in enumerate(levels):
+        stored = [level for level, bucket_deque in enumerate(levels) if bucket_deque]
+        if stored:
+            self._ensure_level(stored[-1])
+            self._ensure_slots(max(len(levels[level]) for level in stored))
+        for level in stored:
+            bucket_deque = levels[level]
+            row = int(self._row_map[cell, level]) or self._claim_row(cell, level)
+            starts, ends = self._starts[row], self._ends[row]
+            start_flags, end_flags = self._start_int, self._end_int
             for slot, bucket in enumerate(bucket_deque):
-                self._starts[cell, level, slot] = self._clock_to_float(bucket.start)
-                self._ends[cell, level, slot] = self._clock_to_float(bucket.end)
+                starts[slot] = self._clock_to_float(bucket.start)
+                ends[slot] = self._clock_to_float(bucket.end)
                 if start_flags is not None and end_flags is not None:
-                    start_flags[cell, level, slot] = _is_int_clock(bucket.start)
-                    end_flags[cell, level, slot] = _is_int_clock(bucket.end)
+                    start_flags[row, slot] = _is_int_clock(bucket.start)
+                    end_flags[row, slot] = _is_int_clock(bucket.end)
             self._counts[cell, level] = len(bucket_deque)
         self._totals[cell] = int(histogram.total_arrivals())
         self._uppers[cell] = int(histogram.arrivals_in_window_upper_bound())
@@ -981,15 +1090,19 @@ class ColumnarEHStore(CounterStore):
         return int(self._counts.sum())
 
     def memory_bytes(self) -> int:
-        """True allocation of the backing arrays plus per-cell metadata."""
-        arrays = self._slot_arrays() + [
-            self._counts,
-            self._totals,
-            self._uppers,
-            self._oldest_end,
-        ]
+        """Bytes the store occupies: the pool rows handed out, the per-cell
+        metadata arrays and the last-clock list.
+
+        A pool's spare capacity is not counted.  No read or write reaches
+        it, so a mapped pool never pages it in, and a heap pool (under
+        ``_MAP_MIN_BYTES``) keeps less than half of its bytes spare.
+        """
+        rows_bytes = sum(
+            self._next_row * array.shape[1] * array.itemsize for array in self._slot_arrays()
+        )
+        arrays = [self._row_map, self._counts, self._totals, self._uppers, self._oldest_end]
         array_bytes = sum(array.nbytes for array in arrays)
-        return int(array_bytes) + sys.getsizeof(self._last_clocks)
+        return rows_bytes + int(array_bytes) + sys.getsizeof(self._last_clocks)
 
     def synopsis_bytes(self) -> int:
         """Paper-model footprint: identical to the object layout's report."""

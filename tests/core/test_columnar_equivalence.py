@@ -23,6 +23,7 @@ import contextlib
 import errno
 import mmap
 import random
+import time
 import tracemalloc
 from collections.abc import Iterator
 
@@ -41,6 +42,7 @@ from repro.serialization import (
     loads,
 )
 from repro.windows import ColumnarEHStore, WindowModel, columnar_eh
+from repro.windows._eh_kernels import HAVE_NUMBA
 
 WINDOW = 400.0
 
@@ -344,6 +346,27 @@ def _deepest_live_level(store: ColumnarEHStore) -> int:
     return int(np.flatnonzero(store._counts.any(axis=0))[-1])
 
 
+def _held_pairs(store: ColumnarEHStore) -> set[tuple[int, int]]:
+    """``(cell, level)`` pairs of ``store`` holding a live bucket now."""
+    cells, levels = np.nonzero(store._counts)
+    return set(zip(cells.tolist(), levels.tolist(), strict=True))
+
+
+def _assert_rows_match(store: ColumnarEHStore, held: set[tuple[int, int]]) -> None:
+    """Exactly the pairs in ``held`` own a pool row, one distinct row each
+    after the sentinel, and the row map has one column per level reached."""
+    cells, levels = np.nonzero(store._row_map)
+    assert set(zip(cells.tolist(), levels.tolist(), strict=True)) == held
+    assert store._next_row == len(held) + 1
+    rows = np.sort(store._row_map[cells, levels])
+    assert np.array_equal(rows, np.arange(1, store._next_row))
+    deepest = max(level for _, level in held)
+    assert store._row_map.shape == store._counts.shape == (store.cells, deepest + 1)
+    assert store._num_levels == deepest + 1
+    # The sentinel row stays empty.
+    assert not store._starts[0].any() and not store._ends[0].any()
+
+
 def _columnar_store(sketch: ECMSketch) -> ColumnarEHStore:
     store = sketch._store
     assert isinstance(store, ColumnarEHStore)
@@ -356,38 +379,57 @@ def _skewed_batch(rng: random.Random, start: float, size: int) -> tuple[list, li
     return items, [start + 0.5 * index for index in range(size)]
 
 
+def _is_mapped(array: np.ndarray) -> bool:
+    return isinstance(array.base, mmap.mmap)
+
+
 class TestGridGrowth(_KernelSettingsCase):
-    """The level axis holds exactly the planes the cells reached; large grids
+    """A ``(cell, level)`` claims a pool row the first time it stores a
+    bucket; the row map has exactly the levels the cells reached; large pools
     live in their own mapping, and a refused mapping falls back to the heap."""
 
     def test_level_axis_is_one_past_the_deepest_level_reached(self):
         # The window outlasts the stream, so nothing expires while the
-        # arrivals come in: the deepest live level is the deepest reached.
+        # arrivals come in: a pair that held a bucket keeps one until the
+        # explicit expiry, and snapshots between operations see every pair.
         reference, columnar = _pair(window=1e6)
         store = _columnar_store(columnar)
-        assert store._num_levels == 1
+        # Zero weights store no bucket, so they claim no row.
+        cold = ["cold%d" % index for index in range(64)]
+        for sketch in (reference, columnar):
+            sketch.add_many(cold, [-100.0 + index for index in range(64)], [0] * 64)
+        assert store._row_map.shape == (store.cells, 1)
+        assert store._next_row == 1
+        held: set[tuple[int, int]] = set()
         rng = random.Random(21)
         items, clocks = _skewed_batch(rng, 0.0, 3000)
         for sketch in (reference, columnar):
             sketch.add_many(items, clocks)
-        deepest = _deepest_live_level(store)
-        assert deepest >= 5
-        assert store._num_levels == deepest + 1
+        held |= _held_pairs(store)
+        assert _deepest_live_level(store) >= 5
+        _assert_rows_match(store, held)
+        # Weighted adds: light ones insert unit by unit, heavy ones cascade.
         for t in range(3000, 5000):
+            value = 3 if t % 100 else 500
             for sketch in (reference, columnar):
-                sketch.add("hot", clock=float(t), value=3)
+                sketch.add("hot" if t % 7 else "k%d" % (t % 60), clock=float(t), value=value)
+            if t % 50 == 0:
+                held |= _held_pairs(store)
+                _assert_rows_match(store, held)
+        held |= _held_pairs(store)
+        _assert_rows_match(store, held)
         deepest = _deepest_live_level(store)
-        assert store._num_levels == deepest + 1
-        # Expiry empties the top levels but keeps the planes they reached.
+        # Expiry empties the top levels but keeps the rows and the levels
+        # they reached.
         for sketch in (reference, columnar):
             sketch.expire(4000.0 + 1e6)
-        assert store._num_levels == deepest + 1
         assert _deepest_live_level(store) < deepest
+        _assert_rows_match(store, held)
         _assert_twins(reference, columnar, ["hot", "k1", "k2"])
-        # A restore sizes the grid to the levels its payload holds.
+        # A restore claims rows for the levels its payload holds.
         restored = ecm_sketch_from_dict(ecm_sketch_to_dict(columnar))
         restored_store = _columnar_store(restored)
-        assert restored_store._num_levels == _deepest_live_level(restored_store) + 1
+        _assert_rows_match(restored_store, _held_pairs(restored_store))
         assert dumps(restored) == dumps(columnar)
         # So does an aggregate of two live sketches.
         other_ref, other = _pair(window=1e6)
@@ -396,43 +438,69 @@ class TestGridGrowth(_KernelSettingsCase):
             sketch.add_many(items, clocks)
         merged = ECMSketch.aggregate([restored, other])
         merged_store = _columnar_store(merged)
-        assert merged_store._num_levels == _deepest_live_level(merged_store) + 1
+        _assert_rows_match(merged_store, _held_pairs(merged_store))
         assert dumps(merged) == dumps(ECMSketch.aggregate([reference, other_ref]))
+
+    def test_a_new_level_leaves_the_pool_in_place(self):
+        store = ColumnarEHStore(2, 16, 0.1, WINDOW)
+        pool = store._slot_arrays()
+        capacity, slots = store._starts.shape
+        # Seven units overflow level 0 (at most six per level at eps 0.1),
+        # so the scalar cascade opens level 1 ...
+        for t in range(7):
+            store.add_single(0, 3, float(t))
+        assert store._row_map.shape[1] == 2
+        # ... and a batched run of 60 units two more through the vector
+        # cascade, claiming rows at levels 0-3 of its cell.
+        store.ingest_sorted_row(1, [5], [0], [60], np.arange(10.0, 70.0), None)
+        assert store._row_map.shape[1] == 4
+        assert store._next_row == 1 + 2 + 4
+        assert store._starts.shape == (capacity, slots)
+        assert all(grown is kept for grown, kept in zip(store._slot_arrays(), pool, strict=True))
 
     @pytest.mark.skipif(not columnar_eh._CAN_MAP, reason="no anonymous private mappings")
     def test_large_grids_are_mapped_small_grids_are_heap_arrays(self):
         small = ColumnarEHStore(2, 16, 0.1, WINDOW)
         assert small._starts.base is None and small._ends.base is None
-        # 4096 cells x 1 level x 8 slots x 8 bytes = 256 KiB per grid.
+        # An empty store starts with a small heap pool, whatever its width.
         large = ColumnarEHStore(4, 1024, 0.1, WINDOW)
-        assert isinstance(large._starts.base, mmap.mmap)
-        assert isinstance(large._ends.base, mmap.mmap)
-        assert large._starts.base is not large._ends.base
+        assert large._starts.nbytes < columnar_eh._MAP_MIN_BYTES
+        assert large._starts.base is None
         for cell in range(0, large.cells, 7):
             large.add_single(cell // 1024, cell % 1024, 1.0, count=40)
+        # Some 2,300 rows of 8 slots: the pool grew past the threshold.
+        assert large._starts.nbytes >= columnar_eh._MAP_MIN_BYTES
         assert large._num_levels > 1
-        assert isinstance(large._starts.base, mmap.mmap)
-        assert isinstance(large._ends.base, mmap.mmap)
+        assert _is_mapped(large._starts) and _is_mapped(large._ends)
+        assert large._starts.base is not large._ends.base
 
     @pytest.mark.skipif(not columnar_eh._CAN_MAP, reason="no anonymous private mappings")
     def test_growth_returns_the_outgrown_mapping(self):
-        source = columnar_eh._zeroed_grid((600, 4, 16), np.dtype(np.float64))
-        assert isinstance(source.base, mmap.mmap)
-        source[...] = np.arange(source.size, dtype=np.float64).reshape(source.shape)
+        source = columnar_eh._zeroed_grid((2048, 16), np.dtype(np.float64))
+        assert _is_mapped(source)
+        source[...] = np.arange(source.size, dtype=np.float64).reshape(source.shape) + 1
         expected = source.copy()
-        target = columnar_eh._zeroed_grid((600, 5, 16), np.dtype(np.float64))
-        columnar_eh._move_grid(source, target)
-        assert np.array_equal(target[:, :4], expected)
-        assert not target[:, 4:].any()
+        target = columnar_eh._zeroed_grid((4096, 24), np.dtype(np.float64))
+        in_use = 1500
+        columnar_eh._move_grid(source, target, in_use)
+        assert np.array_equal(target[:in_use, :16], expected[:in_use])
+        assert not target[:in_use, 16:].any()
+        # Rows past the ones in use are neither copied nor read.
+        assert not target[in_use:].any()
         # Every copied page went back to the kernel: a stale alias reads 0.
-        assert not source.any()
+        assert not source[:in_use].any()
+        tail = -(-in_use * source[0].nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        untouched = -(-tail // source[0].nbytes)
+        assert np.array_equal(source[untouched:], expected[untouched:])
 
     def test_large_sketch_stays_identical_on_mapped_grids(self):
         reference, columnar = _pair(epsilon=0.01, delta=0.05)
         self._drive(reference, columnar)
         store = _columnar_store(columnar)
         if columnar_eh._CAN_MAP:
-            assert all(isinstance(array.base, mmap.mmap) for array in store._slot_arrays())
+            assert _is_mapped(store._starts)
+            for array in store._slot_arrays():
+                assert _is_mapped(array) == (array.nbytes >= columnar_eh._MAP_MIN_BYTES)
 
     def test_refused_mappings_fall_back_to_heap_arrays(self, monkeypatch):
         class RefusedMapping(mmap.mmap):
@@ -458,7 +526,7 @@ class TestGridGrowth(_KernelSettingsCase):
                 sketch.add("k%d" % (t % 50), clock=2000.0 + t, value=1 + t % 3)
         for sketch in (reference, columnar):
             sketch.expire(2199.0 + WINDOW / 2)
-        # Mixed int/float clocks materialise the flag planes.
+        # Mixed int/float clocks materialise the flag pools.
         for sketch in (reference, columnar):
             sketch.add("hot", clock=2500)
             sketch.add_many(["hot", "k3"], [2501.5, 2502])
@@ -493,6 +561,42 @@ class TestHeavyRuns(_KernelSettingsCase):
         for key, clock, value in zip(keys, clocks, heavy, strict=True):
             replay.add(key, clock, value)
         assert dumps(sketches["heavy"]) == dumps(replay)
+
+    def test_weighted_add_cascades_its_units_in_one_run(self):
+        """Ten arrivals of weight 16,384 replay through ``add`` (the batch is
+        under the scalar-run limit) and cascade each weight as one run."""
+        config = ECMConfig.for_point_queries(epsilon=0.05, delta=0.05, window=1e9)
+        keys = list(range(10))
+        clocks = [float(t) for t in range(10)]
+        values = [16_384] * 10
+        reference, columnar = ECMSketch._on_object_store(config), ECMSketch(config)
+        started = time.perf_counter()
+        columnar.add_many(keys, clocks, values)
+        elapsed = time.perf_counter() - started
+        reference.add_many(keys, clocks, values)
+        assert dumps(reference) == dumps(columnar)
+        # Interpreted kernels prove the algorithm, not its speed.
+        if not columnar_eh.USE_KERNELS or HAVE_NUMBA:
+            assert elapsed < 0.3
+
+    def test_weighted_adds_that_expire_stay_identical(self):
+        """Heavy weights whose cell has buckets leaving the window: the units
+        cascade first and the expiry follows, as in the scalar path, on int,
+        float and then mixed clocks."""
+        reference, columnar = _pair()
+        for t in range(0, 3000, 37):
+            for sketch in (reference, columnar):
+                sketch.add("k%d" % (t % 5), clock=t, value=96 + t % 300)
+        _assert_twins(reference, columnar, ["k%d" % i for i in range(5)])
+        _, floats = _pair()
+        reference_floats, _ = _pair()
+        for t in range(0, 3000, 41):
+            for sketch in (reference_floats, floats):
+                sketch.add("k%d" % (t % 3), clock=t + 0.5, value=200)
+        for sketch in (reference_floats, floats):
+            sketch.add("k1", clock=3100, value=150)
+            sketch.add("k1", clock=3200.25, value=150)
+        _assert_twins(reference_floats, floats, ["k0", "k1", "k2"])
 
 
 # --------------------------------------------------------------- hypothesis

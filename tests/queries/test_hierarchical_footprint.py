@@ -1,10 +1,11 @@
 """Footprint pin for the dyadic stack of Section 6.1.
 
 A 16-level hierarchical stack holds sixteen columnar grids whose coarse
-levels see few distinct keys, so their cells stay shallow.  Each grid keeps
-only the level planes its cells reached, so the stack's true footprint
-(``memory_bytes()``, the arrays it allocated) follows the stream, not a
-fixed headroom per grid.
+levels see few distinct keys, and on a Zipf stream most cells stay shallow
+while a few hot prefixes go deep.  Each grid keeps one pool row per
+``(cell, level)`` that stored a bucket, so the stack's true footprint
+(``memory_bytes()``: the pool rows handed out and the per-cell arrays)
+follows each cell's own depth, not the busiest cell's.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ def test_zipf_stack_footprint_stays_small():
         chunk = records[low : low + CHUNK]
         stack.add_many([record.key for record in chunk], [record.timestamp for record in chunk])
     assert stack.total_arrivals() == 8192
-    # Every grid keeps one plane per level its cells reached (3 to 5 here);
-    # a fixed headroom of planes per grid read about 19.5 MiB.
-    assert stack.memory_bytes() <= 8 * 1024 * 1024
+    # 3,770 (cell, level) rows of 22-24 slots hold the buckets (1.33 MiB),
+    # 1.63 MiB in all; one dense (cells, levels, slots) box per grid read
+    # about 6.5 MiB.
+    assert stack.memory_bytes() <= 3 * 1024 * 1024
