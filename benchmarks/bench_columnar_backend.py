@@ -14,8 +14,10 @@ and serialized state (``tests/core/test_columnar_equivalence.py``, and the
   one pass over the shared arrays).  Measured on the same
   non-expiring-window workload as the earlier ingest benchmarks
   (``bench_micro_structures``/``bench_query_engine``), plus a secondary
-  expiring-window row where window-crossing runs take the exact reference
-  fallback.
+  expiring-window row where window-crossing runs cascade in segments that
+  end on the arrivals crossing the window.  Each ingest ratio is the median
+  over ``INGEST_PAIRS`` interleaved (object, columnar) timings, so one slow
+  build on a loaded host does not decide the floor.
 * **Expire sweep** — ``ECMSketch.expire`` sweeps the whole ``w x d`` grid in
   one pass.  The steady-state sweep (the common coordinator case: little or
   nothing to drop) is where the oldest-end gate shines; the first sweep after
@@ -43,6 +45,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
 import time
 
@@ -57,7 +61,7 @@ from repro.windows import columnar_eh
 #: benchmarks' setting, so the 2x acceptance bar is measured like-for-like).
 WINDOW = 1_000_000.0
 #: Expiring window: roughly half the workload leaves the window, exercising
-#: the expiry machinery and the reference fallback of window-crossing runs.
+#: the expiry machinery and the segmented cascade of window-crossing runs.
 EXPIRING_WINDOW = 8_192.0
 #: Total point-query error budget (width 111 x depth 3 at this setting).
 EPSILON = 0.05
@@ -69,6 +73,8 @@ INGEST_RECORDS = 16_384
 KEY_BITS = 16
 #: Items per point-query batch.
 QUERY_BATCH = 4_096
+#: Interleaved (object, columnar) build pairs behind each ingest ratio.
+INGEST_PAIRS = 5
 
 
 #: Label of the accelerated rows: the columnar backend, marked when its hot
@@ -113,6 +119,18 @@ def _best_of(thunk, rounds: int = 3) -> float:
     return min(_timed(thunk) for _ in range(rounds))
 
 
+def _median_pairs(object_thunk, accel_thunk, pairs: int = INGEST_PAIRS) -> dict[str, float]:
+    """Median object and accelerated seconds, and the median of the per-pair
+    ratios, over ``pairs`` back-to-back (object, accelerated) timings: both
+    sides of a pair see the same host load."""
+    timings = [(_timed(object_thunk), _timed(accel_thunk)) for _ in range(pairs)]
+    return {
+        "object_seconds": float(np.median([pair[0] for pair in timings])),
+        "accel_seconds": float(np.median([pair[1] for pair in timings])),
+        "speedup": float(np.median([pair[0] / pair[1] for pair in timings])),
+    }
+
+
 # ------------------------------------------------------------ pytest-benchmark
 @pytest.mark.benchmark(group="columnar-ingest")
 def test_ingest_object_backend(benchmark):
@@ -137,8 +155,6 @@ def test_columnar_backend_report(capsys):
     only enforced when REPRO_BENCH_STRICT=1 (as in a dedicated perf job); the
     memory comparison is deterministic and always enforced.
     """
-    import os
-
     results = _run_columnar_comparison()
     backend = results["ingest"]["backend"]
     with capsys.disabled():
@@ -242,13 +258,12 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
     keys, clocks = _workload()
     now = clocks[-1]
 
-    ingest_object = _best_of(lambda: _build("object", keys, clocks), rounds)
-    ingest_accel = _best_of(lambda: _build("columnar", keys, clocks), rounds)
-    expiring_object = _best_of(
-        lambda: _build("object", keys, clocks, EXPIRING_WINDOW), rounds
+    ingest = _median_pairs(
+        lambda: _build("object", keys, clocks), lambda: _build("columnar", keys, clocks)
     )
-    expiring_accel = _best_of(
-        lambda: _build("columnar", keys, clocks, EXPIRING_WINDOW), rounds
+    ingest_expiring = _median_pairs(
+        lambda: _build("object", keys, clocks, EXPIRING_WINDOW),
+        lambda: _build("columnar", keys, clocks, EXPIRING_WINDOW),
     )
 
     object_sketch = _build("object", keys, clocks)
@@ -288,18 +303,16 @@ def _run_columnar_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
             "records": INGEST_RECORDS,
             "batch_size": BATCH_SIZE,
             "window": WINDOW,
-            "object_seconds": ingest_object,
-            "accel_seconds": ingest_accel,
-            "speedup": ingest_object / ingest_accel,
+            "pairs": INGEST_PAIRS,
+            **ingest,
         },
         "ingest_expiring": {
             "backend": label,
             "records": INGEST_RECORDS,
             "batch_size": BATCH_SIZE,
             "window": EXPIRING_WINDOW,
-            "object_seconds": expiring_object,
-            "accel_seconds": expiring_accel,
-            "speedup": expiring_object / expiring_accel,
+            "pairs": INGEST_PAIRS,
+            **ingest_expiring,
         },
         "expire_steady": {
             "backend": label,
@@ -338,7 +351,9 @@ def main(argv: list[str] | None = None) -> None:
     """
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", type=str, default=None, help="write results to this file")
-    parser.add_argument("--rounds", type=int, default=3, help="timing rounds (min is kept)")
+    parser.add_argument(
+        "--rounds", type=int, default=3, help="timing rounds of the non-ingest rows (min is kept)"
+    )
     args = parser.parse_args(argv)
 
     results = _run_columnar_comparison(rounds=args.rounds)
@@ -378,7 +393,13 @@ def main(argv: list[str] | None = None) -> None:
     )
 
     if args.json:
-        payload = {"benchmark": "bench_columnar_backend", "backend": backend, **results}
+        host = {
+            "cpu_count": os.cpu_count() or 1,
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        payload = {"benchmark": "bench_columnar_backend", "backend": backend, "host": host, **results}
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

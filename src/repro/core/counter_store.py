@@ -87,35 +87,19 @@ class CounterStore(abc.ABC):
         """Register ``count`` unit arrivals at one cell (scalar hot path)."""
 
     @abc.abstractmethod
-    def ingest_sorted_row(
-        self,
-        row: int,
-        run_columns: Sequence[int],
-        run_starts: Sequence[int],
-        run_stops: Sequence[int],
-        clocks: RunPayload,
-        values: RunPayload | None,
-    ) -> None:
-        """Ingest one hash row of a pre-validated, column-grouped batch.
-
-        The caller (``ECMSketch.add_many``) has stably sorted the batch by
-        column, so ``clocks[start:stop]`` is the in-stream-order arrival run
-        of cell ``(row, run_columns[i])``.  ``clocks``/``values`` are either
-        NumPy arrays whose dtype preserves the original scalars exactly, or
-        plain Python lists carrying the original objects (mixed-type
-        batches).  Zero values have already been dropped and clock order has
-        been validated.
-        """
-
     def ingest_sorted_rows(self, payloads: Sequence[RowPayload]) -> None:
-        """Ingest every hash row of one batch.
+        """Ingest every hash row of one pre-validated, column-grouped batch.
 
-        Rows address disjoint cells, so their order is immaterial; stores may
-        override this to process all rows in one combined pass (the columnar
-        store does).
+        Each payload is ``(row, run_columns, run_starts, run_stops, clocks,
+        values)``.  The caller (``ECMSketch.add_many``) has stably sorted the
+        batch by column, so ``clocks[start:stop]`` is the in-stream-order
+        arrival run of cell ``(row, run_columns[i])``.  ``clocks``/``values``
+        are either NumPy arrays whose dtype preserves the original scalars
+        exactly, or plain Python lists carrying the original objects
+        (mixed-type batches).  Zero values have already been dropped and
+        clock order has been validated.  Rows address disjoint cells, so
+        their order is immaterial.
         """
-        for row, run_columns, run_starts, run_stops, clocks, values in payloads:
-            self.ingest_sorted_row(row, run_columns, run_starts, run_stops, clocks, values)
 
     @abc.abstractmethod
     def expire_all(self, now: float) -> None:
@@ -211,24 +195,17 @@ class ObjectCounterStore(CounterStore):
     def add_single(self, row: int, column: int, clock: float, count: int = 1) -> None:
         self._grid[row][column].add(clock, count)
 
-    def ingest_sorted_row(
-        self,
-        row: int,
-        run_columns: Sequence[int],
-        run_starts: Sequence[int],
-        run_stops: Sequence[int],
-        clocks: RunPayload,
-        values: RunPayload | None,
-    ) -> None:
-        clocks_list = clocks.tolist() if isinstance(clocks, np.ndarray) else clocks
-        values_list = values.tolist() if isinstance(values, np.ndarray) else values
-        row_counters = self._grid[row]
-        for column, start, stop in zip(run_columns, run_starts, run_stops, strict=False):
-            row_counters[column].add_batch(
-                clocks_list[start:stop],
-                None if values_list is None else values_list[start:stop],
-                assume_ordered=True,
-            )
+    def ingest_sorted_rows(self, payloads: Sequence[RowPayload]) -> None:
+        for row, run_columns, run_starts, run_stops, clocks, values in payloads:
+            clocks_list = clocks.tolist() if isinstance(clocks, np.ndarray) else clocks
+            values_list = values.tolist() if isinstance(values, np.ndarray) else values
+            row_counters = self._grid[row]
+            for column, start, stop in zip(run_columns, run_starts, run_stops, strict=False):
+                row_counters[column].add_batch(
+                    clocks_list[start:stop],
+                    None if values_list is None else values_list[start:stop],
+                    assume_ordered=True,
+                )
 
     def expire_all(self, now: float) -> None:
         for row_counters in self._grid:

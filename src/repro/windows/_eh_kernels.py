@@ -185,10 +185,11 @@ def expire_cells(  # pragma: no cover - measured via the equivalence suite
     uppers: np.ndarray,
     oldest_end: np.ndarray,
     candidates: np.ndarray,
-    threshold: float,
+    thresholds: np.ndarray,
 ) -> None:
     """Prefix-drop expiry sweep over candidate cells (no flag pools).
 
+    Candidate ``i`` drops the buckets whose end is at most ``thresholds[i]``.
     Within one ``(cell, level)`` the buckets are time-ordered, so the expired
     set is a prefix; survivors shift left and the per-cell ``oldest_end``
     cache is refreshed exactly.
@@ -196,6 +197,7 @@ def expire_cells(  # pragma: no cover - measured via the equivalence suite
     num_levels = counts.shape[1]
     for i in range(candidates.shape[0]):
         cell = candidates[i]
+        threshold = thresholds[i]
         removed = np.int64(0)
         new_oldest = np.inf
         for level in range(num_levels):

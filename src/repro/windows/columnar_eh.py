@@ -56,9 +56,9 @@ break it.
 Clock int-ness is different: a live stream may mix int and float clocks, and
 serialization must emit each one as it arrived.  A stream that uses one kind
 keeps it as a store-wide mode; the first mix materialises per-bucket
-``start_int``/``end_int`` flag arrays, and batched ingests of that store
-route through the exact reference fallback (materialise -> ``add_batch`` ->
-reload).
+``start_int``/``end_int`` flag arrays, which the vector cascade does not
+write, so batched ingests of that store replay through the reference
+(materialise -> ``add_batch`` -> reload).
 
 The three hot loops — the deferred ingest cascade, the expire/compaction
 sweep and the multi-cell point-query walk — have two implementations: the
@@ -70,10 +70,12 @@ flips the flag to run the interpreted kernels too.
 Equivalence contract: every operation leaves the grid in a state whose
 materialisation (:meth:`get_counter`) is bucket-for-bucket identical to the
 reference object layout, including serialized byte equality.  The batched
-ingest only takes the deferred-cascade vector path when no bucket can expire
-during a run (the same gate as the reference ``add_batch``); runs that cross
-the window boundary use the reference fallback, which is exact by
-construction.
+ingest cascades every run in segments: the reference expires only after an
+arrival's units are in, and a cell's oldest live end never decreases while
+units arrive, so a segment can run up to and including the first arrival
+whose ``clock - window`` reaches ``min(oldest_end, first clock of the
+segment)``; the cells whose segment ended on such a crossing then expire,
+and the next round continues after it.
 """
 
 from __future__ import annotations
@@ -88,11 +90,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.counter_store import CounterStore, RowPayload, RunPayload
+from ..core.counter_store import CounterStore, RowPayload
 from ..core.errors import ConfigurationError, OutOfOrderArrivalError
 from ._eh_kernels import HAVE_NUMBA, cascade_runs, estimate_cells_canonical, expire_cells
 from .base import SlidingWindowCounter, WindowModel, validate_epsilon, validate_window
-from .exponential_histogram import _BULK_EXPANSION_LIMIT, Bucket, ExponentialHistogram
+from .exponential_histogram import Bucket, ExponentialHistogram
 
 __all__ = ["ColumnarEHStore", "USE_KERNELS"]
 
@@ -119,6 +121,10 @@ _INITIAL_ROWS = 64
 #: vector run instead of one Python-level insert each: the run's fixed cost
 #: (a few dozen NumPy calls per level) only pays off from here.
 _WEIGHTED_CASCADE_MIN = 96
+
+#: Units one round of the batched ingest expands at most, so its temporaries
+#: follow this budget rather than the total weight of a batch.
+_ROUND_UNITS = 1 << 16
 
 #: Store-wide clock modes: every clock so far was an int / was a float; the
 #: store is empty; or the stream mixed both and per-bucket flag arrays are
@@ -417,38 +423,18 @@ class ColumnarEHStore(CounterStore):
         clock_f = self._clock_to_float(clock)
         is_int = _is_int_clock(clock)
         self._note_clock_flag(is_int)
-        self._last_clocks[cell] = clock
-        self._totals[cell] += count
-        if (
-            count < _WEIGHTED_CASCADE_MIN
-            or count > _BULK_EXPANSION_LIMIT
-            or self._start_int is not None
-        ):
-            # Light weights, weights whose unit expansion would outweigh
-            # the structure, and per-bucket clock flags insert unit by unit.
+        if count >= _WEIGHTED_CASCADE_MIN and self._start_int is None:
+            # One arrival, as a one-arrival run of the segmented cascade.
+            self._ingest_runs(
+                np.array([cell]), np.array([clock_f]), np.array([0, 1]), np.array([count])
+            )
+        else:
+            # Light weights and per-bucket clock flags insert unit by unit.
+            self._totals[cell] += count
             for _ in range(count):
                 self._insert_unit(cell, clock_f, is_int)
-        else:
-            self._add_weighted(cell, clock_f, count)
-        self._expire_cell(cell, clock_f)
-
-    def _add_weighted(self, cell: int, clock_f: float, count: int) -> None:
-        """``count`` unit arrivals at one clock through the vector cascade.
-
-        The scalar path inserts every unit and expires once, after the last,
-        so no expiry falls between the inserts.  That is the precondition
-        under which the deferred cascade leaves the same buckets as the
-        interleaved inserts; the caller's expiry then follows as before.
-        """
-        self._uppers[cell] += count
-        if clock_f < self._oldest_end[cell]:
-            self._oldest_end[cell] = clock_f
-        self._deferred_cascade(
-            np.array([cell], dtype=np.int64),
-            np.full(count, clock_f),
-            np.array([0, count], dtype=np.int64),
-            np.array([count], dtype=np.int64),
-        )
+            self._expire_cell(cell, clock_f)
+        self._last_clocks[cell] = clock
 
     def _insert_unit(self, cell: int, clock_f: float, is_int: bool) -> None:
         """Append one unit bucket at level 0 and cascade overflowing levels."""
@@ -535,17 +521,6 @@ class ColumnarEHStore(CounterStore):
         self._oldest_end[cell] = oldest
 
     # ------------------------------------------------------------ batched adds
-    def ingest_sorted_row(
-        self,
-        row: int,
-        run_columns: Sequence[int],
-        run_starts: Sequence[int],
-        run_stops: Sequence[int],
-        clocks: RunPayload,
-        values: RunPayload | None,
-    ) -> None:
-        self.ingest_sorted_rows([(row, run_columns, run_starts, run_stops, clocks, values)])
-
     def ingest_sorted_rows(self, payloads: Sequence[RowPayload]) -> None:
         """All hash rows of one batch in a single vectorized cascade.
 
@@ -598,15 +573,6 @@ class ColumnarEHStore(CounterStore):
         if int_flag:
             self._require_exact_ints(first_clocks)
         self._note_clock_flag(int_flag)
-        if len(vector_rows) == 1:
-            row, run_columns, run_starts, run_stops, clocks, values = vector_rows[0]
-            cells = row * self.width + np.asarray(run_columns, dtype=np.int64)
-            offsets = np.empty(len(run_starts) + 1, dtype=np.int64)
-            offsets[:-1] = run_starts
-            offsets[-1] = run_stops[-1]
-            values_array = None if values is None else np.asarray(values)
-            self._ingest_runs(cells, np.asarray(clocks), offsets, int_flag, values_array)
-            return
         cell_blocks = []
         offset_blocks = [np.zeros(1, dtype=np.int64)]
         clock_blocks = []
@@ -624,14 +590,16 @@ class ColumnarEHStore(CounterStore):
             np.concatenate(cell_blocks),
             np.concatenate(clock_blocks),
             np.concatenate(offset_blocks),
-            int_flag,
             None if value_blocks is None else np.concatenate(value_blocks),
         )
 
     def _fallback_run(
         self, cell: int, clocks: Sequence[float], values: Sequence[int] | None
     ) -> None:
-        """Exact-by-construction slow path: replay through the reference EH."""
+        """Replay one run through the reference EH (materialise, ``add_batch``,
+        reload).  Only runs of a mixed int/float-clock store and payloads
+        that are not clock arrays with int weights (mixed-type lists, float
+        weights) reach it; no served workload sends either."""
         histogram = self._materialize(cell)
         histogram.add_batch(clocks, values, assume_ordered=True)
         self._load_cell(cell, histogram)
@@ -641,74 +609,114 @@ class ColumnarEHStore(CounterStore):
         cells: np.ndarray,
         clocks: np.ndarray,
         offsets: np.ndarray,
-        int_flag: bool,
         values: np.ndarray | None,
     ) -> None:
-        """Column-grouped runs for distinct cells, vectorized across cells.
+        """Column-grouped runs for distinct cells, cascaded in segments.
 
         ``clocks[offsets[i]:offsets[i+1]]`` is the arrival run of ``cells[i]``
-        (cells are distinct — one run per Count-Min cell).  Runs that cannot
-        expire anything mid-run take the deferred-cascade vector path; the
-        rest replay through the reference implementation.
+        (cells are distinct — one run per Count-Min cell); ``values`` holds
+        positive weights, or is ``None`` for unit arrivals.
+
+        The reference inserts and cascades all units of an arrival and only
+        then expires at ``clock - window``.  Merges keep the newer end, so a
+        cell's oldest live end never decreases while units arrive: an
+        arrival whose threshold stays below ``min(oldest_end, first clock of
+        the segment)`` cannot expire anything.  Each round therefore
+        cascades every cell's next segment, up to and including the first
+        arrival whose threshold reaches that bound, in one deferred cascade;
+        the cells whose segment ended on such a crossing then expire at
+        their own thresholds, and cells with arrivals left go round again.
+
+        A round also ends once it has expanded ``_ROUND_UNITS`` units.  A
+        split between two units with no expiry between them is exact, even
+        inside one arrival, so the temporaries follow the budget, not the
+        total weight of the batch.
         """
-        run_lengths = np.diff(offsets)
+        clocks_f = np.asarray(clocks, dtype=np.float64)
+        window = self.window
         if values is not None:
-            unit_bounds = np.concatenate(([0], np.cumsum(values)))[offsets]
-            unit_lengths = np.diff(unit_bounds)
-        else:
-            unit_lengths = run_lengths
-        last_clock_idx = offsets[1:] - 1
-        final_threshold = clocks[last_clock_idx] - self.window
-        first_clocks = clocks[offsets[:-1]].astype(np.float64)
-        # The cached oldest_end is a lower bound on the true oldest live
-        # bucket end, so this gate is at least as strict as the reference
-        # add_batch gate: passing it guarantees that replaying the run
-        # unit-by-unit would never expire anything, which is exactly the
-        # precondition under which the deferred cascade is state-identical.
-        fast = (final_threshold < self._oldest_end[cells]) & (final_threshold < first_clocks)
-        if values is not None:
-            fast &= unit_lengths <= _BULK_EXPANSION_LIMIT
-        if not fast.all():
-            slow_runs = np.flatnonzero(~fast)
-            for index in slow_runs.tolist():
-                low, high = int(offsets[index]), int(offsets[index + 1])
-                self._fallback_run(
-                    int(cells[index]),
-                    clocks[low:high].tolist(),
-                    None if values is None else values[low:high].tolist(),
+            unit_bounds = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+        # Per active run: its cell, next arrival, end of run, and units of
+        # that arrival already cascaded.
+        run_cells, low, high = cells, offsets[:-1], offsets[1:]
+        done = np.zeros(cells.shape[0], dtype=np.int64)
+        # Built at the first crossing inside a segment: every arrival keyed
+        # by (run, rank of its threshold), which rises through the
+        # concatenated runs, so one searchsorted finds each run's crossing.
+        # A rank counts the thresholds below a value, so two ranks compare
+        # exactly as their values do.
+        run_keys: np.ndarray | None = None
+        span = clocks_f.shape[0] + 1
+        while True:
+            bound = np.minimum(self._oldest_end[run_cells], clocks_f[low])
+            crosses = clocks_f[high - 1] - window >= bound
+            crossing = bool(crosses.any())
+            end = high
+            if crossing:
+                end = np.where(crosses, low + 1, high)
+                inner = np.flatnonzero(crosses & (clocks_f[low] - window < bound))
+                if inner.size:
+                    if run_keys is None:
+                        thresholds = clocks_f - window
+                        ranked = np.sort(thresholds)
+                        run_keys = np.searchsorted(ranked, thresholds) + np.repeat(
+                            np.arange(0, cells.shape[0] * span, span), np.diff(offsets)
+                        )
+                    runs = np.searchsorted(offsets, low[inner], side="right") - 1
+                    keys = runs * span + np.searchsorted(ranked, bound[inner])
+                    end[inner] = np.searchsorted(run_keys, keys) + 1
+            if values is None:
+                first_unit = low
+                whole = end - low
+            else:
+                first_unit = unit_bounds[low] + done
+                whole = unit_bounds[end] - first_unit
+            unit_offsets = np.concatenate(([0], np.cumsum(whole)))
+            units = whole
+            taken = whole.shape[0]
+            if unit_offsets[-1] > _ROUND_UNITS:
+                # Whole segments while the budget lasts; the one that reaches
+                # it is cut there and cannot expire this round.
+                taken = int(np.searchsorted(unit_offsets, _ROUND_UNITS))
+                unit_offsets = unit_offsets[: taken + 1].copy()
+                unit_offsets[-1] = _ROUND_UNITS
+                units = np.diff(unit_offsets)
+            next_unit = first_unit[:taken] + units
+            if values is None:
+                if unit_offsets[-1] == clocks_f.shape[0]:
+                    unit_clocks = clocks_f  # every arrival of the batch, in order
+                else:
+                    owner, index = _ragged(units)
+                    unit_clocks = clocks_f[first_unit[owner] + index]
+                reached = next_unit
+            else:
+                # The arrivals each segment touches, and the units of each in
+                # it: the first may be partly cascaded, the last cut short.
+                reached = np.searchsorted(unit_bounds, next_unit, side="right") - 1
+                stop = np.searchsorted(unit_bounds, next_unit - 1, side="right")
+                owner, index = _ragged(stop - low[:taken])
+                touched = low[owner] + index
+                counts = np.minimum(unit_bounds[touched + 1], next_unit[owner]) - np.maximum(
+                    unit_bounds[touched], first_unit[owner]
                 )
-            fast_runs = np.flatnonzero(fast)
-            if not fast_runs.size:
-                return
-            element_fast = np.repeat(fast, run_lengths)
-            if values is None:
-                unit_clocks = clocks[element_fast].astype(np.float64)
-            else:
-                unit_clocks = np.repeat(
-                    clocks[element_fast], values[element_fast]
-                ).astype(np.float64)
-            fast_cells = cells[fast_runs]
-            fast_units = unit_lengths[fast_runs]
-            fast_first = first_clocks[fast_runs]
-            fast_last_idx = last_clock_idx[fast_runs]
-        else:
-            if values is None:
-                unit_clocks = clocks.astype(np.float64)
-            else:
-                unit_clocks = np.repeat(clocks, values).astype(np.float64)
-            fast_cells = cells
-            fast_units = unit_lengths
-            fast_first = first_clocks
-            fast_last_idx = last_clock_idx
-        unit_offsets = np.concatenate(([0], np.cumsum(fast_units)))
-        self._deferred_cascade(fast_cells, unit_clocks, unit_offsets, fast_units)
-        # Bookkeeping identical to the reference path.
-        self._totals[fast_cells] += fast_units
-        self._uppers[fast_cells] += fast_units
-        self._oldest_end[fast_cells] = np.minimum(self._oldest_end[fast_cells], fast_first)
-        last_values = clocks[fast_last_idx].tolist()
+                unit_clocks = np.repeat(clocks_f[touched], counts)
+                done[:taken] = next_unit - unit_bounds[reached]
+            cascaded = run_cells[:taken]
+            self._deferred_cascade(cascaded, unit_clocks, unit_offsets, units)
+            self._totals[cascaded] += units
+            self._uppers[cascaded] += units
+            self._oldest_end[cascaded] = bound[:taken]
+            if crossing:
+                expiring = np.flatnonzero(crosses[:taken] & (units == whole[:taken]))
+                if expiring.size:
+                    self._expire_cells(cascaded[expiring], clocks_f[end[expiring] - 1] - window)
+            low = np.concatenate((reached, low[taken:]))
+            left = low < high
+            if not left.any():
+                break
+            run_cells, low, high, done = (array[left] for array in (run_cells, low, high, done))
         last_clocks = self._last_clocks
-        for cell, value in zip(fast_cells.tolist(), last_values, strict=False):
+        for cell, value in zip(cells.tolist(), clocks[offsets[1:] - 1].tolist(), strict=False):
             last_clocks[cell] = value
 
     def _deferred_cascade(
@@ -845,8 +853,12 @@ class ColumnarEHStore(CounterStore):
     def expire_all(self, now: float) -> None:
         threshold = now - self.window
         candidates = np.flatnonzero(self._oldest_end <= threshold)
-        if not candidates.size:
-            return
+        if candidates.size:
+            self._expire_cells(candidates, np.full(candidates.shape[0], threshold))
+
+    def _expire_cells(self, candidates: np.ndarray, thresholds: np.ndarray) -> None:
+        """Drop the buckets of each distinct candidate cell whose end is at
+        most that cell's threshold, and refresh its ``oldest_end`` exactly."""
         if USE_KERNELS and self._start_int is None:
             # The kernel shifts the clock pools only; mixed-clock stores
             # also shift their flag pools, which the NumPy sweep handles.
@@ -858,7 +870,7 @@ class ColumnarEHStore(CounterStore):
                 self._uppers,
                 self._oldest_end,
                 candidates,
-                threshold,
+                thresholds,
             )
             return
         counts = self._counts[candidates]
@@ -878,7 +890,7 @@ class ColumnarEHStore(CounterStore):
         valid = lane[None, None, :] < counts[:, :, None]
         # Within-level buckets are time-ordered, so the expired set is a
         # per-level prefix and the sum directly gives the shift distance.
-        expired_mask = valid & (ends <= threshold)
+        expired_mask = valid & (ends <= thresholds[:, None, None])
         drop = expired_mask.sum(axis=2, dtype=np.int64)
         if drop.any():
             level_sizes = np.left_shift(np.int64(1), np.arange(used, dtype=np.int64))

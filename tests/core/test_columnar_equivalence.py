@@ -80,6 +80,15 @@ class _KernelSettingsCase:
         monkeypatch.setattr(columnar_eh, "USE_KERNELS", request.param)
 
 
+def _forbid_replay(monkeypatch) -> None:
+    """Fail the test if any run replays through the reference fallback."""
+
+    def replay(self, cell, clocks, values):
+        raise AssertionError("cell %d replayed through the reference fallback" % cell)
+
+    monkeypatch.setattr(ColumnarEHStore, "_fallback_run", replay)
+
+
 def _assert_twins(reference: ECMSketch, columnar: ECMSketch, keys) -> None:
     """Full observational equality of the two sketches."""
     assert dumps(reference) == dumps(columnar)
@@ -121,32 +130,45 @@ class TestDeterministicLifecycles(_KernelSettingsCase):
                 sketch.add(t % 11, clock=t)
         _assert_twins(reference, columnar, list(range(11)))
 
-    def test_batched_adds_window_crossing(self):
-        """Batches spanning several windows exercise the expiring slow path."""
+    @pytest.mark.parametrize("integer_clocks", [False, True], ids=["float", "int"])
+    def test_batched_adds_window_crossing(self, integer_clocks, monkeypatch):
+        """Batches spanning several windows cascade in segments that end on
+        the arrivals crossing the window; no run replays."""
+        _forbid_replay(monkeypatch)
         reference, columnar = _pair()
         rng = random.Random(7)
-        clock = 0.0
+        clock = 0 if integer_clocks else 0.0
         for _ in range(12):
             items, clocks = [], []
             for _ in range(256):
-                clock += rng.random() * 8.0  # crosses the 400-unit window often
+                # Crosses the 400-unit window often.
+                clock += rng.randrange(9) if integer_clocks else rng.random() * 8.0
                 items.append("k%d" % rng.randrange(23))
                 clocks.append(clock)
             for sketch in (reference, columnar):
                 sketch.add_many(items, clocks)
         _assert_twins(reference, columnar, ["k%d" % i for i in range(23)])
 
-    def test_batched_weighted_adds(self):
+    @pytest.mark.parametrize("integer_clocks", [False, True], ids=["float", "int"])
+    def test_batched_weighted_adds(self, integer_clocks, monkeypatch):
+        """Light weights, then weights of 96 and up in batches that span
+        about three windows each, so segments end on crossings mid-batch and
+        the round budget cuts inside arrivals; no run replays."""
+        _forbid_replay(monkeypatch)
+        monkeypatch.setattr(columnar_eh, "_ROUND_UNITS", 1000)
         reference, columnar = _pair()
         rng = random.Random(11)
-        clock = 0
-        for _ in range(8):
+        clock = 0 if integer_clocks else 0.0
+        for batch in range(12):
+            heavy = batch >= 8
             items, clocks, values = [], [], []
             for _ in range(128):
-                clock += rng.randrange(0, 3)
+                step = rng.randrange(5, 15) if heavy else rng.randrange(0, 3)
+                clock += step if integer_clocks else step * 0.75
                 items.append(rng.randrange(19))
                 clocks.append(clock)
-                values.append(rng.randrange(0, 4))  # includes zero weights
+                # Light batches include zero weights.
+                values.append(rng.randrange(96, 256) if heavy else rng.randrange(0, 4))
             for sketch in (reference, columnar):
                 sketch.add_many(items, clocks, values)
         _assert_twins(reference, columnar, list(range(19)))
@@ -452,7 +474,7 @@ class TestGridGrowth(_KernelSettingsCase):
         assert store._row_map.shape[1] == 2
         # ... and a batched run of 60 units two more through the vector
         # cascade, claiming rows at levels 0-3 of its cell.
-        store.ingest_sorted_row(1, [5], [0], [60], np.arange(10.0, 70.0), None)
+        store.ingest_sorted_rows([(1, [5], [0], [60], np.arange(10.0, 70.0), None)])
         assert store._row_map.shape[1] == 4
         assert store._next_row == 1 + 2 + 4
         assert store._starts.shape == (capacity, slots)
@@ -561,6 +583,30 @@ class TestHeavyRuns(_KernelSettingsCase):
         for key, clock, value in zip(keys, clocks, heavy, strict=True):
             replay.add(key, clock, value)
         assert dumps(sketches["heavy"]) == dumps(replay)
+
+    def test_weighted_batch_peaks_with_the_round_budget(self):
+        """A batch's temporaries follow the round's unit budget, not its
+        total weight: 1,024 arrivals of weight 4,096 peak like the same
+        arrivals at weight 256, and match one ``add`` per arrival."""
+        if columnar_eh.USE_KERNELS and not HAVE_NUMBA:
+            pytest.skip("interpreted kernels would cascade 12.6M units one by one")
+        config = ECMConfig.for_point_queries(epsilon=0.05, delta=0.05, window=1e9)
+        keys = list(range(1024))
+        clocks = [float(t) for t in range(1024)]
+        peaks = {}
+        for weight in (256, 4096):
+            sketch = ECMSketch(config)
+            tracemalloc.start()
+            try:
+                sketch.add_many(keys, clocks, [weight] * 1024)
+                peaks[weight] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] <= 1.25 * peaks[256]
+        replay = ECMSketch(config)
+        for key, clock in zip(keys, clocks, strict=True):
+            replay.add(key, clock, 4096)
+        assert dumps(sketch) == dumps(replay)
 
     def test_weighted_add_cascades_its_units_in_one_run(self):
         """Ten arrivals of weight 16,384 replay through ``add`` (the batch is
