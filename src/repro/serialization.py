@@ -12,7 +12,10 @@ actually move them between processes:
 * :func:`dumps` / :func:`loads` — JSON byte strings with a type tag, suitable
   for sockets, message queues or files;
 * :func:`to_json_pieces` — the text of :func:`dumps` as pieces, ECM-sketches
-  and stacks encoded one counter at a time, for writers that stream it.
+  and stacks encoded one counter at a time, for writers that stream it;
+* :func:`read_ecm_sketch` / :func:`read_hierarchical` — the ``*_from_dict``
+  rebuild straight from a :class:`~repro.jsonstream.JSONStream`, decoding
+  one counter at a time, for readers that stream it.
 
 Round-tripping is exact: a deserialized structure answers every query with the
 same result as the original and can keep ingesting new arrivals.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 import numbers
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
 from .core.config import CounterType, ECMConfig
@@ -36,6 +39,8 @@ from .windows.exponential_histogram import Bucket, ExponentialHistogram
 from .windows.randomized_wave import RandomizedWave, _Entry
 
 if TYPE_CHECKING:
+    from .jsonstream import JSONStream
+
     # Imported where a stack is (de)serialized: flat snapshots never load
     # the hierarchy.
     from .queries.heavy_hitters import FrequentItemsTracker
@@ -72,6 +77,8 @@ __all__ = [
     "to_dict",
     "from_dict",
     "to_json_pieces",
+    "read_ecm_sketch",
+    "read_hierarchical",
     "dumps",
     "loads",
 ]
@@ -356,42 +363,111 @@ def ecm_sketch_to_dict(sketch: ECMSketch) -> dict[str, Any]:
     return payload
 
 
-def _ecm_sketch_pieces(sketch: ECMSketch) -> list[str]:
+def _ecm_sketch_pieces(sketch: ECMSketch) -> Iterator[str]:
     """The JSON text of :func:`ecm_sketch_to_dict`, encoded one counter at a time.
 
-    Each counter goes through its serializer and ``json.dumps`` on its own,
-    and its dictionary is dropped before the next one is built, so the
-    whole grid never exists as nested dictionaries.
+    A generator: each counter goes through its serializer and ``json.dumps``
+    only when the piece before it has been taken, so neither the grid as
+    nested dictionaries nor its text as a whole ever exists.
     """
     serialize_counter, _ = _COUNTER_SERIALIZERS[sketch.counter_type]
     envelope = _encode(_ecm_sketch_envelope(sketch))
-    pieces = [envelope[:-1], ',"counters":[']
+    yield envelope[:-1] + ',"counters":['
     for row in range(sketch.depth):
-        pieces.append("[" if row == 0 else "],[")
+        opening = "[" if row == 0 else "],["
         for column in range(sketch.width):
-            if column:
-                pieces.append(",")
-            pieces.append(_encode(serialize_counter(sketch.counter(row, column))))
-    pieces.append("]]}")
-    return pieces
+            yield opening + _encode(serialize_counter(sketch.counter(row, column)))
+            opening = ","
+    yield "]]}"
 
 
-def ecm_sketch_from_dict(payload: dict[str, Any]) -> ECMSketch:
-    """Rebuild an ECM-sketch serialized by :func:`ecm_sketch_to_dict`."""
+_ECM_SKETCH_HEAD = frozenset(["kind", "version", "config", "stream_tag"])
+
+
+def _ecm_sketch_shell(payload: dict[str, Any]) -> tuple[ECMSketch, Callable[[dict[str, Any]], Any]]:
+    """The empty sketch an ECM-sketch payload describes, and its counter decoder."""
     _require(payload, "ecm_sketch")
     config = config_from_dict(payload["config"])
     sketch = ECMSketch(config, stream_tag=int(payload["stream_tag"]))
     _, deserialize_counter = _COUNTER_SERIALIZERS[config.counter_type]
-    counters = payload["counters"]
-    if len(counters) != sketch.depth or any(len(row) != sketch.width for row in counters):
-        raise ConfigurationError("counter grid shape does not match the configuration")
-    for row in range(sketch.depth):
-        for column in range(sketch.width):
-            sketch._set_counter(row, column, deserialize_counter(counters[row][column]))
+    return sketch, deserialize_counter
+
+
+def _load_counters(
+    sketch: ECMSketch,
+    deserialize_counter: Callable[[dict[str, Any]], Any],
+    rows: Iterable[Iterable[dict[str, Any]]],
+) -> None:
+    """Set every counter of ``sketch`` from a grid of payloads, one at a time."""
+    mismatch = "counter grid shape does not match the configuration"
+    row = -1
+    for row, counters in enumerate(rows):
+        if row >= sketch.depth:
+            raise ConfigurationError(mismatch)
+        column = -1
+        for column, counter in enumerate(counters):
+            if column >= sketch.width:
+                raise ConfigurationError(mismatch)
+            sketch._set_counter(row, column, deserialize_counter(counter))
+        if column + 1 != sketch.width:
+            raise ConfigurationError(mismatch)
+    if row + 1 != sketch.depth:
+        raise ConfigurationError(mismatch)
+
+
+def _finish_ecm_sketch(sketch: ECMSketch, payload: dict[str, Any]) -> ECMSketch:
     sketch._total_arrivals = int(payload["total_arrivals"])
     sketch._last_clock = payload["last_clock"]
     sketch.effective_epsilon_sw = payload["effective_epsilon_sw"]
     return sketch
+
+
+def ecm_sketch_from_dict(payload: dict[str, Any]) -> ECMSketch:
+    """Rebuild an ECM-sketch serialized by :func:`ecm_sketch_to_dict`."""
+    sketch, deserialize_counter = _ecm_sketch_shell(payload)
+    counters = payload["counters"]
+    if len(counters) != sketch.depth or any(len(row) != sketch.width for row in counters):
+        raise ConfigurationError("counter grid shape does not match the configuration")
+    _load_counters(sketch, deserialize_counter, counters)
+    return _finish_ecm_sketch(sketch, payload)
+
+
+def _stream_grid(stream: JSONStream) -> Iterator[Iterable[dict[str, Any]]]:
+    """The rows of the counter grid at the cursor, each decoded a counter at a time."""
+    for _ in stream.items():
+        if stream.peek() == "[":
+            yield (stream.value() for _ in stream.items())
+        else:
+            yield stream.value()
+
+
+def read_ecm_sketch(stream: JSONStream) -> ECMSketch:
+    """:func:`ecm_sketch_from_dict` of the payload at the cursor, a counter at a time.
+
+    The counters are decoded and loaded one by one when the keys that
+    describe the sketch (``kind``, ``version``, ``config``, ``stream_tag``)
+    come before them, as :func:`ecm_sketch_to_dict` writes them; a payload
+    in another key order is decoded whole.  Either way the result and the
+    errors are those of :func:`ecm_sketch_from_dict`.
+    """
+    if stream.peek() != "{":
+        return ecm_sketch_from_dict(stream.value())
+    fields: dict[str, Any] = {}
+    sketch: ECMSketch | None = None
+    for key in stream.keys():
+        if (
+            key == "counters"
+            and sketch is None
+            and _ECM_SKETCH_HEAD <= fields.keys()
+            and stream.peek() == "["
+        ):
+            sketch, deserialize_counter = _ecm_sketch_shell(fields)
+            _load_counters(sketch, deserialize_counter, _stream_grid(stream))
+        else:
+            fields[key] = stream.value()
+    if sketch is None:
+        return ecm_sketch_from_dict(fields)
+    return _finish_ecm_sketch(sketch, fields)
 
 
 # -------------------------------------------------------- hierarchical stacks
@@ -420,16 +496,41 @@ def hierarchical_to_dict(stack: HierarchicalECMSketch) -> dict[str, Any]:
     return payload
 
 
-def _hierarchical_pieces(stack: HierarchicalECMSketch) -> list[str]:
-    """The JSON text of :func:`hierarchical_to_dict`, one level after another."""
+def _hierarchical_pieces(stack: HierarchicalECMSketch) -> Iterator[str]:
+    """The JSON text of :func:`hierarchical_to_dict`, one counter after another."""
     envelope = _encode(_hierarchical_envelope(stack))
-    pieces = [envelope[:-1], ',"levels":[']
+    yield envelope[:-1] + ',"levels":['
     for level in range(stack.universe_bits):
-        if level:
-            pieces.append(",")
-        pieces.extend(_ecm_sketch_pieces(stack.level_sketch(level)))
-    pieces.append("]}")
-    return pieces
+        pieces = _ecm_sketch_pieces(stack.level_sketch(level))
+        yield ("," if level else "") + next(pieces)
+        yield from pieces
+    yield "]}"
+
+
+_HIERARCHICAL_HEAD = frozenset(["kind", "version", "universe_bits"])
+
+
+def _level_count_error(levels: int, universe_bits: int) -> ConfigurationError:
+    return ConfigurationError(
+        "level count %d does not match universe_bits %d" % (levels, universe_bits)
+    )
+
+
+def _hierarchical_stack(payload: dict[str, Any], levels: list[ECMSketch]) -> HierarchicalECMSketch:
+    """The stack a payload describes, over its already rebuilt level sketches."""
+    from .queries.hierarchical import HierarchicalECMSketch
+
+    stack = HierarchicalECMSketch.__new__(HierarchicalECMSketch)
+    stack.universe_bits = int(payload["universe_bits"])
+    stack.window = payload["window"]
+    stack.model = WindowModel(payload["model"])
+    stack.counter_type = CounterType(payload["counter_type"])
+    stack.seed = int(payload["seed"])
+    stack.stream_tag = int(payload["stream_tag"])
+    stack._levels = levels
+    stack._total_arrivals = int(payload["total_arrivals"])
+    stack._last_clock = payload["last_clock"]
+    return stack
 
 
 def hierarchical_from_dict(payload: dict[str, Any]) -> HierarchicalECMSketch:
@@ -438,23 +539,38 @@ def hierarchical_from_dict(payload: dict[str, Any]) -> HierarchicalECMSketch:
     universe_bits = int(payload["universe_bits"])
     levels = payload["levels"]
     if len(levels) != universe_bits:
-        raise ConfigurationError(
-            "level count %d does not match universe_bits %d"
-            % (len(levels), universe_bits)
-        )
-    from .queries.hierarchical import HierarchicalECMSketch
+        raise _level_count_error(len(levels), universe_bits)
+    return _hierarchical_stack(payload, [ecm_sketch_from_dict(level) for level in levels])
 
-    stack = HierarchicalECMSketch.__new__(HierarchicalECMSketch)
-    stack.universe_bits = universe_bits
-    stack.window = payload["window"]
-    stack.model = WindowModel(payload["model"])
-    stack.counter_type = CounterType(payload["counter_type"])
-    stack.seed = int(payload["seed"])
-    stack.stream_tag = int(payload["stream_tag"])
-    stack._levels = [ecm_sketch_from_dict(level) for level in levels]
-    stack._total_arrivals = int(payload["total_arrivals"])
-    stack._last_clock = payload["last_clock"]
-    return stack
+
+def read_hierarchical(stream: JSONStream) -> HierarchicalECMSketch:
+    """:func:`hierarchical_from_dict` of the payload at the cursor, a counter at a time.
+
+    Each level is rebuilt by :func:`read_ecm_sketch` when ``kind``,
+    ``version`` and ``universe_bits`` come before ``levels``; a payload in
+    another key order is decoded whole.
+    """
+    if stream.peek() != "{":
+        return hierarchical_from_dict(stream.value())
+    fields: dict[str, Any] = {}
+    levels: list[ECMSketch] | None = None
+    for key in stream.keys():
+        if (
+            key == "levels"
+            and levels is None
+            and _HIERARCHICAL_HEAD <= fields.keys()
+            and stream.peek() == "["
+        ):
+            _require(fields, "hierarchical_ecm_sketch")
+            universe_bits = int(fields["universe_bits"])
+            levels = [read_ecm_sketch(stream) for _ in stream.items()]
+            if len(levels) != universe_bits:
+                raise _level_count_error(len(levels), universe_bits)
+        else:
+            fields[key] = stream.value()
+    if levels is None:
+        return hierarchical_from_dict(fields)
+    return _hierarchical_stack(fields, levels)
 
 
 # ------------------------------------------------------- frequent-items tracker
@@ -554,12 +670,13 @@ def from_dict(payload: dict[str, Any]) -> Serializable | ECMConfig:
     return deserializer(payload)
 
 
-def to_json_pieces(obj: Serializable | ECMConfig) -> list[str]:
+def to_json_pieces(obj: Serializable | ECMConfig) -> Iterator[str]:
     """The JSON text of :func:`to_dict` as pieces that join into :func:`dumps`.
 
-    ECM-sketches and stacks are encoded one counter at a time, so a caller
-    that writes the pieces out in order (the sketch service's snapshots)
-    never holds the state as nested dictionaries nor as one string.
+    ECM-sketches and stacks are encoded one counter per piece, and lazily:
+    a caller that writes each piece out before taking the next (the sketch
+    service's snapshots) holds one counter's text at a time.  The object
+    must not change until the last piece is taken.
     """
     if isinstance(obj, ECMSketch):
         return _ecm_sketch_pieces(obj)
@@ -567,7 +684,7 @@ def to_json_pieces(obj: Serializable | ECMConfig) -> list[str]:
 
     if isinstance(obj, HierarchicalECMSketch):
         return _hierarchical_pieces(obj)
-    return [_encode(to_dict(obj))]
+    return iter([_encode(to_dict(obj))])
 
 
 def dumps(obj: Serializable | ECMConfig) -> bytes:

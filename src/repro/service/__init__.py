@@ -137,6 +137,7 @@ _EXPORTS: dict[str, str] = {
     "snapshot_payload": "snapshot",
     "write_snapshot": "snapshot",
     "load_snapshot": "snapshot",
+    "read_snapshot": "snapshot",
     "service_state_from_snapshot": "snapshot",
 }
 

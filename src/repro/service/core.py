@@ -257,10 +257,9 @@ class SketchService:
     @classmethod
     def from_snapshot(cls, path: str | os.PathLike) -> SketchService:
         """Rebuild a service from a snapshot written by :meth:`snapshot_now`."""
-        from .snapshot import load_snapshot, service_state_from_snapshot
+        from .snapshot import read_snapshot
 
-        payload = load_snapshot(path)
-        return service_state_from_snapshot(payload)
+        return read_snapshot(path)
 
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -673,18 +672,23 @@ class SketchService:
     async def snapshot_async(self, path: str | None = None) -> str:
         """Snapshot without stalling the event loop for the disk write.
 
-        The cut runs on the loop — that is what makes it consistent between
-        micro-batches — and it already encodes every sketch to JSON text,
-        one counter at a time (:func:`~repro.service.snapshot.snapshot_payload`).
-        Writing those pieces, the fsync, the rename and the directory fsync
-        run in the default executor, so ingest and queries keep flowing
-        while the disk works.
+        The cut runs on the loop, in one tick with no await — that is what
+        makes it consistent between micro-batches — and it encodes every
+        sketch to JSON text there, one counter at a time
+        (:func:`~repro.service.snapshot.snapshot_payload`).  Each piece goes
+        on a :class:`~repro.service.snapshot.SnapshotPipe` as it is made,
+        and :func:`~repro.service.snapshot.write_snapshot`, already running
+        in the default executor, writes it out while the encode goes on;
+        the fsync, the rename and the directory fsync follow there too.  The
+        loop never waits on the disk, and neither the encoded document nor
+        the state as per-bucket lists is ever held whole.  The encode itself
+        still blocks the loop.
 
         Args:
             path: Explicit destination; overrides ``config.snapshot_path``
                 (the shard router drives per-shard snapshots through this).
         """
-        from .snapshot import snapshot_payload, write_snapshot
+        from .snapshot import SnapshotPipe, snapshot_payload, write_snapshot
 
         destination = path if path is not None else self.config.snapshot_path
         if destination is None:
@@ -693,15 +697,21 @@ class SketchService:
         # plus a protocol `snapshot` op), an older payload could finish its
         # os.replace *after* a newer one and silently roll the file back.
         async with self._snapshot_lock:
-            payload = snapshot_payload(self)
-            # Captured in the same no-await tick as the payload: the mark
-            # may advance during the disk write below, but rotation must
-            # fence epoch deletion on the position *this* snapshot covers.
-            applied_jseq = self._applied_journal_seq
             loop = asyncio.get_running_loop()
-            path_written = await loop.run_in_executor(
-                None, write_snapshot, destination, payload
-            )
+            pipe = SnapshotPipe()
+            writing = loop.run_in_executor(None, write_snapshot, destination, pipe)
+            try:
+                snapshot_payload(self, pipe)
+            except Exception:
+                # The pipe aborted the writer; let it remove its temp file.
+                with contextlib.suppress(Exception):
+                    await writing
+                raise
+            # Captured in the same no-await tick as the cut: the mark may
+            # advance during the disk write below, but rotation must fence
+            # epoch deletion on the position *this* snapshot covers.
+            applied_jseq = self._applied_journal_seq
+            path_written = await writing
             if self._journal is not None and self._journal_executor is not None:
                 # The snapshot carries the applied journal position, so the
                 # journal can rotate: recovery = this snapshot + the epochs
@@ -721,16 +731,21 @@ class SketchService:
         Synchronous — the cut, the encode and the disk write all block the
         caller, and the event loop when called from it: the right tool at
         shutdown and in scripts; the periodic snapshot task and the
-        ``snapshot`` protocol op use :meth:`snapshot_async` instead.
+        ``snapshot`` protocol op use :meth:`snapshot_async` instead.  The
+        document streams the same way: a writer thread writes each piece
+        while the caller encodes the next.
         """
-        from .snapshot import snapshot_payload, write_snapshot
+        from .snapshot import SnapshotPipe, snapshot_payload, write_snapshot
 
         destination = path if path is not None else self.config.snapshot_path
         if destination is None:
             raise InvalidParameterError("no snapshot_path configured")
-        payload = snapshot_payload(self)
-        applied_jseq = self._applied_journal_seq
-        path_written = write_snapshot(destination, payload)
+        pipe = SnapshotPipe()
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="snapshot-writer") as writer:
+            writing = writer.submit(write_snapshot, destination, pipe)
+            snapshot_payload(self, pipe)
+            applied_jseq = self._applied_journal_seq
+            path_written = writing.result()
         if self._journal is not None:
             # Route the rotation through the journal executor when it is
             # live so it cannot interleave with an in-flight append.

@@ -19,7 +19,6 @@ import contextlib
 
 import asyncio
 import inspect
-import json
 import signal
 import sys
 from collections.abc import Callable
@@ -355,10 +354,12 @@ async def run_server(
                 "--restore does not apply to a pooled server: the pool directory "
                 "(catalog + per-tenant snapshots) is the durable state"
             )
-        # Boot-time one-shot read, before any listener exists: nothing else
-        # runs on this loop yet, so there is no ingest/query to stall.
-        with open(restore, "r", encoding="utf-8") as handle:  # reprolint: disable=RL002
-            restore_kind = json.load(handle).get("kind")
+        # Boot-time read of the file's head, before any listener exists:
+        # nothing else runs on this loop yet, so there is no ingest/query
+        # to stall.
+        from .snapshot import document_kind
+
+        restore_kind = document_kind(restore)
     if config.shards is not None or restore_kind == "shard_manifest":
         from .router import ShardRouter
 

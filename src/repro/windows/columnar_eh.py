@@ -118,9 +118,12 @@ _INITIAL_SLOTS = 8
 _INITIAL_ROWS = 64
 
 #: Weight from which ``add_single`` cascades an arrival's units as one
-#: vector run instead of one Python-level insert each: the run's fixed cost
-#: (a few dozen NumPy calls per level) only pays off from here.
-_WEIGHTED_CASCADE_MIN = 96
+#: run of the batched ingest instead of one Python-level insert each: the
+#: run's fixed cost (round bookkeeping plus a few dozen NumPy calls per
+#: level) only pays off from here.  Timed per add on a 3x55 sketch, window
+#: 1e9, the two paths break even near weight 104 through ``ECMSketch.add``
+#: and near 144 on one deep cell.
+_WEIGHTED_CASCADE_MIN = 128
 
 #: Units one round of the batched ingest expands at most, so its temporaries
 #: follow this budget rather than the total weight of a batch.

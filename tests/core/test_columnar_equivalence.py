@@ -625,6 +625,33 @@ class TestHeavyRuns(_KernelSettingsCase):
         if not columnar_eh.USE_KERNELS or HAVE_NUMBA:
             assert elapsed < 0.3
 
+    def test_weighted_cascade_threshold_boundary(self, monkeypatch):
+        """Weights just below ``_WEIGHTED_CASCADE_MIN`` insert unit by unit,
+        weights at it cascade as one run, and both stay byte-identical to
+        the object store (a spy on ``_ingest_runs`` tells the paths apart)."""
+        limit = columnar_eh._WEIGHTED_CASCADE_MIN
+        assert limit == 128
+        runs = []
+        ingest_runs = ColumnarEHStore._ingest_runs
+
+        def spy(self, cells, clocks, offsets, values):
+            runs.append(values.tolist())
+            return ingest_runs(self, cells, clocks, offsets, values)
+
+        monkeypatch.setattr(ColumnarEHStore, "_ingest_runs", spy)
+        reference, columnar = _pair(window=1e9)
+        weights = [limit - 1, limit, limit - 1, limit + 1, 1, limit]
+        paths = []
+        for clock, weight in enumerate(weights, start=1):
+            before = len(runs)
+            for sketch in (reference, columnar):
+                sketch.add("k%d" % (clock % 2), clock=float(clock), value=weight)
+            paths.append(runs[before:])
+            assert dumps(reference) == dumps(columnar)
+        depth = columnar.depth
+        assert paths == [[] if weight < limit else [[weight]] * depth for weight in weights]
+        _assert_twins(reference, columnar, ["k0", "k1"])
+
     def test_weighted_adds_that_expire_stay_identical(self):
         """Heavy weights whose cell has buckets leaving the window: the units
         cascade first and the expiry follows, as in the scalar path, on int,

@@ -11,16 +11,19 @@ an option (a ``"backend"`` key in their configs) still restore.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import sqlite3
 import stat
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import ECMConfig, ECMSketch
+from repro.core.config import CounterType
 from repro.core.errors import ConfigurationError
 from repro.serialization import (
     config_from_dict,
@@ -34,6 +37,7 @@ from repro.service import ServiceConfig, ShardRouter, SketchService, TenantPool,
 from repro.service.errors import InvalidParameterError
 from repro.service.snapshot import (
     SNAPSHOT_KIND,
+    document_kind,
     load_snapshot,
     snapshot_payload,
     service_state_from_snapshot,
@@ -367,8 +371,10 @@ class TestStreamedDocument:
         assert events == ["fsync file", "replace", "fsync directory"]
 
     def test_memory_is_bounded_by_the_file(self, tmp_path):
-        # Neither the whole state as per-bucket lists nor the whole document
-        # as one string: the peak stays within twice the file.
+        # The cut hands each counter's text to the writer thread as it is
+        # encoded: neither the state as per-bucket lists nor the document
+        # (as one string or as a list of pieces) is held, so a full
+        # snapshot_async peaks far below the file it writes.
         config = ServiceConfig(mode="flat", window=1e12, epsilon=0.05, expire_every=None)
         service = SketchService(config)
         count = 200_000
@@ -382,14 +388,37 @@ class TestStreamedDocument:
         )
         assert buckets >= 40_000
         path = tmp_path / "snap.json"
-        write_snapshot(tmp_path / "warm.json", snapshot_payload(service))  # imports
+        run(service.snapshot_async(str(tmp_path / "warm.json")))  # imports
         tracemalloc.start()
         try:
-            write_snapshot(path, snapshot_payload(service))
+            run(service.snapshot_async(str(path)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * os.path.getsize(path)
+        assert peak <= os.path.getsize(path) / 4
+
+    def test_restore_memory_is_bounded_by_the_file(self, tmp_path):
+        # Restore decodes and loads one counter at a time.  What remains is
+        # the window of the file being parsed and the restored sketch's own
+        # growth, which stays on the heap only while its pools are small; a
+        # file of a few MB keeps those fixed costs far below a quarter of it.
+        config = ServiceConfig(mode="flat", window=1e12, epsilon=0.025, expire_every=None)
+        service = SketchService(config)
+        count = 300_000
+        keys = np.random.default_rng(3).integers(0, 50_000, count)
+        service.state.add_many(keys, np.arange(1, count + 1, dtype=np.int64))
+        path = tmp_path / "snap.json"
+        service.snapshot_now(str(path))
+        assert os.path.getsize(path) >= 2_000_000
+        SketchService.from_snapshot(path)  # imports
+        tracemalloc.start()
+        try:
+            restored = SketchService.from_snapshot(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= os.path.getsize(path) / 4
+        assert dumps(restored.state) == dumps(service.state)
 
     def test_stats_report_the_last_snapshot_size(self, tmp_path):
         config = ServiceConfig(mode="flat", snapshot_path=str(tmp_path / "s.json"))
@@ -514,3 +543,273 @@ class TestLegacyBackendKey:
             build_parser().parse_args(["serve", "--backend", "columnar"])
         with pytest.raises(TypeError):
             ServiceConfig(backend="columnar")  # type: ignore[call-arg]
+
+
+def _counting_serializer(monkeypatch, fail_at: int | None = None, pause: float = 0.0):
+    """Spy on the exponential-histogram serializer; returns the call counter.
+
+    It raises on call ``fail_at`` when given, and sleeps ``pause`` seconds
+    per counter (releasing the GIL, so the writer thread gets to run).
+    """
+    import repro.serialization as serialization
+
+    to_dict, from_dict = serialization._COUNTER_SERIALIZERS[CounterType.EXPONENTIAL_HISTOGRAM]
+    calls = [0]
+
+    def spy(histogram):
+        calls[0] += 1
+        if calls[0] == fail_at:
+            raise RuntimeError("encoder failed on counter %d" % fail_at)
+        if pause:
+            time.sleep(pause)
+        return to_dict(histogram)
+
+    monkeypatch.setitem(
+        serialization._COUNTER_SERIALIZERS, CounterType.EXPONENTIAL_HISTOGRAM, (spy, from_dict)
+    )
+    return calls
+
+
+async def _take_snapshot(service: SketchService, entry: str) -> str:
+    if entry == "snapshot_async":
+        return await service.snapshot_async()
+    return service.snapshot_now()
+
+
+class TestStreamedWriteFailures:
+    """A failed streamed write leaves the previous snapshot and no temp file."""
+
+    @pytest.mark.parametrize("entry", ["snapshot_async", "snapshot_now"])
+    def test_encode_error_keeps_the_previous_snapshot(self, tmp_path, monkeypatch, entry):
+        path = tmp_path / "snap.json"
+        config = ServiceConfig(mode="flat", epsilon=0.1, expire_every=None, snapshot_path=str(path))
+        keys, clocks = _columns("flat", WindowModel.TIME_BASED, 600)
+
+        async def body():
+            async with SketchService(config) as service:
+                await service.ingest(keys[:300], clocks[:300])
+                await service.drain()
+                await _take_snapshot(service, entry)
+                previous = path.read_bytes()
+                await service.ingest(keys[300:], clocks[300:])
+                await service.drain()
+                with monkeypatch.context() as patch:
+                    calls = _counting_serializer(patch, fail_at=5)
+                    with pytest.raises(RuntimeError, match="encoder failed on counter 5"):
+                        await _take_snapshot(service, entry)
+                assert calls[0] == 5
+                assert path.read_bytes() == previous
+                assert [entry.name for entry in tmp_path.iterdir()] == ["snap.json"]
+                # The service keeps serving and snapshotting.
+                await service.ingest(["late"], [clocks[-1] + 1.0])
+                await service.drain()
+                assert service.query("point", {"key": "late"}) >= 1
+                written = await _take_snapshot(service, entry)
+                return written, service.snapshots_written, _reference_document(service)
+
+        written, snapshots, document = run(body())
+        assert snapshots == 2
+        assert open(written, encoding="utf-8").read() == document
+
+    def test_writer_error_reaches_the_caller_and_stops_the_encoder(self, tmp_path, monkeypatch):
+        path = tmp_path / "snap.json"
+        config = ServiceConfig(mode="flat", epsilon=0.1, expire_every=None, snapshot_path=str(path))
+        keys, clocks = _columns("flat", WindowModel.TIME_BASED, 600)
+        write = os.write
+
+        def disk_full(descriptor, data):
+            if stat.S_ISREG(os.fstat(descriptor).st_mode):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(descriptor, data)
+
+        async def body():
+            async with SketchService(config) as service:
+                await service.ingest(keys, clocks)
+                await service.drain()
+                await service.snapshot_async()
+                previous = path.read_bytes()
+                counters = service.state.depth * service.state.width
+                with monkeypatch.context() as patch:
+                    calls = _counting_serializer(patch, pause=0.002)
+                    patch.setattr(os, "write", disk_full)
+                    with pytest.raises(OSError) as failure:
+                        await service.snapshot_async()
+                return failure.value, calls[0], counters, previous, service.snapshots_written
+
+        error, encoded, counters, previous, snapshots = run(body())
+        assert error.errno == errno.ENOSPC
+        assert encoded < counters
+        assert snapshots == 1
+        assert path.read_bytes() == previous
+        assert [entry.name for entry in tmp_path.iterdir()] == ["snap.json"]
+
+    def test_error_failpoint_removes_the_temporary_file(self, tmp_path):
+        path = tmp_path / "snap.json"
+        config = ServiceConfig(mode="flat", expire_every=None, snapshot_path=str(path))
+
+        async def body():
+            async with SketchService(config) as service:
+                await service.ingest(["a", "b"], [1.0, 2.0])
+                await service.drain()
+                await service.snapshot_async()
+                previous = path.read_bytes()
+                failpoints.arm("snapshot.write", "error")
+                try:
+                    with pytest.raises(RuntimeError, match="injected error"):
+                        await service.snapshot_async()
+                finally:
+                    failpoints.disarm("snapshot.write")
+                assert path.read_bytes() == previous
+                assert [entry.name for entry in tmp_path.iterdir()] == ["snap.json"]
+
+        run(body())
+
+
+class TestStreamedCut:
+    def test_snapshot_under_load_is_the_cut_of_its_tick(self, tmp_path, monkeypatch):
+        # Chunks are still arriving and applying while the snapshot is
+        # written (the fsync is slowed down to make sure of it): the file is
+        # the state of the tick the cut ran in, journal position included.
+        import repro.service.snapshot as snapshot_module
+
+        path = tmp_path / "snap.json"
+        config = ServiceConfig(
+            mode="flat",
+            epsilon=0.1,
+            expire_every=None,
+            batch_size=64,
+            snapshot_path=str(path),
+            journal_dir=str(tmp_path / "wal"),
+        )
+        keys, clocks = _columns("flat", WindowModel.TIME_BASED, 2_560)
+        chunks = [(keys[i : i + 64], clocks[i : i + 64]) for i in range(0, len(keys), 64)]
+        cuts = []
+        payload, fsync = snapshot_module.snapshot_payload, os.fsync
+
+        def spy_payload(service, pipe=None):
+            cuts.append((_reference_document(service), service._applied_journal_seq))
+            return payload(service, pipe)
+
+        def slow_fsync(descriptor):
+            time.sleep(0.05)
+            fsync(descriptor)
+
+        monkeypatch.setattr(snapshot_module, "snapshot_payload", spy_payload)
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+
+        async def body():
+            async with SketchService(config) as service:
+                for chunk_keys, chunk_clocks in chunks[:20]:
+                    await service.ingest(chunk_keys, chunk_clocks)
+                late = [
+                    asyncio.create_task(service.ingest(chunk_keys, chunk_clocks))
+                    for chunk_keys, chunk_clocks in chunks[20:]
+                ]
+                await service.snapshot_async()
+                written = path.read_text(encoding="utf-8")
+                await asyncio.gather(*late)
+                await service.drain()
+                return written, service._applied_journal_seq
+
+        written, final_seq = run(body())
+        document, cut_seq = cuts[0]  # the second cut is the drain's final snapshot
+        assert written == document
+        assert json.loads(document)["journal_seq"] == cut_seq
+        assert 0 < cut_seq <= 20 < final_seq == len(chunks)
+
+
+def _reordered(value, last_first: dict):
+    """A payload with, in each object that has it, the key named by
+    ``last_first`` moved to the front (``json.dumps`` keeps insertion order)."""
+    if isinstance(value, list):
+        return [_reordered(item, last_first) for item in value]
+    if not isinstance(value, dict):
+        return value
+    items = {key: _reordered(item, last_first) for key, item in value.items()}
+    front = [key for key in last_first if key in items]
+    return {**{key: items[key] for key in front}, **items}
+
+
+class TestStreamedRestore:
+    """Restore streams the document; results and errors match the whole-document read."""
+
+    @pytest.mark.parametrize("state_first", [False, True], ids=["sketches", "envelope"])
+    @pytest.mark.parametrize("case", ["flat-float", "hier-count", "multisite"])
+    def test_restore_does_not_depend_on_key_order(self, tmp_path, case, state_first):
+        # `counters`/`levels`/`nodes` (and `state`) ahead of the keys that
+        # describe them: valid JSON this code never writes, so the sketch
+        # readers (or, with `state` first, the envelope reader) decode whole.
+        config, chunks = _streamed_case(case)
+        path = tmp_path / "snap.json"
+
+        async def body():
+            async with SketchService(config) as service:
+                for keys, clocks, site in chunks:
+                    await service.ingest(keys, clocks, site=site)
+                await service.drain()
+                service.snapshot_now(str(path))
+                return _reference_document(service)
+
+        document = run(body())
+        front = ["counters", "levels", "nodes"] + (["state"] if state_first else [])
+        moved = _reordered(json.loads(document), front)
+        path.write_text(json.dumps(moved), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        assert '{"counters": ' in text
+        assert text.startswith('{"state": ') == state_first
+        restored = SketchService.from_snapshot(path)
+        assert _reference_document(restored) == document
+
+    def test_restore_errors_match_the_whole_document_read(self, tmp_path):
+        config, chunks = _streamed_case("hier-count")
+        path = tmp_path / "snap.json"
+
+        async def body():
+            async with SketchService(config) as service:
+                for keys, clocks, site in chunks:
+                    await service.ingest(keys, clocks, site=site)
+                await service.drain()
+                service.snapshot_now(str(path))
+
+        run(body())
+        document = path.read_text(encoding="utf-8")
+        payload = json.loads(document)
+        level = payload["state"]["sketch"]["levels"][0]
+        broken = {
+            "truncated": document[: len(document) // 2],
+            "truncated-envelope": document[:40],
+            "extra-data": document + " {}",
+            "bad-delimiter": document.replace('"levels":[', '"levels" [', 1),
+            "wrong-kind": json.dumps(dict(payload, kind="ecm_sketch")),
+            "wrong-version": json.dumps(dict(payload, version=99)),
+            "grid-shape": json.dumps(
+                _replace_level(payload, dict(level, counters=level["counters"][:-1]))
+            ),
+            "level-count": json.dumps(_replace_levels(payload, payload["state"]["sketch"]["levels"][:-1])),
+            "bucket-size": document.replace("[[1,", "[[3,", 1),
+        }
+        for name, text in broken.items():
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigurationError) as whole:
+                service_state_from_snapshot(load_snapshot(path))
+            with pytest.raises(ConfigurationError) as streamed:
+                SketchService.from_snapshot(path)
+            assert str(streamed.value) == str(whole.value), name
+
+    def test_restore_kind_probe_reads_the_head(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text('{"kind":"service_snapshot","state":' + "[" * 10 + " not json", encoding="utf-8")
+        assert document_kind(path) == SNAPSHOT_KIND
+        path.write_text('{"version":1,"kind":"shard_manifest"}', encoding="utf-8")
+        assert document_kind(path) == "shard_manifest"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert document_kind(path) is None
+
+
+def _replace_levels(payload, levels):
+    sketch = dict(payload["state"]["sketch"], levels=levels)
+    return dict(payload, state=dict(payload["state"], sketch=sketch))
+
+
+def _replace_level(payload, level):
+    return _replace_levels(payload, [level, *payload["state"]["sketch"]["levels"][1:]])
