@@ -1,1 +1,1 @@
-"""Benchmark package (enables relative imports of the shared conftest helpers)."""
+"""Benchmark package (lets ``python -m benchmarks.e2e`` and the tests import the benchmarks)."""

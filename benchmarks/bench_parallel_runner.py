@@ -7,7 +7,8 @@ Covers the two performance claims of the sharded-simulation work:
   reference ``ECMSketch._aggregate_reference`` (identical output, asserted
   here and by the equivalence suite).  Randomized-wave reference timings run
   with ``_SELECTION_CUTOFF`` forced to infinity, so that row compares the
-  selection trim against the sort-only trim.
+  selection trim against the sort-only trim; a spy asserts that some level
+  union of the vectorized side does reach the selection trim.
 * **Site-count scaling** — the per-site cost of a flat ``aggregate`` stays
   roughly constant as the deployment grows (near-linear total cost).
 
@@ -22,10 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import random
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.core import CounterType, ECMConfig, ECMSketch
@@ -39,6 +43,10 @@ WINDOW = 1_000_000.0
 AGGREGATION_SITES = 32
 #: Arrivals ingested per site before aggregating.
 ARRIVALS_PER_SITE = 3_000
+#: Randomized-wave sites hold more, so that the dense low levels' unions
+#: (up to ~7.6k entries here) pass ``_SELECTION_CUTOFF`` and the row times
+#: the selection trim, not the sort twice.
+RW_ARRIVALS_PER_SITE = 6_000
 #: Site counts of the scaling sweep.
 SCALING_SITES = (8, 16, 32, 64)
 
@@ -97,6 +105,21 @@ def _reference_aggregate(sketches: list[ECMSketch]) -> ECMSketch:
         return ECMSketch._aggregate_reference(sketches)
 
 
+def _aggregate_counting_trims(sketches: list[ECMSketch]) -> tuple[bytes, int]:
+    """``ECMSketch.aggregate``'s serialized result, and how many level unions
+    went through the randomized waves' selection trim (a spy counts them)."""
+    select = randomized_wave._select_newest
+    trims = []
+
+    def spy(entries, per_level):
+        trims.append(len(entries))
+        return select(entries, per_level)
+
+    with mock.patch.object(randomized_wave, "_select_newest", spy):
+        merged = dumps(ECMSketch.aggregate(sketches))
+    return merged, len(trims)
+
+
 # ------------------------------------------------------------ pytest-benchmark
 @pytest.mark.benchmark(group="aggregation-32-sites")
 @pytest.mark.parametrize(
@@ -127,8 +150,6 @@ def test_aggregation_speedup_report(capsys):
     counters.  Wall-clock ratios are noisy on loaded machines, so the floor
     is only enforced when REPRO_BENCH_STRICT=1 (as in a dedicated perf job).
     """
-    import os
-
     results = _run_aggregation_comparison()
     with capsys.disabled():
         for variant, row in results.items():
@@ -143,6 +164,8 @@ def test_aggregation_speedup_report(capsys):
                     row["speedup"],
                 )
             )
+    # Without a union at the cutoff the rw row would time the sort twice.
+    assert results["rw"]["selection_trims"] > 0, results["rw"]
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         for variant in ("eh", "dw"):
             assert results[variant]["speedup"] >= 3.0, (
@@ -151,8 +174,8 @@ def test_aggregation_speedup_report(capsys):
             )
         # Randomized waves keep the sort below the selection cutoff, so the
         # selection-enabled path must never be slower than the sort-only
-        # reference (0.9x leaves a noise margin on the shared-sort-dominated
-        # timing).
+        # reference (0.9x leaves a noise margin on the timing the two paths
+        # share).
         assert results["rw"]["speedup"] >= 0.9, (
             "rw aggregation regressed to %.2fx of the reference path"
             % (results["rw"]["speedup"],)
@@ -168,15 +191,17 @@ def _run_aggregation_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
         (CounterType.DETERMINISTIC_WAVE, "dw"),
         (CounterType.RANDOMIZED_WAVE, "rw"),
     ):
-        arrivals = ARRIVALS_PER_SITE if counter_type is not CounterType.RANDOMIZED_WAVE else 1_500
+        arrivals = RW_ARRIVALS_PER_SITE if label == "rw" else ARRIVALS_PER_SITE
         sketches = _build_site_sketches(counter_type, AGGREGATION_SITES, arrivals)
         # Identical bytes first: a speedup over a different answer is void.
-        assert dumps(_reference_aggregate(sketches)) == dumps(ECMSketch.aggregate(sketches)), label
+        vectorized_bytes, trims = _aggregate_counting_trims(sketches)
+        assert dumps(_reference_aggregate(sketches)) == vectorized_bytes, label
         reference = _best_of(lambda: _reference_aggregate(sketches), rounds)
         vectorized = _best_of(lambda: ECMSketch.aggregate(sketches), rounds)
         results[label] = {
             "sites": AGGREGATION_SITES,
             "arrivals_per_site": arrivals,
+            "selection_trims": trims,
             "reference_seconds": reference,
             "vectorized_seconds": vectorized,
             "speedup": reference / vectorized,
@@ -258,8 +283,15 @@ def main(argv: list[str] | None = None) -> None:
         )
 
     if args.json:
+        host = {
+            "cpu_count": os.cpu_count() or 1,
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
         payload = {
             "benchmark": "bench_parallel_runner",
+            "host": host,
             "aggregation_32_sites": aggregation,
             "scaling": scaling,
             "runner_throughput": runner,

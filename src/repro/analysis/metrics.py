@@ -15,6 +15,7 @@ range*.  This module reproduces that query workload and the error summaries
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "self_join_error",
     "evaluate_point_queries",
     "evaluate_self_join_queries",
+    "evaluate_queries",
 ]
 
 
@@ -42,10 +44,14 @@ class ErrorSummary:
 
     @classmethod
     def from_errors(cls, errors: Sequence[float]) -> ErrorSummary:
-        """Summarise a list of observed errors."""
+        """Summarise a list of observed errors.
+
+        The average uses ``math.fsum`` (correctly rounded), so it reads the
+        same on every Python version: ``sum`` of floats compensates since 3.12.
+        """
         if not errors:
             return cls(average=0.0, maximum=0.0, count=0)
-        return cls(average=sum(errors) / len(errors), maximum=max(errors), count=len(errors))
+        return cls(average=math.fsum(errors) / len(errors), maximum=max(errors), count=len(errors))
 
     def merge(self, other: ErrorSummary) -> ErrorSummary:
         """Combine two summaries (weighted average, overall maximum)."""
@@ -157,3 +163,17 @@ def evaluate_self_join_queries(
         if error is not None:
             errors.append(error)
     return ErrorSummary.from_errors(errors)
+
+
+def evaluate_queries(
+    sketch: ECMSketch,
+    exact: ExactStreamSummary,
+    query_type: str,
+    ranges: Sequence[float],
+    now: float | None = None,
+    max_keys_per_range: int | None = None,
+) -> ErrorSummary:
+    """Observed error summary of ``"point"`` or ``"self-join"`` queries."""
+    if query_type == "point":
+        return evaluate_point_queries(sketch, exact, ranges, now=now, max_keys_per_range=max_keys_per_range)
+    return evaluate_self_join_queries(sketch, exact, ranges, now=now)

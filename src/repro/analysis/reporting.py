@@ -20,18 +20,23 @@ from typing import Any
 
 from ..core.errors import ConfigurationError
 
-__all__ = ["row_to_dict", "rows_to_dicts", "write_json", "write_csv", "write_rows"]
+__all__ = ["row_to_dict", "rows_to_dicts", "format_table", "write_json", "write_csv", "write_rows"]
 
 
 def row_to_dict(row: Any) -> dict[str, Any]:
     """Convert one experiment-row dataclass into a flat dictionary.
 
-    Stored dataclass fields come first; computed ``@property`` values are
-    appended (skipping any that fail or return non-scalar values).
+    The row class's ``experiment`` tag comes first, so rows of different
+    experiments in one file can be told apart; stored dataclass fields
+    follow, then computed ``@property`` values (skipping any that fail or
+    return non-scalar values).
     """
     if not dataclasses.is_dataclass(row) or isinstance(row, type):
         raise ConfigurationError("expected a dataclass instance, got %r" % (type(row),))
-    data: dict[str, Any] = dataclasses.asdict(row)
+    data: dict[str, Any] = {}
+    if isinstance(getattr(row, "experiment", None), str):
+        data["experiment"] = row.experiment
+    data.update(dataclasses.asdict(row))
     for name in dir(type(row)):
         if name.startswith("_") or name in data:
             continue
@@ -49,6 +54,25 @@ def row_to_dict(row: Any) -> dict[str, Any]:
 def rows_to_dicts(rows: Sequence[Any]) -> list[dict[str, Any]]:
     """Convert a list of experiment rows into dictionaries."""
     return [row_to_dict(row) for row in rows]
+
+
+def format_table(rows: Sequence[Any], columns: Sequence[tuple[str, str, str]]) -> str:
+    """Render rows as an aligned text table.
+
+    Each column is ``(title, attribute, spec)``: ``spec`` is a printf
+    conversion such as ``"-8s"`` or ``"10.4f"``, and its width pads the title
+    too.  ``None`` values print as ``n/a``.
+    """
+    widths = [int(spec.split(".")[0].rstrip("sdf")) for _, _, spec in columns]
+    header = " ".join("%*s" % (width, title) for width, (title, _, _) in zip(widths, columns))
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        cells = []
+        for width, (_, attribute, spec) in zip(widths, columns):
+            value = getattr(row, attribute)
+            cells.append("%*s" % (width, "n/a") if value is None else ("%" + spec) % value)
+        lines.append(" ".join(cells))
+    return "\n".join(lines)
 
 
 def write_json(rows: Sequence[Any], path: str | Path, indent: int = 2) -> Path:

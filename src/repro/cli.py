@@ -13,9 +13,10 @@ Usage (installed or via ``python -m repro``)::
     python -m repro gateway --backend-port 7600   # HTTP/REST front of a running server
     python -m repro replay --port 7600 --records 50000  # drive a server, report p50/p99
 
-The ``run`` subcommand prints exactly the same tables the benchmark suite
-emits, without requiring pytest; it is the lightweight entry point for
-regenerating EXPERIMENTS.md numbers or exploring parameter settings.
+The ``run`` subcommand prints the paper's tables; ``--output`` writes their
+rows, each tagged with its experiment.  ``python -m repro.experiments.claims``
+checks the paper's claims on those rows and compares them with the committed
+``EXPERIMENTS.json`` (tables in ``EXPERIMENTS.md``).
 
 Each subcommand imports what it runs when it runs: ``serve`` never loads
 the experiments, the analysis harnesses or the exact baselines, which keeps
@@ -133,6 +134,31 @@ def _run_ablations(args: argparse.Namespace) -> ExperimentResult:
     return list(split_rows) + list(merge_rows), text
 
 
+def _run_propagation_period(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_propagation_period_rows, run_propagation_period_ablation
+
+    rows = run_propagation_period_ablation(
+        dataset=args.dataset, num_records=args.records, num_nodes=args.nodes or 16
+    )
+    return rows, format_propagation_period_rows(rows)
+
+
+def _run_window_model(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_window_model_rows, run_window_model_ablation
+
+    rows = run_window_model_ablation(
+        dataset=args.dataset, num_records=args.records, max_keys=args.max_keys
+    )
+    return rows, format_window_model_rows(rows)
+
+
+def _run_inner_product(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import format_inner_product_rows, run_inner_product_experiment
+
+    rows = run_inner_product_experiment(epsilons=args.epsilons, num_records=args.records)
+    return rows, format_inner_product_rows(rows)
+
+
 #: Result of one experiment runner: its raw rows and the formatted table.
 ExperimentResult = tuple[list[object], str]
 
@@ -145,6 +171,9 @@ EXPERIMENTS: dict[str, Callable[[argparse.Namespace], ExperimentResult]] = {
     "table4": _run_table4,
     "figure6": _run_figure6,
     "ablations": _run_ablations,
+    "propagation-period": _run_propagation_period,
+    "window-model": _run_window_model,
+    "inner-product": _run_inner_product,
 }
 
 
@@ -176,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="records per synthetic trace (default 8000)")
     run_parser.add_argument("--epsilons", type=float, nargs="+", default=[0.05, 0.10, 0.25])
     run_parser.add_argument("--nodes", type=int, default=None,
-                            help="number of sites for the distributed experiments")
+                            help="number of sites for the distributed experiments "
+                                 "(default: the data set's for figure5/table4, 16 for "
+                                 "propagation-period)")
     run_parser.add_argument("--network-sizes", type=int, nargs="+", default=[1, 4, 16, 64],
                             help="network sizes for figure6")
     run_parser.add_argument("--max-keys", type=int, default=150,

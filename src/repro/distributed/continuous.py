@@ -12,7 +12,8 @@ are stale by at most one period plus the usual sketch error.
 
 The class tracks both sides of the trade-off — cumulative transfer volume and
 observed staleness — so the period can be chosen quantitatively (see
-``benchmarks/bench_ablation_propagation_period.py``).
+:func:`repro.experiments.ablations.run_propagation_period_ablation`, CLI
+``repro run propagation-period``).
 """
 
 from __future__ import annotations

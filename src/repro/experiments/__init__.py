@@ -1,6 +1,7 @@
 """Experiment runners regenerating every table and figure of the paper's Section 7.
 
-Mapping (see DESIGN.md for the full index):
+Mapping (see docs/architecture.md for the full index; the paper's claims on
+these rows are checked by :mod:`repro.experiments.claims`):
 
 * Table 2  — :func:`repro.experiments.complexity.run_complexity_experiment`
 * Figure 4 — :func:`repro.experiments.centralized.run_centralized_error_experiment`
@@ -8,24 +9,37 @@ Mapping (see DESIGN.md for the full index):
 * Figure 5 — :func:`repro.experiments.distributed.run_distributed_error_experiment`
 * Table 4  — :func:`repro.experiments.distributed.run_centralized_vs_distributed_experiment`
 * Figure 6 — :func:`repro.experiments.network_size.run_network_size_experiment`
-* Ablations — :mod:`repro.experiments.ablations`
+* Ablations (epsilon split, merge replay, propagation period, window
+  model) — :mod:`repro.experiments.ablations`
+* Cross-stream inner products (Theorem 2, beyond the paper's tables) —
+  :func:`repro.experiments.ablations.run_inner_product_experiment`
 * Frequent items (Section 6.1, beyond the paper's tables) —
   :func:`repro.experiments.frequent_items.run_frequent_items_experiment`
 """
 
 from .ablations import (
     EpsilonSplitRow,
+    InnerProductRow,
     MergeStrategyRow,
+    PropagationPeriodRow,
+    WindowModelRow,
     format_epsilon_split_rows,
+    format_inner_product_rows,
     format_merge_strategy_rows,
+    format_propagation_period_rows,
+    format_window_model_rows,
     run_epsilon_split_ablation,
+    run_inner_product_experiment,
     run_merge_strategy_ablation,
+    run_propagation_period_ablation,
+    run_window_model_ablation,
 )
 from .centralized import (
     CentralizedErrorRow,
     UpdateRateRow,
     format_centralized_rows,
     format_update_rate_rows,
+    median_rate_ratio,
     run_centralized_error_experiment,
     run_update_rate_experiment,
 )
@@ -75,6 +89,7 @@ __all__ = [
     "UpdateRateRow",
     "run_centralized_error_experiment",
     "run_update_rate_experiment",
+    "median_rate_ratio",
     "format_centralized_rows",
     "format_update_rate_rows",
     "DistributedErrorRow",
@@ -99,4 +114,13 @@ __all__ = [
     "run_merge_strategy_ablation",
     "format_epsilon_split_rows",
     "format_merge_strategy_rows",
+    "PropagationPeriodRow",
+    "WindowModelRow",
+    "run_propagation_period_ablation",
+    "run_window_model_ablation",
+    "format_propagation_period_rows",
+    "format_window_model_rows",
+    "InnerProductRow",
+    "run_inner_product_experiment",
+    "format_inner_product_rows",
 ]

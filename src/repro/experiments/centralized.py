@@ -14,15 +14,14 @@ for the figure, one row per variant for the table.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
-from ..analysis.metrics import (
-    evaluate_point_queries,
-    evaluate_self_join_queries,
-    exponential_query_ranges,
-)
+from ..analysis.metrics import evaluate_queries, exponential_query_ranges
+from ..analysis.reporting import format_table
 from ..baselines.exact import ExactStreamSummary
 from ..core.config import CounterType
 from ..core.errors import ConfigurationError
@@ -42,6 +41,7 @@ __all__ = [
     "UpdateRateRow",
     "run_centralized_error_experiment",
     "run_update_rate_experiment",
+    "median_rate_ratio",
     "format_centralized_rows",
     "format_update_rate_rows",
 ]
@@ -51,6 +51,7 @@ __all__ = [
 class CentralizedErrorRow:
     """One point of Figure 4: a (dataset, variant, epsilon, query type) cell."""
 
+    experiment: ClassVar[str] = "figure4"
     dataset: str
     variant: str
     query_type: str
@@ -68,13 +69,19 @@ class CentralizedErrorRow:
 
 @dataclass
 class UpdateRateRow:
-    """One cell of Table 3: sustained update rate of a variant on a data set."""
+    """One cell of Table 3: sustained update rate of a variant on a data set.
 
+    ``round_seconds`` holds one ingest time per round; ``elapsed_seconds``
+    is their median.
+    """
+
+    experiment: ClassVar[str] = "table3"
     dataset: str
     variant: str
     epsilon: float
     records: int
     elapsed_seconds: float
+    round_seconds: list[float]
 
     @property
     def updates_per_second(self) -> float:
@@ -107,14 +114,8 @@ def _evaluate_variant(
     )
     for record in stream:
         sketch.add(record.key, record.timestamp, record.value)
-    now = stream.end_time()
     ranges = exponential_query_ranges(window)
-    if query_type == "point":
-        summary = evaluate_point_queries(
-            sketch, exact, ranges, now=now, max_keys_per_range=max_keys_per_range
-        )
-    else:
-        summary = evaluate_self_join_queries(sketch, exact, ranges, now=now)
+    summary = evaluate_queries(sketch, exact, query_type, ranges, stream.end_time(), max_keys_per_range)
     return CentralizedErrorRow(
         dataset=dataset,
         variant=VARIANT_LABELS[counter_type],
@@ -177,6 +178,11 @@ def run_centralized_error_experiment(
     return rows
 
 
+#: Table 3 timing rounds; the claims compare variants by the median round.
+#: A multiple of three, so each of the three variants leads equally often.
+UPDATE_RATE_ROUNDS = 9
+
+
 def run_update_rate_experiment(
     dataset: str = "wc98",
     epsilon: float = 0.1,
@@ -187,6 +193,11 @@ def run_update_rate_experiment(
     batch_size: int | None = None,
 ) -> list[UpdateRateRow]:
     """Regenerate Table 3 (update rates per variant) for one data set.
+
+    Each of :data:`UPDATE_RATE_ROUNDS` rounds times every variant's ingest
+    of the whole trace into a fresh sketch, back to back, the round's first
+    variant rotating; only the sketch being timed is alive.
+    :func:`median_rate_ratio` then compares two variants round by round.
 
     Args:
         batch_size: When given, ingest through the batched fast path
@@ -201,75 +212,69 @@ def run_update_rate_experiment(
             CounterType.RANDOMIZED_WAVE,
         )
     stream = load_dataset(dataset, num_records=num_records)
-    rows: list[UpdateRateRow] = []
-    for counter_type in variants:
-        sketch = build_sketch(
-            counter_type=counter_type,
-            epsilon=epsilon,
-            delta=DEFAULT_DELTA,
-            window=window,
-            max_arrivals=max_arrivals_bound(stream),
-            query_type="point",
-            seed=seed,
-        )
-        if batch_size is None:
-            start = time.perf_counter()
-            for record in stream:
-                sketch.add(record.key, record.timestamp, record.value)
-            elapsed = time.perf_counter() - start
-        else:
-            # The pivot is part of the timed region: the scalar loop pays
-            # per-record attribute access inside the clock, so the batched
-            # number must pay its equivalent too.
-            start = time.perf_counter()
-            keys, timestamps, values = stream.columns()
-            for begin in range(0, len(keys), batch_size):
-                stop = begin + batch_size
-                sketch.add_many(keys[begin:stop], timestamps[begin:stop], values[begin:stop])
-            elapsed = time.perf_counter() - start
-        rows.append(
-            UpdateRateRow(
-                dataset=dataset,
-                variant=VARIANT_LABELS[counter_type],
+    seconds: dict[CounterType, list[float]] = {counter_type: [] for counter_type in variants}
+    for round_index in range(UPDATE_RATE_ROUNDS):
+        lead = round_index % len(variants)
+        for counter_type in [*variants[lead:], *variants[:lead]]:
+            sketch = build_sketch(
+                counter_type=counter_type,
                 epsilon=epsilon,
-                records=len(stream),
-                elapsed_seconds=elapsed,
+                delta=DEFAULT_DELTA,
+                window=window,
+                max_arrivals=max_arrivals_bound(stream),
+                query_type="point",
+                seed=seed,
             )
+            start = time.perf_counter()
+            if batch_size is None:
+                for record in stream:
+                    sketch.add(record.key, record.timestamp, record.value)
+            else:
+                # The pivot is part of the timed region: the scalar loop pays
+                # per-record attribute access inside the clock, so the batched
+                # number must pay its equivalent too.
+                keys, timestamps, values = stream.columns()
+                for begin in range(0, len(keys), batch_size):
+                    stop = begin + batch_size
+                    sketch.add_many(keys[begin:stop], timestamps[begin:stop], values[begin:stop])
+            seconds[counter_type].append(time.perf_counter() - start)
+    return [
+        UpdateRateRow(
+            dataset=dataset,
+            variant=VARIANT_LABELS[counter_type],
+            epsilon=epsilon,
+            records=len(stream),
+            elapsed_seconds=statistics.median(seconds[counter_type]),
+            round_seconds=seconds[counter_type],
         )
-    return rows
+        for counter_type in variants
+    ]
+
+
+def median_rate_ratio(faster_seconds: Sequence[float], slower_seconds: Sequence[float]) -> float:
+    """Median over rounds of one variant's update rate over another's.
+
+    Both sequences are per-round ingest times of the same trace, paired by
+    round (``UpdateRateRow.round_seconds``), so each ratio compares two
+    timings taken under the same load.
+    """
+    return statistics.median(slow / fast for fast, slow in zip(faster_seconds, slower_seconds))
 
 
 # ------------------------------------------------------------------ reporting
 def format_centralized_rows(rows: Sequence[CentralizedErrorRow]) -> str:
     """Render Figure 4 rows as an aligned text table."""
-    header = "%-6s %-8s %-10s %6s %12s %10s %10s %8s" % (
-        "data", "variant", "query", "eps", "memory(MB)", "avg err", "max err", "queries",
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            "%-6s %-8s %-10s %6.2f %12.3f %10.4f %10.4f %8d"
-            % (
-                row.dataset,
-                row.variant,
-                row.query_type,
-                row.epsilon,
-                row.memory_megabytes,
-                row.average_error,
-                row.maximum_error,
-                row.queries,
-            )
-        )
-    return "\n".join(lines)
+    return format_table(rows, (
+        ("data", "dataset", "-6s"), ("variant", "variant", "-8s"), ("query", "query_type", "-10s"),
+        ("eps", "epsilon", "6.2f"), ("memory(MB)", "memory_megabytes", "12.3f"),
+        ("avg err", "average_error", "10.4f"), ("max err", "maximum_error", "10.4f"),
+        ("queries", "queries", "8d"),
+    ))
 
 
 def format_update_rate_rows(rows: Sequence[UpdateRateRow]) -> str:
     """Render Table 3 rows as an aligned text table."""
-    header = "%-6s %-8s %6s %10s %14s" % ("data", "variant", "eps", "records", "updates/sec")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            "%-6s %-8s %6.2f %10d %14.0f"
-            % (row.dataset, row.variant, row.epsilon, row.records, row.updates_per_second)
-        )
-    return "\n".join(lines)
+    return format_table(rows, (
+        ("data", "dataset", "-6s"), ("variant", "variant", "-8s"), ("eps", "epsilon", "6.2f"),
+        ("records", "records", "10d"), ("updates/sec", "updates_per_second", "14.0f"),
+    ))

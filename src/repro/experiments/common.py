@@ -31,6 +31,7 @@ __all__ = [
     "DatasetSpec",
     "dataset_specs",
     "load_dataset",
+    "experiment_config",
     "build_sketch",
     "max_arrivals_bound",
 ]
@@ -117,6 +118,36 @@ def max_arrivals_bound(stream: Stream, safety_factor: float = 2.0) -> int:
     return max(16, int(len(stream) * safety_factor))
 
 
+def experiment_config(
+    counter_type: CounterType,
+    epsilon: float,
+    window: float,
+    max_arrivals: int,
+    query_type: str = "point",
+    seed: int = 0,
+    delta: float = DEFAULT_DELTA,
+) -> ECMConfig:
+    """The time-based configuration of one ECM-sketch variant for a query type.
+
+    ``query_type`` is ``"point"``, ``"self-join"`` or ``"inner-product"``; it
+    selects the memory-optimal epsilon split of Section 4.1, which is why the
+    paper's Figure 4 shows different memory costs for the two query types at
+    the same total epsilon.
+    """
+    if query_type not in ("point", "self-join", "inner-product"):
+        raise ConfigurationError("query_type must be 'point' or 'self-join', got %r" % (query_type,))
+    factory = ECMConfig.for_point_queries if query_type == "point" else ECMConfig.for_inner_product_queries
+    return factory(
+        epsilon=epsilon,
+        delta=delta,
+        window=window,
+        model=WindowModel.TIME_BASED,
+        counter_type=counter_type,
+        max_arrivals=max_arrivals,
+        seed=seed,
+    )
+
+
 def build_sketch(
     counter_type: CounterType,
     epsilon: float,
@@ -127,33 +158,7 @@ def build_sketch(
     seed: int = 0,
     stream_tag: int = 0,
 ) -> ECMSketch:
-    """Build one ECM-sketch variant sized for the requested query type.
-
-    ``query_type`` is ``"point"`` or ``"self-join"``; it selects the
-    memory-optimal epsilon split of Section 4.1, which is why the paper's
-    Figure 4 shows different memory costs for the two query types at the same
-    total epsilon.
-    """
-    if query_type == "point":
-        config = ECMConfig.for_point_queries(
-            epsilon=epsilon,
-            delta=delta,
-            window=window,
-            model=WindowModel.TIME_BASED,
-            counter_type=counter_type,
-            max_arrivals=max_arrivals,
-            seed=seed,
-        )
-    elif query_type in ("self-join", "inner-product"):
-        config = ECMConfig.for_inner_product_queries(
-            epsilon=epsilon,
-            delta=delta,
-            window=window,
-            model=WindowModel.TIME_BASED,
-            counter_type=counter_type,
-            max_arrivals=max_arrivals,
-            seed=seed,
-        )
-    else:
-        raise ConfigurationError("query_type must be 'point' or 'self-join', got %r" % (query_type,))
+    """Build one ECM-sketch variant sized for the requested query type
+    (see :func:`experiment_config`)."""
+    config = experiment_config(counter_type, epsilon, window, max_arrivals, query_type, seed, delta)
     return ECMSketch(config, stream_tag=stream_tag)

@@ -17,8 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
 from ..analysis.memory import ecm_sketch_bytes
+from ..analysis.reporting import format_table
 from ..core.config import CounterType, split_point_query_deterministic, split_point_query_randomized
 from .common import (
     DEFAULT_DELTA,
@@ -40,6 +42,8 @@ __all__ = [
 class ComplexityRow:
     """One row of the Table 2 reproduction: a variant at one epsilon."""
 
+    experiment: ClassVar[str] = "table2"
+    dataset: str
     variant: str
     epsilon: float
     epsilon_sw: float
@@ -106,6 +110,7 @@ def run_complexity_experiment(
 
             rows.append(
                 ComplexityRow(
+                    dataset=dataset,
                     variant=VARIANT_LABELS[counter_type],
                     epsilon=epsilon,
                     epsilon_sw=epsilon_sw,
@@ -121,22 +126,9 @@ def run_complexity_experiment(
 
 def format_complexity_rows(rows: Sequence[ComplexityRow]) -> str:
     """Render the Table 2 reproduction as an aligned text table."""
-    header = "%-8s %6s %8s %8s %16s %14s %12s %12s" % (
-        "variant", "eps", "eps_sw", "eps_cm", "bound(bytes)", "meas(bytes)", "update(us)", "query(us)",
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            "%-8s %6.2f %8.4f %8.4f %16.0f %14d %12.2f %12.2f"
-            % (
-                row.variant,
-                row.epsilon,
-                row.epsilon_sw,
-                row.epsilon_cm,
-                row.analytical_bytes,
-                row.measured_bytes,
-                row.update_microseconds,
-                row.query_microseconds,
-            )
-        )
-    return "\n".join(lines)
+    return format_table(rows, (
+        ("variant", "variant", "-8s"), ("eps", "epsilon", "6.2f"), ("eps_sw", "epsilon_sw", "8.4f"),
+        ("eps_cm", "epsilon_cm", "8.4f"), ("bound(bytes)", "analytical_bytes", "16.0f"),
+        ("meas(bytes)", "measured_bytes", "14d"), ("update(us)", "update_microseconds", "12.2f"),
+        ("query(us)", "query_microseconds", "12.2f"),
+    ))

@@ -18,24 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
-from ..analysis.metrics import (
-    evaluate_point_queries,
-    evaluate_self_join_queries,
-    exponential_query_ranges,
-)
+from ..analysis.metrics import evaluate_queries, exponential_query_ranges
+from ..analysis.reporting import format_table
 from ..baselines.exact import ExactStreamSummary
 from ..core.config import CounterType, ECMConfig
 from ..core.ecm_sketch import ECMSketch
 from ..distributed.aggregation import DistributedDeployment
 from ..streams.stream import Stream
-from ..windows.base import WindowModel
 from .common import (
-    DEFAULT_DELTA,
     DEFAULT_EPSILONS,
     PAPER_WINDOW_SECONDS,
     VARIANT_LABELS,
     dataset_specs,
+    experiment_config,
     load_dataset,
     max_arrivals_bound,
 )
@@ -52,8 +49,13 @@ __all__ = [
 
 @dataclass
 class DistributedErrorRow:
-    """One point of Figure 5: observed error vs transfer volume."""
+    """One point of Figure 5: observed error vs transfer volume.
 
+    ``guarantee`` is the root sketch's normalised error bound, which carries
+    the Theorem 4 growth of every aggregation level.
+    """
+
+    experiment: ClassVar[str] = "figure5"
     dataset: str
     variant: str
     query_type: str
@@ -62,6 +64,7 @@ class DistributedErrorRow:
     transfer_bytes: int
     average_error: float
     maximum_error: float
+    guarantee: float
 
     @property
     def transfer_megabytes(self) -> float:
@@ -73,6 +76,7 @@ class DistributedErrorRow:
 class CentralizedVsDistributedRow:
     """One row of Table 4: centralized vs distributed observed error."""
 
+    experiment: ClassVar[str] = "table4"
     dataset: str
     variant: str
     query_type: str
@@ -88,33 +92,12 @@ class CentralizedVsDistributedRow:
         return self.distributed_error / self.centralized_error
 
 
-def _build_config(
-    counter_type: CounterType,
-    epsilon: float,
-    query_type: str,
-    window: float,
-    max_arrivals: int,
-    seed: int,
-) -> ECMConfig:
-    if query_type == "point" or counter_type is CounterType.RANDOMIZED_WAVE:
-        return ECMConfig.for_point_queries(
-            epsilon=epsilon,
-            delta=DEFAULT_DELTA,
-            window=window,
-            model=WindowModel.TIME_BASED,
-            counter_type=counter_type,
-            max_arrivals=max_arrivals,
-            seed=seed,
-        )
-    return ECMConfig.for_inner_product_queries(
-        epsilon=epsilon,
-        delta=DEFAULT_DELTA,
-        window=window,
-        model=WindowModel.TIME_BASED,
-        counter_type=counter_type,
-        max_arrivals=max_arrivals,
-        seed=seed,
-    )
+def _guarantee(root: ECMSketch, query_type: str) -> float:
+    """The aggregated sketch's normalised error bound (Theorems 1/2 with the
+    Theorem 4 growth of its window error, which the sketch tracks)."""
+    if query_type == "point":
+        return root.point_error_bound(1.0)
+    return root.inner_product_error_bound(1.0, 1.0)
 
 
 def _run_deployment(
@@ -167,16 +150,11 @@ def run_distributed_error_experiment(
             if query_type == "self-join" and counter_type is CounterType.RANDOMIZED_WAVE:
                 continue
             for epsilon in epsilons:
-                config = _build_config(counter_type, epsilon, query_type, window, bound, seed)
+                config = experiment_config(counter_type, epsilon, window, bound, query_type, seed)
                 deployment = _run_deployment(stream, nodes, config, workers=workers, shards=shards)
                 root = deployment.aggregate()
                 report = deployment.last_report
-                if query_type == "point":
-                    summary = evaluate_point_queries(
-                        root, exact, ranges, now=now, max_keys_per_range=max_keys_per_range
-                    )
-                else:
-                    summary = evaluate_self_join_queries(root, exact, ranges, now=now)
+                summary = evaluate_queries(root, exact, query_type, ranges, now, max_keys_per_range)
                 rows.append(
                     DistributedErrorRow(
                         dataset=dataset,
@@ -187,6 +165,7 @@ def run_distributed_error_experiment(
                         transfer_bytes=report.transfer_bytes if report else 0,
                         average_error=summary.average,
                         maximum_error=summary.maximum,
+                        guarantee=_guarantee(root, query_type),
                     )
                 )
     return rows
@@ -221,7 +200,7 @@ def run_centralized_vs_distributed_experiment(
             if query_type == "self-join" and counter_type is CounterType.RANDOMIZED_WAVE:
                 continue
             for epsilon in epsilons:
-                config = _build_config(counter_type, epsilon, query_type, window, bound, seed)
+                config = experiment_config(counter_type, epsilon, window, bound, query_type, seed)
 
                 centralized = ECMSketch(config, stream_tag=0)
                 for record in stream:
@@ -229,17 +208,10 @@ def run_centralized_vs_distributed_experiment(
 
                 deployment = _run_deployment(stream, nodes, config, workers=workers, shards=shards)
                 distributed = deployment.aggregate()
-
-                if query_type == "point":
-                    central_summary = evaluate_point_queries(
-                        centralized, exact, ranges, now=now, max_keys_per_range=max_keys_per_range
-                    )
-                    dist_summary = evaluate_point_queries(
-                        distributed, exact, ranges, now=now, max_keys_per_range=max_keys_per_range
-                    )
-                else:
-                    central_summary = evaluate_self_join_queries(centralized, exact, ranges, now=now)
-                    dist_summary = evaluate_self_join_queries(distributed, exact, ranges, now=now)
+                central_summary, dist_summary = (
+                    evaluate_queries(sketch, exact, query_type, ranges, now, max_keys_per_range)
+                    for sketch in (centralized, distributed)
+                )
                 rows.append(
                     CentralizedVsDistributedRow(
                         dataset=dataset,
@@ -256,44 +228,18 @@ def run_centralized_vs_distributed_experiment(
 # ------------------------------------------------------------------ reporting
 def format_distributed_rows(rows: Sequence[DistributedErrorRow]) -> str:
     """Render Figure 5 rows as an aligned text table."""
-    header = "%-6s %-8s %-10s %6s %6s %14s %10s %10s" % (
-        "data", "variant", "query", "eps", "nodes", "transfer(MB)", "avg err", "max err",
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            "%-6s %-8s %-10s %6.2f %6d %14.3f %10.4f %10.4f"
-            % (
-                row.dataset,
-                row.variant,
-                row.query_type,
-                row.epsilon,
-                row.num_nodes,
-                row.transfer_megabytes,
-                row.average_error,
-                row.maximum_error,
-            )
-        )
-    return "\n".join(lines)
+    return format_table(rows, (
+        ("data", "dataset", "-6s"), ("variant", "variant", "-8s"), ("query", "query_type", "-10s"),
+        ("eps", "epsilon", "6.2f"), ("nodes", "num_nodes", "6d"),
+        ("transfer(MB)", "transfer_megabytes", "14.3f"), ("avg err", "average_error", "10.4f"),
+        ("max err", "maximum_error", "10.4f"), ("guarantee", "guarantee", "10.4f"),
+    ))
 
 
 def format_centralized_vs_distributed_rows(rows: Sequence[CentralizedVsDistributedRow]) -> str:
     """Render Table 4 rows as an aligned text table."""
-    header = "%-6s %-8s %-10s %6s %12s %12s %8s" % (
-        "data", "variant", "query", "eps", "centralized", "distributed", "ratio",
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            "%-6s %-8s %-10s %6.2f %12.4f %12.4f %8.3f"
-            % (
-                row.dataset,
-                row.variant,
-                row.query_type,
-                row.epsilon,
-                row.centralized_error,
-                row.distributed_error,
-                row.ratio,
-            )
-        )
-    return "\n".join(lines)
+    return format_table(rows, (
+        ("data", "dataset", "-6s"), ("variant", "variant", "-8s"), ("query", "query_type", "-10s"),
+        ("eps", "epsilon", "6.2f"), ("centralized", "centralized_error", "12.4f"),
+        ("distributed", "distributed_error", "12.4f"), ("ratio", "ratio", "8.3f"),
+    ))

@@ -23,6 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
 from ..core.errors import ConfigurationError
 from ..queries.heavy_hitters import FrequentItemsTracker
@@ -39,6 +40,7 @@ __all__ = [
 class FrequentItemsRow:
     """Detection quality and throughput of one ``phi`` of the sweep."""
 
+    experiment: ClassVar[str] = "heavy-hitters"
     phi: float
     epsilon: float
     records: int

@@ -14,20 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
-from ..analysis.metrics import (
-    evaluate_point_queries,
-    evaluate_self_join_queries,
-    exponential_query_ranges,
-)
+from ..analysis.metrics import evaluate_point_queries, evaluate_self_join_queries, exponential_query_ranges
+from ..analysis.reporting import format_table
 from ..baselines.exact import ExactStreamSummary
-from ..core.config import CounterType, ECMConfig
+from ..core.config import CounterType
 from ..distributed.aggregation import DistributedDeployment
-from ..windows.base import WindowModel
 from .common import (
-    DEFAULT_DELTA,
     PAPER_WINDOW_SECONDS,
     VARIANT_LABELS,
+    experiment_config,
     load_dataset,
     max_arrivals_bound,
 )
@@ -42,6 +39,7 @@ DEFAULT_NETWORK_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 class NetworkSizeRow:
     """One point of Figure 6: error and transfer volume at one network size."""
 
+    experiment: ClassVar[str] = "figure6"
     dataset: str
     variant: str
     num_nodes: int
@@ -84,15 +82,7 @@ def run_network_size_experiment(
     bound = max_arrivals_bound(stream)
     rows: list[NetworkSizeRow] = []
     for counter_type in variants:
-        config = ECMConfig.for_point_queries(
-            epsilon=epsilon,
-            delta=DEFAULT_DELTA,
-            window=window,
-            model=WindowModel.TIME_BASED,
-            counter_type=counter_type,
-            max_arrivals=bound,
-            seed=seed,
-        )
+        config = experiment_config(counter_type, epsilon, window, bound, seed=seed)
         for size in network_sizes:
             uniform = stream.reassign_round_robin(size)
             deployment = DistributedDeployment(num_nodes=size, config=config)
@@ -123,23 +113,9 @@ def run_network_size_experiment(
 
 def format_network_size_rows(rows: Sequence[NetworkSizeRow]) -> str:
     """Render Figure 6 rows as an aligned text table."""
-    header = "%-6s %-8s %6s %6s %10s %12s %14s %7s" % (
-        "data", "variant", "nodes", "eps", "point err", "selfjoin err", "transfer(MB)", "levels",
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        self_join = "%12.4f" % row.self_join_average_error if row.self_join_average_error is not None else "%12s" % "n/a"
-        lines.append(
-            "%-6s %-8s %6d %6.2f %10.4f %s %14.3f %7d"
-            % (
-                row.dataset,
-                row.variant,
-                row.num_nodes,
-                row.epsilon,
-                row.point_average_error,
-                self_join,
-                row.transfer_megabytes,
-                row.aggregation_levels,
-            )
-        )
-    return "\n".join(lines)
+    return format_table(rows, (
+        ("data", "dataset", "-6s"), ("variant", "variant", "-8s"), ("nodes", "num_nodes", "6d"),
+        ("eps", "epsilon", "6.2f"), ("point err", "point_average_error", "10.4f"),
+        ("selfjoin err", "self_join_average_error", "12.4f"),
+        ("transfer(MB)", "transfer_megabytes", "14.3f"), ("levels", "aggregation_levels", "7d"),
+    ))

@@ -66,6 +66,18 @@ class TestWriters:
         assert len(rows) == len(mixed)
         assert "policy" in reader.fieldnames and "variant" in reader.fieldnames
 
+    def test_rows_are_tagged_with_their_experiment(self, tmp_path):
+        mixed = _sample_rows() + list(run_epsilon_split_ablation(epsilons=(0.1,)))
+        tags = [entry["experiment"] for entry in rows_to_dicts(mixed)]
+        assert tags == ["figure4"] * 2 + ["epsilon-split"] * 3
+        path = write_csv(mixed, tmp_path / "mixed.csv")
+        with path.open() as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        # The tag leads every row, so one file of many schemas sorts by it.
+        assert reader.fieldnames[0] == "experiment"
+        assert [row["experiment"] for row in rows] == tags
+
     def test_write_csv_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             write_csv([], tmp_path / "empty.csv")

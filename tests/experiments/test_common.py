@@ -60,8 +60,8 @@ class TestBuildSketch:
             )
 
     def test_randomized_wave_self_join_falls_back_to_point_split(self):
-        """The runners never request an RW self-join sketch, but the distributed
-        experiment builds RW configs through the point split explicitly."""
+        """The runners never request an RW self-join sketch: the paper gives
+        randomized waves no self-join guarantee."""
         with pytest.raises(ConfigurationError):
             build_sketch(
                 counter_type=CounterType.RANDOMIZED_WAVE,

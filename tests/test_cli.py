@@ -35,6 +35,7 @@ class TestParser:
     def test_experiment_registry_covers_all_paper_artifacts(self):
         assert set(EXPERIMENTS) == {
             "table2", "figure4", "table3", "figure5", "table4", "figure6", "ablations",
+            "propagation-period", "window-model", "inner-product",
         }
 
 
