@@ -34,6 +34,7 @@ import pytest
 
 from repro.core import CounterType, ECMConfig, ECMSketch
 from repro.distributed import ShardedIngestRunner
+from repro.experiments.centralized import median_rate_ratio
 from repro.serialization import dumps
 from repro.streams import WorldCupSyntheticTrace
 from repro.windows import randomized_wave
@@ -99,6 +100,19 @@ def _best_of(thunk, rounds: int = 3) -> float:
     return min(_timed(thunk) for _ in range(rounds))
 
 
+def _interleaved(first, second, rounds: int) -> tuple[list[float], list[float]]:
+    """Per-round times of two thunks, run back to back in each round.
+
+    Each round's pair shares the host's load of that moment, so the ratio
+    of a pair is steadier than the ratio of two best-of times taken apart.
+    """
+    first_seconds, second_seconds = [], []
+    for _ in range(rounds):
+        first_seconds.append(_timed(first))
+        second_seconds.append(_timed(second))
+    return first_seconds, second_seconds
+
+
 def _reference_aggregate(sketches: list[ECMSketch]) -> ECMSketch:
     """The replay reference, with randomized waves on the sort-only trim."""
     with mock.patch.object(randomized_wave, "_SELECTION_CUTOFF", math.inf):
@@ -147,8 +161,10 @@ def test_aggregation_speedup_report(capsys):
     """Measure and report the reference/aggregate ratio at 32 sites.
 
     The acceptance bar is a >= 3x aggregation speedup for the deterministic
-    counters.  Wall-clock ratios are noisy on loaded machines, so the floor
-    is only enforced when REPRO_BENCH_STRICT=1 (as in a dedicated perf job).
+    counters.  Each speedup is the median over rounds of the ratio of one
+    interleaved pair of timings.  Wall-clock ratios are noisy on loaded
+    machines, so the floor is only enforced when REPRO_BENCH_STRICT=1 (as in
+    a dedicated perf job).
     """
     results = _run_aggregation_comparison()
     with capsys.disabled():
@@ -183,8 +199,12 @@ def test_aggregation_speedup_report(capsys):
 
 
 # -------------------------------------------------------------- report helpers
-def _run_aggregation_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
-    """Reference-vs-vectorized aggregation timings at the headline site count."""
+def _run_aggregation_comparison(rounds: int = 5) -> dict[str, dict[str, float]]:
+    """Reference-vs-vectorized aggregation timings at the headline site count.
+
+    The two sides run back to back in every round; the speedup is the median
+    of the per-round ratios, and the seconds are per-side medians.
+    """
     results: dict[str, dict[str, float]] = {}
     for counter_type, label in (
         (CounterType.EXPONENTIAL_HISTOGRAM, "eh"),
@@ -196,15 +216,18 @@ def _run_aggregation_comparison(rounds: int = 3) -> dict[str, dict[str, float]]:
         # Identical bytes first: a speedup over a different answer is void.
         vectorized_bytes, trims = _aggregate_counting_trims(sketches)
         assert dumps(_reference_aggregate(sketches)) == vectorized_bytes, label
-        reference = _best_of(lambda: _reference_aggregate(sketches), rounds)
-        vectorized = _best_of(lambda: ECMSketch.aggregate(sketches), rounds)
+        reference, vectorized = _interleaved(
+            lambda: _reference_aggregate(sketches),
+            lambda: ECMSketch.aggregate(sketches),
+            rounds,
+        )
         results[label] = {
             "sites": AGGREGATION_SITES,
             "arrivals_per_site": arrivals,
             "selection_trims": trims,
-            "reference_seconds": reference,
-            "vectorized_seconds": vectorized,
-            "speedup": reference / vectorized,
+            "reference_seconds": float(np.median(reference)),
+            "vectorized_seconds": float(np.median(vectorized)),
+            "speedup": median_rate_ratio(vectorized, reference),
         }
     return results
 
@@ -255,7 +278,12 @@ def main(argv: list[str] | None = None) -> None:
     """
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", type=str, default=None, help="write results to this file")
-    parser.add_argument("--rounds", type=int, default=3, help="timing rounds (min is kept)")
+    parser.add_argument(
+        "--rounds",
+        type=int,
+        default=5,
+        help="timing rounds (aggregation: median of paired ratios; scaling: min is kept)",
+    )
     args = parser.parse_args(argv)
 
     aggregation = _run_aggregation_comparison(rounds=args.rounds)

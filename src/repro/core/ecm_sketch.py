@@ -25,23 +25,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Sequence
 from itertools import repeat
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..windows.base import SlidingWindowCounter, WindowModel
-from ..windows.deterministic_wave import DeterministicWave
-from ..windows.exponential_histogram import ExponentialHistogram
-from ..windows.merge import (
-    _replay_merge,
-    aggregated_error,
-    merge_deterministic_waves,
-    merge_exponential_histograms,
-)
-from ..windows.randomized_wave import RandomizedWave
 from .config import CounterType, ECMConfig
 from .counter_store import CounterFactory, CounterStore, build_store, object_store
-from .countmin import CountMinSketch
 from .errors import (
     ConfigurationError,
     IncompatibleSketchError,
@@ -49,6 +39,9 @@ from .errors import (
     WindowModelError,
 )
 from .hashing import HashFamily, ItemBatch, stable_fingerprint, stable_fingerprints
+
+if TYPE_CHECKING:
+    from .countmin import CountMinSketch
 
 __all__ = ["ECMSketch"]
 
@@ -80,6 +73,28 @@ def _as_list(column: Sequence[Any]) -> Sequence[Any]:
 def _python_scalar(value: Any) -> Any:
     """``value`` as a Python scalar: a NumPy one would poison the JSON wire format."""
     return value.item() if isinstance(value, np.generic) else value
+
+
+def _check_weight(value: Any) -> None:
+    """Reject a weight that is not a non-negative integer (a bool is not one)."""
+    if (
+        type(value) is not int
+        and (not isinstance(value, (int, np.integer)) or isinstance(value, bool))
+    ) or value < 0:
+        raise ConfigurationError(
+            "ECM-sketches operate in the cash-register model: weights must be "
+            "non-negative integers, got %r" % (value,)
+        )
+
+
+def _check_weights(values: Sequence[int]) -> None:
+    """:func:`_check_weight` of every weight; an integer array checks its sign at once."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.size and values.min() < 0:
+            _check_weight(values.min().item())
+        return
+    for value in values:
+        _check_weight(value)
 
 
 class ECMSketch:
@@ -189,13 +204,21 @@ class ECMSketch:
         return cls(config, stream_tag=stream_tag)
 
     def _make_counter(self, row: int, column: int) -> SlidingWindowCounter:
-        """Instantiate one sliding-window counter for cell ``(row, column)``."""
+        """Instantiate one sliding-window counter for cell ``(row, column)``.
+
+        Each counter class is imported here, by the sketch of its type, so a
+        process loads only the counter code its sketches use.
+        """
         config = self.config
         if config.counter_type is CounterType.EXPONENTIAL_HISTOGRAM:
+            from ..windows.exponential_histogram import ExponentialHistogram
+
             return ExponentialHistogram(
                 epsilon=config.epsilon_sw, window=config.window, model=config.model
             )
         if config.counter_type is CounterType.DETERMINISTIC_WAVE:
+            from ..windows.deterministic_wave import DeterministicWave
+
             return DeterministicWave(
                 epsilon=config.epsilon_sw,
                 window=config.window,
@@ -203,6 +226,8 @@ class ECMSketch:
                 model=config.model,
             )
         if config.counter_type is CounterType.RANDOMIZED_WAVE:
+            from ..windows.randomized_wave import RandomizedWave
+
             return RandomizedWave(
                 epsilon=config.epsilon_sw,
                 delta=config.delta_sw,
@@ -221,8 +246,7 @@ class ECMSketch:
         For time-based windows ``clock`` is the arrival time; for count-based
         windows it is the global arrival index of the stream.
         """
-        if value < 0:
-            raise ConfigurationError("ECM-sketches operate in the cash-register model; value >= 0")
+        _check_weight(value)
         if value == 0:
             return
         columns = self.hashes.hash_all(item)
@@ -250,9 +274,10 @@ class ECMSketch:
         because a sliding-window counter's state depends only on its own
         arrival subsequence, which the stable grouping preserves in order.
 
-        Unlike the scalar path, argument problems (length mismatch, negative
-        value, out-of-order clocks) are detected *before* any state is
-        mutated, so a failed call leaves the sketch untouched.
+        Unlike the scalar path, argument problems (length mismatch, a weight
+        that is not a non-negative integer, out-of-order clocks) are detected
+        *before* any state is mutated, so a failed call leaves the sketch
+        untouched.
 
         Args:
             items: Batch of items, in stream order.
@@ -270,8 +295,8 @@ class ECMSketch:
             )
         if n == 0:
             return
-        if values is not None and any(v < 0 for v in values):
-            raise ConfigurationError("ECM-sketches operate in the cash-register model; value >= 0")
+        if values is not None:
+            _check_weights(values)
         # Zero-weight arrivals are no-ops in the scalar path (they do not even
         # advance the clock), so drop them before validation and grouping.
         if values is not None and not all(values):
@@ -286,9 +311,8 @@ class ECMSketch:
             values = [values[i] for i in kept]
             n = len(items)
         # All-unit weights take the counts-free path (it is both the common
-        # case and the fastest); the type check keeps float weights like 1.0
-        # on the weighted path so arrival totals accumulate exactly as the
-        # scalar path would.
+        # case and the fastest); the type check keeps NumPy weights on the
+        # weighted path, which sums them as the scalar path would.
         if values is not None and all(type(v) is int and v == 1 for v in values):
             values = None
         # `asarray` without an explicit dtype keeps integer clocks integral
@@ -580,6 +604,8 @@ class ECMSketch:
         the sliding-window structure collapses into a fixed-size numeric vector
         that can be averaged, differenced and monitored.
         """
+        from .countmin import CountMinSketch
+
         matrix = self.counter_estimates_matrix(range_length, now)
         flat: list[float] = []
         for row in matrix:
@@ -697,6 +723,8 @@ class ECMSketch:
         known_clocks = [s._last_clock for s in sketches if s._last_clock is not None]
         result._last_clock = max(known_clocks) if known_clocks else None
         if base.counter_type.is_deterministic:
+            from ..windows.merge import aggregated_error
+
             result.effective_epsilon_sw = aggregated_error(
                 max(s.effective_epsilon_sw for s in sketches), epsilon_prime
             )
@@ -712,9 +740,15 @@ class ECMSketch:
     ) -> SlidingWindowCounter:
         """Merge of one cell across input sketches."""
         if counter_type is CounterType.EXPONENTIAL_HISTOGRAM:
+            from ..windows.merge import merge_exponential_histograms
+
             return merge_exponential_histograms(list(cells), epsilon_prime=epsilon_prime)
         if counter_type is CounterType.DETERMINISTIC_WAVE:
+            from ..windows.merge import merge_deterministic_waves
+
             return merge_deterministic_waves(list(cells), epsilon_prime=epsilon_prime)
+        from ..windows.randomized_wave import RandomizedWave
+
         return RandomizedWave.merged(list(cells))
 
     @staticmethod
@@ -725,7 +759,11 @@ class ECMSketch:
     ) -> SlidingWindowCounter:
         """Replay-based reference merge of one cell across input sketches."""
         if counter_type is CounterType.RANDOMIZED_WAVE:
+            from ..windows.randomized_wave import RandomizedWave
+
             return RandomizedWave.merged(list(cells))
+        from ..windows.merge import _replay_merge
+
         return _replay_merge(list(cells), epsilon_prime=epsilon_prime)
 
     # ----------------------------------------------------- guarantees & size

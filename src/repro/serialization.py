@@ -30,21 +30,20 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
 from .core.config import CounterType, ECMConfig
-from .core.countmin import CountMinSketch
 from .core.ecm_sketch import ECMSketch
 from .core.errors import ConfigurationError
 from .windows.base import WindowModel
-from .windows.deterministic_wave import DeterministicWave, WaveCheckpoint
-from .windows.exponential_histogram import Bucket, ExponentialHistogram
-from .windows.randomized_wave import RandomizedWave, _Entry
 
 if TYPE_CHECKING:
+    # Imported where a structure of their type is (de)serialized: flat
+    # snapshots load neither the hierarchy nor the wave and Count-Min codecs.
+    from .core.countmin import CountMinSketch
     from .jsonstream import JSONStream
-
-    # Imported where a stack is (de)serialized: flat snapshots never load
-    # the hierarchy.
     from .queries.heavy_hitters import FrequentItemsTracker
     from .queries.hierarchical import HierarchicalECMSketch
+    from .windows.deterministic_wave import DeterministicWave
+    from .windows.exponential_histogram import ExponentialHistogram
+    from .windows.randomized_wave import RandomizedWave
 
     Serializable = (
         ExponentialHistogram
@@ -130,6 +129,8 @@ def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
     whose ``start`` and ``end`` differ.
     """
     _require(payload, "exponential_histogram")
+    from .windows.exponential_histogram import Bucket, ExponentialHistogram
+
     histogram = ExponentialHistogram(
         epsilon=payload["epsilon"],
         window=payload["window"],
@@ -179,6 +180,8 @@ def wave_to_dict(wave: DeterministicWave) -> dict[str, Any]:
 def wave_from_dict(payload: dict[str, Any]) -> DeterministicWave:
     """Rebuild a deterministic wave serialized by :func:`wave_to_dict`."""
     _require(payload, "deterministic_wave")
+    from .windows.deterministic_wave import DeterministicWave, WaveCheckpoint
+
     wave = DeterministicWave(
         epsilon=payload["epsilon"],
         window=payload["window"],
@@ -235,6 +238,8 @@ def randomized_wave_to_dict(wave: RandomizedWave) -> dict[str, Any]:
 def randomized_wave_from_dict(payload: dict[str, Any]) -> RandomizedWave:
     """Rebuild a randomized wave serialized by :func:`randomized_wave_to_dict`."""
     _require(payload, "randomized_wave")
+    from .windows.randomized_wave import RandomizedWave, _Entry
+
     wave = RandomizedWave(
         epsilon=payload["epsilon"],
         delta=payload["delta"],
@@ -282,6 +287,8 @@ def countmin_to_dict(sketch: CountMinSketch) -> dict[str, Any]:
 def countmin_from_dict(payload: dict[str, Any]) -> CountMinSketch:
     """Rebuild a Count-Min sketch serialized by :func:`countmin_to_dict`."""
     _require(payload, "countmin")
+    from .core.countmin import CountMinSketch
+
     sketch = CountMinSketch(
         width=int(payload["width"]), depth=int(payload["depth"]), seed=int(payload["seed"])
     )
@@ -617,14 +624,6 @@ def tracker_from_dict(payload: dict[str, Any]) -> FrequentItemsTracker:
 
 
 # ------------------------------------------------------------------- JSON layer
-_TO_DICT: dict[type, Callable[[Any], dict[str, Any]]] = {
-    ExponentialHistogram: histogram_to_dict,
-    DeterministicWave: wave_to_dict,
-    RandomizedWave: randomized_wave_to_dict,
-    CountMinSketch: countmin_to_dict,
-    ECMSketch: ecm_sketch_to_dict,
-}
-
 _FROM_DICT: dict[str, Callable[[dict[str, Any]], Any]] = {
     "exponential_histogram": histogram_from_dict,
     "deterministic_wave": wave_from_dict,
@@ -637,12 +636,24 @@ _FROM_DICT: dict[str, Callable[[dict[str, Any]], Any]] = {
 }
 
 
-def _stack_serializers() -> dict[type, Callable[[Any], dict[str, Any]]]:
-    """The :mod:`repro.queries` serializers, keyed by classes imported here."""
+def _serializers() -> dict[type, Callable[[Any], dict[str, Any]]]:
+    """Every serializer but the config's, keyed by classes imported here."""
+    from .core.countmin import CountMinSketch
     from .queries.heavy_hitters import FrequentItemsTracker
     from .queries.hierarchical import HierarchicalECMSketch
+    from .windows.deterministic_wave import DeterministicWave
+    from .windows.exponential_histogram import ExponentialHistogram
+    from .windows.randomized_wave import RandomizedWave
 
-    return {HierarchicalECMSketch: hierarchical_to_dict, FrequentItemsTracker: tracker_to_dict}
+    return {
+        ExponentialHistogram: histogram_to_dict,
+        DeterministicWave: wave_to_dict,
+        RandomizedWave: randomized_wave_to_dict,
+        CountMinSketch: countmin_to_dict,
+        ECMSketch: ecm_sketch_to_dict,
+        HierarchicalECMSketch: hierarchical_to_dict,
+        FrequentItemsTracker: tracker_to_dict,
+    }
 
 
 def to_dict(obj: Serializable | ECMConfig) -> dict[str, Any]:
@@ -654,7 +665,7 @@ def to_dict(obj: Serializable | ECMConfig) -> dict[str, Any]:
     """
     if isinstance(obj, ECMConfig):
         return config_to_dict(obj)
-    serializer = _TO_DICT.get(type(obj)) or _stack_serializers().get(type(obj))
+    serializer = _serializers().get(type(obj))
     if serializer is None:
         raise ConfigurationError("cannot serialize objects of type %r" % (type(obj),))
     return serializer(obj)

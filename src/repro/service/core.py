@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 
 import asyncio
-import math
 import os
 import sys
 import time
@@ -46,7 +45,6 @@ from ..core.config import ECMConfig
 from ..core.errors import EmptyStructureError
 from .config import ServiceConfig
 from .errors import (
-    ClockRegressionError,
     IngestRejectedError,
     InvalidParameterError,
     ModeMismatchError,
@@ -55,6 +53,12 @@ from .errors import (
 )
 from .journal import IngestJournal, JournalRecord
 from .ops import query_handler
+from .validators import (
+    require_param,
+    validate_clock_column,
+    validate_keys_for_mode,
+    validate_values_column,
+)
 
 if TYPE_CHECKING:
     # Imported where a state of their mode is built: a flat server never
@@ -71,73 +75,7 @@ __all__ = [
     "IngestRejectedError",
     "ServiceStoppedError",
     "SketchService",
-    "validate_clock_column",
-    "validate_values_column",
-    "validate_keys_for_mode",
 ]
-
-
-def validate_clock_column(clocks: Sequence[float], previous: float | None) -> None:
-    """Reject non-numeric, non-finite or out-of-order clocks, pre-ack.
-
-    Finiteness matters for more than hygiene: every comparison against NaN is
-    False, so one NaN clock would disable the ordering high-water mark for
-    the rest of the stream.  One pure-Python pass at every chunk length,
-    which stops at the first offending clock and names it.  It runs per
-    arrival on the ack hot path, so plain ``int`` and ``float`` clocks skip
-    the ``isinstance`` checks.  Shared by the single-process service (global
-    high-water mark) and the shard router (per-shard high-water marks).
-    """
-    isfinite = math.isfinite
-    mark = -math.inf if previous is None else previous
-    for clock in clocks:
-        kind = type(clock)
-        if kind is not float and kind is not int and (
-            not isinstance(clock, (int, float)) or isinstance(clock, bool)
-        ):
-            raise IngestRejectedError("clocks must be numbers, got %r" % (clock,))
-        if not isfinite(clock):
-            raise IngestRejectedError("clocks must be finite, got %r" % (clock,))
-        if clock < mark:
-            raise ClockRegressionError(
-                "out-of-order clock %r (high-water mark %r); arrival clocks "
-                "must be non-decreasing" % (clock, mark)
-            )
-        mark = clock
-
-
-def validate_values_column(values: Sequence[int]) -> None:
-    """Reject anything but non-negative integers in a values column."""
-    for value in values:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise IngestRejectedError(
-                "values must be non-negative integers, got %r" % (value,)
-            )
-
-
-def validate_keys_for_mode(keys: Sequence[Hashable], mode: str, universe_bits: int) -> None:
-    """Reject keys the given service mode cannot ingest, pre-ack."""
-    if mode == "hierarchical":
-        universe = 1 << universe_bits
-        for key in keys:
-            if not isinstance(key, int) or isinstance(key, bool) or not (0 <= key < universe):
-                raise IngestRejectedError(
-                    "hierarchical keys must be integers in [0, %d), got %r" % (universe, key)
-                )
-    else:
-        # Flat/multisite keys arrive as arbitrary JSON values; an unhashable
-        # one (list, dict) would otherwise blow up inside add_many *after*
-        # the chunk was acknowledged, killing the consumer task.  Validation
-        # happens here, before the ack.
-        for key in keys:
-            try:
-                # Hashability probe only — the salted value is discarded, so
-                # process-randomized hashing cannot leak into sketch state.
-                hash(key)  # reprolint: disable=RL001 -- probe, not partitioning
-            except TypeError:
-                raise IngestRejectedError(
-                    "keys must be hashable scalars, got %s" % (type(key).__name__,)
-                ) from None
 
 
 @dataclass
@@ -800,7 +738,7 @@ class SketchService:
         return cast("PeriodicAggregationCoordinator", self.state)
 
     def _query_point(self, message: dict[str, Any]) -> float:
-        key = _require_param(message, "key")
+        key = require_param(message, "key")
         range_length = message.get("range")
         if self.config.mode == "flat":
             return float(self._require_flat().point_query(key, range_length))
@@ -811,15 +749,15 @@ class SketchService:
 
     def _query_range(self, message: dict[str, Any]) -> float:
         stack = self._require_hierarchical()
-        lo = _as_int_key(_require_param(message, "lo"))
-        hi = _as_int_key(_require_param(message, "hi"))
+        lo = _as_int_key(require_param(message, "lo"))
+        hi = _as_int_key(require_param(message, "hi"))
         return float(stack.range_query(lo, hi, message.get("range")))
 
     def _query_heavy_hitters(self, message: dict[str, Any]) -> list[tuple[int, float]]:
         stack = self._require_hierarchical()
         absolute = message.get("absolute")
         if absolute is None:
-            phi = float(_require_param(message, "phi"))
+            phi = float(require_param(message, "phi"))
             hitters = stack.heavy_hitters(phi, message.get("range"))
         else:
             # Absolute-threshold detection: used by the shard router, which
@@ -833,12 +771,12 @@ class SketchService:
 
     def _query_quantile(self, message: dict[str, Any]) -> int:
         stack = self._require_hierarchical()
-        fraction = float(_require_param(message, "fraction"))
+        fraction = float(require_param(message, "fraction"))
         return int(stack.quantile(fraction, message.get("range")))
 
     def _query_quantiles(self, message: dict[str, Any]) -> list[int]:
         stack = self._require_hierarchical()
-        fractions = _require_param(message, "fractions")
+        fractions = require_param(message, "fractions")
         if not isinstance(fractions, (list, tuple)) or not fractions:
             raise InvalidParameterError("fractions must be a non-empty list")
         return [int(key) for key in stack.quantiles([float(f) for f in fractions],
@@ -936,12 +874,6 @@ class SketchService:
             self.records_ingested,
             self._pending_arrivals,
         )
-
-
-def _require_param(message: dict[str, Any], name: str) -> Any:
-    if name not in message:
-        raise InvalidParameterError("missing required parameter %r" % (name,))
-    return message[name]
 
 
 def _as_int_key(key: Any) -> int:

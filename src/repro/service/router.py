@@ -59,21 +59,14 @@ from typing import TYPE_CHECKING, Any
 
 from ..core.errors import ConfigurationError, EmptyStructureError
 from .config import ServiceConfig
-from .core import (
-    IngestRejectedError,
-    ServiceError,
-    ServiceStoppedError,
-    SketchService,
-    validate_clock_column,
-    validate_keys_for_mode,
-    validate_values_column,
-)
-from .core import _require_param  # shared "missing required parameter" wording
 from .errors import (
     ClockRegressionError,
     DeadlineExceededError,
+    IngestRejectedError,
     InvalidParameterError,
+    ServiceError,
     ServiceRequestError,
+    ServiceStoppedError,
     VersionMismatchError,
     exception_for_error,
 )
@@ -88,9 +81,15 @@ from .protocol import (
 )
 from .server import dispatch_service_op
 from .shard_worker import ShardProcess, ShardUnavailableError, sites_of_shard, worker_config
-from .snapshot import write_snapshot
+from .validators import (
+    require_param,
+    validate_clock_column,
+    validate_keys_for_mode,
+    validate_values_column,
+)
 
 if TYPE_CHECKING:
+    from .core import SketchService
     from .supervision import ShardSupervisor
 
 __all__ = [
@@ -330,6 +329,8 @@ class LocalShardBackend:
             await self._boot(shard, restore_paths.get(shard))
 
     async def _boot(self, shard: int, restore: str | None) -> None:
+        from .core import SketchService
+
         if restore is not None:
             service = SketchService.from_snapshot(restore)
         else:
@@ -982,7 +983,7 @@ class ShardRouter:
         return float(sum(float(result) for result in await self._fan(message)))
 
     async def _query_point(self, message: dict[str, Any]) -> float:
-        key = _require_param(message, "key")
+        key = require_param(message, "key")
         if self.config.mode == "multisite":
             # Every worker coordinates a block of sites; the key's frequency
             # is the sum of the per-block frequencies (Theorem 4 linearity).
@@ -1030,7 +1031,7 @@ class ShardRouter:
         range_length = message.get("range")
         absolute = message.get("absolute")
         if absolute is None:
-            phi = float(_require_param(message, "phi"))
+            phi = float(require_param(message, "phi"))
             if not (0.0 < phi <= 1.0):
                 raise ConfigurationError("phi must be in (0, 1], got %r" % (phi,))
             # Each shard sees only its own slice of the stream, so the
@@ -1090,13 +1091,13 @@ class ShardRouter:
         return fraction
 
     async def _query_quantile(self, message: dict[str, Any]) -> int:
-        fraction = self._validate_fraction(_require_param(message, "fraction"))
+        fraction = self._validate_fraction(require_param(message, "fraction"))
         range_length = message.get("range")
         total = await self._quantile_total(range_length)
         return await self._quantile_search(fraction, total, range_length, {})
 
     async def _query_quantiles(self, message: dict[str, Any]) -> list[int]:
-        fractions = _require_param(message, "fractions")
+        fractions = require_param(message, "fractions")
         if not isinstance(fractions, (list, tuple)) or not fractions:
             raise InvalidParameterError("fractions must be a non-empty list")
         validated = [self._validate_fraction(fraction) for fraction in fractions]
@@ -1257,6 +1258,8 @@ class ShardRouter:
                     for shard in range(self.num_shards)
                 ],
             }
+            from .snapshot import write_snapshot
+
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, write_snapshot, base, manifest)
             superseded = [

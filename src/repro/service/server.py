@@ -27,11 +27,12 @@ from typing import Any, TYPE_CHECKING
 from ..core.errors import ConfigurationError, EmptyStructureError
 from . import failpoints
 from .config import ServiceConfig
-from .core import ServiceError, ServiceStoppedError, SketchService
 from .errors import (
     BadRequestError,
     ModeMismatchError,
     PoolDisabledError,
+    ServiceError,
+    ServiceStoppedError,
     UnknownOperationError,
 )
 from .ops import OPS, check_params
@@ -48,6 +49,7 @@ from .protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .core import SketchService
     from .pool import TenantPool
     from .router import ShardRouter
 
@@ -57,8 +59,9 @@ __all__ = ["SketchServer", "ServingState", "dispatch_service_op", "run_server"]
 #: the multi-tenant pool, or the sharded router (which duck-type the same
 #: surface, sometimes with awaitable results — :func:`dispatch_service_op`
 #: awaits whatever it gets back).
-# The whole alias is a string: the pool/router halves are TYPE_CHECKING-only
-# (import cycle), so the union must not evaluate at runtime.
+# The whole alias is a string: its members are TYPE_CHECKING-only (each is
+# imported where its mode builds one), so the union must not evaluate at
+# runtime.
 ServingState = "SketchService | TenantPool | ShardRouter"
 
 async def _maybe_await(value: Any) -> Any:
@@ -372,6 +375,8 @@ async def run_server(
 
         service = TenantPool(config)
     elif restore is not None:
+        from .core import SketchService
+
         service = SketchService.from_snapshot(restore)
         # Operational knobs follow the *current* invocation, not the one
         # that wrote the snapshot; only the sketch-state parameters (mode,
@@ -391,6 +396,8 @@ async def run_server(
                 config.journal_dir, fsync_each=config.journal_fsync
             )
     else:
+        from .core import SketchService
+
         service = SketchService(config)
     # Boot-time fault injection (chaos harness): a spec in REPRO_FAILPOINTS
     # arms this process before it serves its first request.

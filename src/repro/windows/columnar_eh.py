@@ -80,29 +80,47 @@ and the next round continues after it.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import mmap
 import numbers
 import sys
 from collections import deque
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..core.counter_store import CounterStore, RowPayload
 from ..core.errors import ConfigurationError, OutOfOrderArrivalError
-from ._eh_kernels import HAVE_NUMBA, cascade_runs, estimate_cells_canonical, expire_cells
 from .base import SlidingWindowCounter, WindowModel, validate_epsilon, validate_window
-from .exponential_histogram import Bucket, ExponentialHistogram
+
+if TYPE_CHECKING:
+    from .exponential_histogram import ExponentialHistogram
 
 __all__ = ["ColumnarEHStore", "USE_KERNELS"]
+
+
+def _kernels_compiled() -> bool:
+    """True exactly when numba imports, which compiles the kernels.
+
+    Without numba installed the kernels module is not loaded at all: the
+    NumPy passes serve every call, and only a caller that sets
+    :data:`USE_KERNELS` (the equivalence suite) loads it to run them
+    interpreted.
+    """
+    if importlib.util.find_spec("numba") is None:
+        return False
+    from ._eh_kernels import HAVE_NUMBA
+
+    return HAVE_NUMBA
+
 
 #: Route the three hot loops through :mod:`repro.windows._eh_kernels` instead
 #: of the NumPy passes.  Chosen once, at import: true exactly when numba
 #: compiled the kernels.  The equivalence suite sets it to run the kernels
 #: interpreted.
-USE_KERNELS = HAVE_NUMBA
+USE_KERNELS = _kernels_compiled()
 
 #: Clock magnitude above which an integer does not round-trip float64 exactly.
 _MAX_EXACT_INT = 1 << 53
@@ -841,6 +859,8 @@ class ColumnarEHStore(CounterStore):
             incoming = merges[keep]
             level += 1
         self._ensure_slots(need_slots)
+        from ._eh_kernels import cascade_runs
+
         cascade_runs(
             self._starts,
             self._ends,
@@ -865,6 +885,8 @@ class ColumnarEHStore(CounterStore):
         if USE_KERNELS and self._start_int is None:
             # The kernel shifts the clock pools only; mixed-clock stores
             # also shift their flag pools, which the NumPy sweep handles.
+            from ._eh_kernels import expire_cells
+
             expire_cells(
                 self._starts,
                 self._ends,
@@ -962,6 +984,8 @@ class ColumnarEHStore(CounterStore):
     ) -> np.ndarray:
         start = self._query_start(range_length, now)
         if USE_KERNELS:
+            from ._eh_kernels import estimate_cells_canonical
+
             out = np.empty(cells.shape[0], dtype=np.float64)
             estimate_cells_canonical(
                 self._starts,
@@ -1006,6 +1030,8 @@ class ColumnarEHStore(CounterStore):
 
     def _materialize(self, cell: int) -> ExponentialHistogram:
         """An object-layout twin of one cell (bucket-for-bucket identical)."""
+        from .exponential_histogram import Bucket, ExponentialHistogram
+
         histogram = ExponentialHistogram(
             epsilon=self.epsilon, window=self.window, model=self.model
         )
@@ -1041,6 +1067,8 @@ class ColumnarEHStore(CounterStore):
         return histogram
 
     def set_counter(self, row: int, column: int, counter: SlidingWindowCounter) -> None:
+        from .exponential_histogram import ExponentialHistogram
+
         if not isinstance(counter, ExponentialHistogram):
             raise ConfigurationError(
                 "the columnar layout only stores exponential histograms; got %r"

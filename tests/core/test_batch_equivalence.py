@@ -349,6 +349,84 @@ class TestECMSketchBatchEquivalence:
         assert dumps(merged_scalar) == dumps(merged_batched)
 
 
+class TestRejectedWeights:
+    """A weight that is not a non-negative integer fails before any cell moves."""
+
+    LAYOUTS = {
+        "columnar": lambda config: ECMSketch(config),
+        "object": lambda config: ECMSketch._on_object_store(config),
+    }
+
+    @staticmethod
+    def _sketch(layout):
+        sketch = TestRejectedWeights.LAYOUTS[layout](
+            ECMSketch.for_point_queries(epsilon=0.1, delta=0.1, window=1e6).config
+        )
+        sketch.add("z", 0.0, 3)
+        assert sketch.backend == layout
+        return sketch
+
+    @pytest.mark.parametrize("layout", ["columnar", "object"])
+    @pytest.mark.parametrize(
+        "bad", [1.5, 1.0, True, -1], ids=["float", "integral-float", "bool", "negative"]
+    )
+    def test_add_leaves_the_sketch_untouched(self, layout, bad):
+        sketch = self._sketch(layout)
+        before = dumps(sketch)
+        with pytest.raises(ConfigurationError, match="non-negative integers"):
+            sketch.add("q", 5.0, bad)
+        assert dumps(sketch) == before
+        assert sketch._total_arrivals == 3
+
+    @pytest.mark.parametrize("layout", ["columnar", "object"])
+    @pytest.mark.parametrize(
+        "length", [3, ecm_sketch_module._SCALAR_RUN_LIMIT + 8], ids=["scalar-run", "vector-run"]
+    )
+    @pytest.mark.parametrize("bad", [1.5, True, -1], ids=["float", "bool", "negative"])
+    def test_add_many_leaves_the_sketch_untouched(self, layout, length, bad):
+        # The bad weight comes last, after weights the store would accept.
+        sketch = self._sketch(layout)
+        before = dumps(sketch)
+        items = ["k%d" % (index % 5) for index in range(length)]
+        clocks = [float(index + 1) for index in range(length)]
+        values = [1 + index % 3 for index in range(length - 1)] + [bad]
+        with pytest.raises(ConfigurationError, match="non-negative integers"):
+            sketch.add_many(items, clocks, values)
+        assert dumps(sketch) == before
+        assert sketch._total_arrivals == 3
+
+    @pytest.mark.parametrize("layout", ["columnar", "object"])
+    def test_add_many_rejects_a_float_array(self, layout):
+        import numpy as np
+
+        sketch = self._sketch(layout)
+        before = dumps(sketch)
+        length = ecm_sketch_module._SCALAR_RUN_LIMIT + 8
+        with pytest.raises(ConfigurationError, match="non-negative integers"):
+            sketch.add_many(["a"] * length, [float(i + 1) for i in range(length)], np.ones(length))
+        assert dumps(sketch) == before
+        assert sketch._total_arrivals == 3
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint32"])
+    def test_integer_arrays_stay_on_the_vector_path(self, dtype, monkeypatch):
+        import numpy as np
+
+        length = ecm_sketch_module._SCALAR_RUN_LIMIT + 8
+        items = ["k%d" % (index % 5) for index in range(length)]
+        clocks = [float(index + 1) for index in range(length)]
+        values = [1 + index % 3 for index in range(length)]
+        scalar = self._sketch("columnar")
+        for item, clock, value in zip(items, clocks, values, strict=False):
+            scalar.add(item, clock, value)
+        batched = self._sketch("columnar")
+        monkeypatch.setattr(
+            ECMSketch, "add", lambda *args: pytest.fail("integer weights left the vector path")
+        )
+        batched.add_many(items, clocks, np.array(values, dtype=dtype))
+        assert dumps(batched) == dumps(scalar)
+        assert batched._total_arrivals == scalar._total_arrivals
+
+
 class TestScalarRunLimit:
     """``add_many`` replays runs below ``_SCALAR_RUN_LIMIT`` through ``add``."""
 

@@ -8,7 +8,10 @@
   the dumps also pin the process tree: the router plus one worker per
   shard, and no ``multiprocessing`` resource tracker.  The router of a
   sharded flat server holds no sketch, so it loads neither NumPy nor any
-  sketch code, and a flat server stays on the flat path when it snapshots.
+  sketch code nor the service core, and a flat server stays on the flat
+  path when it snapshots.  A server loads the counter code of its counter
+  type only: an exponential-histogram server loads no wave, merge or
+  Count-Min module, and the compiled-kernel module only when numba imports.
 * **Subprocess environment.**  :func:`~repro.service.launch.repro_env` puts
   ``src/`` first on ``PYTHONPATH`` and never adds an empty entry (which
   Python reads as the current directory).
@@ -23,6 +26,7 @@
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import json
 import os
 import subprocess
@@ -30,6 +34,7 @@ import sys
 import time
 from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -38,9 +43,27 @@ from repro.service.shard_worker import ShardProcess, ShardUnavailableError, work
 
 pytestmark = pytest.mark.integration
 
+#: Whether numba imports, so that the columnar store routes its hot loops
+#: through the compiled kernels.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+
+#: Never imported by a server whose counters are exponential histograms: the
+#: wave counters, the aggregation merges, the plain Count-Min sketch (only an
+#: extraction builds one) and the ``statistics`` module the randomized wave
+#: pulls in; without numba, the kernel module too.
+OTHER_COUNTER_CODE = (
+    "repro.windows.deterministic_wave",
+    "repro.windows.randomized_wave",
+    "repro.windows.merge",
+    "repro.core.countmin",
+    "statistics",
+    *(() if HAVE_NUMBA else ("repro.windows._eh_kernels",)),
+)
+
 #: Never imported by a flat server: offline experiments, analysis and exact
 #: baselines, the distributed simulation and its stream records, every
-#: serving layer a flat server does not run, and the tenant catalog's SQLite.
+#: serving layer a flat server does not run, the tenant catalog's SQLite and
+#: the code of the other counter types.
 FLAT_UNUSED = (
     "repro.experiments",
     "repro.analysis",
@@ -58,7 +81,12 @@ FLAT_UNUSED = (
     "repro.streams",
     "multiprocessing",
     "sqlite3",
+    *OTHER_COUNTER_CODE,
 )
+
+#: Never imported by a hierarchical server: the flat budget less the
+#: hierarchy it serves.
+HIERARCHICAL_UNUSED = tuple(name for name in FLAT_UNUSED if name != "repro.queries.hierarchical")
 
 #: Still never imported by a sharded server without ``--pool``/``--supervise``.
 SHARDED_UNUSED = (
@@ -78,7 +106,9 @@ WORKER_UNUSED = (*FLAT_UNUSED, "repro.cli")
 #: partitioned string keys, routed a point query and summed the per-shard
 #: self-joins: the workers hold the sketches, so the router needs neither
 #: NumPy (nor ``_hashlib``, which only the sketch hashing pulls in) nor the
-#: sketch, counter, serialization, hierarchy or stream-record code.
+#: sketch, counter, serialization, hierarchy or stream-record code, nor the
+#: service core (its pre-ack checks live in ``service.validators``).  The
+#: snapshot writer and the streaming JSON reader load on the first snapshot.
 ROUTER_UNUSED = (
     "numpy",
     "_hashlib",
@@ -88,6 +118,9 @@ ROUTER_UNUSED = (
     "repro.serialization",
     "repro.queries.hierarchical",
     "repro.streams",
+    "repro.service.core",
+    "repro.service.snapshot",
+    "repro.jsonstream",
 )
 
 #: A router started from a script file.  Every run of the script appends
@@ -120,8 +153,15 @@ import sys
 
 def _dump_modules():
     path = os.path.join(%r, "modules-%%d.json" %% os.getpid())
+    columnar = sys.modules.get("repro.windows.columnar_eh")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(sorted(sys.modules), handle)
+        json.dump(
+            {
+                "modules": sorted(sys.modules),
+                "use_kernels": getattr(columnar, "USE_KERNELS", None),
+            },
+            handle,
+        )
 
 
 atexit.register(_dump_modules)
@@ -146,10 +186,21 @@ def _string_chunk_and_queries(port: int) -> None:
         assert client.self_join() > 0
 
 
-def _boot_modules(
+def _hierarchical_chunk_and_queries(port: int) -> None:
+    """One integer-key ingest chunk, then a point, a heavy-hitter and a quantile query."""
+    keys = [index % 97 for index in range(1024)]
+    with SyncServiceClient.connect(port=port) as client:
+        client.ingest(keys, [float(index) for index in range(len(keys))])
+        client.drain()
+        assert client.point(3) > 0
+        assert client.heavy_hitters(0.005)
+        assert 0 <= client.quantile(0.5) < 97
+
+
+def _boot_dumps(
     tmp_path: Path, *args: object, drive: Callable[[int], None] | None = None
-) -> tuple[set[str], list[set[str]]]:
-    """Boot ``repro serve``, run ``drive(port)``, stop it; each process's modules."""
+) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Boot ``repro serve``, run ``drive(port)``, stop it; each process's exit dump."""
     hook = tmp_path / "hook"
     dumps = tmp_path / "dumps"
     hook.mkdir()
@@ -163,11 +214,19 @@ def _boot_modules(
             drive(port)
         assert server.stop() == 0, server.output
     processes = {
-        int(path.stem.split("-")[1]): set(json.loads(path.read_text(encoding="utf-8")))
+        int(path.stem.split("-")[1]): json.loads(path.read_text(encoding="utf-8"))
         for path in dumps.glob("modules-*.json")
     }
     router = processes.pop(server.process.pid)
     return router, list(processes.values())
+
+
+def _boot_modules(
+    tmp_path: Path, *args: object, drive: Callable[[int], None] | None = None
+) -> tuple[set[str], list[set[str]]]:
+    """Boot ``repro serve``, run ``drive(port)``, stop it; each process's modules."""
+    router, workers = _boot_dumps(tmp_path, *args, drive=drive)
+    return set(router["modules"]), [set(worker["modules"]) for worker in workers]
 
 
 class TestImportBudget:
@@ -196,6 +255,31 @@ class TestImportBudget:
         assert snapshot.is_file()
         assert "repro.serialization" in modules
         assert _loaded(modules, FLAT_UNUSED) == []
+        # The cells were encoded by the exponential-histogram codec, and no
+        # wave or Count-Min codec came with it.
+        assert "repro.windows.exponential_histogram" in modules
+        assert _loaded(modules, OTHER_COUNTER_CODE) == []
+
+    def test_flat_server_routes_the_kernels_exactly_when_numba_imports(self, tmp_path):
+        # The kernel module is imported only where it runs, so a boot must
+        # still pick the kernels whenever numba is there to compile them.
+        dump, _ = _boot_dumps(
+            tmp_path, "--mode", "flat", "--journal-dir", tmp_path / "journal",
+            drive=_string_chunk_and_queries,
+        )
+        assert dump["use_kernels"] is HAVE_NUMBA
+        assert ("repro.windows._eh_kernels" in dump["modules"]) is HAVE_NUMBA
+
+    def test_hierarchical_server_imports_only_the_hierarchical_path(self, tmp_path):
+        modules, workers = _boot_modules(
+            tmp_path,
+            "--mode", "hierarchical", "--universe-bits", 8,
+            "--journal-dir", tmp_path / "journal",
+            drive=_hierarchical_chunk_and_queries,
+        )
+        assert workers == []
+        assert {"repro.queries.hierarchical", "repro.queries.heavy_hitters"} <= modules
+        assert _loaded(modules, HIERARCHICAL_UNUSED) == []
 
     def test_sharded_router_adds_only_the_router_and_worker_handles(self, tmp_path):
         modules, workers = _boot_modules(

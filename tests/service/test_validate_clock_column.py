@@ -1,4 +1,4 @@
-"""Pins of :func:`~repro.service.core.validate_clock_column`.
+"""Pins of :func:`~repro.service.validators.validate_clock_column`.
 
 Clock validation runs pre-ack on every ingest chunk, in the single-process
 service and in the shard router.  A chunk is rejected with
@@ -23,7 +23,7 @@ import math
 
 import pytest
 
-from repro.service.core import validate_clock_column
+from repro.service.validators import validate_clock_column
 from repro.service.errors import ClockRegressionError, IngestRejectedError
 
 LENGTHS = (1, 63, 64, 1024)
