@@ -48,15 +48,25 @@ from .config import ECMConfig, store_layout
 
 __all__ = ["CounterStore", "ObjectCounterStore", "build_store", "object_store", "store_layout"]
 
-#: Clock/value payload of a batched ingest: a NumPy array whose dtype
-#: round-trips the original scalars exactly, or a plain list holding the
-#: original Python objects (used for mixed int/float batches).
+#: Clock/value payload of a batched ingest.  The columnar store takes NumPy
+#: arrays: the clocks exactly, as int or float64 values, and integer
+#: weights.  The object store takes plain lists of the original Python
+#: objects, so a cell there keeps each clock as it came.
 RunPayload = np.ndarray | Sequence[Any]
 
-#: One hash row of a column-grouped batch:
-#: ``(row, run_columns, run_starts, run_stops, clocks, values)``.
+#: One hash row of a column-grouped batch: ``(row, run_columns, run_starts,
+#: run_stops, clocks, values, float_runs)``.  ``float_runs`` marks, for a
+#: float64 clock array made from a list of mixed clock types, the runs that
+#: hold a clock that is not an int; it is ``None`` when the clock array's
+#: dtype says it for every run.
 RowPayload = tuple[
-    int, Sequence[int], Sequence[int], Sequence[int], RunPayload, RunPayload | None
+    int,
+    Sequence[int],
+    Sequence[int],
+    Sequence[int],
+    RunPayload,
+    RunPayload | None,
+    np.ndarray | None,
 ]
 
 
@@ -90,15 +100,12 @@ class CounterStore(abc.ABC):
     def ingest_sorted_rows(self, payloads: Sequence[RowPayload]) -> None:
         """Ingest every hash row of one pre-validated, column-grouped batch.
 
-        Each payload is ``(row, run_columns, run_starts, run_stops, clocks,
-        values)``.  The caller (``ECMSketch.add_many``) has stably sorted the
-        batch by column, so ``clocks[start:stop]`` is the in-stream-order
-        arrival run of cell ``(row, run_columns[i])``.  ``clocks``/``values``
-        are either NumPy arrays whose dtype preserves the original scalars
-        exactly, or plain Python lists carrying the original objects
-        (mixed-type batches).  Zero values have already been dropped and
-        clock order has been validated.  Rows address disjoint cells, so
-        their order is immaterial.
+        Each payload is a :data:`RowPayload`.  The caller
+        (``ECMSketch.add_many``) has stably sorted the batch by column, so
+        ``clocks[start:stop]`` is the in-stream-order arrival run of cell
+        ``(row, run_columns[i])``.  Zero values have already been dropped,
+        weights are integers and clock order has been validated.  Rows
+        address disjoint cells, so their order is immaterial.
         """
 
     @abc.abstractmethod
@@ -196,7 +203,7 @@ class ObjectCounterStore(CounterStore):
         self._grid[row][column].add(clock, count)
 
     def ingest_sorted_rows(self, payloads: Sequence[RowPayload]) -> None:
-        for row, run_columns, run_starts, run_stops, clocks, values in payloads:
+        for row, run_columns, run_starts, run_stops, clocks, values, _ in payloads:
             clocks_list = clocks.tolist() if isinstance(clocks, np.ndarray) else clocks
             values_list = values.tolist() if isinstance(values, np.ndarray) else values
             row_counters = self._grid[row]

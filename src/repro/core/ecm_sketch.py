@@ -63,6 +63,8 @@ _SCALAR_RUN_LIMIT = 32
 #: NumPy dispatch and cell-dedup overheads of the vectorized pass only
 #: amortize past a few dozen items.  Both paths return identical estimates.
 _VECTORIZED_QUERY_CUTOFF = 32
+#: Largest weight: the columnar store counts arrivals in int64.
+_MAX_WEIGHT = (1 << 63) - 1
 
 
 def _as_list(column: Sequence[Any]) -> Sequence[Any]:
@@ -76,22 +78,24 @@ def _python_scalar(value: Any) -> Any:
 
 
 def _check_weight(value: Any) -> None:
-    """Reject a weight that is not a non-negative integer (a bool is not one)."""
+    """Reject a weight that is not a non-negative integer (a bool is not one)
+    or that does not fit int64."""
     if (
         type(value) is not int
         and (not isinstance(value, (int, np.integer)) or isinstance(value, bool))
-    ) or value < 0:
+    ) or not 0 <= value <= _MAX_WEIGHT:
         raise ConfigurationError(
             "ECM-sketches operate in the cash-register model: weights must be "
-            "non-negative integers, got %r" % (value,)
+            "non-negative integers below 2**63, got %r" % (value,)
         )
 
 
 def _check_weights(values: Sequence[int]) -> None:
-    """:func:`_check_weight` of every weight; an integer array checks its sign at once."""
+    """:func:`_check_weight` of every weight; an integer array checks its extremes."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        if values.size and values.min() < 0:
+        if values.size:
             _check_weight(values.min().item())
+            _check_weight(values.max().item())
         return
     for value in values:
         _check_weight(value)
@@ -249,6 +253,8 @@ class ECMSketch:
         _check_weight(value)
         if value == 0:
             return
+        clock = _python_scalar(clock)
+        value = _python_scalar(value)
         columns = self.hashes.hash_all(item)
         store = self._store
         for row, column in enumerate(columns):
@@ -335,12 +341,9 @@ class ECMSketch:
                 previous = clock
         if clocks_array is None:
             # Validated above, so the replay commits all or nothing too.
-            # `tolist` hands add() Python scalars, as the vector path stores.
             scalar_values = repeat(1) if values is None else _as_list(values)
             for item, clock, value in zip(_as_list(items), _as_list(clocks), scalar_values):
                 self.add(item, clock, value)
-            self._total_arrivals = _python_scalar(self._total_arrivals)
-            self._last_clock = _python_scalar(self._last_clock)
             return
 
         # Fingerprint each item once.  Integer NumPy arrays (the hierarchical
@@ -373,10 +376,12 @@ class ECMSketch:
 
         values_array = None if values is None else np.asarray(values)
         # A NumPy sort round-trip (`array[order].tolist()`) hands counters the
-        # exact original clock/value objects only when the array dtype did not
+        # exact original clock objects only when the array dtype did not
         # coerce anything — all-int and all-float lists survive, a mixed list
-        # is silently promoted to float64.  Fall back to Python indexing in
-        # the mixed case so batched state stays byte-identical to scalar.
+        # is silently promoted to float64.  The object store then takes the
+        # original objects by Python indexing, so each cell keeps its clocks
+        # as they came; the columnar store takes the exact float64 values
+        # and, per run, whether it holds a clock that is not an int.
         # (`set(map(type, ...))` runs the scan at C speed; an ndarray input
         # cannot mix scalar types, so it skips the scan entirely.)
         clocks_exact = (
@@ -384,18 +389,18 @@ class ECMSketch:
             or isinstance(clocks, np.ndarray)
             or set(map(type, clocks)) == {float}
         )
-        values_exact = (
-            values_array is None
-            or values_array.dtype.kind != "f"
-            or isinstance(values, np.ndarray)
-            or set(map(type, values)) == {float}
-        )
         store = self._store
         # The columnar store consumes the sorted clock/value arrays directly
         # (its vector path never materialises Python scalars); the object
         # store receives plain lists, exactly as the per-cell add_batch seam
-        # always has.  Mixed-type batches stay Python lists for both.
+        # always has.
         keep_arrays = store.prefers_arrays
+        float_clocks = None
+        if keep_arrays and not (clocks_exact and clocks_array.dtype.kind in "iuf"):
+            from ..windows.columnar_eh import exact_clocks
+
+            clocks_array, float_clocks = exact_clocks(clocks)
+            clocks_exact = True
         payloads = []
         for row in range(self.depth):
             arrival_columns = columns[row]
@@ -410,15 +415,18 @@ class ECMSketch:
                 sorted_clocks = [clocks[i] for i in order.tolist()]
             if values_array is None:
                 sorted_values = None
-            elif values_exact:
-                sorted_values = values_array[order] if keep_arrays else values_array[order].tolist()
             else:
-                sorted_values = [values[i] for i in order.tolist()]
+                sorted_values = values_array[order] if keep_arrays else values_array[order].tolist()
             run_starts = [0] + (np.flatnonzero(np.diff(sorted_columns)) + 1).tolist()
             run_stops = run_starts[1:] + [n]
             column_of_run = sorted_columns[run_starts].tolist()
+            float_runs = (
+                None
+                if float_clocks is None
+                else np.logical_or.reduceat(float_clocks[order], run_starts)
+            )
             payloads.append(
-                (row, column_of_run, run_starts, run_stops, sorted_clocks, sorted_values)
+                (row, column_of_run, run_starts, run_stops, sorted_clocks, sorted_values, float_runs)
             )
         # All rows in one store call: rows address disjoint cells, so the
         # columnar layout cascades the whole batch in a single pass.

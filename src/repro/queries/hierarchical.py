@@ -33,7 +33,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.config import CounterType, ECMConfig
-from ..core.ecm_sketch import ECMSketch
+from ..core.ecm_sketch import ECMSketch, _python_scalar
 from ..core.errors import ConfigurationError, EmptyStructureError, IncompatibleSketchError
 from ..windows.base import WindowModel
 from .dyadic import children_of, dyadic_cover, prefix_of, validate_universe_bits
@@ -120,6 +120,8 @@ class HierarchicalECMSketch:
                 "key must be an integer in [0, %d), got %r" % (self.universe_size, key)
             )
         key = int(key)
+        clock = _python_scalar(clock)
+        value = _python_scalar(value)
         for level, sketch in enumerate(self._levels):
             sketch.add(prefix_of(key, level), clock, value)
         self._total_arrivals += value

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 from .core.config import CounterType, ECMConfig
 from .core.ecm_sketch import ECMSketch
 from .core.errors import ConfigurationError
-from .windows.base import WindowModel
+from .windows.base import WindowModel, is_int_clock
 
 if TYPE_CHECKING:
     # Imported where a structure of their type is (de)serialized: flat
@@ -124,6 +124,9 @@ def histogram_to_dict(histogram: ExponentialHistogram) -> dict[str, Any]:
 def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
     """Rebuild an exponential histogram serialized by :func:`histogram_to_dict`.
 
+    A payload holding any clock that is not an int loads float, as the
+    histogram would have been promoted by it (older payloads could mix).
+
     Raises :class:`ConfigurationError` for buckets no exponential histogram
     can hold: a size that is not a positive power of two, or a size-1 bucket
     whose ``start`` and ``end`` differ.
@@ -138,6 +141,8 @@ def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
     )
     # Restore the bucket list verbatim instead of replaying arrivals: the
     # structure on the wire is already the structure we want in memory.
+    last_clock = payload["last_clock"]
+    int_clocks = last_clock is None or is_int_clock(last_clock)
     for size, start, end in payload["buckets"]:
         if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size <= 0 or size & (size - 1):
             raise ConfigurationError(
@@ -153,8 +158,11 @@ def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
             histogram._levels.append(deque())
         histogram._levels[level].append(Bucket(size=int(size), start=start, end=end))
         histogram._in_window_upper += int(size)
+        int_clocks = int_clocks and is_int_clock(start) and is_int_clock(end)
     histogram._total_arrivals = int(payload["total_arrivals"])
-    histogram._last_clock = payload["last_clock"]
+    histogram._last_clock = last_clock
+    if not int_clocks:
+        histogram._promote()
     return histogram
 
 

@@ -53,11 +53,11 @@ def validate_clock_column(clocks: Sequence[float], previous: float | None) -> No
 
 
 def validate_values_column(values: Sequence[int]) -> None:
-    """Reject anything but non-negative integers in a values column."""
+    """Reject anything but non-negative integers that fit int64 in a values column."""
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 63:
             raise IngestRejectedError(
-                "values must be non-negative integers, got %r" % (value,)
+                "values must be non-negative integers below 2**63, got %r" % (value,)
             )
 
 

@@ -21,9 +21,10 @@ forms) byte-identical to the reference.
 ``nopython`` constraints shaped these functions: no ``None``, no Python
 objects, fixed-dtype arrays only, and per-cell scratch buffers allocated with
 ``np.empty`` inside the loop (numba supports allocation in nopython mode).
-They read bucket sizes from the level index (``2**level``) and never touch
-the per-bucket int/float flag pools; the store keeps mixed-clock expiry on
-its NumPy sweep, and its batched ingest never cascades a mixed-clock store.
+They read bucket sizes from the level index (``2**level``).  Clock types
+need no kernel work: the pools hold every clock as float64, and a cell's
+int or float type is one flag of the store (set on a cell's first clock
+that is not an int), so cells of both types cascade and expire here.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def expire_cells(  # pragma: no cover - measured via the equivalence suite
     candidates: np.ndarray,
     thresholds: np.ndarray,
 ) -> None:
-    """Prefix-drop expiry sweep over candidate cells (no flag pools).
+    """Prefix-drop expiry sweep over candidate cells.
 
     Candidate ``i`` drops the buckets whose end is at most ``thresholds[i]``.
     Within one ``(cell, level)`` the buckets are time-ordered, so the expired

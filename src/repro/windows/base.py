@@ -35,6 +35,7 @@ __all__ = [
     "validate_epsilon",
     "validate_delta",
     "validate_window",
+    "is_int_clock",
 ]
 
 
@@ -46,6 +47,18 @@ class WindowModel(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+def is_int_clock(value: object) -> bool:
+    """True when ``value`` is an integer clock (a ``bool`` is not one).
+
+    An exponential histogram keeps its clocks as ints while every clock it
+    took is one, and as floats from its first other clock on.
+    """
+    kind = type(value)
+    if kind is int or kind is float:  # the common cases, without the ABC check
+        return kind is int
+    return isinstance(value, numbers.Integral) and kind is not bool
 
 
 def _require_real(value: object, name: str) -> None:

@@ -19,6 +19,9 @@ shared NumPy arrays::
     uppers     int64   (cells,)          sum of live bucket sizes
     oldest_end float64 (cells,)          lower bound on the oldest live
                                          bucket end (+inf when empty)
+    last_clock float64 (cells,)          clock of the latest arrival
+                                         (NaN before the first)
+    is_float   bool    (cells,)          the cell's clocks are floats
 
 ``cells`` indexes the grid row-major (``row * width + column``).  The slot
 arrays are a *row pool*: one row holds the buckets of one ``(cell, level)``,
@@ -42,7 +45,7 @@ capacity is never paged in, and a growth copies it into the larger pool a
 chunk at a time, handing each copied stretch of the old mapping back to the
 kernel.  A growth then peaks at the new pool's rows in use plus one chunk,
 and outgrown pools leave no free holes in the heap.  A store holds at most
-two mappings (four once its clocks mix).  Smaller pools, platforms without
+two mappings.  Smaller pools, platforms without
 ``MAP_PRIVATE`` or ``madvise``, and refused mappings use ordinary heap
 arrays.
 
@@ -53,12 +56,12 @@ replay-based merges, serialization of those), and
 :func:`repro.serialization.histogram_from_dict` rejects wire payloads that
 break it.
 
-Clock int-ness is different: a live stream may mix int and float clocks, and
-serialization must emit each one as it arrived.  A stream that uses one kind
-keeps it as a store-wide mode; the first mix materialises per-bucket
-``start_int``/``end_int`` flag arrays, which the vector cascade does not
-write, so batched ingests of that store replay through the reference
-(materialise -> ``add_batch`` -> reload).
+Clock types follow one rule per cell, the reference histogram's: a cell's
+clocks are ints until it takes a clock that is not an int, and floats from
+then on.  The pools hold every clock as float64 (exact under the ``2**53``
+guard), and ``is_float`` says how a cell's clocks serialize, so a cell that
+turns float changes one flag and no bucket; batched ingests cascade every
+cell the same way, whatever its clock type.
 
 The three hot loops — the deferred ingest cascade, the expire/compaction
 sweep and the multi-cell point-query walk — have two implementations: the
@@ -84,7 +87,6 @@ import importlib.util
 import math
 import mmap
 import numbers
-import sys
 from collections import deque
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
@@ -93,12 +95,18 @@ import numpy as np
 
 from ..core.counter_store import CounterStore, RowPayload
 from ..core.errors import ConfigurationError, OutOfOrderArrivalError
-from .base import SlidingWindowCounter, WindowModel, validate_epsilon, validate_window
+from .base import (
+    SlidingWindowCounter,
+    WindowModel,
+    is_int_clock,
+    validate_epsilon,
+    validate_window,
+)
 
 if TYPE_CHECKING:
     from .exponential_histogram import ExponentialHistogram
 
-__all__ = ["ColumnarEHStore", "USE_KERNELS"]
+__all__ = ["ColumnarEHStore", "USE_KERNELS", "exact_clocks"]
 
 
 def _kernels_compiled() -> bool:
@@ -146,14 +154,6 @@ _WEIGHTED_CASCADE_MIN = 128
 #: Units one round of the batched ingest expands at most, so its temporaries
 #: follow this budget rather than the total weight of a batch.
 _ROUND_UNITS = 1 << 16
-
-#: Store-wide clock modes: every clock so far was an int / was a float; the
-#: store is empty; or the stream mixed both and per-bucket flag arrays are
-#: authoritative.
-_MODE_FLOAT = 0
-_MODE_INT = 1
-_MODE_UNSET = 2
-_MODE_MIXED = -1
 
 #: Pools of at least this many bytes get their own anonymous mapping:
 #: glibc's default mmap threshold, below which ``malloc`` serves the heap.
@@ -209,10 +209,34 @@ def _move_grid(source: np.ndarray, target: np.ndarray, rows: int) -> None:
             released = done
 
 
-def _is_int_clock(value: Any) -> bool:
-    """True when ``value`` should serialize as a JSON integer (like the
-    reference layout, which stores the original Python object verbatim)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _exact_float(value: Any) -> float:
+    """Exact float64 representation of a clock, or a clear error."""
+    if type(value) is float:
+        return value
+    try:
+        as_float = float(value)
+    except OverflowError:
+        as_float = math.nan
+    if isinstance(value, numbers.Integral):
+        exact = as_float == as_float and int(as_float) == int(value)
+    else:
+        exact = as_float == value
+    if not exact:
+        raise ConfigurationError(
+            "the columnar layout requires clocks exactly representable "
+            "as float64; got %r" % (value,)
+        )
+    return as_float
+
+
+def exact_clocks(clocks: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+    """A clock list of mixed types as the store takes it: its exact float64
+    values, and which of them are not ints (the clocks that turn a cell
+    float)."""
+    return (
+        np.array([_exact_float(clock) for clock in clocks], dtype=np.float64),
+        np.array([not is_int_clock(clock) for clock in clocks], dtype=bool),
+    )
 
 
 def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,20 +301,16 @@ class ColumnarEHStore(CounterStore):
         self._totals = np.zeros(cells, dtype=np.int64)
         self._uppers = np.zeros(cells, dtype=np.int64)
         self._oldest_end = np.full(cells, np.inf, dtype=np.float64)
-        #: Exact clock of the most recent arrival per cell, kept as the
-        #: original Python object so serialization emits it verbatim.
-        self._last_clocks: list[float | None] = [None] * cells
-        #: Per-bucket int/float clock flags; unallocated until the clocks mix.
-        self._start_int: np.ndarray | None = None
-        self._end_int: np.ndarray | None = None
-        self._flag_mode = _MODE_UNSET
+        #: Clock of the most recent arrival per cell; NaN before the first.
+        self._last_clocks = np.full(cells, np.nan, dtype=np.float64)
+        #: Whether each cell's clocks are floats: set by the cell's first
+        #: clock that is not an int, never cleared.
+        self._is_float = np.zeros(cells, dtype=bool)
 
     # ------------------------------------------------------------------ growth
     def _slot_arrays(self) -> list[np.ndarray]:
-        """Every allocated ``(rows, slots)`` pool array."""
-        if self._start_int is None or self._end_int is None:
-            return [self._starts, self._ends]
-        return [self._starts, self._ends, self._start_int, self._end_int]
+        """Both ``(rows, slots)`` pool arrays."""
+        return [self._starts, self._ends]
 
     def _ensure_level(self, level: int) -> None:
         # Exactly the levels the deepest cell reached.  A new level is one
@@ -332,9 +352,7 @@ class ColumnarEHStore(CounterStore):
             target = _zeroed_grid((capacity, slots), array.dtype)
             _move_grid(array, target, self._next_row)
             grown.append(target)
-        self._starts, self._ends = grown[0], grown[1]
-        if self._start_int is not None:
-            self._start_int, self._end_int = grown[2], grown[3]
+        self._starts, self._ends = grown
         self._slots = slots
 
     def _claim_row(self, cell: int, level: int) -> int:
@@ -359,52 +377,13 @@ class ColumnarEHStore(CounterStore):
             self._next_row = first + claimed
         return rows
 
-    # ------------------------------------------------------------ clock flags
-    def _materialize_flags(self) -> None:
-        """Materialise the per-bucket int/float flag arrays (mixed clocks)."""
-        if self._start_int is not None:
-            return
-        shape = self._starts.shape
-        self._start_int = _zeroed_grid(shape, np.dtype(bool))
-        self._end_int = _zeroed_grid(shape, np.dtype(bool))
-        if self._flag_mode == _MODE_INT:
-            # Later writes set their own flags: only the rows in use need
-            # the store-wide mode, and the unused capacity stays untouched.
-            self._start_int[: self._next_row] = True
-            self._end_int[: self._next_row] = True
-        self._flag_mode = _MODE_MIXED
-
-    def _note_clock_flag(self, is_int: bool) -> None:
-        """Record one clock's int-ness in the store-wide mode."""
-        if self._flag_mode == _MODE_UNSET:
-            self._flag_mode = _MODE_INT if is_int else _MODE_FLOAT
-        elif self._flag_mode == (_MODE_FLOAT if is_int else _MODE_INT):
-            self._materialize_flags()
-
     # ------------------------------------------------------------- clock maths
-    def _clock_to_float(self, value: Any) -> float:
-        """Exact float64 representation of a clock, or a clear error."""
-        if type(value) is float:
-            return value
-        try:
-            as_float = float(value)
-        except OverflowError as exc:
-            raise ConfigurationError(
-                "the columnar layout requires clocks exactly representable "
-                "as float64; got %r" % (value,)
-            ) from exc
-        if isinstance(value, numbers.Integral):
-            if int(as_float) != int(value):
-                raise ConfigurationError(
-                    "the columnar layout requires clocks exactly representable "
-                    "as float64; got %r" % (value,)
-                )
-        elif as_float != value:
-            raise ConfigurationError(
-                "the columnar layout requires clocks exactly representable "
-                "as float64; got %r" % (value,)
-            )
-        return as_float
+    def _last_clock(self, cell: int) -> float | None:
+        """The latest clock of ``cell`` as its clock type prints it."""
+        last = float(self._last_clocks[cell])
+        if last != last:
+            return None
+        return last if self._is_float[cell] else int(last)
 
     @staticmethod
     def _require_exact_ints(clocks: np.ndarray) -> None:
@@ -436,28 +415,28 @@ class ColumnarEHStore(CounterStore):
         if count == 0:
             return
         cell = row * self.width + column
-        last = self._last_clocks[cell]
-        if last is not None and clock < last:
+        clock_f = _exact_float(clock)
+        if clock_f < self._last_clocks[cell]:
             raise OutOfOrderArrivalError(
-                "arrival clock %r is older than the previous arrival %r" % (clock, last)
+                "arrival clock %r is older than the previous arrival %r"
+                % (clock, self._last_clock(cell))
             )
-        clock_f = self._clock_to_float(clock)
-        is_int = _is_int_clock(clock)
-        self._note_clock_flag(is_int)
-        if count >= _WEIGHTED_CASCADE_MIN and self._start_int is None:
+        if not is_int_clock(clock):
+            self._is_float[cell] = True
+        if count >= _WEIGHTED_CASCADE_MIN:
             # One arrival, as a one-arrival run of the segmented cascade.
             self._ingest_runs(
                 np.array([cell]), np.array([clock_f]), np.array([0, 1]), np.array([count])
             )
         else:
-            # Light weights and per-bucket clock flags insert unit by unit.
+            # Light weights insert unit by unit.
             self._totals[cell] += count
             for _ in range(count):
-                self._insert_unit(cell, clock_f, is_int)
+                self._insert_unit(cell, clock_f)
             self._expire_cell(cell, clock_f)
-        self._last_clocks[cell] = clock
+            self._last_clocks[cell] = clock_f
 
-    def _insert_unit(self, cell: int, clock_f: float, is_int: bool) -> None:
+    def _insert_unit(self, cell: int, clock_f: float) -> None:
         """Append one unit bucket at level 0 and cascade overflowing levels."""
         counts = self._counts
         live = int(counts[cell, 0])
@@ -468,10 +447,6 @@ class ColumnarEHStore(CounterStore):
         starts, ends = self._starts, self._ends
         starts[row, live] = clock_f
         ends[row, live] = clock_f
-        start_flags, end_flags = self._start_int, self._end_int
-        if start_flags is not None and end_flags is not None:
-            start_flags[row, live] = is_int
-            end_flags[row, live] = is_int
         live += 1
         counts[cell, 0] = live
         self._uppers[cell] += 1
@@ -481,15 +456,10 @@ class ColumnarEHStore(CounterStore):
         if live <= max_per:
             return
         level = 0
-        shift_arrays = self._slot_arrays()
         while live > max_per:
             merged_start = starts[row, 0]
             merged_end = ends[row, 1]
-            if start_flags is not None and end_flags is not None:
-                merged_start_int = start_flags[row, 0]
-                merged_end_int = end_flags[row, 1]
-            for array in shift_arrays:
-                view = array[row]
+            for view in (starts[row], ends[row]):
                 view[: live - 2] = view[2:live]
             counts[cell, level] = live - 2
             level += 1
@@ -503,13 +473,8 @@ class ColumnarEHStore(CounterStore):
                 self._ensure_slots(live + 1)
                 row = row or self._claim_row(cell, level)
                 starts, ends = self._starts, self._ends
-                start_flags, end_flags = self._start_int, self._end_int
-                shift_arrays = self._slot_arrays()
             starts[row, live] = merged_start
             ends[row, live] = merged_end
-            if start_flags is not None and end_flags is not None:
-                start_flags[row, live] = merged_start_int
-                end_flags[row, live] = merged_end_int
             live += 1
             counts[cell, level] = live
 
@@ -548,82 +513,39 @@ class ColumnarEHStore(CounterStore):
         Rows address disjoint cell ranges, so their column-grouped runs can
         be concatenated into one run list and cascaded together — this is
         where the columnar layout pays off: one pass over shared arrays
-        instead of ``depth`` separate passes.
+        instead of ``depth`` separate passes.  A float clock array turns
+        the cells of its runs float: all of them, or only those of the runs
+        ``float_runs`` marks.
         """
-        vector_rows: list[RowPayload] = []
-        slow_rows: list[RowPayload] = []
-        int_flag: bool | None = None
-        for payload in payloads:
-            clocks, values = payload[4], payload[5]
-            vector_ready = (
-                isinstance(clocks, np.ndarray)
-                and clocks.dtype.kind in "iuf"
-                and (
-                    values is None
-                    or (isinstance(values, np.ndarray) and values.dtype.kind in "iu")
-                )
-            )
-            if vector_ready:
-                assert isinstance(clocks, np.ndarray)
-                flag = clocks.dtype.kind in "iu"
-                if self._flag_mode not in (_MODE_UNSET, _MODE_INT if flag else _MODE_FLOAT):
-                    vector_ready = False  # mixed-clock store: flags per bucket
-                elif int_flag is None:
-                    int_flag = flag
-                elif int_flag != flag:
-                    vector_ready = False  # rows of one batch share their dtype
-            if vector_ready:
-                vector_rows.append(payload)
-            else:
-                slow_rows.append(payload)
-        for row, run_columns, run_starts, run_stops, clocks, values in slow_rows:
-            base = row * self.width
-            clocks_list = clocks.tolist() if isinstance(clocks, np.ndarray) else clocks
-            values_list = values.tolist() if isinstance(values, np.ndarray) else values
-            for column, start, stop in zip(run_columns, run_starts, run_stops, strict=False):
-                self._fallback_run(
-                    base + column,
-                    clocks_list[start:stop],
-                    None if values_list is None else values_list[start:stop],
-                )
-        if not vector_rows:
-            return
-        assert int_flag is not None
-        first_clocks = vector_rows[0][4]
-        assert isinstance(first_clocks, np.ndarray)
-        if int_flag:
-            self._require_exact_ints(first_clocks)
-        self._note_clock_flag(int_flag)
         cell_blocks = []
         offset_blocks = [np.zeros(1, dtype=np.int64)]
         clock_blocks = []
-        value_blocks = [] if vector_rows[0][5] is not None else None
+        value_blocks = []
+        float_blocks = []
         shift = 0
-        for row, run_columns, run_starts, run_stops, clocks, values in vector_rows:
-            cell_blocks.append(row * self.width + np.asarray(run_columns, dtype=np.int64))
+        for row, run_columns, run_starts, run_stops, clocks, values, float_runs in payloads:
+            assert isinstance(clocks, np.ndarray)
+            cells = row * self.width + np.asarray(run_columns, dtype=np.int64)
+            if clocks.dtype.kind in "iu":
+                self._require_exact_ints(clocks)
+            else:
+                float_blocks.append(cells if float_runs is None else cells[float_runs])
+            cell_blocks.append(cells)
             block = np.asarray(list(run_starts[1:]) + [run_stops[-1]], dtype=np.int64)
             offset_blocks.append(block + shift)
             shift += int(run_stops[-1])
-            clock_blocks.append(np.asarray(clocks))
-            if value_blocks is not None:
-                value_blocks.append(np.asarray(values))
+            clock_blocks.append(clocks)
+            value_blocks.append(values)
+        if not cell_blocks:
+            return
         self._ingest_runs(
             np.concatenate(cell_blocks),
             np.concatenate(clock_blocks),
             np.concatenate(offset_blocks),
-            None if value_blocks is None else np.concatenate(value_blocks),
+            None if value_blocks[0] is None else np.concatenate(value_blocks),
         )
-
-    def _fallback_run(
-        self, cell: int, clocks: Sequence[float], values: Sequence[int] | None
-    ) -> None:
-        """Replay one run through the reference EH (materialise, ``add_batch``,
-        reload).  Only runs of a mixed int/float-clock store and payloads
-        that are not clock arrays with int weights (mixed-type lists, float
-        weights) reach it; no served workload sends either."""
-        histogram = self._materialize(cell)
-        histogram.add_batch(clocks, values, assume_ordered=True)
-        self._load_cell(cell, histogram)
+        if float_blocks:
+            self._is_float[np.concatenate(float_blocks)] = True
 
     def _ingest_runs(
         self,
@@ -736,9 +658,7 @@ class ColumnarEHStore(CounterStore):
             if not left.any():
                 break
             run_cells, low, high, done = (array[left] for array in (run_cells, low, high, done))
-        last_clocks = self._last_clocks
-        for cell, value in zip(cells.tolist(), clocks[offsets[1:] - 1].tolist(), strict=False):
-            last_clocks[cell] = value
+        self._last_clocks[cells] = clocks_f[offsets[1:] - 1]
 
     def _deferred_cascade(
         self,
@@ -882,9 +802,7 @@ class ColumnarEHStore(CounterStore):
     def _expire_cells(self, candidates: np.ndarray, thresholds: np.ndarray) -> None:
         """Drop the buckets of each distinct candidate cell whose end is at
         most that cell's threshold, and refresh its ``oldest_end`` exactly."""
-        if USE_KERNELS and self._start_int is None:
-            # The kernel shifts the clock pools only; mixed-clock stores
-            # also shift their flag pools, which the NumPy sweep handles.
+        if USE_KERNELS:
             from ._eh_kernels import expire_cells
 
             expire_cells(
@@ -946,8 +864,7 @@ class ColumnarEHStore(CounterStore):
     ) -> float:
         cell = row * self.width + column
         if now is None:
-            last = self._last_clocks[cell]
-            now = last if last is not None else 0.0
+            now = self._last_clock(cell) or 0.0
         start = self._query_start(range_length, now)
         # One cell holds a handful of live levels: walk them in Python.
         # Ends (and starts) rise within a level, so its in-window buckets
@@ -1039,31 +956,27 @@ class ColumnarEHStore(CounterStore):
         rows = self._row_map[cell]
         live_levels = np.flatnonzero(counts)
         used = int(live_levels[-1]) + 1 if live_levels.size else 0
-        uniform_int = self._flag_mode == _MODE_INT
+        is_float = bool(self._is_float[cell])
         levels: list[deque] = []
         for level in range(used):
-            bucket_deque: deque = deque()
             live = int(counts[level])
-            if live:
-                row = rows[level]
-                starts = self._starts[row, :live].tolist()
-                ends = self._ends[row, :live].tolist()
-                size = 1 << level
-                if self._start_int is None:
-                    start_ints = [uniform_int] * live
-                    end_ints = start_ints
-                else:
-                    start_ints = self._start_int[row, :live].tolist()
-                    end_ints = self._end_int[row, :live].tolist()
-                for j in range(live):
-                    start = int(starts[j]) if start_ints[j] else starts[j]
-                    end = int(ends[j]) if end_ints[j] else ends[j]
-                    bucket_deque.append(Bucket(size, start, end))
-            levels.append(bucket_deque)
+            row = rows[level]
+            starts = self._starts[row, :live]
+            ends = self._ends[row, :live]
+            if not is_float:
+                starts, ends = starts.astype(np.int64), ends.astype(np.int64)
+            size = 1 << level
+            levels.append(
+                deque(
+                    Bucket(size, start, end)
+                    for start, end in zip(starts.tolist(), ends.tolist(), strict=True)
+                )
+            )
         histogram._levels = levels
         histogram._total_arrivals = int(self._totals[cell])
         histogram._in_window_upper = int(self._uppers[cell])
-        histogram._last_clock = self._last_clocks[cell]
+        histogram._last_clock = self._last_clock(cell)
+        histogram._float_clocks = is_float
         return histogram
 
     def set_counter(self, row: int, column: int, counter: SlidingWindowCounter) -> None:
@@ -1089,18 +1002,8 @@ class ColumnarEHStore(CounterStore):
         # Sizes are implied by the level index: ``histogram`` must hold
         # exactly 2**l arrivals per level-l bucket, as every histogram this
         # codebase builds (or decodes) does.
+        # Its clocks are of one type, which ``_float_clocks`` names.
         levels = histogram._levels
-        if self._start_int is None:
-            for bucket_deque in levels:
-                for bucket in bucket_deque:
-                    self._note_clock_flag(_is_int_clock(bucket.start))
-                    if self._start_int is not None:
-                        break
-                    self._note_clock_flag(_is_int_clock(bucket.end))
-                    if self._start_int is not None:
-                        break
-                if self._start_int is not None:
-                    break
         self._counts[cell, :] = 0
         stored = [level for level, bucket_deque in enumerate(levels) if bucket_deque]
         if stored:
@@ -1110,17 +1013,15 @@ class ColumnarEHStore(CounterStore):
             bucket_deque = levels[level]
             row = int(self._row_map[cell, level]) or self._claim_row(cell, level)
             starts, ends = self._starts[row], self._ends[row]
-            start_flags, end_flags = self._start_int, self._end_int
             for slot, bucket in enumerate(bucket_deque):
-                starts[slot] = self._clock_to_float(bucket.start)
-                ends[slot] = self._clock_to_float(bucket.end)
-                if start_flags is not None and end_flags is not None:
-                    start_flags[row, slot] = _is_int_clock(bucket.start)
-                    end_flags[row, slot] = _is_int_clock(bucket.end)
+                starts[slot] = _exact_float(bucket.start)
+                ends[slot] = _exact_float(bucket.end)
             self._counts[cell, level] = len(bucket_deque)
         self._totals[cell] = int(histogram.total_arrivals())
         self._uppers[cell] = int(histogram.arrivals_in_window_upper_bound())
-        self._last_clocks[cell] = histogram.last_clock
+        last = histogram.last_clock
+        self._last_clocks[cell] = math.nan if last is None else _exact_float(last)
+        self._is_float[cell] = histogram._float_clocks
         self._recompute_oldest_end(cell)
 
     # -------------------------------------------------------------- accounting
@@ -1133,8 +1034,8 @@ class ColumnarEHStore(CounterStore):
         return int(self._counts.sum())
 
     def memory_bytes(self) -> int:
-        """Bytes the store occupies: the pool rows handed out, the per-cell
-        metadata arrays and the last-clock list.
+        """Bytes the store occupies: the pool rows handed out and the
+        per-cell metadata arrays.
 
         A pool's spare capacity is not counted.  No read or write reaches
         it, so a mapped pool never pages it in, and a heap pool (under
@@ -1143,9 +1044,16 @@ class ColumnarEHStore(CounterStore):
         rows_bytes = sum(
             self._next_row * array.shape[1] * array.itemsize for array in self._slot_arrays()
         )
-        arrays = [self._row_map, self._counts, self._totals, self._uppers, self._oldest_end]
-        array_bytes = sum(array.nbytes for array in arrays)
-        return rows_bytes + int(array_bytes) + sys.getsizeof(self._last_clocks)
+        arrays = [
+            self._row_map,
+            self._counts,
+            self._totals,
+            self._uppers,
+            self._oldest_end,
+            self._last_clocks,
+            self._is_float,
+        ]
+        return rows_bytes + sum(array.nbytes for array in arrays)
 
     def synopsis_bytes(self) -> int:
         """Paper-model footprint: identical to the object layout's report."""

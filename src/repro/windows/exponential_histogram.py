@@ -21,6 +21,11 @@ buckets are stored in per-size-class deques (level ``i`` holds only buckets of
 size ``2**i``), which gives constant-time merges and random access to levels.
 Both time-based and count-based windows are supported through the common
 :class:`~repro.windows.base.SlidingWindowCounter` clock abstraction.
+
+A histogram keeps its clocks as they came while every clock it took is an
+int.  Its first other clock turns it float for good: that clock and every
+stored and later clock become Python floats, so a serialized histogram
+holds one clock type.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from ..core.errors import ConfigurationError
-from .base import SlidingWindowCounter, WindowModel, validate_epsilon
+from .base import SlidingWindowCounter, WindowModel, is_int_clock, validate_epsilon
 
 __all__ = ["Bucket", "ExponentialHistogram"]
 
@@ -99,6 +104,8 @@ class ExponentialHistogram(SlidingWindowCounter):
         self._levels: list[deque[Bucket]] = []
         self._total_arrivals = 0
         self._in_window_upper = 0  # sum of all bucket sizes currently stored
+        #: Set by the first clock that is not an int: every clock is a float.
+        self._float_clocks = False
         # Memoized newest-first bucket view: every estimate() walks the
         # buckets in time order, and rebuilding + sorting that list per query
         # dominates the read path (heavy-hitter descents, ||a_r||_1 scans).
@@ -114,6 +121,10 @@ class ExponentialHistogram(SlidingWindowCounter):
             return
         self._newest_first_cache = None
         self._advance_clock(clock)
+        if not self._float_clocks and not is_int_clock(clock):
+            self._promote()
+        if self._float_clocks:
+            clock = self._last_clock = float(clock)
         self._total_arrivals += count
         for _ in range(count):
             self._insert_unit(clock)
@@ -139,6 +150,7 @@ class ExponentialHistogram(SlidingWindowCounter):
         if not len(clocks):
             return
         self._validate_batch(clocks, counts, assume_ordered)
+        clocks = self._kept_clocks(clocks, counts)
         self._newest_first_cache = None
         levels = self._levels
         max_per = self._max_per_level
@@ -222,6 +234,32 @@ class ExponentialHistogram(SlidingWindowCounter):
             self._total_arrivals = total
             self._in_window_upper = upper
 
+    def _kept_clocks(
+        self, clocks: Sequence[float], counts: Sequence[int] | None
+    ) -> Sequence[float]:
+        """A validated run's clocks as :meth:`add` keeps them: as they came
+        while every clock is an int, else as Python floats, promoting the
+        histogram first.  A zero-weight arrival promotes nothing, as in
+        :meth:`add`."""
+        if not self._float_clocks:
+            weighed = clocks if counts is None else [c for c, n in zip(clocks, counts) if n]
+            if all(map(is_int_clock, weighed)):
+                return clocks
+            self._promote()
+        if set(map(type, clocks)) == {float}:
+            return clocks
+        return [float(clock) for clock in clocks]
+
+    def _promote(self) -> None:
+        """Turn the histogram float for good: every stored clock becomes a float."""
+        self._float_clocks = True
+        for level in self._levels:
+            for bucket in level:
+                bucket.start = float(bucket.start)
+                bucket.end = float(bucket.end)
+        if self._last_clock is not None:
+            self._last_clock = float(self._last_clock)
+
     def _add_unit_run(self, clocks: Sequence[float]) -> None:
         """Insert a pre-validated run of unit arrivals that triggers no expiry.
 
@@ -271,9 +309,9 @@ class ExponentialHistogram(SlidingWindowCounter):
         equivalent to the scalar path when (a) the histogram holds no live
         bucket, so every expiry decision during the run concerns run-created
         buckets only, and (b) nothing created by the run can expire before the
-        run ends.  The expansion itself must also be *exact*: an integer clock
-        that a NumPy round-trip would coerce to float would serialize
-        differently, so mixed-type clock lists fall back to the scalar loop.
+        run ends.  The expansion itself must also be *exact*: the run holds
+        one clock type (:meth:`_kept_clocks`), and object-dtype clocks fall
+        back to the scalar loop.
 
         Returns:
             The per-unit clock array (possibly empty, for an all-zero run), or
@@ -290,10 +328,7 @@ class ExponentialHistogram(SlidingWindowCounter):
             # structure instead.
             return None
         clocks_array = np.asarray(clocks)
-        if clocks_array.dtype.kind == "f":
-            if not all(type(c) is float for c in clocks):
-                return None
-        elif clocks_array.dtype.kind not in "iu":
+        if clocks_array.dtype.kind not in "iuf":
             # Object-dtype clocks (huge ints, Decimal, ...) would not survive
             # the array round-trip; the scalar path handles them.
             return None

@@ -268,17 +268,23 @@ class TestECMSketchBatchEquivalence:
         batched.add_many(items, clocks)
         assert dumps(scalar) == dumps(batched)
 
-    def test_mixed_int_float_clocks_stay_byte_identical(self):
-        # np.asarray would promote a mixed clock list to float64; the batched
-        # path must still hand counters the original int/float objects.
-        scalar = ECMSketch.for_point_queries(epsilon=0.1, delta=0.1, window=1e6)
-        batched = ECMSketch.for_point_queries(epsilon=0.1, delta=0.1, window=1e6)
+    @pytest.mark.parametrize("layout", ["columnar", "object"])
+    def test_mixed_int_float_clocks_stay_byte_identical(self, layout):
+        # np.asarray would promote a mixed clock list to float64; a cell that
+        # took only int clocks must still print them as ints.  NumPy scalar
+        # clocks store as the Python scalars a batch stores.
+        import numpy as np
+
+        config = ECMSketch.for_point_queries(epsilon=0.1, delta=0.1, window=1e6).config
+        make = ECMSketch if layout == "columnar" else ECMSketch._on_object_store
+        scalar, batched = make(config), make(config)
         items = ["x", "y", "x", "z"]
         clocks = [1, 2.5, 7, 9]
         for item, clock in zip(items, clocks, strict=False):
-            scalar.add(item, clock)
+            scalar.add(item, np.int64(clock) if type(clock) is int else np.float64(clock))
         batched.add_many(items, clocks)
         assert dumps(scalar) == dumps(batched)
+        assert type(scalar.last_clock) is int
 
     def test_add_batch_rejects_length_mismatch(self):
         histogram = ExponentialHistogram(epsilon=0.1, window=100.0)
@@ -368,7 +374,9 @@ class TestRejectedWeights:
 
     @pytest.mark.parametrize("layout", ["columnar", "object"])
     @pytest.mark.parametrize(
-        "bad", [1.5, 1.0, True, -1], ids=["float", "integral-float", "bool", "negative"]
+        "bad",
+        [1.5, 1.0, True, -1, 2**63],
+        ids=["float", "integral-float", "bool", "negative", "int64-overflow"],
     )
     def test_add_leaves_the_sketch_untouched(self, layout, bad):
         sketch = self._sketch(layout)
@@ -382,7 +390,9 @@ class TestRejectedWeights:
     @pytest.mark.parametrize(
         "length", [3, ecm_sketch_module._SCALAR_RUN_LIMIT + 8], ids=["scalar-run", "vector-run"]
     )
-    @pytest.mark.parametrize("bad", [1.5, True, -1], ids=["float", "bool", "negative"])
+    @pytest.mark.parametrize(
+        "bad", [1.5, True, -1, 2**63], ids=["float", "bool", "negative", "int64-overflow"]
+    )
     def test_add_many_leaves_the_sketch_untouched(self, layout, length, bad):
         # The bad weight comes last, after weights the store would accept.
         sketch = self._sketch(layout)
@@ -404,6 +414,20 @@ class TestRejectedWeights:
         length = ecm_sketch_module._SCALAR_RUN_LIMIT + 8
         with pytest.raises(ConfigurationError, match="non-negative integers"):
             sketch.add_many(["a"] * length, [float(i + 1) for i in range(length)], np.ones(length))
+        assert dumps(sketch) == before
+        assert sketch._total_arrivals == 3
+
+    @pytest.mark.parametrize("layout", ["columnar", "object"])
+    def test_add_many_rejects_a_uint64_array_beyond_int64(self, layout):
+        import numpy as np
+
+        sketch = self._sketch(layout)
+        before = dumps(sketch)
+        length = ecm_sketch_module._SCALAR_RUN_LIMIT + 8
+        values = np.ones(length, dtype=np.uint64)
+        values[-1] = 2**63
+        with pytest.raises(ConfigurationError, match="non-negative integers"):
+            sketch.add_many(["a"] * length, [float(i + 1) for i in range(length)], values)
         assert dumps(sketch) == before
         assert sketch._total_arrivals == 3
 

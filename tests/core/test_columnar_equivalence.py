@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import math
 import mmap
 import random
 import time
@@ -81,12 +82,19 @@ class _KernelSettingsCase:
 
 
 def _forbid_replay(monkeypatch) -> None:
-    """Fail the test if any run replays through the reference fallback."""
+    """Fail the test if a batched ingest replays a cell through the reference
+    (materialises it as an ``ExponentialHistogram``)."""
+    ingest = ColumnarEHStore.ingest_sorted_rows
 
-    def replay(self, cell, clocks, values):
-        raise AssertionError("cell %d replayed through the reference fallback" % cell)
+    def replay(cell):
+        raise AssertionError("cell %d replayed through the reference" % cell)
 
-    monkeypatch.setattr(ColumnarEHStore, "_fallback_run", replay)
+    def guarded(self, payloads):
+        with monkeypatch.context() as patch:
+            patch.setattr(self, "_materialize", replay)
+            ingest(self, payloads)
+
+    monkeypatch.setattr(ColumnarEHStore, "ingest_sorted_rows", guarded)
 
 
 def _assert_twins(reference: ECMSketch, columnar: ECMSketch, keys) -> None:
@@ -268,7 +276,8 @@ class TestDeterministicLifecycles(_KernelSettingsCase):
 class TestWirePayloads(_KernelSettingsCase):
     """Every bucket at level ``l`` holds ``2**l`` arrivals, so the columnar
     store implies sizes from levels.  Payloads breaking that are rejected
-    when decoded; mixed int/float clocks are legal and stay byte-identical."""
+    when decoded; a cell whose clocks mix int and float (written before a
+    cell's clocks took one type) loads float on both layouts."""
 
     def _load(self, layout: str, buckets: list, last_clock) -> ECMSketch:
         """Decode a payload whose cell ``(0, 0)`` holds ``buckets`` onto ``layout``."""
@@ -299,6 +308,9 @@ class TestWirePayloads(_KernelSettingsCase):
         columnar = self._load("columnar", buckets, 4)
         assert reference.backend == "object"
         assert dumps(reference) == dumps(columnar)
+        cell = ecm_sketch_to_dict(columnar)["counters"][0][0]
+        assert cell["buckets"] == [[2, 1.0, 2.5], [1, 4.0, 4.0]]
+        assert type(cell["last_clock"]) is float
         # Keep mutating the mixed-clock state: scalar, batched, expiry.
         for t in range(5, 40):
             for sketch in (reference, columnar):
@@ -320,6 +332,40 @@ class TestWirePayloads(_KernelSettingsCase):
             sketch.add("a", 8)
             sketch.add("a", 9.5)
         assert dumps(reference) == dumps(columnar)
+
+    def test_a_cell_turns_float_at_its_first_float_clock(self, monkeypatch):
+        """Only the cells that took a float clock print floats, and a store
+        holding both cell types stays on the vector cascade: a mixed batch
+        and a later pure-float batch reach ``_ingest_runs`` and materialise
+        no cell."""
+        reference, columnar = _pair(window=1e6)
+        store = _columnar_store(columnar)
+        for sketch in (reference, columnar):
+            sketch.add("k", 0)
+            sketch.add("k", 0.5)
+            sketch.add("j", 1)
+        row, column = 0, int(columnar.hashes.hash_all("j")[0])
+        if store._is_float[row * columnar.width + column]:
+            pytest.skip("'j' shares its row-0 cell with 'k'")
+        assert type(columnar.counter(row, column).last_clock) is int
+        assert store._is_float.sum() == columnar.depth
+        calls = {"_ingest_runs": 0, "_materialize": 0}
+        items = ["k%d" % (index % 7) for index in range(64)]
+        mixed = [2 + index if index % 3 else 2.25 + index for index in range(64)]
+        floats = [70.0 + 0.25 * index for index in range(64)]
+        with monkeypatch.context() as patch:
+            for name in calls:
+
+                def spy(self, *args, _name=name, _original=getattr(ColumnarEHStore, name)):
+                    calls[_name] += 1
+                    return _original(self, *args)
+
+                patch.setattr(ColumnarEHStore, name, spy)
+            for clocks in (mixed, floats):
+                for sketch in (reference, columnar):
+                    sketch.add_many(items, clocks)
+        assert calls == {"_ingest_runs": 2, "_materialize": 0}
+        _assert_twins(reference, columnar, ["k", "j"] + sorted(set(items)))
 
 
 class TestMemoryAccounting(_KernelSettingsCase):
@@ -474,7 +520,7 @@ class TestGridGrowth(_KernelSettingsCase):
         assert store._row_map.shape[1] == 2
         # ... and a batched run of 60 units two more through the vector
         # cascade, claiming rows at levels 0-3 of its cell.
-        store.ingest_sorted_rows([(1, [5], [0], [60], np.arange(10.0, 70.0), None)])
+        store.ingest_sorted_rows([(1, [5], [0], [60], np.arange(10.0, 70.0), None, None)])
         assert store._row_map.shape[1] == 4
         assert store._next_row == 1 + 2 + 4
         assert store._starts.shape == (capacity, slots)
@@ -548,7 +594,7 @@ class TestGridGrowth(_KernelSettingsCase):
                 sketch.add("k%d" % (t % 50), clock=2000.0 + t, value=1 + t % 3)
         for sketch in (reference, columnar):
             sketch.expire(2199.0 + WINDOW / 2)
-        # Mixed int/float clocks materialise the flag pools.
+        # Cells of both clock types share the pools.
         for sketch in (reference, columnar):
             sketch.add("hot", clock=2500)
             sketch.add_many(["hot", "k3"], [2501.5, 2502])
@@ -686,23 +732,34 @@ operation_strategy = st.lists(
 @pytest.mark.slow
 @pytest.mark.parametrize("use_kernels", [False, True], ids=["numpy", "kernels"])
 @settings(max_examples=40, deadline=None)
-@given(ops=operation_strategy, integer_clocks=st.booleans(), merge_at_end=st.booleans())
-def test_random_interleavings_stay_identical(use_kernels, ops, integer_clocks, merge_at_end):
+@given(
+    ops=operation_strategy,
+    clock_kind=st.sampled_from(["int", "float", "mixed"]),
+    merge_at_end=st.booleans(),
+)
+def test_random_interleavings_stay_identical(use_kernels, ops, clock_kind, merge_at_end):
     """Random add_many/expire/estimate/merge interleavings on both layouts
-    produce identical estimates, bucket counts and serialized state."""
+    produce identical estimates, bucket counts and serialized state, with
+    int, float or mixed clocks (cells turn float at their first float)."""
     with _kernels(use_kernels):
-        _random_interleaving(ops, integer_clocks, merge_at_end)
+        _random_interleaving(ops, clock_kind, merge_at_end)
 
 
-def _random_interleaving(ops, integer_clocks: bool, merge_at_end: bool) -> None:
+def _random_interleaving(ops, clock_kind: str, merge_at_end: bool) -> None:
     reference, columnar = _pair(epsilon=0.25, window=120.0)
     rng = random.Random(4242)
-    clock: float = 0 if integer_clocks else 0.0
+    clock: float = 0.0 if clock_kind == "float" else 0
 
     def advance(step_seed: int) -> float:
         nonlocal clock
-        gap = random.Random(step_seed).randrange(0, 12)
-        clock = clock + gap if integer_clocks else clock + gap + 0.5
+        step = random.Random(step_seed)
+        gap = step.randrange(0, 12)
+        # Mixed clocks are mostly ints, so cells that took only int clocks
+        # sit beside cells that turned float.
+        if clock_kind == "int" or (clock_kind == "mixed" and step.random() < 0.9):
+            clock = math.ceil(clock) + gap
+        else:
+            clock = clock + gap + 0.5
         return clock
 
     for op, op_seed in ops:

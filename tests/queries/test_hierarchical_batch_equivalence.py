@@ -100,16 +100,23 @@ class TestBatchedIngestEquivalence:
 
     def test_add_many_numpy_scalar_clocks_serialize(self):
         # A list assembled by iterating a NumPy array holds np.float64/np.int64
-        # scalars; the stack must normalise them before they reach counters.
+        # scalars; the stack must normalise them before they reach counters,
+        # in scalar adds as in batches.
         reference = make_stack(CounterType.EXPONENTIAL_HISTOGRAM, WindowModel.TIME_BASED)
         reference.add_many([1, 2], [1.0, 2.0], [1, 2])
+        reference.add(3, 2.5)
+        reference.add(4, 3, 2)
         stack = make_stack(CounterType.EXPONENTIAL_HISTOGRAM, WindowModel.TIME_BASED)
         stack.add_many(
             [1, 2],
             list(np.array([1.0, 2.0])),
             [np.int64(1), np.int64(2)],
         )
+        stack.add(3, np.float32(2.5))
+        stack.add(4, np.int64(3), np.int64(2))
         assert dumps(stack) == dumps(reference)
+        assert type(stack._last_clock) is int
+        assert type(stack.total_arrivals()) is int
 
     def test_add_many_validates_before_mutating(self):
         from repro.core.errors import ConfigurationError, OutOfOrderArrivalError

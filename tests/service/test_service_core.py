@@ -170,6 +170,20 @@ class TestIngestValidation:
 
         run(body())
 
+    def test_rejects_weights_beyond_int64_before_the_ack(self):
+        # Acked, a weight of 2**63 would reach the sketch with no client
+        # left to tell; the chunk is rejected and ingest carries on.
+        async def body():
+            async with SketchService(flat_config()) as service:
+                values = [1] * 39 + [2**63]
+                with pytest.raises(IngestRejectedError, match="2\\*\\*63"):
+                    await service.ingest(["k%d" % i for i in range(40)], [1.0] * 40, values=values)
+                await service.ingest(["a"], [2.0], values=[3])
+                await service.drain()
+                return service.records_ingested, service.state.total_arrivals()
+
+        assert run(body()) == (3, 3)
+
     def test_hierarchical_rejects_out_of_universe_keys(self):
         async def body():
             config = ServiceConfig(mode="hierarchical", universe_bits=4)

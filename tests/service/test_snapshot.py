@@ -18,6 +18,7 @@ import sqlite3
 import stat
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,13 @@ from repro.service.snapshot import (
 )
 from repro.streams import IntegerZipfTrace, WorldCupSyntheticTrace
 from repro.windows.base import WindowModel
-from repro.windows.columnar_eh import _MODE_MIXED
+
+#: A flat snapshot written when one EH cell could hold int and float clocks
+#: side by side (the store kept per-bucket clock types), from the chunks of
+#: :func:`_mixed_fixture_stream` with :data:`_MIXED_FIXTURE_CONFIG`, through
+#: ``write_snapshot(path, snapshot_payload(service))``.
+MIXED_FIXTURE = Path(__file__).parent / "data" / "flat_mixed_clocks.json"
+_MIXED_FIXTURE_CONFIG = dict(mode="flat", epsilon=0.2, window=1000.0, expire_every=None)
 
 
 def run(coroutine):
@@ -122,6 +129,59 @@ class TestMidStreamRoundTrip:
         assert restored_bytes == reference_bytes
         assert restored_answers == reference_answers
         assert restored_service.records_ingested == reference_service.records_ingested
+
+
+def _mixed_fixture_stream():
+    """The two chunks :data:`MIXED_FIXTURE` holds (int clocks, then float
+    clocks, some on keys of the first chunk), then the stream after them."""
+    keys = ["a%d" % (i % 12) for i in range(40)]
+    keys += ["b%d" % (i % 6) if i % 4 else "a%d" % (i % 3) for i in range(40)]
+    clocks = [10 + i for i in range(40)] + [50.5 + 0.25 * i for i in range(40)]
+    after_keys = ["a%d" % (i % 5) if i % 2 else "c%d" % (i % 4) for i in range(60)]
+    after_clocks = [61 + i if i % 3 else 61.5 + i for i in range(60)]
+    return [(keys[:40], clocks[:40]), (keys[40:], clocks[40:])], (after_keys, after_clocks)
+
+
+class TestMixedClockFixture:
+    """A snapshot whose cells mixed int and float clocks restores with those
+    cells float, as a live service's cells are from their first float clock
+    on, and the restored service then ingests like the live one."""
+
+    def test_restored_cells_are_float_and_ingest_like_a_live_service(self):
+        chunks, (after_keys, after_clocks) = _mixed_fixture_stream()
+        written = json.loads(MIXED_FIXTURE.read_text(encoding="utf-8"))["state"]["sketch"]
+
+        def clock_types(cell):
+            clocks = [clock for bucket in cell["buckets"] for clock in bucket[1:]]
+            return {type(clock) for clock in clocks + [cell["last_clock"]]} - {type(None)}
+
+        written_types = [clock_types(cell) for row in written["counters"] for cell in row]
+        assert {int, float} in written_types
+
+        async def restored():
+            service = SketchService.from_snapshot(MIXED_FIXTURE)
+            async with service:
+                restored_cells = ecm_sketch_to_dict(service.state)["counters"]
+                await service.ingest(after_keys, after_clocks)
+                await service.drain()
+                return restored_cells, dumps(service.state)
+
+        async def live():
+            async with SketchService(ServiceConfig(**_MIXED_FIXTURE_CONFIG)) as service:
+                for keys, clocks in chunks:
+                    await service.ingest(keys, clocks)
+                await service.drain()
+                live_cells = ecm_sketch_to_dict(service.state)["counters"]
+                await service.ingest(after_keys, after_clocks)
+                await service.drain()
+                return live_cells, dumps(service.state)
+
+        restored_cells, restored_bytes = run(restored())
+        live_cells, live_bytes = run(live())
+        restored_types = [clock_types(cell) for row in restored_cells for cell in row]
+        assert restored_types == [{float} if float in kinds else kinds for kinds in written_types]
+        assert json.dumps(restored_cells) == json.dumps(live_cells)
+        assert restored_bytes == live_bytes
 
 
 class TestMultisiteRoundTrip:
@@ -263,7 +323,8 @@ def _streamed_case(case: str):
     if case == "flat-int":
         return config, [(keys, [int(clock) for clock in clocks], 0)]
     if case == "flat-mixed":
-        # Integer clocks first, then floats: the columnar store holds both.
+        # Integer clocks first, then floats: the columnar store holds cells
+        # of both clock types.
         whole = [int(clock) for clock in clocks[:450]]
         return config, [(keys[:450], whole, 0), (keys[450:], clocks[450:], 0)]
     if case == "flat-empty":
@@ -307,7 +368,8 @@ class TestStreamedDocument:
 
         service, document = run(body())
         if case == "flat-mixed":
-            assert service.state._store._flag_mode == _MODE_MIXED
+            is_float = service.state._store._is_float
+            assert is_float.any() and not is_float.all()
         if case.startswith("multisite"):
             assert (service.state._root is None) == (case == "multisite-before-round")
         assert path.read_text(encoding="utf-8") == document

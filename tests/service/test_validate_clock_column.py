@@ -15,6 +15,9 @@ at 64 clocks or more, and they are pinned here as rejected at every length:
 a bool inside a numeric column (it read as 0 or 1), a nested list (a bare
 ``ValueError`` escaped instead of a rejection) and a regression among
 integers in ``[2**63, 2**64)`` (the unsigned difference wrapped around).
+
+The values column's check, :func:`validate_values_column`, is pinned at the
+end: a weight the sketch cannot count in int64 is rejected before the ack.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 
 import pytest
 
-from repro.service.validators import validate_clock_column
+from repro.service.validators import validate_clock_column, validate_values_column
 from repro.service.errors import ClockRegressionError, IngestRejectedError
 
 LENGTHS = (1, 63, 64, 1024)
@@ -143,3 +146,21 @@ class TestRegressionInsideTheChunk:
         clocks = [2**63 + index for index in range(length)]
         clocks[-1] = clocks[-2] - 1
         _rejected(clocks, None, ClockRegressionError)
+
+
+class TestValuesColumn:
+    def test_accepts_non_negative_int64_weights(self):
+        validate_values_column([0, 1, 2**63 - 1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 2**63, 2**64, 1.0, True, "1"],
+        ids=["negative", "int64-overflow", "uint64-overflow", "float", "bool", "str"],
+    )
+    @pytest.mark.parametrize("where", WHERE)
+    def test_rejects(self, bad, where):
+        values: list = [1] * 40
+        values[_index(40, where)] = bad
+        with pytest.raises(IngestRejectedError) as excinfo:
+            validate_values_column(values)
+        assert excinfo.type is IngestRejectedError
