@@ -105,11 +105,17 @@ def _interleaved(first, second, rounds: int) -> tuple[list[float], list[float]]:
 
     Each round's pair shares the host's load of that moment, so the ratio
     of a pair is steadier than the ratio of two best-of times taken apart.
+    The order alternates by round, so neither side always runs second, on
+    the caches and allocator state the other left behind.
     """
     first_seconds, second_seconds = [], []
-    for _ in range(rounds):
-        first_seconds.append(_timed(first))
-        second_seconds.append(_timed(second))
+    for index in range(rounds):
+        if index % 2:
+            second_seconds.append(_timed(second))
+            first_seconds.append(_timed(first))
+        else:
+            first_seconds.append(_timed(first))
+            second_seconds.append(_timed(second))
     return first_seconds, second_seconds
 
 
@@ -199,11 +205,12 @@ def test_aggregation_speedup_report(capsys):
 
 
 # -------------------------------------------------------------- report helpers
-def _run_aggregation_comparison(rounds: int = 5) -> dict[str, dict[str, float]]:
+def _run_aggregation_comparison(rounds: int = 9) -> dict[str, dict[str, float]]:
     """Reference-vs-vectorized aggregation timings at the headline site count.
 
-    The two sides run back to back in every round; the speedup is the median
-    of the per-round ratios, and the seconds are per-side medians.
+    The two sides run back to back in every round, in alternating order; the
+    speedup is the median of the per-round ratios (over 9 rounds by default,
+    as Table 3 takes), and the seconds are per-side medians.
     """
     results: dict[str, dict[str, float]] = {}
     for counter_type, label in (
@@ -281,7 +288,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--rounds",
         type=int,
-        default=5,
+        default=9,
         help="timing rounds (aggregation: median of paired ratios; scaling: min is kept)",
     )
     args = parser.parse_args(argv)

@@ -23,7 +23,7 @@ Package layout:
   aggregation and geometric-method continuous monitoring;
 * :mod:`repro.streams` — synthetic traces standing in for the paper's data sets;
 * :mod:`repro.baselines` — exact summaries used to measure observed error;
-* :mod:`repro.analysis` — error metrics, memory accounting and throughput harnesses.
+* :mod:`repro.analysis` — error metrics, memory accounting and result reporting.
 
 ``repro``, :mod:`repro.core`, :mod:`repro.windows`, :mod:`repro.streams`,
 :mod:`repro.distributed` and :mod:`repro.service` resolve their public names

@@ -1,4 +1,4 @@
-"""Error metrics, memory bounds and throughput harnesses for the experiments."""
+"""Error metrics, memory bounds and result reporting for the experiments."""
 
 from .memory import (
     counter_bits,
@@ -18,7 +18,6 @@ from .metrics import (
     self_join_error,
 )
 from .reporting import row_to_dict, rows_to_dicts, write_csv, write_json, write_rows
-from .throughput import ThroughputResult, measure_query_rate, measure_update_rate
 
 __all__ = [
     "ErrorSummary",
@@ -34,9 +33,6 @@ __all__ = [
     "counter_bits",
     "ecm_sketch_bits",
     "ecm_sketch_bytes",
-    "ThroughputResult",
-    "measure_update_rate",
-    "measure_query_rate",
     "row_to_dict",
     "rows_to_dicts",
     "write_json",

@@ -340,6 +340,10 @@ class ECMSketch:
                     )
                 previous = clock
         if clocks_array is None:
+            if self._store.prefers_arrays:
+                from ..windows.columnar_eh import exact_clocks
+
+                exact_clocks(clocks)  # a clock the store cannot hold fails here
             # Validated above, so the replay commits all or nothing too.
             scalar_values = repeat(1) if values is None else _as_list(values)
             for item, clock, value in zip(_as_list(items), _as_list(clocks), scalar_values):

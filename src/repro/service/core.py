@@ -53,12 +53,7 @@ from .errors import (
 )
 from .journal import IngestJournal, JournalRecord
 from .ops import query_handler
-from .validators import (
-    require_param,
-    validate_clock_column,
-    validate_keys_for_mode,
-    validate_values_column,
-)
+from .validators import check_chunk, note_seq, require_param
 
 if TYPE_CHECKING:
     # Imported where a state of their mode is built: a flat server never
@@ -286,28 +281,7 @@ class SketchService:
     ) -> _IngestChunk:
         if self._stopping or self._queue is None:
             raise ServiceStoppedError("service is not accepting ingest")
-        n = len(keys)
-        if n == 0:
-            raise IngestRejectedError("empty ingest chunk")
-        if len(clocks) != n:
-            raise IngestRejectedError(
-                "clocks length %d does not match keys length %d" % (len(clocks), n)
-            )
-        if values is not None and len(values) != n:
-            raise IngestRejectedError(
-                "values length %d does not match keys length %d" % (len(values), n)
-            )
-        self._validate_clocks(clocks)
-        if values is not None:
-            validate_values_column(values)
-        mode = self.config.mode
-        validate_keys_for_mode(keys, mode, self.config.universe_bits)
-        if mode == "multisite" and (
-            not isinstance(site, int) or not (0 <= site < self.config.sites)
-        ):
-            raise IngestRejectedError(
-                "site must be an integer in [0, %d), got %r" % (self.config.sites, site)
-            )
+        check_chunk(keys, clocks, values, site, self.config, self._submitted_clock)
         # Clocks are passed through as-is: count-based windows carry integer
         # clocks, and coercing them to float would change the serialized
         # state relative to a serial reference run (1 vs 1.0 on the wire).
@@ -317,10 +291,6 @@ class SketchService:
             clocks=list(clocks),
             values=list(values) if values is not None else None,
         )
-
-    def _validate_clocks(self, clocks: Sequence[float]) -> None:
-        """Validate a clock column against the service's high-water mark."""
-        validate_clock_column(clocks, self._submitted_clock)
 
     async def ingest(
         self,
@@ -371,7 +341,7 @@ class SketchService:
             # copies would be journaled and applied.  Rolled back below if
             # the append fails (so the seq is not marked acked-and-lost).
             previous_ack = self._acked_seqs.get(client_id)
-            self._note_seq(self._acked_seqs, client_id, seq)
+            note_seq(self._acked_seqs, client_id, seq, self.config.dedup_clients)
         if self._journal is not None and self._journal_executor is not None:
             # Journal-before-ack.  The single-worker executor is FIFO and
             # run_in_executor submits synchronously here (before this
@@ -416,14 +386,6 @@ class SketchService:
         await self._queue.put(chunk)
         return len(chunk)
 
-    def _note_seq(self, table: dict[str, int], client_id: str, seq: int) -> None:
-        """Advance a client's seq high-water mark; LRU-evict beyond the cap."""
-        previous = table.pop(client_id, None)
-        table[client_id] = seq if previous is None or seq > previous else previous
-        limit = self.config.dedup_clients
-        while len(table) > limit:
-            table.pop(next(iter(table)))
-
     def _replay_journal_records(self, records: list[JournalRecord]) -> None:
         """Apply recovered journal records (acked pre-crash, lost from state)."""
         for record in records:
@@ -439,7 +401,9 @@ class SketchService:
             self._pending_arrivals += len(chunk)
             self._apply_chunks([chunk])
             if record.client_id is not None and record.seq is not None:
-                self._note_seq(self._acked_seqs, record.client_id, record.seq)
+                note_seq(
+                    self._acked_seqs, record.client_id, record.seq, self.config.dedup_clients
+                )
         if records:
             self._submitted_clock = self._applied_clock
 
@@ -554,7 +518,9 @@ class SketchService:
                 if chunk.journal_seq is not None:
                     self._applied_journal_seq = chunk.journal_seq
                 if chunk.client_id is not None and chunk.seq is not None:
-                    self._note_seq(self._applied_seqs, chunk.client_id, chunk.seq)
+                    note_seq(
+                        self._applied_seqs, chunk.client_id, chunk.seq, self.config.dedup_clients
+                    )
             index = scan
 
     # ----------------------------------------------------- background sweeps

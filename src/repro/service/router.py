@@ -62,7 +62,6 @@ from .config import ServiceConfig
 from .errors import (
     ClockRegressionError,
     DeadlineExceededError,
-    IngestRejectedError,
     InvalidParameterError,
     ServiceError,
     ServiceRequestError,
@@ -81,12 +80,7 @@ from .protocol import (
 )
 from .server import dispatch_service_op
 from .shard_worker import ShardProcess, ShardUnavailableError, sites_of_shard, worker_config
-from .validators import (
-    require_param,
-    validate_clock_column,
-    validate_keys_for_mode,
-    validate_values_column,
-)
+from .validators import check_chunk, note_seq, require_param
 
 if TYPE_CHECKING:
     from .core import SketchService
@@ -174,6 +168,23 @@ def shard_column(keys: Sequence[Hashable], shards: int) -> list[int]:
             mixed ^= mixed >> np.uint64(29)
             return (mixed % np.uint64(shards)).astype(np.int64).tolist()
     return [shard_of(key, shards) for key in keys]
+
+
+def _sub_chunk(
+    keys: Sequence[Hashable],
+    clocks: Sequence[float],
+    values: Sequence[int] | None,
+    site: int,
+) -> dict[str, Any]:
+    """The ``ingest`` message forwarding a chunk (or a shard's part of one),
+    its columns copied into fresh lists."""
+    return {
+        "op": "ingest",
+        "keys": list(keys),
+        "clocks": list(clocks),
+        "values": None if values is None else list(values),
+        "site": site,
+    }
 
 
 class _ShardChannel:
@@ -801,71 +812,28 @@ class ShardRouter:
         if self._stopping or not self._started:
             raise ServiceStoppedError("service is not accepting ingest")
         n = len(keys)
-        if n == 0:
-            raise IngestRejectedError("empty ingest chunk")
         if self.config.pool:
             # Forward the whole chunk to the tenant's owner shard; validation
             # (including the per-tenant clock high-water mark) happens in the
             # worker's tenant service, which is the ordering authority.
-            result = await self._tenant_submit(
-                tenant,
-                {
-                    "op": "ingest",
-                    "tenant": tenant,
-                    "keys": list(keys),
-                    "clocks": list(clocks),
-                    "values": list(values) if values is not None else None,
-                    "site": site,
-                },
-            )
+            message = _sub_chunk(keys, clocks, values, site)
+            message["tenant"] = tenant
+            result = await self._tenant_submit(tenant, message)
             self.records_ingested += n
             self.ingest_batches += 1
             return int(result["accepted"])
-        if len(clocks) != n:
-            raise IngestRejectedError(
-                "clocks length %d does not match keys length %d" % (len(clocks), n)
-            )
-        if values is not None and len(values) != n:
-            raise IngestRejectedError(
-                "values length %d does not match keys length %d" % (len(values), n)
-            )
-        validate_clock_column(clocks, None)
-        if values is not None:
-            validate_values_column(values)
-        mode = self.config.mode
-        validate_keys_for_mode(keys, mode, self.config.universe_bits)
+        # Per-shard marks are checked below, against each sub-chunk's first clock.
+        check_chunk(keys, clocks, values, site, self.config, None)
         retry = False
         if client_id is not None and seq is not None:
             recorded = self._client_seqs.get(client_id)
             retry = recorded is not None and seq <= recorded
-
-        if mode == "multisite":
-            if not isinstance(site, int) or isinstance(site, bool) or not (
-                0 <= site < self.config.sites
-            ):
-                raise IngestRejectedError(
-                    "site must be an integer in [0, %d), got %r" % (self.config.sites, site)
-                )
-            shard = self._site_shard[site]
+        if self.config.mode == "multisite":
             parts = {
-                shard: {
-                    "op": "ingest",
-                    "keys": list(keys),
-                    "clocks": list(clocks),
-                    "values": list(values) if values is not None else None,
-                    "site": self._site_local[site],
-                }
+                self._site_shard[site]: _sub_chunk(keys, clocks, values, self._site_local[site])
             }
         elif self.num_shards == 1:
-            parts = {
-                0: {
-                    "op": "ingest",
-                    "keys": list(keys),
-                    "clocks": list(clocks),
-                    "values": list(values) if values is not None else None,
-                    "site": 0,
-                }
-            }
+            parts = {0: _sub_chunk(keys, clocks, values, 0)}
         else:
             parts = self._partition(keys, clocks, values)
 
@@ -889,7 +857,7 @@ class ShardRouter:
             # Recorded before the fan-out, not after: if the gather fails
             # midway the chunk may have reached some shards, and the retry
             # must be recognized as such.
-            self._note_client_seq(client_id, seq)
+            note_seq(self._client_seqs, client_id, seq, self.config.dedup_clients)
         futures = []
         for shard, message in parts.items():
             if client_id is not None and seq is not None:
@@ -906,16 +874,6 @@ class ShardRouter:
             self.ingest_batches += 1
         return n
 
-    def _note_client_seq(self, client_id: str, seq: int) -> None:
-        """Record a client's fan-out seq; LRU-evict beyond the dedup cap."""
-        previous = self._client_seqs.pop(client_id, None)
-        self._client_seqs[client_id] = (
-            seq if previous is None or seq > previous else previous
-        )
-        limit = self.config.dedup_clients
-        while len(self._client_seqs) > limit:
-            self._client_seqs.pop(next(iter(self._client_seqs)))
-
     def _partition(
         self,
         keys: Sequence[Hashable],
@@ -927,13 +885,7 @@ class ShardRouter:
         for index, shard in enumerate(shard_ids):
             message = parts.get(shard)
             if message is None:
-                message = parts[shard] = {
-                    "op": "ingest",
-                    "keys": [],
-                    "clocks": [],
-                    "values": [] if values is not None else None,
-                    "site": 0,
-                }
+                message = parts[shard] = _sub_chunk([], [], None if values is None else [], 0)
             message["keys"].append(keys[index])
             message["clocks"].append(clocks[index])
             if values is not None:

@@ -36,6 +36,7 @@ __all__ = [
     "validate_delta",
     "validate_window",
     "is_int_clock",
+    "MAX_INT_CLOCK",
 ]
 
 
@@ -47,6 +48,12 @@ class WindowModel(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Largest magnitude of an int clock the columnar EH store takes.  It keeps
+#: every clock as float64, which holds each int up to here exactly; the store
+#: rejects larger ints on every path in, and the service before the ack.
+MAX_INT_CLOCK = 1 << 53
 
 
 def is_int_clock(value: object) -> bool:

@@ -58,10 +58,10 @@ break it.
 
 Clock types follow one rule per cell, the reference histogram's: a cell's
 clocks are ints until it takes a clock that is not an int, and floats from
-then on.  The pools hold every clock as float64 (exact under the ``2**53``
-guard), and ``is_float`` says how a cell's clocks serialize, so a cell that
-turns float changes one flag and no bucket; batched ingests cascade every
-cell the same way, whatever its clock type.
+then on.  The pools hold every clock as float64 (exact under the
+``MAX_INT_CLOCK`` guard), and ``is_float`` says how a cell's clocks
+serialize, so a cell that turns float changes one flag and no bucket;
+batched ingests cascade every cell the same way, whatever its clock type.
 
 The three hot loops — the deferred ingest cascade, the expire/compaction
 sweep and the multi-cell point-query walk — have two implementations: the
@@ -96,6 +96,7 @@ import numpy as np
 from ..core.counter_store import CounterStore, RowPayload
 from ..core.errors import ConfigurationError, OutOfOrderArrivalError
 from .base import (
+    MAX_INT_CLOCK,
     SlidingWindowCounter,
     WindowModel,
     is_int_clock,
@@ -130,8 +131,10 @@ def _kernels_compiled() -> bool:
 #: interpreted.
 USE_KERNELS = _kernels_compiled()
 
-#: Clock magnitude above which an integer does not round-trip float64 exactly.
-_MAX_EXACT_INT = 1 << 53
+_CLOCK_RANGE_ERROR = (
+    "the columnar layout requires float clocks exactly representable as "
+    "float64 and int clocks with |clock| <= 2**53; got %r"
+)
 
 #: Initial slot capacity per pool row.  The slot axis grows on demand toward
 #: ``max_per_level + 2``, so sparse grids (the tiny-epsilon hierarchical
@@ -210,23 +213,24 @@ def _move_grid(source: np.ndarray, target: np.ndarray, rows: int) -> None:
 
 
 def _exact_float(value: Any) -> float:
-    """Exact float64 representation of a clock, or a clear error."""
+    """A clock as the float64 the store keeps it as, or a clear error.
+
+    An int clock must lie within ``MAX_INT_CLOCK``, even where float64 holds
+    it exactly (``2**54``): the batched path takes no more.
+    """
     if type(value) is float:
         return value
-    try:
-        as_float = float(value)
-    except OverflowError:
-        as_float = math.nan
     if isinstance(value, numbers.Integral):
-        exact = as_float == as_float and int(as_float) == int(value)
+        if -MAX_INT_CLOCK <= value <= MAX_INT_CLOCK:
+            return float(value)
     else:
-        exact = as_float == value
-    if not exact:
-        raise ConfigurationError(
-            "the columnar layout requires clocks exactly representable "
-            "as float64; got %r" % (value,)
-        )
-    return as_float
+        try:
+            as_float = float(value)
+        except OverflowError:
+            as_float = math.nan
+        if as_float == value:
+            return as_float
+    raise ConfigurationError(_CLOCK_RANGE_ERROR % (value,))
 
 
 def exact_clocks(clocks: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
@@ -387,11 +391,12 @@ class ColumnarEHStore(CounterStore):
 
     @staticmethod
     def _require_exact_ints(clocks: np.ndarray) -> None:
-        if clocks.size and int(np.abs(clocks).max()) > _MAX_EXACT_INT:
-            raise ConfigurationError(
-                "the columnar layout requires clocks exactly representable as "
-                "float64 (|clock| <= 2**53)"
-            )
+        if clocks.size:
+            low, high = int(clocks.min()), int(clocks.max())
+            if low < -MAX_INT_CLOCK or high > MAX_INT_CLOCK:
+                raise ConfigurationError(
+                    _CLOCK_RANGE_ERROR % (low if low < -MAX_INT_CLOCK else high,)
+                )
 
     def _query_start(self, range_length: float | None, now: float) -> float:
         """Query start clock, mirroring ``resolve_query_bounds`` semantics."""

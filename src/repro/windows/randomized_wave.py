@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError, IncompatibleSketchError
 from ..core.hashing import HashFamily, stable_fingerprint
-from .base import SlidingWindowCounter, WindowModel, validate_delta, validate_epsilon
+from .base import MAX_INT_CLOCK, SlidingWindowCounter, WindowModel, validate_delta, validate_epsilon
 
 __all__ = ["RandomizedWave", "RandomizedWaveCopy"]
 
@@ -98,7 +98,7 @@ def _select_newest(
     """
     clocks = np.asarray([entry.clock for entry in entries])
     if clocks.dtype.kind == "f":
-        if not np.all(np.isfinite(clocks)) or not np.all(np.abs(clocks) < float(1 << 53)):
+        if not np.all(np.isfinite(clocks)) or not np.all(np.abs(clocks) < float(MAX_INT_CLOCK)):
             return None
     elif clocks.dtype.kind not in "iu":
         return None

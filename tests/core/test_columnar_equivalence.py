@@ -272,6 +272,37 @@ class TestDeterministicLifecycles(_KernelSettingsCase):
         with pytest.raises(ConfigurationError):
             columnar.add("k", clock=(1 << 60) + 1)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("length", [1, 40])
+    def test_int_clocks_beyond_2_53_rejected_on_every_path(self, length, sign):
+        """One bound for the scalar replay of a short batch and the vector
+        cascade of a long one, though float64 holds ``2**54`` exactly."""
+        _, columnar = _pair()
+        columnar.add("warm", clock=-(2.0**60))  # a float clock: no bound
+        before = dumps(columnar)
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            columnar.add_many(["k%d" % i for i in range(length)], [sign * 2**54] * length)
+        assert dumps(columnar) == before
+        if sign == 1:
+            # A short batch fails before its replay adds the clocks ahead of the bad one.
+            with pytest.raises(ConfigurationError):
+                columnar.add_many(["a", "b"], [2, 2**54])
+            assert dumps(columnar) == before
+        columnar.add_many(["edge"] * 3, [-(2**53), 2**53, 2.0**60])
+        assert columnar.total_arrivals() == 4
+
+    def test_snapshot_with_an_int_clock_beyond_2_53_fails_to_load(self):
+        """Only the old scalar path could write such a clock; decoding it now
+        fails with the same error as ingesting it."""
+        _, columnar = _pair()
+        columnar.add("k", clock=1)
+        payload = ecm_sketch_to_dict(columnar)
+        cell = next(cell for cells in payload["counters"] for cell in cells if cell["buckets"])
+        cell["buckets"][0][1] = cell["buckets"][0][2] = cell["last_clock"] = 2**54
+        payload["last_clock"] = 2**54
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            ecm_sketch_from_dict(payload)
+
 
 class TestWirePayloads(_KernelSettingsCase):
     """Every bucket at level ``l`` holds ``2**l`` arrivals, so the columnar

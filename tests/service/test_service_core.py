@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import pytest
 
 from repro.core import ECMSketch
-from repro.core.config import ECMConfig
+from repro.core.config import CounterType, ECMConfig
 from repro.core.errors import ConfigurationError
 from repro.distributed.continuous import PeriodicAggregationCoordinator
 from repro.queries.hierarchical import HierarchicalECMSketch
@@ -19,12 +20,18 @@ from repro.service import (
     SketchService,
 )
 from repro.service.core import ServiceError
+from repro.service.router import ShardRouter
 from repro.streams import IntegerZipfTrace, WorldCupSyntheticTrace
 
 
 def run(coroutine):
     """Drive one async test body to completion."""
     return asyncio.run(coroutine)
+
+
+async def _awaited(value):
+    """``value``, awaited when the router answers with an awaitable."""
+    return await value if inspect.isawaitable(value) else value
 
 
 def flat_config(**overrides) -> ServiceConfig:
@@ -202,6 +209,53 @@ class TestIngestValidation:
             async with SketchService(config) as service:
                 with pytest.raises(IngestRejectedError):
                     await service.ingest(["a"], [1.0], site=2)
+
+        run(body())
+
+    @pytest.mark.parametrize("served", ["service", "router"])
+    def test_eh_rejects_int_clocks_beyond_2_53_before_the_ack(self, served):
+        """Acked, the clock would fail in the EH store: an apply error and
+        no arrival, with the client told it was accepted."""
+
+        async def body():
+            shards = 2 if served == "router" else None
+            config = flat_config(shards=shards)
+            target = ShardRouter(config, local=True) if shards else SketchService(config)
+            async with target:
+                with pytest.raises(IngestRejectedError, match="2\\*\\*53") as excinfo:
+                    await target.ingest(["a"], [2**60 + 1])
+                assert excinfo.type is IngestRejectedError
+                await target.ingest(["a", "b"], [2**53, 2**53])
+                await target.drain()
+                stats = await _awaited(target.stats())
+                return stats["ingest_apply_errors"], stats["records_ingested"]
+
+        assert run(body()) == (0, 2)
+
+    @pytest.mark.parametrize("counter", [CounterType.DETERMINISTIC_WAVE, CounterType.RANDOMIZED_WAVE])
+    def test_wave_services_ack_and_apply_big_int_clocks(self, counter):
+        async def body():
+            config = flat_config(counter_type=counter, max_arrivals=1000)
+            async with SketchService(config) as service:
+                await service.ingest(["a"], [2**60 + 1])
+                await service.drain()
+                stats = service.stats()
+                return stats["ingest_apply_errors"], stats["records_ingested"]
+
+        assert run(body()) == (0, 1)
+
+    @pytest.mark.parametrize("served", ["service", "router"])
+    def test_multisite_rejects_a_bool_site(self, served):
+        """JSON ``true`` is not site 1, in-process either."""
+
+        async def body():
+            shards = 2 if served == "router" else None
+            config = ServiceConfig(mode="multisite", sites=2, period=100.0, shards=shards)
+            target = ShardRouter(config, local=True) if shards else SketchService(config)
+            async with target:
+                with pytest.raises(IngestRejectedError, match="site"):
+                    await target.ingest(["a"], [1.0], site=True)
+                assert await target.ingest(["a"], [1.0], site=1) == 1
 
         run(body())
 

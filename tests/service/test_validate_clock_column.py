@@ -16,8 +16,11 @@ a bool inside a numeric column (it read as 0 or 1), a nested list (a bare
 ``ValueError`` escaped instead of a rejection) and a regression among
 integers in ``[2**63, 2**64)`` (the unsigned difference wrapped around).
 
-The values column's check, :func:`validate_values_column`, is pinned at the
-end: a weight the sketch cannot count in int64 is rejected before the ack.
+The values column's check, :func:`validate_values_column`, is pinned next:
+a weight the sketch cannot count in int64 is rejected before the ack.  The
+end pins :func:`check_chunk`'s int clock bound for exponential histograms:
+their store keeps clocks as float64 and takes no int beyond ``2**53``, while
+the walk above, which knows no counter type, accepts ``2**70``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import math
 
 import pytest
 
-from repro.service.validators import validate_clock_column, validate_values_column
+from repro.core.config import CounterType
+from repro.service import ServiceConfig
 from repro.service.errors import ClockRegressionError, IngestRejectedError
+from repro.service.validators import check_chunk, validate_clock_column, validate_values_column
 
 LENGTHS = (1, 63, 64, 1024)
 #: A one-clock chunk cannot regress inside itself.
@@ -164,3 +169,48 @@ class TestValuesColumn:
         with pytest.raises(IngestRejectedError) as excinfo:
             validate_values_column(values)
         assert excinfo.type is IngestRejectedError
+
+
+EH = ServiceConfig(mode="flat")
+#: Past ``2**54`` float64 holds only even ints, so these floats step by 4.
+BIG = 2**54
+
+
+def _beyond_bound(length: int, where: str, sign: int) -> list:
+    """Float clocks beyond ``2**53`` in magnitude, in order, with one int
+    clock beyond the bound at ``where``."""
+    index = _index(length, where)
+    if sign < 0:
+        index = length - 1 - index
+    clocks: list = [float(BIG + 4 * position) for position in range(length)]
+    clocks[index] = BIG + 4 * index + 1
+    return clocks if sign > 0 else [-clock for clock in reversed(clocks)]
+
+
+def _check(clocks: list, config: ServiceConfig = EH) -> None:
+    check_chunk(["k"] * len(clocks), clocks, None, 0, config, None)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+class TestExponentialHistogramClockBound:
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize("where", WHERE)
+    def test_int_clock_beyond_2_53_rejected(self, length, where, sign):
+        clocks = _beyond_bound(length, where, sign)
+        bad = clocks[_index(length, where)]
+        assert type(bad) is int and abs(bad) > 2**53
+        with pytest.raises(IngestRejectedError, match="2\\*\\*53") as excinfo:
+            _check(clocks)
+        assert excinfo.type is IngestRejectedError
+        assert repr(bad) in str(excinfo.value)
+
+    def test_the_bound_itself_accepted(self, length):
+        _check([-(2**53)] * (length // 2) + [2**53] * (length - length // 2))
+
+    def test_floats_beyond_2_53_accepted(self, length):
+        _check([float(-BIG)] + [float(BIG + 4 * index) for index in range(length - 1)])
+
+    @pytest.mark.parametrize("counter", [CounterType.DETERMINISTIC_WAVE, CounterType.RANDOMIZED_WAVE])
+    def test_wave_counters_take_big_ints(self, length, counter):
+        config = ServiceConfig(mode="flat", counter_type=counter, max_arrivals=1000)
+        _check([2**70 + index for index in range(length)], config)
