@@ -5,14 +5,19 @@ Covers the two performance claims of the sharded-simulation work:
 * **Aggregation speedup** — merging 32+ site sketches through the vectorized
   ``ECMSketch.aggregate`` must be at least 3x faster than the private replay
   reference ``ECMSketch._aggregate_reference`` (identical output, asserted
-  here and by the equivalence suite).  Randomized-wave reference timings run
+  here and by the equivalence suite).  Each counter type runs on the layout
+  its sketches use in production (columnar grids for exponential
+  histograms, the object layout for waves), and every row names it in
+  ``backend``.  The two sides are timed in process CPU time, back to back
+  in each round.  Randomized-wave reference timings run
   with ``_SELECTION_CUTOFF`` forced to infinity, so that row compares the
   selection trim against the sort-only trim; a spy asserts that some level
   union of the vectorized side does reach the selection trim.
 * **Site-count scaling** — the per-site cost of a flat ``aggregate`` stays
   roughly constant as the deployment grows (near-linear total cost).
 
-It also records the runner's sharded-ingest throughput at 1 and 2 workers.
+It also records the runner's sharded-ingest throughput at 1 and 2 workers,
+at 200k records (at 20k, a second worker process costs more than it saves).
 Run standalone (``PYTHONPATH=src python benchmarks/bench_parallel_runner.py
 [--json out.json]``) for the report the CI benchmark job archives, or via
 ``pytest benchmarks/bench_parallel_runner.py`` for pytest-benchmark timings.
@@ -27,6 +32,7 @@ import os
 import platform
 import random
 import time
+from typing import Any
 from unittest import mock
 
 import numpy as np
@@ -37,7 +43,7 @@ from repro.distributed import ShardedIngestRunner
 from repro.experiments.centralized import median_rate_ratio
 from repro.serialization import dumps
 from repro.streams import WorldCupSyntheticTrace
-from repro.windows import randomized_wave
+from repro.windows import columnar_eh, randomized_wave
 
 WINDOW = 1_000_000.0
 #: Site count of the headline aggregation comparison.
@@ -50,6 +56,8 @@ ARRIVALS_PER_SITE = 3_000
 RW_ARRIVALS_PER_SITE = 6_000
 #: Site counts of the scaling sweep.
 SCALING_SITES = (8, 16, 32, 64)
+#: Records of the runner-throughput rows.
+RUNNER_RECORDS = 200_000
 
 
 def _build_site_sketches(
@@ -58,15 +66,8 @@ def _build_site_sketches(
     arrivals_per_site: int = ARRIVALS_PER_SITE,
     epsilon: float = 0.1,
 ) -> list[ECMSketch]:
-    """Local sketches of a simulated deployment (WorldCup-style keys).
-
-    Built on the object layout (through the private reference seam, since
-    exponential histograms are otherwise columnar): this benchmark isolates
-    the merge-layer algorithms (replay reference vs vectorized bulk merge),
-    and the columnar store's cell interchange would add the same constant to
-    both strategies, diluting the measured ratio.  The columnar layout's own
-    lifecycle is covered by ``bench_columnar_backend.py``.
-    """
+    """Local sketches of a simulated deployment (WorldCup-style keys), on
+    the layout the counter type uses in production."""
     config = ECMConfig.for_point_queries(
         epsilon=epsilon,
         delta=0.1,
@@ -78,7 +79,7 @@ def _build_site_sketches(
     sketches = []
     for site in range(num_sites):
         rng = random.Random(site)
-        sketch = ECMSketch._on_object_store(config, stream_tag=site)
+        sketch = ECMSketch(config, stream_tag=site)
         clock = 0.0
         items, clocks = [], []
         for _ in range(arrivals_per_site):
@@ -91,9 +92,11 @@ def _build_site_sketches(
 
 
 def _timed(thunk) -> float:
-    start = time.perf_counter()
+    """CPU seconds of this process spent in ``thunk``: time the host gives
+    to other processes is not counted."""
+    start = time.process_time()
     thunk()
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def _best_of(thunk, rounds: int = 3) -> float:
@@ -103,7 +106,7 @@ def _best_of(thunk, rounds: int = 3) -> float:
 def _interleaved(first, second, rounds: int) -> tuple[list[float], list[float]]:
     """Per-round times of two thunks, run back to back in each round.
 
-    Each round's pair shares the host's load of that moment, so the ratio
+    Each round's pair shares the host's state of that moment, so the ratio
     of a pair is steadier than the ratio of two best-of times taken apart.
     The order alternates by round, so neither side always runs second, on
     the caches and allocator state the other left behind.
@@ -138,6 +141,14 @@ def _aggregate_counting_trims(sketches: list[ECMSketch]) -> tuple[bytes, int]:
     with mock.patch.object(randomized_wave, "_select_newest", spy):
         merged = dumps(ECMSketch.aggregate(sketches))
     return merged, len(trims)
+
+
+def _backend_label(sketch: ECMSketch) -> str:
+    """The layout a row measured, marked when the columnar hot loops run as
+    compiled kernels (so the regression guard never diffs the two)."""
+    if sketch.backend == "columnar" and columnar_eh.USE_KERNELS:
+        return "columnar+numba"
+    return sketch.backend
 
 
 # ------------------------------------------------------------ pytest-benchmark
@@ -205,14 +216,14 @@ def test_aggregation_speedup_report(capsys):
 
 
 # -------------------------------------------------------------- report helpers
-def _run_aggregation_comparison(rounds: int = 9) -> dict[str, dict[str, float]]:
+def _run_aggregation_comparison(rounds: int = 9) -> dict[str, dict[str, Any]]:
     """Reference-vs-vectorized aggregation timings at the headline site count.
 
     The two sides run back to back in every round, in alternating order; the
     speedup is the median of the per-round ratios (over 9 rounds by default,
     as Table 3 takes), and the seconds are per-side medians.
     """
-    results: dict[str, dict[str, float]] = {}
+    results: dict[str, dict[str, Any]] = {}
     for counter_type, label in (
         (CounterType.EXPONENTIAL_HISTOGRAM, "eh"),
         (CounterType.DETERMINISTIC_WAVE, "dw"),
@@ -229,6 +240,7 @@ def _run_aggregation_comparison(rounds: int = 9) -> dict[str, dict[str, float]]:
             rounds,
         )
         results[label] = {
+            "backend": _backend_label(sketches[0]),
             "sites": AGGREGATION_SITES,
             "arrivals_per_site": arrivals,
             "selection_trims": trims,
@@ -255,7 +267,9 @@ def _run_scaling_sweep(rounds: int = 3) -> list[dict[str, float]]:
     return rows
 
 
-def _run_runner_throughput(records: int = 20_000, num_sites: int = 16) -> list[dict[str, float]]:
+def _run_runner_throughput(
+    records: int = RUNNER_RECORDS, num_sites: int = 16
+) -> list[dict[str, float]]:
     """Sharded-ingest throughput at 1 and 2 workers."""
     trace = WorldCupSyntheticTrace(num_records=records, num_nodes=num_sites).generate()
     config = ECMConfig.for_point_queries(epsilon=0.1, delta=0.1, window=WINDOW)
@@ -297,12 +311,18 @@ def main(argv: list[str] | None = None) -> None:
     print("Aggregation of %d site sketches (reference replay vs vectorized aggregate):" % AGGREGATION_SITES)
     for variant, row in aggregation.items():
         print(
-            "  %-3s reference %7.3fs   vectorized %7.3fs   speedup %5.2fx"
-            % (variant, row["reference_seconds"], row["vectorized_seconds"], row["speedup"])
+            "  %-3s %-14s reference %7.3fs   vectorized %7.3fs   speedup %5.2fx"
+            % (
+                variant,
+                row["backend"],
+                row["reference_seconds"],
+                row["vectorized_seconds"],
+                row["speedup"],
+            )
         )
 
     scaling = _run_scaling_sweep(rounds=args.rounds)
-    print("aggregate site-count scaling (ECM-EH, %d arrivals/site):" % ARRIVALS_PER_SITE)
+    print("aggregate site-count scaling (columnar ECM-EH, %d arrivals/site):" % ARRIVALS_PER_SITE)
     for row in scaling:
         print(
             "  %3d sites: %7.3fs total   %7.2f ms/site"
@@ -310,7 +330,7 @@ def main(argv: list[str] | None = None) -> None:
         )
 
     runner = _run_runner_throughput()
-    print("Sharded runner ingest throughput (16 sites, 20k records):")
+    print("Sharded runner ingest throughput (16 sites, %dk records):" % (RUNNER_RECORDS // 1000))
     for row in runner:
         print(
             "  workers=%d shards=%d: %8.0f records/s"

@@ -65,6 +65,10 @@ _SCALAR_RUN_LIMIT = 32
 _VECTORIZED_QUERY_CUTOFF = 32
 #: Largest weight: the columnar store counts arrivals in int64.
 _MAX_WEIGHT = (1 << 63) - 1
+#: A checked ``add_many`` chunk: items, clocks, weights (``None`` if all 1),
+#: the clock array the store takes (``None`` for a short run, and for mixed
+#: clock types on the object store) and which of its clocks are not ints.
+_Batch = tuple[ItemBatch, Sequence[Any], Sequence[int] | None, np.ndarray | None, np.ndarray | None]
 
 
 def _as_list(column: Sequence[Any]) -> Sequence[Any]:
@@ -274,11 +278,11 @@ class ECMSketch:
         :meth:`add` once per arrival in order, but the work is organised for
         throughput: each distinct item is fingerprinted and hashed exactly
         once in a NumPy-vectorized pass, and each (row, column) cell receives
-        its arrivals as one contiguous run through
-        :meth:`~repro.windows.base.SlidingWindowCounter.add_batch`, which
-        amortizes the per-arrival bookkeeping.  Grouping by cell is sound
-        because a sliding-window counter's state depends only on its own
-        arrival subsequence, which the stable grouping preserves in order.
+        its arrivals as one contiguous run of one
+        :meth:`~repro.core.counter_store.CounterStore.ingest_sorted_rows`
+        call.  Grouping by cell is sound because a sliding-window counter's
+        state depends only on its own arrival subsequence, which the stable
+        grouping preserves in order.
 
         Unlike the scalar path, argument problems (length mismatch, a weight
         that is not a non-negative integer, out-of-order clocks) are detected
@@ -290,6 +294,15 @@ class ECMSketch:
             clocks: Non-decreasing clock values, one per item.
             values: Optional per-item weights (defaults to 1 each).
         """
+        batch = self._checked_batch(items, clocks, values)
+        if batch is not None:
+            self._ingest_batch(batch)
+
+    def _checked_batch(
+        self, items: ItemBatch, clocks: Sequence[Any], values: Sequence[int] | None
+    ) -> _Batch | None:
+        """The validated chunk less its zero weights, with its clocks as the
+        store takes them (see :data:`_Batch`), or ``None`` if nothing is left."""
         n = len(items)
         if len(clocks) != n:
             raise ConfigurationError(
@@ -300,7 +313,7 @@ class ECMSketch:
                 "values length %d does not match items length %d" % (len(values), n)
             )
         if n == 0:
-            return
+            return None
         if values is not None:
             _check_weights(values)
         # Zero-weight arrivals are no-ops in the scalar path (they do not even
@@ -308,11 +321,8 @@ class ECMSketch:
         if values is not None and not all(values):
             kept = [i for i, v in enumerate(values) if v]
             if not kept:
-                return
-            if isinstance(items, np.ndarray):
-                items = items[kept]
-            else:
-                items = [items[i] for i in kept]
+                return None
+            items = items[kept] if isinstance(items, np.ndarray) else [items[i] for i in kept]
             clocks = [clocks[i] for i in kept]
             values = [values[i] for i in kept]
             n = len(items)
@@ -322,10 +332,8 @@ class ECMSketch:
         if values is not None and all(type(v) is int and v == 1 for v in values):
             values = None
         # `asarray` without an explicit dtype keeps integer clocks integral
-        # through the sort round-trip (count-based windows use arrival
-        # indices), so counters store exactly the clock values the scalar
-        # path would have stored.  Short runs skip the array: the walk below
-        # checks their order, then they replay through add().
+        # (count-based windows use arrival indices).  Short runs skip the
+        # array: the walk below checks their order.
         clocks_array = np.asarray(clocks) if n >= _SCALAR_RUN_LIMIT else None
         if clocks_array is None or (
             (self._last_clock is not None and clocks_array[0] < self._last_clock)
@@ -339,17 +347,38 @@ class ECMSketch:
                         % (clock, previous)
                     )
                 previous = clock
-        if clocks_array is None:
-            if self._store.prefers_arrays:
+        float_clocks = None
+        if clocks_array is not None:
+            # A list mixing ints and floats coerces to float64; the other
+            # arrays hold the clocks exactly (`set(map(type, ...))` scans at
+            # C speed).
+            exact = (
+                clocks_array.dtype.kind != "f"
+                or isinstance(clocks, np.ndarray)
+                or set(map(type, clocks)) == {float}
+            )
+            if self._store.prefers_arrays and not (exact and clocks_array.dtype.kind in "iuf"):
                 from ..windows.columnar_eh import exact_clocks
 
-                exact_clocks(clocks)  # a clock the store cannot hold fails here
+                clocks_array, float_clocks = exact_clocks(clocks)
+            elif not exact:
+                clocks_array = None
+        elif self._store.prefers_arrays:
+            from ..windows.columnar_eh import exact_clocks
+
+            exact_clocks(clocks)  # a clock the store cannot hold fails here
+        return items, clocks, values, clocks_array, float_clocks
+
+    def _ingest_batch(self, batch: _Batch) -> None:
+        """Ingest a chunk as :meth:`_checked_batch` returned it."""
+        items, clocks, values, clocks_array, float_clocks = batch
+        n = len(items)
+        if n < _SCALAR_RUN_LIMIT:
             # Validated above, so the replay commits all or nothing too.
             scalar_values = repeat(1) if values is None else _as_list(values)
             for item, clock, value in zip(_as_list(items), _as_list(clocks), scalar_values):
                 self.add(item, clock, value)
             return
-
         # Fingerprint each item once.  Integer NumPy arrays (the hierarchical
         # stack's per-level prefixes) fingerprint as one dtype cast — a
         # non-negative integer's fingerprint is the integer itself, folded
@@ -379,32 +408,11 @@ class ECMSketch:
         columns = self.hashes.hash_fingerprints(fingerprint_array)
 
         values_array = None if values is None else np.asarray(values)
-        # A NumPy sort round-trip (`array[order].tolist()`) hands counters the
-        # exact original clock objects only when the array dtype did not
-        # coerce anything — all-int and all-float lists survive, a mixed list
-        # is silently promoted to float64.  The object store then takes the
-        # original objects by Python indexing, so each cell keeps its clocks
-        # as they came; the columnar store takes the exact float64 values
-        # and, per run, whether it holds a clock that is not an int.
-        # (`set(map(type, ...))` runs the scan at C speed; an ndarray input
-        # cannot mix scalar types, so it skips the scan entirely.)
-        clocks_exact = (
-            clocks_array.dtype.kind != "f"
-            or isinstance(clocks, np.ndarray)
-            or set(map(type, clocks)) == {float}
-        )
         store = self._store
         # The columnar store consumes the sorted clock/value arrays directly
         # (its vector path never materialises Python scalars); the object
-        # store receives plain lists, exactly as the per-cell add_batch seam
-        # always has.
+        # store receives plain lists.
         keep_arrays = store.prefers_arrays
-        float_clocks = None
-        if keep_arrays and not (clocks_exact and clocks_array.dtype.kind in "iuf"):
-            from ..windows.columnar_eh import exact_clocks
-
-            clocks_array, float_clocks = exact_clocks(clocks)
-            clocks_exact = True
         payloads = []
         for row in range(self.depth):
             arrival_columns = columns[row]
@@ -413,10 +421,10 @@ class ECMSketch:
             # arrival subsequence as under per-item `add` calls.
             order = np.argsort(arrival_columns, kind="stable")
             sorted_columns = arrival_columns[order]
-            if clocks_exact:
-                sorted_clocks = clocks_array[order] if keep_arrays else clocks_array[order].tolist()
-            else:
+            if clocks_array is None:
                 sorted_clocks = [clocks[i] for i in order.tolist()]
+            else:
+                sorted_clocks = clocks_array[order] if keep_arrays else clocks_array[order].tolist()
             if values_array is None:
                 sorted_values = None
             else:
@@ -652,13 +660,11 @@ class ECMSketch:
     ) -> ECMSketch:
         """Order-preserving aggregation of ECM-sketches (Section 5.3).
 
-        Every cell's input counters are merged through the NumPy-batched
-        algorithms of :mod:`repro.windows.merge` (deferred exponential-
-        histogram cascade, arithmetic wave reconstruction) or the
-        randomized-wave sample union, which walk the replay events as arrays
-        instead of unit arrivals.  The state is byte-identical to replaying
-        every event through the counters' scalar ``add`` (the private
-        :meth:`_aggregate_reference`, enforced by the equivalence suite).
+        Columnar inputs replay every bucket of every cell into the result's
+        grid in one batched ingest; other cells merge one by one through
+        :mod:`repro.windows.merge` or the randomized-wave sample union.  The
+        state is byte-identical to replaying every event through the
+        counters' scalar ``add`` (the private :meth:`_aggregate_reference`).
 
         Args:
             sketches: Input sketches with identical configurations.
@@ -676,7 +682,7 @@ class ECMSketch:
                 paper proves cannot be aggregated.
             IncompatibleSketchError: for mismatched configurations.
         """
-        return cls._aggregate_with(sketches, epsilon_prime, cls._merge_cells)
+        return cls._aggregate_with(sketches, epsilon_prime, reference=False)
 
     @classmethod
     def _aggregate_reference(
@@ -691,16 +697,16 @@ class ECMSketch:
         (patch ``repro.windows.randomized_wave._SELECTION_CUTOFF`` to
         ``math.inf`` to force its sort-only trim).
         """
-        return cls._aggregate_with(sketches, epsilon_prime, cls._replay_merge_cells)
+        return cls._aggregate_with(sketches, epsilon_prime, reference=True)
 
     @classmethod
     def _aggregate_with(
         cls,
         sketches: Sequence[ECMSketch],
         epsilon_prime: float | None,
-        merge_cells: Callable[[CounterType, Sequence[SlidingWindowCounter], float], SlidingWindowCounter],
+        reference: bool,
     ) -> ECMSketch:
-        """Shared aggregation driver, parameterised by the per-cell merge."""
+        """Shared aggregation driver: :meth:`aggregate`, or its reference."""
         if not sketches:
             raise ConfigurationError("cannot aggregate an empty list of ECM-sketches")
         base = sketches[0]
@@ -725,12 +731,18 @@ class ECMSketch:
         else:
             result = cls(result_config, stream_tag=base.stream_tag)
 
-        for row in range(base.depth):
-            for column in range(base.width):
-                cells = [sketch._store.get_counter(row, column) for sketch in sketches]
-                result._store.set_counter(
-                    row, column, merge_cells(base.counter_type, cells, epsilon_prime)
-                )
+        # Columnar grids replay whole; the reference merges cell by cell.
+        if not reference and all(s.backend == "columnar" for s in (result, *sketches)):
+            from ..windows.merge import _merge_columnar_grids
+
+            stores = [sketch._store for sketch in sketches]
+            _merge_columnar_grids(stores, result._store)  # type: ignore[arg-type]
+        else:
+            for row in range(base.depth):
+                for column in range(base.width):
+                    cells = [sketch._store.get_counter(row, column) for sketch in sketches]
+                    merged = cls._merge_cells(base.counter_type, cells, epsilon_prime, reference)
+                    result._store.set_counter(row, column, merged)
         result._total_arrivals = sum(sketch._total_arrivals for sketch in sketches)
         known_clocks = [s._last_clock for s in sketches if s._last_clock is not None]
         result._last_clock = max(known_clocks) if known_clocks else None
@@ -749,34 +761,20 @@ class ECMSketch:
         counter_type: CounterType,
         cells: Sequence[SlidingWindowCounter],
         epsilon_prime: float,
+        reference: bool,
     ) -> SlidingWindowCounter:
-        """Merge of one cell across input sketches."""
-        if counter_type is CounterType.EXPONENTIAL_HISTOGRAM:
-            from ..windows.merge import merge_exponential_histograms
-
-            return merge_exponential_histograms(list(cells), epsilon_prime=epsilon_prime)
-        if counter_type is CounterType.DETERMINISTIC_WAVE:
-            from ..windows.merge import merge_deterministic_waves
-
-            return merge_deterministic_waves(list(cells), epsilon_prime=epsilon_prime)
-        from ..windows.randomized_wave import RandomizedWave
-
-        return RandomizedWave.merged(list(cells))
-
-    @staticmethod
-    def _replay_merge_cells(
-        counter_type: CounterType,
-        cells: Sequence[SlidingWindowCounter],
-        epsilon_prime: float,
-    ) -> SlidingWindowCounter:
-        """Replay-based reference merge of one cell across input sketches."""
+        """Merge of one cell across input sketches: the replay of every event
+        through the scalar ``add``, but for the randomized-wave sample union
+        and, outside the reference, the deterministic waves' bulk merge."""
         if counter_type is CounterType.RANDOMIZED_WAVE:
             from ..windows.randomized_wave import RandomizedWave
 
             return RandomizedWave.merged(list(cells))
-        from ..windows.merge import _replay_merge
+        from ..windows import merge
 
-        return _replay_merge(list(cells), epsilon_prime=epsilon_prime)
+        if counter_type is CounterType.DETERMINISTIC_WAVE and not reference:
+            return merge.merge_deterministic_waves(list(cells), epsilon_prime=epsilon_prime)
+        return merge._replay_merge(list(cells), epsilon_prime=epsilon_prime)
 
     # ----------------------------------------------------- guarantees & size
     def point_error_bound(self, arrivals_in_range: float) -> float:

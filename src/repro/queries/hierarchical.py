@@ -14,8 +14,8 @@ of dyadic ranges of length ``2**i``.  On top of this stack we implement:
 
 Both the ingest and the query side have batched fast paths producing results
 (and, for ingest, serialized state) identical to the scalar loops:
-:meth:`HierarchicalECMSketch.add_many` computes all-level prefixes with NumPy
-right-shifts and feeds each level's :meth:`~repro.core.ecm_sketch.ECMSketch.add_many`,
+:meth:`HierarchicalECMSketch.add_many` checks a chunk once, computes all-level
+prefixes with NumPy right-shifts and feeds each level's batched ingest,
 the heavy-hitter descent walks the dyadic tree breadth-first with one
 vectorized lookup per level, and :meth:`HierarchicalECMSketch.quantiles`
 shares a single memo of dyadic prefix estimates across all requested
@@ -135,13 +135,13 @@ class HierarchicalECMSketch:
     ) -> None:
         """Batched :meth:`add`: ingest a whole chunk of integer keys at once.
 
-        The per-level prefixes of the entire chunk are computed with one NumPy
-        right-shift per level and handed to each level's
-        :meth:`~repro.core.ecm_sketch.ECMSketch.add_many`, so the stack state
-        is byte-for-byte identical to calling :meth:`add` once per arrival in
-        order (each level sketch sees exactly the same arrival subsequence —
-        levels are independent structures, so reordering work *across* levels
-        cannot change any of them).
+        The chunk is checked and its clocks converted once; the per-level
+        prefixes are computed with one NumPy right-shift per level, and each
+        level ingests them as :meth:`~repro.core.ecm_sketch.ECMSketch.add_many`
+        would.  So the stack state is byte-for-byte identical to calling
+        :meth:`add` once per arrival in order (each level sketch sees exactly
+        the same arrival subsequence — levels are independent structures, so
+        reordering work *across* levels cannot change any of them).
 
         Argument problems (length mismatch, a key outside the universe,
         negative values, out-of-order clocks) are detected before any level is
@@ -187,9 +187,13 @@ class HierarchicalECMSketch:
             values = values.tolist()
         elif values is not None:
             values = [v.item() if isinstance(v, np.generic) else v for v in values]
-        for level, sketch in enumerate(self._levels):
-            prefixes = keys_array >> level if level else keys_array
-            sketch.add_many(prefixes, clocks, values)
+        # Every level takes the same arrivals, so level 0's checks and clock
+        # conversion serve them all.
+        batch = self._levels[0]._checked_batch(keys_array, clocks, values)
+        if batch is not None:
+            kept_keys = np.asarray(batch[0])
+            for level, sketch in enumerate(self._levels):
+                sketch._ingest_batch((kept_keys >> level if level else kept_keys, *batch[1:]))
         self._total_arrivals += n if values is None else int(sum(values))
         self._last_clock = clocks[-1]
 

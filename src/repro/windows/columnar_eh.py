@@ -78,7 +78,9 @@ arrival's units are in, and a cell's oldest live end never decreases while
 units arrive, so a segment can run up to and including the first arrival
 whose ``clock - window`` reaches ``min(oldest_end, first clock of the
 segment)``; the cells whose segment ended on such a crossing then expire,
-and the next round continues after it.
+and the next round continues after it.  Aggregation reads the inputs'
+buckets with :meth:`~ColumnarEHStore.live_buckets` and replays them through
+this same ingest, so no merged cell is ever materialised.
 """
 
 from __future__ import annotations
@@ -678,8 +680,8 @@ class ColumnarEHStore(CounterStore):
         weights), so each cell stores a bucket at every level it reaches and
         claims a pool row there if it has none.
 
-        Equivalent to the reference ``_add_unit_run``: appending every unit
-        bucket first and then merging each level's oldest pairs greedily
+        Equivalent to the reference's unit-by-unit ``add``: appending every
+        unit bucket first and then merging each level's oldest pairs greedily
         yields the same final structure as interleaving merges after every
         insert, because arrivals only ever land at the newest end of a level
         while merges only ever consume the two oldest buckets.
@@ -950,6 +952,19 @@ class ColumnarEHStore(CounterStore):
     def get_counter(self, row: int, column: int) -> SlidingWindowCounter:
         return self._materialize(row * self.width + column)
 
+    def live_buckets(
+        self, cells: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every live bucket of ``cells`` in the reference histogram's walk
+        order (by cell as given, then level, then oldest first): its cell's
+        position in ``cells``, its level, start and end, and whether its
+        cell's clocks are floats."""
+        owner, slot = _ragged(self._counts[cells].reshape(-1))
+        position, level = np.divmod(owner, self._num_levels)
+        rows = self._row_map[cells].reshape(-1)[owner]
+        floats = self._is_float[cells][position]
+        return position, level, self._starts[rows, slot], self._ends[rows, slot], floats
+
     def _materialize(self, cell: int) -> ExponentialHistogram:
         """An object-layout twin of one cell (bucket-for-bucket identical)."""
         from .exponential_histogram import Bucket, ExponentialHistogram
@@ -957,27 +972,13 @@ class ColumnarEHStore(CounterStore):
         histogram = ExponentialHistogram(
             epsilon=self.epsilon, window=self.window, model=self.model
         )
-        counts = self._counts[cell]
-        rows = self._row_map[cell]
-        live_levels = np.flatnonzero(counts)
-        used = int(live_levels[-1]) + 1 if live_levels.size else 0
+        _, levels, starts, ends, _ = self.live_buckets(np.array([cell]))
         is_float = bool(self._is_float[cell])
-        levels: list[deque] = []
-        for level in range(used):
-            live = int(counts[level])
-            row = rows[level]
-            starts = self._starts[row, :live]
-            ends = self._ends[row, :live]
-            if not is_float:
-                starts, ends = starts.astype(np.int64), ends.astype(np.int64)
-            size = 1 << level
-            levels.append(
-                deque(
-                    Bucket(size, start, end)
-                    for start, end in zip(starts.tolist(), ends.tolist(), strict=True)
-                )
-            )
-        histogram._levels = levels
+        if not is_float:
+            starts, ends = starts.astype(np.int64), ends.astype(np.int64)
+        histogram._levels = [deque() for _ in range(int(levels[-1]) + 1 if levels.size else 0)]
+        for level, start, end in zip(levels.tolist(), starts.tolist(), ends.tolist(), strict=True):
+            histogram._levels[level].append(Bucket(1 << level, start, end))
         histogram._total_arrivals = int(self._totals[cell])
         histogram._in_window_upper = int(self._uppers[cell])
         histogram._last_clock = self._last_clock(cell)

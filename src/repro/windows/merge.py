@@ -15,6 +15,13 @@ relative error is at most ``epsilon + epsilon_prime + epsilon*epsilon_prime``
 (Theorem 4).  The same replay idea extends to deterministic waves, whose
 checkpoints delimit runs of arrivals with exactly known sizes.
 
+One histogram at a time, :func:`merge_exponential_histograms` is that
+replay, event by event.  Whole columnar grids (the layout sketches use)
+replay at once: :func:`_merge_columnar_grids` reads every input's buckets
+from the slot arrays and hands the ordered events to the result store's
+batched ingest, the same cascade that ingests arrivals.  Only aggregation
+imports this module, so a single-site server never loads it.
+
 Count-based synopses cannot be aggregated this way (the ordering of the
 "false bits" between arrivals is lost — Figure 2 of the paper); attempting to
 do so raises :class:`~repro.core.errors.WindowModelError`.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -32,6 +39,10 @@ from ..core.errors import ConfigurationError, IncompatibleSketchError, WindowMod
 from .base import WindowModel
 from .deterministic_wave import DeterministicWave
 from .exponential_histogram import ExponentialHistogram
+
+if TYPE_CHECKING:
+    from ..core.counter_store import RowPayload
+    from .columnar_eh import ColumnarEHStore
 
 __all__ = [
     "aggregated_error",
@@ -204,14 +215,10 @@ def merge_exponential_histograms(
 ) -> ExponentialHistogram:
     """Aggregate time-based exponential histograms into one (paper Section 5.1).
 
-    Every input bucket's replay events are gathered into NumPy arrays,
-    ordered with one stable argsort and handed as one run to
-    :meth:`~repro.windows.exponential_histogram.ExponentialHistogram.add_batch`,
-    whose deferred-cascade bulk path materialises only the retained buckets.
-    The result serializes byte-for-byte the same as replaying each event
-    through :meth:`~repro.windows.exponential_histogram.ExponentialHistogram.add`
-    (the private :func:`_replay_merge` reference, enforced by the window
-    merge equivalence suite).
+    Every input bucket's replay events, in clock order, go through the
+    aggregate's scalar :meth:`~repro.windows.exponential_histogram.ExponentialHistogram.add`:
+    the paper's algorithm as written.  :func:`_merge_columnar_grids` runs the
+    same replay on whole columnar grids.
 
     Args:
         histograms: The input histograms.  They must all be time-based and
@@ -224,7 +231,63 @@ def merge_exponential_histograms(
         A new :class:`ExponentialHistogram` summarising the order-preserving
         union of the input streams.
     """
-    return _bulk_merge(histograms, epsilon_prime)
+    return _replay_merge(histograms, epsilon_prime)
+
+
+def _merge_columnar_grids(stores: Sequence[ColumnarEHStore], result: ColumnarEHStore) -> None:
+    """:func:`merge_exponential_histograms` for every cell of columnar grids at once.
+
+    Each live bucket of each input store replays, straight from the slot
+    arrays, as ``floor(c/2)`` arrivals at its start and ``ceil(c/2)`` at its
+    end.  The events are stably ordered by (cell, clock), so each cell sees
+    them in the reference's order, and the fresh ``result`` (same shape and
+    window) takes them in one
+    :meth:`~repro.windows.columnar_eh.ColumnarEHStore.ingest_sorted_rows`
+    call.  A cell turns float when it replays a bucket of a float input
+    cell, as the reference turns float at its first float clock.
+    """
+    every_cell = np.arange(result.cells)
+    parts = []
+    for store in stores:
+        position, level, starts, ends, floats = store.live_buckets(every_cell)
+        size = np.left_shift(1, level)
+        # Each bucket's start event, then its end event; a unit bucket has
+        # no start event.
+        counts = np.stack((size >> 1, size - (size >> 1)), axis=1).reshape(-1)
+        kept = counts > 0
+        clocks = np.stack((starts, ends), axis=1).reshape(-1)
+        parts.append(
+            (np.repeat(position, 2)[kept], clocks[kept], counts[kept], np.repeat(floats, 2)[kept])
+        )
+    cells, clocks, counts, floats = (np.concatenate(column) for column in zip(*parts))
+    if not cells.size:
+        return
+    order = np.argsort(clocks, kind="stable")
+    order = order[np.argsort(cells[order], kind="stable")]
+    cells, clocks, counts, floats = cells[order], clocks[order], counts[order], floats[order]
+    run_starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    run_stops = np.append(run_starts[1:], cells.shape[0])
+    run_cells = cells[run_starts]
+    float_runs = np.logical_or.reduceat(floats, run_starts)
+    width = result.width
+    bounds = np.searchsorted(run_cells, np.arange(result.depth + 1) * width)
+    payloads: list[RowPayload] = []
+    for row in range(result.depth):
+        low, high = bounds[row], bounds[row + 1]
+        if low < high:
+            first, last = run_starts[low], run_stops[high - 1]
+            payloads.append(
+                (
+                    row,
+                    (run_cells[low:high] - row * width).tolist(),
+                    (run_starts[low:high] - first).tolist(),
+                    (run_stops[low:high] - first).tolist(),
+                    clocks[first:last],
+                    counts[first:last],
+                    float_runs[low:high],
+                )
+            )
+    result.ingest_sorted_rows(payloads)
 
 
 def merge_deterministic_waves(
@@ -234,15 +297,21 @@ def merge_deterministic_waves(
 ) -> DeterministicWave:
     """Aggregate time-based deterministic waves into one wave.
 
-    Mirrors :func:`merge_exponential_histograms` using checkpoint-delimited
-    replay events and the arithmetic bulk path of
+    Mirrors :func:`merge_exponential_histograms` with checkpoint-delimited
+    replay events, gathered and stably sorted as arrays and handed as one
+    run to the arithmetic bulk path of
     :meth:`~repro.windows.deterministic_wave.DeterministicWave.add_batch`,
-    which materialises only the retained checkpoints of each level.
+    which materialises only the retained checkpoints of each level.  The
+    result is byte-identical to the private :func:`_replay_merge`.
     ``max_arrivals`` of the aggregate defaults to the sum of the inputs'
     bounds (the union stream can carry at most that many arrivals per
     window).
     """
-    return _bulk_merge(waves, epsilon_prime, max_arrivals)
+    merged, replay_events = _empty_aggregate(waves, epsilon_prime, max_arrivals)
+    clocks, counts = _gather_sorted_events(waves, replay_events)
+    if clocks:
+        merged.add_batch(clocks, counts, assume_ordered=True)
+    return merged
 
 
 def _empty_aggregate(
@@ -268,17 +337,6 @@ def _empty_aggregate(
     return histogram, bucket_replay_events
 
 
-def _bulk_merge(
-    synopses: Sequence, epsilon_prime: float | None, max_arrivals: int | None = None
-) -> Any:
-    """One sorted ``add_batch`` run of every input's replay events."""
-    merged, replay_events = _empty_aggregate(synopses, epsilon_prime, max_arrivals)
-    clocks, counts = _gather_sorted_events(synopses, replay_events)
-    if clocks:
-        merged.add_batch(clocks, counts, assume_ordered=True)
-    return merged
-
-
 def _replay_merge(
     synopses: Sequence,
     epsilon_prime: float | None = None,
@@ -287,9 +345,9 @@ def _replay_merge(
     """Reference aggregation: replay every event through the scalar ``add``.
 
     The paper's algorithm as written — walk the union stream's replay events
-    in timestamp order, one insert-and-cascade at a time.  The public merges
-    must produce byte-identical state; only the equivalence tests, the
-    benchmarks and ``ECMSketch._aggregate_reference`` call this.
+    in timestamp order, one insert-and-cascade at a time.  It is the body of
+    :func:`merge_exponential_histograms`; :func:`merge_deterministic_waves`
+    and :func:`_merge_columnar_grids` must produce byte-identical state.
     """
     merged, replay_events = _empty_aggregate(synopses, epsilon_prime, max_arrivals)
     events: list[ReplayEvent] = []

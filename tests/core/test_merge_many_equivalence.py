@@ -12,6 +12,9 @@ merges.  They promise byte-identical state relative to two references:
 These tests enforce that across all three counter types and both storage
 layouts, plus the aggregation edge cases of the distributed layer: empty
 inputs, single inputs, mixed window models and incompatible configurations.
+Columnar exponential-histogram grids aggregate whole, never through the
+object layout; ``TestColumnarGridMerge`` runs them with the store's NumPy
+loops and with its kernels (interpreted where numba is absent).
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from unittest import mock
 import pytest
 
 from repro.core import CounterType, CountMinSketch, ECMConfig, ECMSketch
+from repro.queries.hierarchical import HierarchicalECMSketch
 from repro.core.errors import (
     ConfigurationError,
     IncompatibleSketchError,
     WindowModelError,
 )
 from repro.serialization import dumps
-from repro.windows import WindowModel, randomized_wave
+from repro.windows import ColumnarEHStore, WindowModel, columnar_eh, randomized_wave
 
 ALL_COUNTER_TYPES = (
     CounterType.EXPONENTIAL_HISTOGRAM,
@@ -212,3 +216,105 @@ class TestECMAggregateEdgeCases:
         large = ECMConfig.for_point_queries(epsilon=0.2, delta=0.2, window=200.0)
         with pytest.raises(IncompatibleSketchError):
             ECMSketch.aggregate([ECMSketch(small), ECMSketch(large)])
+
+
+def build_columnar_sites(clock_kind, num_sites=4, records=500, window=WINDOW, seed=0):
+    """Columnar exponential-histogram sites with int, float or mixed clocks.
+
+    ``"mixed"`` gives the even sites float clocks and the odd sites int
+    clocks, so some merged cells replay buckets of both types.
+    """
+    config = ECMConfig.for_point_queries(epsilon=0.15, delta=0.15, window=window)
+    sketches = []
+    for site in range(num_sites):
+        rng = random.Random(seed * 1000 + site)
+        floats = clock_kind == "float" or (clock_kind == "mixed" and site % 2 == 0)
+        sketch = ECMSketch(config, stream_tag=site)
+        clock = 0
+        items, clocks, values = [], [], []
+        for _ in range(records):
+            clock += rng.choice([0, 1, 2, 7])
+            items.append("key-%d" % rng.randrange(60))
+            clocks.append(clock + 0.5 if floats else clock)
+            values.append(rng.choice([1, 1, 1, 3]))
+        sketch.add_many(items, clocks, values)
+        sketches.append(sketch)
+    return sketches
+
+
+class TestColumnarGridMerge:
+    """``ECMSketch.aggregate`` replays columnar grids whole; the per-cell
+    replay of ``_aggregate_reference`` is the oracle."""
+
+    @pytest.fixture(autouse=True, params=[False, True], ids=["numpy", "kernels"])
+    def _use_kernels(self, request, monkeypatch):
+        monkeypatch.setattr(columnar_eh, "USE_KERNELS", request.param)
+
+    @staticmethod
+    def assert_matches_reference(sketches, epsilon_prime=None):
+        aggregate = ECMSketch.aggregate(sketches, epsilon_prime)
+        assert aggregate.backend == "columnar"
+        assert dumps(aggregate) == dumps(ECMSketch._aggregate_reference(sketches, epsilon_prime))
+        return aggregate
+
+    @pytest.mark.parametrize("clock_kind", ["int", "float", "mixed"])
+    def test_clock_types(self, clock_kind):
+        aggregate = self.assert_matches_reference(build_columnar_sites(clock_kind))
+        assert aggregate._store._is_float.any() == (clock_kind != "int")
+
+    @pytest.mark.parametrize("clock_kind", ["int", "float", "mixed"])
+    def test_replay_expires_mid_run(self, clock_kind):
+        # The sites span ~1,250 clock units, so the replay of each cell
+        # expires its oldest buckets while later events still arrive.
+        self.assert_matches_reference(build_columnar_sites(clock_kind, window=300.0))
+
+    def test_float_cell_without_live_bucket_stays_int_in_the_merge(self):
+        config = ECMConfig.for_point_queries(epsilon=0.15, delta=0.15, window=100.0)
+        expired = ECMSketch(config, stream_tag=0)
+        expired.add("key-1", 1.5)
+        expired.expire(1_000)
+        assert expired._store._is_float.any() and not expired._store.total_buckets()
+        live = ECMSketch(config, stream_tag=1)
+        live.add_many(["key-1", "key-2"] * 20, list(range(960, 1_000)))
+        aggregate = self.assert_matches_reference([expired, live])
+        assert not aggregate._store._is_float.any()
+        assert type(aggregate.counter(0, aggregate.hashes.hash_all("key-1")[0]).last_clock) is int
+
+    def test_empty_sketches(self):
+        config = ECMConfig.for_point_queries(epsilon=0.15, delta=0.15, window=WINDOW)
+        empty = [ECMSketch(config, stream_tag=tag) for tag in range(3)]
+        aggregate = self.assert_matches_reference(empty)
+        assert aggregate.total_arrivals() == 0 and aggregate.last_clock is None
+
+    def test_single_input(self):
+        self.assert_matches_reference(build_columnar_sites("mixed", num_sites=1))
+
+    @pytest.mark.parametrize("epsilon_prime", [0.05, 0.3])
+    def test_epsilon_prime(self, epsilon_prime):
+        self.assert_matches_reference(build_columnar_sites("mixed", window=300.0), epsilon_prime)
+
+    def test_hierarchical_aggregate(self):
+        stacks = []
+        for site in range(3):
+            rng = random.Random(site)
+            stack = HierarchicalECMSketch(
+                universe_bits=5, epsilon=0.15, delta=0.15, window=500.0, seed=9, stream_tag=site
+            )
+            clocks = sorted(rng.randrange(2_000) for _ in range(300))
+            stack.add_many([rng.randrange(32) for _ in clocks], clocks)
+            stacks.append(stack)
+        merged = HierarchicalECMSketch.aggregate(stacks)
+        for level in range(5):
+            levels = [stack.level_sketch(level) for stack in stacks]
+            assert dumps(merged.level_sketch(level)) == dumps(ECMSketch._aggregate_reference(levels))
+
+    def test_no_cell_goes_through_the_object_layout(self):
+        sketches = build_columnar_sites("mixed")
+        forbidden = AssertionError("a cell round-tripped through ExponentialHistogram")
+        with (
+            mock.patch.object(ColumnarEHStore, "_materialize", side_effect=forbidden),
+            mock.patch.object(ColumnarEHStore, "_load_cell", side_effect=forbidden),
+        ):
+            aggregate = ECMSketch.aggregate(sketches)
+        # Serializing reads cells through ``counter``, so it runs unpatched.
+        assert dumps(aggregate) == dumps(ECMSketch._aggregate_reference(sketches))

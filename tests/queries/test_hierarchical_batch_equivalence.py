@@ -13,6 +13,7 @@ answers.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core import CounterType
 from repro.queries import FrequentItemsTracker, HierarchicalECMSketch
 from repro.serialization import dumps
-from repro.windows import WindowModel
+from repro.windows import WindowModel, columnar_eh
 
 ALL_COUNTER_TYPES = (
     CounterType.EXPONENTIAL_HISTOGRAM,
@@ -135,6 +136,22 @@ class TestBatchedIngestEquivalence:
         with pytest.raises(OutOfOrderArrivalError):
             stack.add_many([1, 2], [5.0, 4.0])  # out-of-order clocks
         assert dumps(stack) == before
+
+    def test_mixed_clock_chunk_is_converted_once(self):
+        # A chunk mixing int and float clocks goes through ``exact_clocks``
+        # once for the whole stack, not once per level.
+        rng = random.Random(11)
+        keys = [rng.randrange(1 << UNIVERSE_BITS) for _ in range(1_024)]
+        clocks = [index // 2 if index % 3 else index / 2 for index in range(1_024)]
+        scalar = make_stack(CounterType.EXPONENTIAL_HISTOGRAM, WindowModel.TIME_BASED)
+        for key, clock in zip(keys, clocks, strict=True):
+            scalar.add(key, clock)
+        batched = make_stack(CounterType.EXPONENTIAL_HISTOGRAM, WindowModel.TIME_BASED)
+        spy = mock.patch.object(columnar_eh, "exact_clocks", wraps=columnar_eh.exact_clocks)
+        with spy as exact_clocks:
+            batched.add_many(keys, clocks)
+        assert exact_clocks.call_count == 1
+        assert dumps(batched) == dumps(scalar)
 
     def test_add_many_empty_batch_is_a_noop(self):
         stack = make_stack(CounterType.EXPONENTIAL_HISTOGRAM, WindowModel.TIME_BASED)

@@ -1,13 +1,13 @@
 """Serialized-state equality of the window merges vs the replay reference.
 
-The public merges (``merge_exponential_histograms`` and
-``merge_deterministic_waves``, one sorted ``add_batch`` run each) promise
+``merge_deterministic_waves`` (one sorted ``add_batch`` run) promises
 *byte-identical* synopsis state relative to the private replay reference
 ``_replay_merge``, which walks every replay event through the scalar
-``add``.  The randomized-wave sample union's O(n) selection trim is compared
-with its sort-only reference by patching ``_SELECTION_CUTOFF``.  These tests
-drive varied workloads — int and float clocks, tied clocks, expiring windows
-that defeat the deferred cascade, degenerate inputs — through both
+``add`` (and is the body of ``merge_exponential_histograms``).  The
+randomized-wave sample union's O(n) selection trim is compared with its
+sort-only reference by patching ``_SELECTION_CUTOFF``.  These tests drive
+varied workloads — int and float clocks, tied clocks, expiring windows that
+defeat the deferred cascade, degenerate inputs — through both
 implementations and compare the full serialized wire format.
 """
 
@@ -46,16 +46,6 @@ def make_clocks(rng: random.Random, count: int, int_clocks: bool, mean_gap: floa
     return out
 
 
-def build_histograms(rng, num, count, window, epsilon=0.05, int_clocks=False):
-    histograms = []
-    for _ in range(num):
-        histogram = ExponentialHistogram(epsilon=epsilon, window=window)
-        for clock in make_clocks(rng, count, int_clocks):
-            histogram.add(clock)
-        histograms.append(histogram)
-    return histograms
-
-
 def build_waves(rng, num, count, window, epsilon=0.05, int_clocks=False):
     waves = []
     for _ in range(num):
@@ -67,32 +57,9 @@ def build_waves(rng, num, count, window, epsilon=0.05, int_clocks=False):
 
 
 class TestBulkHistogramMerge:
-    @pytest.mark.parametrize("int_clocks", [False, True])
-    @pytest.mark.parametrize("window", [1e6, 800.0])
-    def test_matches_replay_reference(self, int_clocks, window):
-        # The small window forces expiry during the replay, which disables the
-        # deferred-cascade fast path and exercises the exact fallback.
-        rng = random.Random(7)
-        histograms = build_histograms(rng, 6, 1_500, window, int_clocks=int_clocks)
-        reference = _replay_merge(histograms)
-        bulk = merge_exponential_histograms(histograms)
-        assert dumps(bulk) == dumps(reference)
-
-    def test_custom_epsilon_prime(self):
-        rng = random.Random(11)
-        histograms = build_histograms(rng, 3, 800, 1e6)
-        reference = _replay_merge(histograms, epsilon_prime=0.02)
-        bulk = merge_exponential_histograms(histograms, epsilon_prime=0.02)
-        assert dumps(bulk) == dumps(reference)
-        assert bulk.epsilon == 0.02
-
-    def test_single_input_and_empty_inputs(self):
-        rng = random.Random(3)
-        (histogram,) = build_histograms(rng, 1, 400, 1e6)
-        assert dumps(merge_exponential_histograms([histogram])) == dumps(_replay_merge([histogram]))
-        empty = ExponentialHistogram(epsilon=0.1, window=1e6)
-        assert dumps(merge_exponential_histograms([empty, empty])) == dumps(_replay_merge([empty, empty]))
-
+    # ``merge_exponential_histograms`` is the replay reference itself; its
+    # batched form, the columnar grid merge, is checked against it in
+    # tests/core/test_merge_many_equivalence.py.
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigurationError):
             merge_exponential_histograms([])
