@@ -21,7 +21,8 @@ checks the paper's claims on those rows and compares them with the committed
 Each subcommand imports what it runs when it runs: ``serve`` never loads
 the experiments, the analysis harnesses or the exact baselines, which keeps
 the start-up of a server short.  (Shard workers start from
-:mod:`repro.service.shard_worker` and never import this module.)
+:func:`repro.service.shard_worker.worker_main` and never import this
+module.)
 """
 
 from __future__ import annotations
@@ -558,13 +559,13 @@ def _serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             journal_fsync=args.journal_fsync,
             supervise=args.supervise,
         )
-    except ConfigurationError as exc:
-        out("error: %s" % (exc,))
-        return 2
-    try:
         return asyncio.run(
             run_server(config, host=args.host, port=args.port, restore=args.restore)
         )
+    except ConfigurationError as exc:
+        # A bad flag, or a restore the server refuses before it listens.
+        out("error: %s" % (exc,))
+        return 2
     except KeyboardInterrupt:  # pragma: no cover - direct ^C race
         return 0
 

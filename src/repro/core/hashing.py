@@ -15,10 +15,13 @@ prerequisite for sketch composition.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
+
+# ``hashlib.blake2b`` is this same built-in function, but importing hashlib
+# loads its OpenSSL backend (``_hashlib`` and libcrypto) for nothing.
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -65,9 +68,12 @@ def stable_fingerprint(item: Hashable) -> int:
 
     Python's built-in :func:`hash` is randomised per process for strings
     (``PYTHONHASHSEED``), which would break reproducibility and sketch
-    composition across processes.  Integers are passed through unchanged
-    (folded into 64 bits); everything else goes through blake2b of its
-    ``repr``.
+    composition across processes.  Integers (NumPy ones too) are folded into
+    64 bits and booleans map to 0 and 1.  Bytes go through an 8-byte blake2b
+    digest, read little-endian; a str goes through the same digest of its
+    UTF-8 bytes, so ``"abc"`` and ``b"abc"`` share a fingerprint.  Anything
+    else is digested through the UTF-8 bytes of its ``repr``.  Every
+    snapshot and merge depends on these values staying fixed.
 
     Args:
         item: Any hashable value (int, str, tuple, ...).
@@ -84,12 +90,12 @@ def stable_fingerprint(item: Hashable) -> int:
         # vectorized (integer-array) ingestion agree item for item.
         return int(item) & 0xFFFFFFFFFFFFFFFF
     if isinstance(item, bytes):
-        digest = hashlib.blake2b(item, digest_size=8).digest()
+        digest = blake2b(item, digest_size=8).digest()
         return int.from_bytes(digest, "little")
     if isinstance(item, str):
-        digest = hashlib.blake2b(item.encode("utf-8"), digest_size=8).digest()
+        digest = blake2b(item.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "little")
-    digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

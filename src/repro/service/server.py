@@ -362,7 +362,10 @@ async def run_server(
         # to stall.
         from .snapshot import document_kind
 
-        restore_kind = document_kind(restore)
+        try:
+            restore_kind = document_kind(restore)
+        except OSError as exc:
+            raise ConfigurationError("cannot read the --restore snapshot: %s" % (exc,)) from exc
     if config.shards is not None or restore_kind == "shard_manifest":
         from .router import ShardRouter
 

@@ -12,13 +12,15 @@ explicit per-shard path on request, and restores from that snapshot through
 the ordinary ``run_server(restore=...)`` path (the wire-format state
 transfer of :mod:`repro.serialization`, shared with the distributed runner).
 
-A worker is a plain ``python -m repro.service.shard_worker`` child
-(fork-then-exec, so nothing of the router's event loop, threads or locks
-crosses over), started with the router's interpreter flags and with the
-parent directory of the router's ``repro`` package first on ``PYTHONPATH``,
-so both import the same code.  Its arguments are one JSON document: the
-worker's configuration, host, label, restore path and the descriptor of its
-ready pipe.  Three descriptors tie it to the router:
+A worker is a plain ``python -m repro`` child (fork-then-exec, so nothing
+of the router's event loop, threads or locks crosses over), started with the
+router's interpreter flags and with the parent directory of the router's
+``repro`` package first on ``PYTHONPATH``, so both import the same code.  Its
+argument is one JSON document: the worker's configuration, host, label,
+restore path and the descriptor of its ready pipe.  ``repro.__main__`` hands
+that document to :func:`worker_main` before anything imports the CLI, and
+after it has blocked ``ssl`` as it does for every process it starts.  Three
+descriptors tie the worker to the router:
 
 * **Readiness** — the write end of a one-shot pipe, passed with
   ``pass_fds``.  The worker writes its bound port and closes it; the router
@@ -34,8 +36,9 @@ ready pipe.  Three descriptors tie it to the router:
 When the router's ``__main__`` ran from a script file (``__spec__`` is
 ``None``), the worker first runs that file as ``__mp_main__``, the contract
 of ``multiprocessing``'s spawn start method: code a script runs at import
-time (span wrappers, for instance) then runs in every worker too.  Routers
-started with ``python -m`` re-run nothing.
+time (span wrappers, for instance) then runs in every worker too, with
+``import ssl`` working as it does in the router.  Routers started with
+``python -m`` re-run nothing.
 """
 
 from __future__ import annotations
@@ -133,13 +136,16 @@ def _main_script() -> str | None:
     return os.path.abspath(path)
 
 
-def _worker_main(argv: list[str]) -> int:
-    """Entry point of a worker process (``argv``: the JSON launch document)."""
-    launch = json.loads(argv[0])
+def worker_main(document: str) -> int:
+    """Entry point of a worker process, given its JSON launch document."""
+    launch = json.loads(document)
     if launch["main"] is not None:
         import runpy
 
-        # As ``python script.py`` runs it: the script's directory leads.
+        # As ``python script.py`` runs it: the script's directory leads,
+        # and the script may import ssl.
+        if sys.modules.get("ssl", False) is None:
+            del sys.modules["ssl"]
         sys.path.insert(0, os.path.dirname(launch["main"]))
         runpy.run_path(launch["main"], run_name="__mp_main__")
 
@@ -214,7 +220,7 @@ class ShardProcess:
                     # The router's -O/-B/-W/-X flags, as spawn passed them.
                     *subprocess._args_from_interpreter_flags(),  # type: ignore[attr-defined]
                     "-m",
-                    "repro.service.shard_worker",
+                    "repro",
                     json.dumps(launch),
                 ],
                 stdin=subprocess.PIPE,
@@ -342,6 +348,3 @@ async def _readable(fd: int, timeout: float) -> bool:
         loop.remove_reader(fd)
     return True
 
-
-if __name__ == "__main__":
-    sys.exit(_worker_main(sys.argv[1:]))

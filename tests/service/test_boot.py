@@ -12,6 +12,13 @@
   path when it snapshots.  A server loads the counter code of its counter
   type only: an exponential-histogram server loads no wave, merge or
   Count-Min module, and the compiled-kernel module only when numba imports.
+* **No OpenSSL.**  Every served process starts through ``repro.__main__``
+  (``python -m repro``, the console script and each shard worker), which
+  blocks ``ssl`` before asyncio loads, and the sketch hashing calls the
+  built-in ``_blake2`` rather than ``hashlib``: no server, router or worker
+  loads ``ssl``, ``_ssl`` or ``_hashlib``.  A blocked module is a ``None``
+  entry of ``sys.modules``, so the dumps list only the loaded ones.  Library
+  callers of ``repro`` still import ``ssl``.
 * **Subprocess environment.**  :func:`~repro.service.launch.repro_env` puts
   ``src/`` first on ``PYTHONPATH`` and never adds an empty entry (which
   Python reads as the current directory).
@@ -29,6 +36,7 @@ import asyncio
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -62,8 +70,9 @@ OTHER_COUNTER_CODE = (
 
 #: Never imported by a flat server: offline experiments, analysis and exact
 #: baselines, the distributed simulation and its stream records, every
-#: serving layer a flat server does not run, the tenant catalog's SQLite and
-#: the code of the other counter types.
+#: serving layer a flat server does not run, the tenant catalog's SQLite,
+#: OpenSSL (TLS and hashlib's backend) and the code of the other counter
+#: types.
 FLAT_UNUSED = (
     "repro.experiments",
     "repro.analysis",
@@ -81,6 +90,9 @@ FLAT_UNUSED = (
     "repro.streams",
     "multiprocessing",
     "sqlite3",
+    "ssl",
+    "_ssl",
+    "_hashlib",
     *OTHER_COUNTER_CODE,
 )
 
@@ -98,19 +110,24 @@ SHARDED_UNUSED = (
 )
 
 #: Never imported by the worker of a ``python -m repro`` router: the flat
-#: budget (its entry point runs as ``__main__``, so not even
-#: ``repro.service.shard_worker`` by name) and no re-run of the CLI.
-WORKER_UNUSED = (*FLAT_UNUSED, "repro.cli")
+#: budget less the worker's own entry (``repro.__main__`` hands the launch
+#: document to ``repro.service.shard_worker``), and no re-run of the CLI.
+WORKER_UNUSED = (
+    *(name for name in FLAT_UNUSED if name != "repro.service.shard_worker"),
+    "repro.cli",
+)
 
 #: Never imported by the router of a flat sharded server, even after it has
 #: partitioned string keys, routed a point query and summed the per-shard
 #: self-joins: the workers hold the sketches, so the router needs neither
-#: NumPy (nor ``_hashlib``, which only the sketch hashing pulls in) nor the
-#: sketch, counter, serialization, hierarchy or stream-record code, nor the
-#: service core (its pre-ack checks live in ``service.validators``).  The
-#: snapshot writer and the streaming JSON reader load on the first snapshot.
+#: NumPy nor the sketch, counter, serialization, hierarchy or stream-record
+#: code, nor the service core (its pre-ack checks live in
+#: ``service.validators``), nor OpenSSL.  The snapshot writer and the
+#: streaming JSON reader load on the first snapshot.
 ROUTER_UNUSED = (
     "numpy",
+    "ssl",
+    "_ssl",
     "_hashlib",
     "repro.core.ecm_sketch",
     "repro.core.hashing",
@@ -129,6 +146,7 @@ ROUTER_UNUSED = (
 _ROUTER_SCRIPT = """\
 import asyncio
 import os
+import ssl  # a re-run script may import what it imports in the router
 
 with open(os.environ["BOOT_MARKER"], "a", encoding="utf-8") as marker:
     marker.write("%d %s\\n" % (os.getpid(), __name__))
@@ -144,6 +162,42 @@ if __name__ == "__main__":
     asyncio.run(boot_and_stop())
 """
 
+#: The ``repro`` console script in the shape pip writes it, for the entry
+#: function ``pyproject.toml`` declares.
+_CONSOLE_SCRIPT = """\
+import sys
+
+from {module} import {function}
+
+if __name__ == "__main__":
+    sys.exit({function}())
+"""
+
+#: A library caller of repro: the CLI run in-process, then a local router
+#: started and stopped, then ``import ssl``.  repro is imported before
+#: asyncio, so that its own imports are the first to reach ``ssl``.
+_LIBRARY_CALLER = """\
+from repro.cli import main
+from repro.service import ServiceConfig, ShardRouter
+
+import asyncio
+
+assert main(["list"], out=lambda line: None) == 0
+
+
+async def start_and_stop():
+    router = ShardRouter(ServiceConfig(mode="flat", shards=2, expire_every=None), local=True)
+    await router.start()
+    await router.stop()
+
+
+asyncio.run(start_and_stop())
+
+import ssl
+
+assert ssl.SSLContext is not None
+"""
+
 _SITECUSTOMIZE = """\
 import atexit
 import json
@@ -154,10 +208,12 @@ import sys
 def _dump_modules():
     path = os.path.join(%r, "modules-%%d.json" %% os.getpid())
     columnar = sys.modules.get("repro.windows.columnar_eh")
+    # A ``None`` entry is a blocked import (``ssl``), not a loaded module.
+    loaded = [name for name, module in list(sys.modules.items()) if module is not None]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
             {
-                "modules": sorted(sys.modules),
+                "modules": sorted(loaded),
                 "use_kernels": getattr(columnar, "USE_KERNELS", None),
             },
             handle,
@@ -166,6 +222,21 @@ def _dump_modules():
 
 atexit.register(_dump_modules)
 """
+
+
+def _console_script(directory: Path) -> Path:
+    """Write the ``repro`` console script into ``directory``; returns its path."""
+    pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+    entry = re.search(
+        r'^repro = "(?P<module>[\w.]+):(?P<function>\w+)"$',
+        pyproject.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+    assert entry is not None, "pyproject.toml declares no repro console script"
+    directory.mkdir()
+    script = directory / "repro"
+    script.write_text(_CONSOLE_SCRIPT.format(**entry.groupdict()), encoding="utf-8")
+    return script
 
 
 def _loaded(modules: set[str], names: tuple[str, ...]) -> list[str]:
@@ -198,7 +269,10 @@ def _hierarchical_chunk_and_queries(port: int) -> None:
 
 
 def _boot_dumps(
-    tmp_path: Path, *args: object, drive: Callable[[int], None] | None = None
+    tmp_path: Path,
+    *args: object,
+    drive: Callable[[int], None] | None = None,
+    launcher: tuple[str, ...] = (sys.executable, "-m", "repro"),
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Boot ``repro serve``, run ``drive(port)``, stop it; each process's exit dump."""
     hook = tmp_path / "hook"
@@ -208,7 +282,7 @@ def _boot_dumps(
     (hook / "sitecustomize.py").write_text(_SITECUSTOMIZE % str(dumps), encoding="utf-8")
     env = repro_env({"PYTHONDONTWRITEBYTECODE": "1"})
     env["PYTHONPATH"] = os.pathsep.join([str(hook), env["PYTHONPATH"]])
-    with ServeProcess(*args, env=env) as server:
+    with ServeProcess(*args, env=env, launcher=launcher) as server:
         port = server.wait_ready()
         if drive is not None:
             drive(port)
@@ -222,10 +296,13 @@ def _boot_dumps(
 
 
 def _boot_modules(
-    tmp_path: Path, *args: object, drive: Callable[[int], None] | None = None
+    tmp_path: Path,
+    *args: object,
+    drive: Callable[[int], None] | None = None,
+    launcher: tuple[str, ...] = (sys.executable, "-m", "repro"),
 ) -> tuple[set[str], list[set[str]]]:
     """Boot ``repro serve``, run ``drive(port)``, stop it; each process's modules."""
-    router, workers = _boot_dumps(tmp_path, *args, drive=drive)
+    router, workers = _boot_dumps(tmp_path, *args, drive=drive, launcher=launcher)
     return set(router["modules"]), [set(worker["modules"]) for worker in workers]
 
 
@@ -288,8 +365,9 @@ class TestImportBudget:
         assert {"repro.service.router", "repro.service.shard_worker"} <= modules
         assert _loaded(modules, SHARDED_UNUSED) == []
         # The tree is the router and exactly one worker per shard.  Each
-        # worker is ``python -m repro.service.shard_worker`` serving flat; a
-        # ``python -m`` main is never re-run, so no worker imports the CLI.
+        # worker is ``python -m repro`` given its launch document, serving
+        # flat; a ``python -m`` main is never re-run, so no worker imports
+        # the CLI.
         assert len(workers) == 2
         for worker in workers:
             assert "repro.service.server" in worker
@@ -306,6 +384,38 @@ class TestImportBudget:
         assert len(workers) == 2
         for worker in workers:
             assert {"numpy", "repro.core.ecm_sketch", "repro.windows.columnar_eh"} <= worker
+
+    def test_console_script_boots_a_tree_without_openssl_or_a_worker_cli(self, tmp_path):
+        # The console script is a file, so each worker re-runs it as
+        # ``__mp_main__``: that imports the entry module, never the CLI.
+        script = _console_script(tmp_path / "bin")
+        modules, workers = _boot_modules(
+            tmp_path,
+            "--mode", "flat", "--shards", 2,
+            drive=_string_chunk_and_queries,
+            launcher=(sys.executable, str(script)),
+        )
+        assert "repro.cli" in modules
+        assert _loaded(modules, ROUTER_UNUSED) == []
+        assert len(workers) == 2
+        for worker in workers:
+            assert "repro.__main__" in worker
+            assert _loaded(worker, WORKER_UNUSED) == []
+
+
+class TestLibraryCallers:
+    def test_ssl_still_imports_after_the_cli_and_a_local_router(self):
+        # Only the entry points block ``ssl``: a process that imports repro
+        # as a library, runs the CLI in-process and serves a local router
+        # still has TLS.  A fresh interpreter, so that the imports run too.
+        caller = subprocess.run(
+            [sys.executable, "-c", _LIBRARY_CALLER],
+            env=repro_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert caller.returncode == 0, caller.stderr
 
 
 class TestMainRerun:

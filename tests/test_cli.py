@@ -165,6 +165,25 @@ class TestServeReplayParsers:
         assert code == 2
         assert any("snapshot_path" in line for line in lines)
 
+    def test_serve_rejects_restore_of_a_pooled_server(self, tmp_path):
+        code, lines = run_cli([
+            "serve", "--port", "0", "--pool", "--pool-dir", str(tmp_path / "pool"),
+            "--restore", str(tmp_path / "snap.json"),
+        ])
+        assert code == 2
+        assert lines == [
+            "error: --restore does not apply to a pooled server: the pool directory "
+            "(catalog + per-tenant snapshots) is the durable state"
+        ]
+
+    def test_serve_reports_a_missing_restore_snapshot(self, tmp_path):
+        missing = tmp_path / "no-such-snapshot.json"
+        code, lines = run_cli(["serve", "--port", "0", "--restore", str(missing)])
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot read the --restore snapshot: ")
+        assert str(missing) in lines[0]
+
     def test_replay_defaults(self):
         args = build_parser().parse_args(["replay"])
         assert args.records == 50_000
