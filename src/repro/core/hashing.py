@@ -10,7 +10,10 @@ analysis of Cormode & Muthukrishnan.
 Items may be arbitrary hashable Python objects; non-integers are first mapped
 to 64-bit integers through a stable (seed-independent) fingerprint so that two
 sketches built with the same seeds hash the same items identically — a
-prerequisite for sketch composition.
+prerequisite for sketch composition.  The fingerprint's blake2b comes from
+CPython's built-in ``_blake2`` module, the object ``hashlib.blake2b`` names,
+so the digests are hashlib's.  The module therefore needs CPython's blake2:
+``hashlib`` itself takes ``blake2b`` from ``_blake2`` and has none without it.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import random
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
 
-# ``hashlib.blake2b`` is this same built-in function, but importing hashlib
-# loads its OpenSSL backend (``_hashlib`` and libcrypto) for nothing.
-from _blake2 import blake2b
-
 import numpy as np
 
 from .errors import ConfigurationError
+
+# ``hashlib.blake2b`` is this same built-in function, but importing hashlib
+# loads its OpenSSL backend (``_hashlib`` and libcrypto) for nothing.
+from _blake2 import blake2b
 
 __all__ = [
     "MERSENNE_PRIME_61",

@@ -24,7 +24,6 @@ import re
 import subprocess
 import sys
 import threading
-from collections.abc import Sequence
 
 __all__ = ["ServeProcess", "repro_env"]
 
@@ -65,8 +64,6 @@ class ServeProcess:
             same banner shape under the ``repro-gateway`` label, so the
             harness serves it too (pass ``subcommand="gateway"``,
             ``label="repro-gateway"``).
-        launcher: The command that starts the CLI, before the subcommand
-            (default ``python -m repro``).
 
     Example:
         with ServeProcess("--mode", "flat") as server:
@@ -81,10 +78,9 @@ class ServeProcess:
         env: dict[str, str] | None = None,
         label: str = "repro-serve",
         subcommand: str = "serve",
-        launcher: Sequence[str] = (sys.executable, "-m", "repro"),
     ) -> None:
         self.label = label
-        self.command = [*launcher, subcommand, "--port", "0"]
+        self.command = [sys.executable, "-m", "repro", subcommand, "--port", "0"]
         self.command.extend(str(argument) for argument in args)
         self.port: int | None = None
         self._lines: list[str] = []

@@ -143,11 +143,13 @@ def worker_main(document: str) -> int:
         import runpy
 
         # As ``python script.py`` runs it: the script's directory leads,
-        # and the script may import ssl.
+        # and the script may import ssl.  If it did not, ssl is blocked
+        # again, so that nothing the worker imports later maps OpenSSL.
         if sys.modules.get("ssl", False) is None:
             del sys.modules["ssl"]
         sys.path.insert(0, os.path.dirname(launch["main"]))
         runpy.run_path(launch["main"], run_name="__mp_main__")
+        sys.modules.setdefault("ssl", None)  # type: ignore[arg-type, call-overload]
 
     from .server import run_server
 

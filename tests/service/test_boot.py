@@ -16,8 +16,10 @@
   (``python -m repro``, the console script and each shard worker), which
   blocks ``ssl`` before asyncio loads, and the sketch hashing calls the
   built-in ``_blake2`` rather than ``hashlib``: no server, router or worker
-  loads ``ssl``, ``_ssl`` or ``_hashlib``.  A blocked module is a ``None``
-  entry of ``sys.modules``, so the dumps list only the loaded ones.  Library
+  loads ``ssl`` or ``_ssl``, and none loads ``_hashlib`` unless numba is
+  installed (its dispatcher's cache imports ``hashlib``, and a server that
+  routes the kernels imports numba).  A blocked module is a ``None`` entry
+  of ``sys.modules``, so the dumps list only the loaded ones.  Library
   callers of ``repro`` still import ``ssl``.
 * **Subprocess environment.**  :func:`~repro.service.launch.repro_env` puts
   ``src/`` first on ``PYTHONPATH`` and never adds an empty entry (which
@@ -71,7 +73,8 @@ OTHER_COUNTER_CODE = (
 #: Never imported by a flat server: offline experiments, analysis and exact
 #: baselines, the distributed simulation and its stream records, every
 #: serving layer a flat server does not run, the tenant catalog's SQLite,
-#: OpenSSL (TLS and hashlib's backend) and the code of the other counter
+#: OpenSSL (TLS, and without numba hashlib's backend too: numba's
+#: dispatcher cache imports ``hashlib``) and the code of the other counter
 #: types.
 FLAT_UNUSED = (
     "repro.experiments",
@@ -92,7 +95,7 @@ FLAT_UNUSED = (
     "sqlite3",
     "ssl",
     "_ssl",
-    "_hashlib",
+    *(() if HAVE_NUMBA else ("_hashlib",)),
     *OTHER_COUNTER_CODE,
 )
 
@@ -214,6 +217,7 @@ def _dump_modules():
         json.dump(
             {
                 "modules": sorted(loaded),
+                "ssl_blocked": sys.modules.get("ssl", False) is None,
                 "use_kernels": getattr(columnar, "USE_KERNELS", None),
             },
             handle,
@@ -237,6 +241,29 @@ def _console_script(directory: Path) -> Path:
     script = directory / "repro"
     script.write_text(_CONSOLE_SCRIPT.format(**entry.groupdict()), encoding="utf-8")
     return script
+
+
+class _ConsoleScriptServe(ServeProcess):
+    """:class:`ServeProcess` started through a console script file.
+
+    The harness builds ``python -m repro <subcommand> ...``; this runs the
+    same arguments as ``python <script> <subcommand> ...``, the way an
+    installed ``repro`` starts (its ``__main__`` is a file, not a module).
+    """
+
+    def __init__(self, script: Path, *args: object, env: dict[str, str]) -> None:
+        self.script = str(script)
+        super().__init__(*args, env=env)
+
+    @property
+    def command(self) -> list[str]:
+        return self._command
+
+    @command.setter
+    def command(self, command: list[str]) -> None:
+        python, flag, module, *rest = command
+        assert (flag, module) == ("-m", "repro"), command
+        self._command = [python, self.script, *rest]
 
 
 def _loaded(modules: set[str], names: tuple[str, ...]) -> list[str]:
@@ -272,7 +299,7 @@ def _boot_dumps(
     tmp_path: Path,
     *args: object,
     drive: Callable[[int], None] | None = None,
-    launcher: tuple[str, ...] = (sys.executable, "-m", "repro"),
+    serve: Callable[..., ServeProcess] = ServeProcess,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Boot ``repro serve``, run ``drive(port)``, stop it; each process's exit dump."""
     hook = tmp_path / "hook"
@@ -282,7 +309,7 @@ def _boot_dumps(
     (hook / "sitecustomize.py").write_text(_SITECUSTOMIZE % str(dumps), encoding="utf-8")
     env = repro_env({"PYTHONDONTWRITEBYTECODE": "1"})
     env["PYTHONPATH"] = os.pathsep.join([str(hook), env["PYTHONPATH"]])
-    with ServeProcess(*args, env=env, launcher=launcher) as server:
+    with serve(*args, env=env) as server:
         port = server.wait_ready()
         if drive is not None:
             drive(port)
@@ -296,13 +323,10 @@ def _boot_dumps(
 
 
 def _boot_modules(
-    tmp_path: Path,
-    *args: object,
-    drive: Callable[[int], None] | None = None,
-    launcher: tuple[str, ...] = (sys.executable, "-m", "repro"),
+    tmp_path: Path, *args: object, drive: Callable[[int], None] | None = None
 ) -> tuple[set[str], list[set[str]]]:
     """Boot ``repro serve``, run ``drive(port)``, stop it; each process's modules."""
-    router, workers = _boot_dumps(tmp_path, *args, drive=drive, launcher=launcher)
+    router, workers = _boot_dumps(tmp_path, *args, drive=drive)
     return set(router["modules"]), [set(worker["modules"]) for worker in workers]
 
 
@@ -388,19 +412,24 @@ class TestImportBudget:
     def test_console_script_boots_a_tree_without_openssl_or_a_worker_cli(self, tmp_path):
         # The console script is a file, so each worker re-runs it as
         # ``__mp_main__``: that imports the entry module, never the CLI.
+        # The re-run may import ssl; this one does not, so the worker
+        # blocks ssl again after it.
         script = _console_script(tmp_path / "bin")
-        modules, workers = _boot_modules(
+        router, workers = _boot_dumps(
             tmp_path,
             "--mode", "flat", "--shards", 2,
             drive=_string_chunk_and_queries,
-            launcher=(sys.executable, str(script)),
+            serve=lambda *args, env: _ConsoleScriptServe(script, *args, env=env),
         )
+        modules = set(router["modules"])
         assert "repro.cli" in modules
         assert _loaded(modules, ROUTER_UNUSED) == []
+        assert router["ssl_blocked"]
         assert len(workers) == 2
         for worker in workers:
-            assert "repro.__main__" in worker
-            assert _loaded(worker, WORKER_UNUSED) == []
+            assert "repro.__main__" in worker["modules"]
+            assert _loaded(set(worker["modules"]), WORKER_UNUSED) == []
+            assert worker["ssl_blocked"]
 
 
 class TestLibraryCallers:
