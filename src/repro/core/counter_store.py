@@ -136,16 +136,9 @@ class CounterStore(abc.ABC):
     # ----------------------------------------------------- cell interchange
     @abc.abstractmethod
     def get_counter(self, row: int, column: int) -> SlidingWindowCounter:
-        """The cell as a reference counter object.
-
-        The object store returns the live counter; columnar stores
-        materialise an equivalent counter on demand (mutating it does *not*
-        write back — use :meth:`set_counter` for that).
-        """
-
-    @abc.abstractmethod
-    def set_counter(self, row: int, column: int, counter: SlidingWindowCounter) -> None:
-        """Replace one cell's state with that of ``counter``."""
+        """The cell as a reference counter object: the object store's live
+        counter, or ``histogram_from_dict`` of a columnar cell's wire payload
+        (a read-only copy, whose mutations do not write back)."""
 
     # ------------------------------------------------------------ accounting
     @abc.abstractmethod

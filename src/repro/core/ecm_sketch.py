@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Sequence
 from itertools import repeat
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
 from ..windows.base import SlidingWindowCounter, WindowModel
 from .config import CounterType, ECMConfig
-from .counter_store import CounterFactory, CounterStore, build_store, object_store
+from .counter_store import CounterFactory, CounterStore, ObjectCounterStore, build_store, object_store
 from .errors import (
     ConfigurationError,
     IncompatibleSketchError,
@@ -724,25 +724,21 @@ class ECMSketch:
             result_config = base.config.replaced()
         else:
             result_config = base.config.replaced(epsilon_sw=epsilon_prime)
-        # The result keeps the first input's layout, so reference inputs
-        # aggregate on the reference layout.
-        if base.backend == "object":
-            result = cls._on_object_store(result_config, stream_tag=base.stream_tag)
-        else:
-            result = cls(result_config, stream_tag=base.stream_tag)
-
-        # Columnar grids replay whole; the reference merges cell by cell.
-        if not reference and all(s.backend == "columnar" for s in (result, *sketches)):
+        # Columnar grids replay whole; the reference, and inputs on the
+        # object layout, merge cell by cell on the object layout.
+        if not reference and all(s.backend == "columnar" for s in sketches):
             from ..windows.merge import _merge_columnar_grids
 
+            result = cls(result_config, stream_tag=base.stream_tag)
             stores = [sketch._store for sketch in sketches]
             _merge_columnar_grids(stores, result._store)  # type: ignore[arg-type]
         else:
+            result = cls._on_object_store(result_config, stream_tag=base.stream_tag)
             for row in range(base.depth):
                 for column in range(base.width):
                     cells = [sketch._store.get_counter(row, column) for sketch in sketches]
                     merged = cls._merge_cells(base.counter_type, cells, epsilon_prime, reference)
-                    result._store.set_counter(row, column, merged)
+                    result._set_counter(row, column, merged)
         result._total_arrivals = sum(sketch._total_arrivals for sketch in sketches)
         known_clocks = [s._last_clock for s in sketches if s._last_clock is not None]
         result._last_clock = max(known_clocks) if known_clocks else None
@@ -754,6 +750,11 @@ class ECMSketch:
             )
         else:
             result.effective_epsilon_sw = base.effective_epsilon_sw
+        if result.backend != base.backend:
+            # The first input's layout, reached as wire payloads, not objects.
+            from ..serialization import ecm_sketch_from_dict, ecm_sketch_to_dict
+
+            result = ecm_sketch_from_dict(ecm_sketch_to_dict(result))
         return result
 
     @staticmethod
@@ -822,17 +823,14 @@ class ECMSketch:
         return self._store.resident_bytes()
 
     def counter(self, row: int, column: int) -> SlidingWindowCounter:
-        """One cell as a sliding-window counter object (read-only use).
-
-        The object layout returns the live counter; the columnar layout
-        materialises an equivalent :class:`ExponentialHistogram` on demand
-        (mutating it does not write back).
-        """
+        """One cell as a sliding-window counter object (read-only use): the
+        object layout's live counter, or ``histogram_from_dict`` of an
+        exponential-histogram cell's wire payload, a copy that does not write back."""
         return self._store.get_counter(row, column)
 
     def _set_counter(self, row: int, column: int, counter: SlidingWindowCounter) -> None:
-        """Replace one cell's state (merge drivers and deserialization)."""
-        self._store.set_counter(row, column, counter)
+        """Replace one cell's counter of an object grid (merges, wave decoding)."""
+        cast(ObjectCounterStore, self._store).set_counter(row, column, counter)
 
     def serialized_bytes(self) -> int:
         """Bytes needed to ship this sketch over the network.

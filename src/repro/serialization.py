@@ -24,7 +24,6 @@ same result as the original and can keep ingesting new arrivals.
 from __future__ import annotations
 
 import json
-import numbers
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, Any
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 from .core.config import CounterType, ECMConfig
 from .core.ecm_sketch import ECMSketch
 from .core.errors import ConfigurationError
-from .windows.base import WindowModel, is_int_clock
+from .windows.base import WindowModel, _require_real, is_int_clock
 
 if TYPE_CHECKING:
     # Imported where a structure of their type is (de)serialized: flat
@@ -41,6 +40,7 @@ if TYPE_CHECKING:
     from .jsonstream import JSONStream
     from .queries.heavy_hitters import FrequentItemsTracker
     from .queries.hierarchical import HierarchicalECMSketch
+    from .windows.columnar_eh import ColumnarEHStore
     from .windows.deterministic_wave import DeterministicWave
     from .windows.exponential_histogram import ExponentialHistogram
     from .windows.randomized_wave import RandomizedWave
@@ -104,21 +104,68 @@ def _require(payload: dict[str, Any], kind: str) -> None:
 
 
 # -------------------------------------------------------- exponential histogram
-def histogram_to_dict(histogram: ExponentialHistogram) -> dict[str, Any]:
-    """Serialize an exponential histogram to a plain dictionary."""
+def _histogram_dict(
+    counter: ExponentialHistogram | ColumnarEHStore, total: int, last_clock: Any, buckets: list[Any]
+) -> dict[str, Any]:
+    """A :func:`histogram_to_dict` payload; ``buckets`` oldest first."""
     return {
         "kind": "exponential_histogram",
         "version": FORMAT_VERSION,
-        "epsilon": histogram.epsilon,
-        "window": histogram.window,
-        "model": histogram.model.value,
-        "total_arrivals": histogram.total_arrivals(),
-        "last_clock": histogram.last_clock,
-        "buckets": [
-            [bucket.size, bucket.start, bucket.end]
-            for bucket in histogram.buckets_oldest_first()
-        ],
+        "epsilon": counter.epsilon,
+        "window": counter.window,
+        "model": counter.model.value,
+        "total_arrivals": total,
+        "last_clock": last_clock,
+        "buckets": buckets,
     }
+
+
+def histogram_to_dict(histogram: ExponentialHistogram) -> dict[str, Any]:
+    """Serialize an exponential histogram to a plain dictionary."""
+    buckets = [[bucket.size, bucket.start, bucket.end] for bucket in histogram.buckets_oldest_first()]
+    return _histogram_dict(histogram, histogram.total_arrivals(), histogram.last_clock, buckets)
+
+
+def _histogram_buckets(
+    payload: dict[str, Any], like: ColumnarEHStore | None = None
+) -> tuple[list[int], list[Any], list[Any], int, Any, bool]:
+    """The level, start and end of each bucket of a :func:`histogram_to_dict`
+    payload, its total arrivals and last clock, and whether it holds a clock
+    that is not an int (then every clock loads float).
+
+    It makes the checks :func:`histogram_from_dict` documents.  With
+    ``like``, the payload's epsilon, window and model must also be its.
+    """
+    _require(payload, "exponential_histogram")
+    last_clock = payload["last_clock"]
+    int_clocks = last_clock is None or is_int_clock(last_clock)
+    if not int_clocks:
+        _require_real(last_clock, "an exponential histogram's last clock")
+    levels, starts, ends = [], [], []
+    for size, start, end in payload["buckets"]:
+        # An int but not a bool (``is_int_clock`` skips the ABC check for an int).
+        if not is_int_clock(size) or size <= 0 or size & (size - 1):
+            raise ConfigurationError(
+                "exponential-histogram bucket sizes must be positive powers of two; got %r" % (size,)
+            )
+        if size == 1 and start != end:
+            raise ConfigurationError(
+                "a size-1 bucket holds one arrival, so its start and end must match; "
+                "got start=%r, end=%r" % (start, end)
+            )
+        if not (int_clocks and is_int_clock(start) and is_int_clock(end)):
+            int_clocks = False
+            _require_real(start, "an exponential-histogram bucket start")
+            _require_real(end, "an exponential-histogram bucket end")
+        levels.append(int(size).bit_length() - 1)
+        starts.append(start)
+        ends.append(end)
+    header = (payload["epsilon"], payload["window"], payload["model"])
+    if like is not None and header != (like.epsilon, like.window, like.model.value):
+        raise ConfigurationError(
+            "cannot load a counter with different epsilon/window/model into a columnar store"
+        )
+    return levels, starts, ends, int(payload["total_arrivals"]), last_clock, not int_clocks
 
 
 def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
@@ -128,10 +175,10 @@ def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
     histogram would have been promoted by it (older payloads could mix).
 
     Raises :class:`ConfigurationError` for buckets no exponential histogram
-    can hold: a size that is not a positive power of two, or a size-1 bucket
-    whose ``start`` and ``end`` differ.
+    can hold: a size that is not a positive power of two, a size-1 bucket
+    whose ``start`` and ``end`` differ, or a clock that is not a real number.
     """
-    _require(payload, "exponential_histogram")
+    levels, starts, ends, total, last_clock, float_clocks = _histogram_buckets(payload)
     from .windows.exponential_histogram import Bucket, ExponentialHistogram
 
     histogram = ExponentialHistogram(
@@ -141,27 +188,13 @@ def histogram_from_dict(payload: dict[str, Any]) -> ExponentialHistogram:
     )
     # Restore the bucket list verbatim instead of replaying arrivals: the
     # structure on the wire is already the structure we want in memory.
-    last_clock = payload["last_clock"]
-    int_clocks = last_clock is None or is_int_clock(last_clock)
-    for size, start, end in payload["buckets"]:
-        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size <= 0 or size & (size - 1):
-            raise ConfigurationError(
-                "exponential-histogram bucket sizes must be positive powers of two; got %r" % (size,)
-            )
-        if size == 1 and start != end:
-            raise ConfigurationError(
-                "a size-1 bucket holds one arrival, so its start and end must match; "
-                "got start=%r, end=%r" % (start, end)
-            )
-        level = int(size).bit_length() - 1
-        while len(histogram._levels) <= level:
-            histogram._levels.append(deque())
-        histogram._levels[level].append(Bucket(size=int(size), start=start, end=end))
-        histogram._in_window_upper += int(size)
-        int_clocks = int_clocks and is_int_clock(start) and is_int_clock(end)
-    histogram._total_arrivals = int(payload["total_arrivals"])
+    histogram._levels = [deque() for _ in range(max(levels, default=-1) + 1)]
+    for level, start, end in zip(levels, starts, ends, strict=True):
+        histogram._levels[level].append(Bucket(size=1 << level, start=start, end=end))
+    histogram._in_window_upper = sum(1 << level for level in levels)
+    histogram._total_arrivals = total
     histogram._last_clock = last_clock
-    if not int_clocks:
+    if float_clocks:
         histogram._promote()
     return histogram
 
@@ -367,12 +400,27 @@ def _ecm_sketch_envelope(sketch: ECMSketch) -> dict[str, Any]:
     }
 
 
+def _counter_codec(
+    sketch: ECMSketch,
+) -> tuple[Callable[[int], dict[str, Any]], Callable[[int, dict[str, Any]], None]]:
+    """Serializer and loader of one counter of ``sketch`` by flat cell index:
+    a columnar grid's arrays, or the object grid's counter type's codec."""
+    if sketch.backend == "columnar":
+        store: ColumnarEHStore = sketch._store  # type: ignore[assignment]
+        return store.cell_payload, store.load_payload
+    to_dict, from_dict = _COUNTER_SERIALIZERS[sketch.counter_type]
+    return (
+        lambda cell: to_dict(sketch.counter(*divmod(cell, sketch.width))),
+        lambda cell, payload: sketch._set_counter(*divmod(cell, sketch.width), from_dict(payload)),
+    )
+
+
 def ecm_sketch_to_dict(sketch: ECMSketch) -> dict[str, Any]:
     """Serialize a whole ECM-sketch (configuration plus every counter)."""
-    serialize_counter, _ = _COUNTER_SERIALIZERS[sketch.counter_type]
+    serialize_counter, _ = _counter_codec(sketch)
     payload = _ecm_sketch_envelope(sketch)
     payload["counters"] = [
-        [serialize_counter(sketch.counter(row, column)) for column in range(sketch.width)]
+        [serialize_counter(row * sketch.width + column) for column in range(sketch.width)]
         for row in range(sketch.depth)
     ]
     return payload
@@ -385,13 +433,13 @@ def _ecm_sketch_pieces(sketch: ECMSketch) -> Iterator[str]:
     only when the piece before it has been taken, so neither the grid as
     nested dictionaries nor its text as a whole ever exists.
     """
-    serialize_counter, _ = _COUNTER_SERIALIZERS[sketch.counter_type]
+    serialize_counter, _ = _counter_codec(sketch)
     envelope = _encode(_ecm_sketch_envelope(sketch))
     yield envelope[:-1] + ',"counters":['
     for row in range(sketch.depth):
         opening = "[" if row == 0 else "],["
         for column in range(sketch.width):
-            yield opening + _encode(serialize_counter(sketch.counter(row, column)))
+            yield opening + _encode(serialize_counter(row * sketch.width + column))
             opening = ","
     yield "]]}"
 
@@ -399,34 +447,27 @@ def _ecm_sketch_pieces(sketch: ECMSketch) -> Iterator[str]:
 _ECM_SKETCH_HEAD = frozenset(["kind", "version", "config", "stream_tag"])
 
 
-def _ecm_sketch_shell(payload: dict[str, Any]) -> tuple[ECMSketch, Callable[[dict[str, Any]], Any]]:
-    """The empty sketch an ECM-sketch payload describes, and its counter decoder."""
+def _ecm_sketch_shell(payload: dict[str, Any]) -> ECMSketch:
+    """The empty sketch an ECM-sketch payload describes."""
     _require(payload, "ecm_sketch")
     config = config_from_dict(payload["config"])
-    sketch = ECMSketch(config, stream_tag=int(payload["stream_tag"]))
-    _, deserialize_counter = _COUNTER_SERIALIZERS[config.counter_type]
-    return sketch, deserialize_counter
+    return ECMSketch(config, stream_tag=int(payload["stream_tag"]))
 
 
-def _load_counters(
-    sketch: ECMSketch,
-    deserialize_counter: Callable[[dict[str, Any]], Any],
-    rows: Iterable[Iterable[dict[str, Any]]],
-) -> None:
-    """Set every counter of ``sketch`` from a grid of payloads, one at a time."""
+def _load_counters(sketch: ECMSketch, rows: Iterable[Iterable[dict[str, Any]]]) -> None:
+    """Load every counter of ``sketch`` from a grid of payloads, one at a time."""
+    _, load_counter = _counter_codec(sketch)
     mismatch = "counter grid shape does not match the configuration"
-    row = -1
+    loaded = 0  # row-major: the flat index of the next cell
     for row, counters in enumerate(rows):
-        if row >= sketch.depth:
-            raise ConfigurationError(mismatch)
-        column = -1
         for column, counter in enumerate(counters):
-            if column >= sketch.width:
+            if row >= sketch.depth or column >= sketch.width:
                 raise ConfigurationError(mismatch)
-            sketch._set_counter(row, column, deserialize_counter(counter))
-        if column + 1 != sketch.width:
+            load_counter(loaded, counter)
+            loaded += 1
+        if loaded != (row + 1) * sketch.width:
             raise ConfigurationError(mismatch)
-    if row + 1 != sketch.depth:
+    if loaded != sketch.depth * sketch.width:
         raise ConfigurationError(mismatch)
 
 
@@ -439,11 +480,8 @@ def _finish_ecm_sketch(sketch: ECMSketch, payload: dict[str, Any]) -> ECMSketch:
 
 def ecm_sketch_from_dict(payload: dict[str, Any]) -> ECMSketch:
     """Rebuild an ECM-sketch serialized by :func:`ecm_sketch_to_dict`."""
-    sketch, deserialize_counter = _ecm_sketch_shell(payload)
-    counters = payload["counters"]
-    if len(counters) != sketch.depth or any(len(row) != sketch.width for row in counters):
-        raise ConfigurationError("counter grid shape does not match the configuration")
-    _load_counters(sketch, deserialize_counter, counters)
+    sketch = _ecm_sketch_shell(payload)
+    _load_counters(sketch, payload["counters"])
     return _finish_ecm_sketch(sketch, payload)
 
 
@@ -476,8 +514,8 @@ def read_ecm_sketch(stream: JSONStream) -> ECMSketch:
             and _ECM_SKETCH_HEAD <= fields.keys()
             and stream.peek() == "["
         ):
-            sketch, deserialize_counter = _ecm_sketch_shell(fields)
-            _load_counters(sketch, deserialize_counter, _stream_grid(stream))
+            sketch = _ecm_sketch_shell(fields)
+            _load_counters(sketch, _stream_grid(stream))
         else:
             fields[key] = stream.value()
     if sketch is None:

@@ -584,9 +584,9 @@ class SketchService:
         and :func:`~repro.service.snapshot.write_snapshot`, already running
         in the default executor, writes it out while the encode goes on;
         the fsync, the rename and the directory fsync follow there too.  The
-        loop never waits on the disk, and neither the encoded document nor
-        the state as per-bucket lists is ever held whole.  The encode itself
-        still blocks the loop.
+        loop waits on the writer only when it falls a pipe's bound behind,
+        and neither the encoded document nor the state as per-bucket lists
+        is ever held whole.  The encode itself still blocks the loop.
 
         Args:
             path: Explicit destination; overrides ``config.snapshot_path``

@@ -611,6 +611,12 @@ class ShardRouter:
             shard_path = str(entry["path"])
             if not os.path.isabs(shard_path):
                 shard_path = os.path.join(base, shard_path)
+            # Checked before any worker spawns, so no worker dies during boot.
+            if not os.path.isfile(shard_path):
+                raise ConfigurationError(
+                    "manifest %s names shard %d's snapshot %s, which is not a file"
+                    % (path, shard, shard_path)
+                )
             router._restore_paths[shard] = shard_path
         router._snapshot_epoch = int(payload.get("epoch", 0))
         return router

@@ -17,13 +17,13 @@ the same state.
   per piece (:func:`~repro.serialization.to_json_pieces`), and puts each
   piece on the pipe as soon as it is made.  :func:`write_snapshot`, in a
   worker thread, takes the pieces off and writes them to a temporary file
-  while the encode goes on.  The pipe is unbounded, so the encoder never
-  waits on the disk; what it holds is what the writer has not caught up
-  with, a few milliseconds of encoding.  If the writer fails, the encoder
-  stops at its next counter; if the encoder fails, the writer drops its
-  temporary file.  Without a pipe, :func:`snapshot_payload` returns the
-  envelope with each sketch still to be encoded, which
-  :func:`write_snapshot` encodes as it writes.
+  while the encode goes on.  The pipe is bounded: when the writer falls
+  more than :data:`_PIPE_LIMIT` characters behind, the encoder waits for
+  it, so a lagging writer never lets the document pile up in memory.  If
+  the writer fails, the encoder stops at its next counter; if the encoder
+  fails, the writer drops its temporary file.  Without a pipe,
+  :func:`snapshot_payload` returns the envelope with each sketch still to
+  be encoded, which :func:`write_snapshot` encodes as it writes.
 * **Read.**  :func:`read_snapshot` walks the file with a
   :class:`~repro.jsonstream.JSONStream` and rebuilds each sketch counter by
   counter (:func:`~repro.serialization.read_ecm_sketch`), through the same
@@ -49,8 +49,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import queue
 import tempfile
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any, TYPE_CHECKING
 
@@ -80,6 +80,11 @@ SNAPSHOT_VERSION = 1
 
 #: Characters gathered into one ``os.write`` when the writer encodes itself.
 _BATCH = 1 << 16
+
+#: Characters a :class:`SnapshotPipe` holds before its encoder waits: a few
+#: counters' pieces (a flat sketch at epsilon 0.05 writes ~3 KB a counter),
+#: so the writer still takes runs of several pieces at a time.
+_PIPE_LIMIT = 1 << 14
 
 
 class _Sketch:
@@ -145,41 +150,70 @@ _END = object()
 class SnapshotPipe:
     """The pieces of one document, on their way from the encoder to the writer.
 
-    :func:`snapshot_payload` puts each piece as it is encoded, on an
-    unbounded :class:`queue.SimpleQueue`, so the encoder never blocks;
-    :func:`write_snapshot`, in another thread, takes them in order.  Each
-    side tells the other when it fails: the writer sets :attr:`stopped`, and
-    the encoder closes the pipe with its error.
+    :func:`snapshot_payload` puts each piece as it is encoded;
+    :func:`write_snapshot`, in another thread, takes every piece queued so
+    far as one run and writes it.  The pipe is bounded: a piece and the run
+    that holds it count against :data:`_PIPE_LIMIT` characters until the
+    writer comes back for the next run, and the encoder waits for room
+    while they fill it.  So a writer that falls behind slows the encoder
+    down rather than letting the backlog grow.  Each side tells the other
+    when it fails: the writer calls :meth:`stop`, and the encoder closes the
+    pipe with its error.
     """
 
     def __init__(self) -> None:
-        self._queue: queue.SimpleQueue[Any] = queue.SimpleQueue()
+        self._pieces: list[Any] = []
+        #: Characters put and not yet written.
+        self._pending = 0
+        self._changed = threading.Condition(threading.Lock())
         #: Set by the writer when it gives up; the encoder then stops.
         self.stopped = False
 
     def put(self, piece: str) -> bool:
-        """Hand one piece to the writer; ``False`` once the writer has stopped."""
-        if self.stopped:
-            return False
-        self._queue.put(piece)
+        """Hand one piece to the writer, once the pipe has room for it;
+        ``False`` once the writer has stopped."""
+        with self._changed:
+            while self._pending >= _PIPE_LIMIT and not self.stopped:
+                self._changed.wait()
+            if self.stopped:
+                return False
+            self._pieces.append(piece)
+            self._pending += len(piece)
+            self._changed.notify_all()
         return True
 
     def close(self, error: BaseException | None = None) -> None:
         """End the document, or abort it because the encoder failed with ``error``."""
-        self._queue.put(_END if error is None else error)
+        with self._changed:
+            self._pieces.append(_END if error is None else error)
+            self._changed.notify_all()
 
-    def idle(self) -> bool:
-        """Whether the writer has taken every piece put so far."""
-        return self._queue.empty()
+    def stop(self) -> None:
+        """Give up writing; a waiting or later :meth:`put` returns ``False``."""
+        with self._changed:
+            self.stopped = True
+            self._changed.notify_all()
 
     def __iter__(self) -> Iterator[str]:
+        """The document as runs: each run is every piece put while the
+        previous run was being written, joined."""
+        written = 0
         while True:
-            piece = self._queue.get()
-            if piece is _END:
+            with self._changed:
+                self._pending -= written
+                self._changed.notify_all()
+                while not self._pieces:
+                    self._changed.wait()
+                pieces, self._pieces = self._pieces, []
+            end = None if isinstance(pieces[-1], str) else pieces.pop()
+            if isinstance(end, BaseException):
+                raise _EncoderFailed("the snapshot encoder failed: %r" % (end,))
+            run = "".join(pieces)
+            del pieces  # the run alone stays while it is written
+            yield run
+            if end is not None:
                 return
-            if isinstance(piece, BaseException):
-                raise _EncoderFailed("the snapshot encoder failed: %r" % (piece,))
-            yield piece
+            written = len(run)
 
 
 def snapshot_payload(service: SketchService, pipe: SnapshotPipe | None = None) -> dict[str, Any]:
@@ -251,14 +285,14 @@ def snapshot_payload(service: SketchService, pipe: SnapshotPipe | None = None) -
     return payload
 
 
-def _batched(pieces: Iterable[str], flush: Callable[[int], bool]) -> Iterator[str]:
-    """``pieces`` joined into runs, each ended when ``flush(length)`` says so."""
+def _batched(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` joined into runs of at least :data:`_BATCH` characters."""
     batch: list[str] = []
     length = 0
     for piece in pieces:
         batch.append(piece)
         length += len(piece)
-        if flush(length):
+        if length >= _BATCH:
             yield "".join(batch)
             batch, length = [], 0
     if batch:
@@ -294,14 +328,12 @@ def write_snapshot(path: str | os.PathLike, document: dict[str, Any] | SnapshotP
         try:
             batches: Iterable[str]
             if pipe is None:
-                batches = _batched(_json_chunks(document), lambda length: length >= _BATCH)
+                batches = _batched(_json_chunks(document))
             else:
                 # Everything queued goes out in one write as soon as the
-                # writer has caught up: each write releases the GIL, and
-                # getting it back can take a switch interval of encoding,
-                # so batches capped in size would fall behind the encoder.
-                idle = pipe.idle
-                batches = _batched(pipe, lambda length: idle())
+                # writer is back for more: each write releases the GIL, and
+                # getting it back can take a switch interval of encoding.
+                batches = pipe
             corrupt = failpoints.fire("snapshot.write")
             if corrupt is not None and corrupt[0] == "corrupt":
                 # Injected corruption: half the document reaches the file —
@@ -318,7 +350,7 @@ def write_snapshot(path: str | os.PathLike, document: dict[str, Any] | SnapshotP
         os.replace(temporary, destination)
     except BaseException:
         if pipe is not None:
-            pipe.stopped = True
+            pipe.stop()
         if temporary is not None:
             with contextlib.suppress(OSError):
                 os.unlink(temporary)

@@ -52,9 +52,8 @@ arrays.
 Every bucket at level ``l`` holds exactly ``2**l`` arrivals, so sizes are
 implied by the level index and no per-bucket size array exists.  That holds
 for every state this codebase produces (inserts, batched ingests,
-replay-based merges, serialization of those), and
-:func:`repro.serialization.histogram_from_dict` rejects wire payloads that
-break it.
+replay-based merges, serialization of those), and the decoder of
+:mod:`repro.serialization` rejects wire payloads that break it.
 
 Clock types follow one rule per cell, the reference histogram's: a cell's
 clocks are ints until it takes a clock that is not an int, and floats from
@@ -70,17 +69,19 @@ NumPy passes below and the kernels of :mod:`repro.windows._eh_kernels`.
 them, NumPy otherwise.  Both give identical bytes; the equivalence suite
 flips the flag to run the interpreted kernels too.
 
-Equivalence contract: every operation leaves the grid in a state whose
-materialisation (:meth:`get_counter`) is bucket-for-bucket identical to the
-reference object layout, including serialized byte equality.  The batched
-ingest cascades every run in segments: the reference expires only after an
-arrival's units are in, and a cell's oldest live end never decreases while
-units arrive, so a segment can run up to and including the first arrival
-whose ``clock - window`` reaches ``min(oldest_end, first clock of the
-segment)``; the cells whose segment ended on such a crossing then expire,
-and the next round continues after it.  Aggregation reads the inputs'
-buckets with :meth:`~ColumnarEHStore.live_buckets` and replays them through
-this same ingest, so no merged cell is ever materialised.
+Equivalence contract: every operation leaves each cell bucket for bucket in
+the state of its object-layout twin, so both layouts serialize to the same
+bytes.  The batched ingest cascades every run in segments: the reference
+expires only after an arrival's units are in, and a cell's oldest live end
+never decreases while units arrive, so a segment can run up to and
+including the first arrival whose ``clock - window`` reaches
+``min(oldest_end, first clock of the segment)``; the cells whose segment
+ended on such a crossing then expire, and the next round continues after
+it.  Aggregation replays the inputs' :meth:`~ColumnarEHStore.live_buckets`
+through this same ingest; :meth:`~ColumnarEHStore.cell_payload` encodes a
+cell from them and :meth:`~ColumnarEHStore.load_payload` decodes one: no
+twin is built.  Only :meth:`~ColumnarEHStore.get_counter` builds one, a
+copy decoded from the cell's payload.
 """
 
 from __future__ import annotations
@@ -89,9 +90,8 @@ import importlib.util
 import math
 import mmap
 import numbers
-from collections import deque
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -105,9 +105,6 @@ from .base import (
     validate_epsilon,
     validate_window,
 )
-
-if TYPE_CHECKING:
-    from .exponential_histogram import ExponentialHistogram
 
 __all__ = ["ColumnarEHStore", "USE_KERNELS", "exact_clocks"]
 
@@ -285,8 +282,8 @@ class ColumnarEHStore(CounterStore):
         if not isinstance(model, WindowModel):
             raise ConfigurationError("model must be a WindowModel, got %r" % (model,))
         self.model = model
-        # Same derivation as ExponentialHistogram.__init__, so a materialised
-        # cell cascades exactly like its object-layout twin.
+        # Same derivation as ExponentialHistogram.__init__, so every cell
+        # cascades exactly like its object-layout twin.
         self.k = int(math.ceil(1.0 / self.epsilon))
         self._max_per = int(math.ceil(self.k / 2.0)) + 1
         # The slot axis starts small and grows on demand: a (cell, level)
@@ -361,14 +358,6 @@ class ColumnarEHStore(CounterStore):
         self._starts, self._ends = grown
         self._slots = slots
 
-    def _claim_row(self, cell: int, level: int) -> int:
-        """Bind the next free pool row to ``(cell, level)``, which has none."""
-        row = self._next_row
-        self._ensure_rows(row + 1)
-        self._row_map[cell, level] = row
-        self._next_row = row + 1
-        return row
-
     def _claim_rows(self, cells: np.ndarray, level: int) -> np.ndarray:
         """Pool rows of distinct ``cells`` that store a bucket at ``level``,
         binding a fresh row to each that has none yet."""
@@ -408,13 +397,6 @@ class ColumnarEHStore(CounterStore):
             raise ConfigurationError("query range must be positive, got %r" % (range_length,))
         return now - range_length
 
-    def _recompute_oldest_end(self, cell: int) -> None:
-        live = self._counts[cell] > 0
-        if live.any():
-            self._oldest_end[cell] = self._ends[self._row_map[cell][live], 0].min()
-        else:
-            self._oldest_end[cell] = np.inf
-
     # ---------------------------------------------------------------- mutation
     def add_single(self, row: int, column: int, clock: float, count: int = 1) -> None:
         if count < 0:
@@ -450,7 +432,7 @@ class ColumnarEHStore(CounterStore):
         row = int(self._row_map[cell, 0])
         if not row or live >= self._slots:
             self._ensure_slots(live + 1)
-            row = row or self._claim_row(cell, 0)
+            row = row or int(self._claim_rows(np.array([cell]), 0)[0])
         starts, ends = self._starts, self._ends
         starts[row, live] = clock_f
         ends[row, live] = clock_f
@@ -478,7 +460,7 @@ class ColumnarEHStore(CounterStore):
             if not row or live >= self._slots:
                 # Lazy growth; reallocation invalidates every local alias.
                 self._ensure_slots(live + 1)
-                row = row or self._claim_row(cell, level)
+                row = row or int(self._claim_rows(np.array([cell]), level)[0])
                 starts, ends = self._starts, self._ends
             starts[row, live] = merged_start
             ends[row, live] = merged_end
@@ -949,8 +931,12 @@ class ColumnarEHStore(CounterStore):
         return estimates.reshape(self.depth, self.width).tolist()
 
     # --------------------------------------------------------- cell interchange
+    # A cell's wire form is a ``histogram_to_dict`` payload.  The codec is
+    # imported where a cell crosses: it imports the sketch, which builds this.
     def get_counter(self, row: int, column: int) -> SlidingWindowCounter:
-        return self._materialize(row * self.width + column)
+        from ..serialization import histogram_from_dict
+
+        return histogram_from_dict(self.cell_payload(row * self.width + column))
 
     def live_buckets(
         self, cells: np.ndarray
@@ -965,76 +951,51 @@ class ColumnarEHStore(CounterStore):
         floats = self._is_float[cells][position]
         return position, level, self._starts[rows, slot], self._ends[rows, slot], floats
 
-    def _materialize(self, cell: int) -> ExponentialHistogram:
-        """An object-layout twin of one cell (bucket-for-bucket identical)."""
-        from .exponential_histogram import Bucket, ExponentialHistogram
+    def cell_payload(self, cell: int) -> dict[str, Any]:
+        """The ``histogram_to_dict`` payload of one cell, read from the pools."""
+        from ..serialization import _histogram_dict
 
-        histogram = ExponentialHistogram(
-            epsilon=self.epsilon, window=self.window, model=self.model
-        )
         _, levels, starts, ends, _ = self.live_buckets(np.array([cell]))
-        is_float = bool(self._is_float[cell])
-        if not is_float:
+        # ``buckets_oldest_first`` order: by end, then start, then higher level.
+        order = np.lexsort((-levels, starts, ends))
+        if not self._is_float[cell]:
             starts, ends = starts.astype(np.int64), ends.astype(np.int64)
-        histogram._levels = [deque() for _ in range(int(levels[-1]) + 1 if levels.size else 0)]
-        for level, start, end in zip(levels.tolist(), starts.tolist(), ends.tolist(), strict=True):
-            histogram._levels[level].append(Bucket(1 << level, start, end))
-        histogram._total_arrivals = int(self._totals[cell])
-        histogram._in_window_upper = int(self._uppers[cell])
-        histogram._last_clock = self._last_clock(cell)
-        histogram._float_clocks = is_float
-        return histogram
+        sizes, starts, ends = np.left_shift(1, levels[order]), starts[order], ends[order]
+        buckets = [list(bucket) for bucket in zip(sizes.tolist(), starts.tolist(), ends.tolist())]
+        return _histogram_dict(self, int(self._totals[cell]), self._last_clock(cell), buckets)
 
-    def set_counter(self, row: int, column: int, counter: SlidingWindowCounter) -> None:
-        from .exponential_histogram import ExponentialHistogram
+    def load_payload(self, cell: int, payload: dict[str, Any]) -> None:
+        """Replace one cell's state with a ``histogram_to_dict`` payload,
+        written straight into the pools.  It must pass the checks of
+        ``histogram_from_dict`` and match this store's epsilon, window and
+        model, and an int cell's clocks must lie within ``MAX_INT_CLOCK``."""
+        from ..serialization import _histogram_buckets
 
-        if not isinstance(counter, ExponentialHistogram):
-            raise ConfigurationError(
-                "the columnar layout only stores exponential histograms; got %r"
-                % (type(counter).__name__,)
-            )
-        if (
-            counter.epsilon != self.epsilon
-            or counter.window != self.window
-            or counter.model is not self.model
-        ):
-            raise ConfigurationError(
-                "cannot load a counter with different epsilon/window/model into "
-                "a columnar store"
-            )
-        self._load_cell(row * self.width + column, counter)
-
-    def _load_cell(self, cell: int, histogram: ExponentialHistogram) -> None:
-        # Sizes are implied by the level index: ``histogram`` must hold
-        # exactly 2**l arrivals per level-l bucket, as every histogram this
-        # codebase builds (or decodes) does.
-        # Its clocks are of one type, which ``_float_clocks`` names.
-        levels = histogram._levels
-        self._counts[cell, :] = 0
-        stored = [level for level, bucket_deque in enumerate(levels) if bucket_deque]
-        if stored:
-            self._ensure_level(stored[-1])
-            self._ensure_slots(max(len(levels[level]) for level in stored))
-        for level in stored:
-            bucket_deque = levels[level]
-            row = int(self._row_map[cell, level]) or self._claim_row(cell, level)
-            starts, ends = self._starts[row], self._ends[row]
-            for slot, bucket in enumerate(bucket_deque):
-                starts[slot] = _exact_float(bucket.start)
-                ends[slot] = _exact_float(bucket.end)
-            self._counts[cell, level] = len(bucket_deque)
-        self._totals[cell] = int(histogram.total_arrivals())
-        self._uppers[cell] = int(histogram.arrivals_in_window_upper_bound())
-        last = histogram.last_clock
-        self._last_clocks[cell] = math.nan if last is None else _exact_float(last)
-        self._is_float[cell] = histogram._float_clocks
-        self._recompute_oldest_end(cell)
+        levels, starts, ends, total, last_clock, is_float = _histogram_buckets(payload, self)
+        if not is_float:
+            clocks = [*starts, *ends] if last_clock is None else [*starts, *ends, last_clock]
+            self._require_exact_ints(np.asarray(clocks))
+        level_of = np.asarray(levels, dtype=np.int64)
+        per_level = np.bincount(level_of, minlength=1)
+        self._ensure_level(per_level.shape[0] - 1)
+        self._ensure_slots(int(per_level.max()))
+        for level in np.flatnonzero(per_level).tolist():
+            self._claim_rows(np.array([cell]), level)
+        # Each bucket's level and slot, the payload's order kept within a level.
+        level_index, slot = _ragged(per_level)
+        order = np.argsort(level_of, kind="stable")
+        rows = self._row_map[cell, level_index]
+        self._starts[rows, slot] = np.asarray(starts, dtype=np.float64)[order]
+        self._ends[rows, slot] = level_ends = np.asarray(ends, dtype=np.float64)[order]
+        self._counts[cell] = 0
+        self._counts[cell, : per_level.shape[0]] = per_level
+        self._totals[cell] = total
+        self._uppers[cell] = int(np.left_shift(per_level, np.arange(per_level.shape[0])).sum())
+        self._oldest_end[cell] = level_ends[slot == 0].min(initial=np.inf)
+        self._last_clocks[cell] = math.nan if last_clock is None else float(last_clock)
+        self._is_float[cell] = is_float
 
     # -------------------------------------------------------------- accounting
-    def bucket_count(self, row: int, column: int) -> int:
-        """Live buckets of one cell (no materialisation needed)."""
-        return int(self._counts[row * self.width + column].sum())
-
     def total_buckets(self) -> int:
         """Live buckets across the whole grid."""
         return int(self._counts.sum())

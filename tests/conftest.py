@@ -7,13 +7,17 @@ realistic, skewed workloads.
 
 from __future__ import annotations
 
+import contextlib
 import random
+from collections.abc import Iterator
+from unittest import mock
 
 import pytest
 
 from repro.baselines import ExactStreamSummary
 from repro.core import CounterType, ECMConfig
 from repro.streams import SnmpSyntheticTrace, UniformTrace, WorldCupSyntheticTrace
+from repro.windows.exponential_histogram import ExponentialHistogram
 
 
 WINDOW = 100_000.0
@@ -91,3 +95,18 @@ def make_arrivals(rng: random.Random, count: int, mean_gap: float = 5.0):
         clock += rng.random() * mean_gap * 2.0
         arrivals.append(clock)
     return arrivals
+
+
+@contextlib.contextmanager
+def histograms_built() -> Iterator[list[ExponentialHistogram]]:
+    """Every :class:`ExponentialHistogram` constructed inside the block, in a
+    list that fills as they are built (a spy on ``__init__``)."""
+    built: list[ExponentialHistogram] = []
+    init = ExponentialHistogram.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(ExponentialHistogram, "__init__", spy):
+        yield built

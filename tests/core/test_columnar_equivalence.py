@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import io
+import json
 import math
 import mmap
 import random
@@ -35,15 +37,19 @@ from hypothesis import strategies as st
 
 from repro.core import ECMConfig, ECMSketch
 from repro.core.errors import ConfigurationError
+from repro.jsonstream import JSONStream
 from repro.serialization import (
     dumps,
     ecm_sketch_from_dict,
     ecm_sketch_to_dict,
     histogram_from_dict,
     loads,
+    read_ecm_sketch,
 )
 from repro.windows import ColumnarEHStore, WindowModel, columnar_eh
 from repro.windows._eh_kernels import HAVE_NUMBA
+
+from ..conftest import histograms_built
 
 WINDOW = 400.0
 
@@ -83,16 +89,13 @@ class _KernelSettingsCase:
 
 def _forbid_replay(monkeypatch) -> None:
     """Fail the test if a batched ingest replays a cell through the reference
-    (materialises it as an ``ExponentialHistogram``)."""
+    (builds an ``ExponentialHistogram``)."""
     ingest = ColumnarEHStore.ingest_sorted_rows
 
-    def replay(cell):
-        raise AssertionError("cell %d replayed through the reference" % cell)
-
     def guarded(self, payloads):
-        with monkeypatch.context() as patch:
-            patch.setattr(self, "_materialize", replay)
+        with histograms_built() as built:
             ingest(self, payloads)
+        assert built == [], "a cell replayed through the reference"
 
     monkeypatch.setattr(ColumnarEHStore, "ingest_sorted_rows", guarded)
 
@@ -310,16 +313,21 @@ class TestWirePayloads(_KernelSettingsCase):
     when decoded; a cell whose clocks mix int and float (written before a
     cell's clocks took one type) loads float on both layouts."""
 
-    def _load(self, layout: str, buckets: list, last_clock) -> ECMSketch:
-        """Decode a payload whose cell ``(0, 0)`` holds ``buckets`` onto ``layout``."""
+    def _load(self, layout: str, buckets: list, last_clock, **cell_fields) -> ECMSketch:
+        """Decode a payload whose cell ``(0, 0)`` holds ``buckets`` (and
+        ``cell_fields``) onto ``layout``: the object reference, or the
+        columnar store from the payload whole or streamed from its text."""
         config = ECMConfig.for_point_queries(epsilon=0.15, delta=0.2, window=WINDOW)
         payload = ecm_sketch_to_dict(ECMSketch(config))
         cell = payload["counters"][0][0]
         cell["buckets"] = buckets
         cell["total_arrivals"] = sum(bucket[0] for bucket in buckets)
         cell["last_clock"] = last_clock
+        cell.update(cell_fields)
         if layout == "columnar":
             return ecm_sketch_from_dict(payload)
+        if layout == "streamed":
+            return read_ecm_sketch(JSONStream(io.StringIO(json.dumps(payload))))
         reference = ECMSketch._on_object_store(config)
         for row, cells in enumerate(payload["counters"]):
             for column, counter in enumerate(cells):
@@ -328,17 +336,58 @@ class TestWirePayloads(_KernelSettingsCase):
         reference._last_clock = payload["last_clock"]
         return reference
 
-    @pytest.mark.parametrize("layout", ["object", "columnar"])
+    @pytest.mark.parametrize("layout", ["object", "columnar", "streamed"])
     def test_non_power_of_two_bucket_rejected(self, layout):
         with pytest.raises(ConfigurationError, match="powers of two"):
             self._load(layout, [[3, 1, 2.5], [1, 4, 4]], 4)
+
+    @pytest.mark.parametrize("layout", ["object", "columnar", "streamed"])
+    def test_unit_bucket_spanning_two_clocks_rejected(self, layout):
+        with pytest.raises(ConfigurationError, match="start and end must match"):
+            self._load(layout, [[2, 1, 2], [1, 3, 4]], 4)
+
+    @pytest.mark.parametrize("layout", ["object", "columnar", "streamed"])
+    @pytest.mark.parametrize(
+        "buckets, last_clock",
+        [
+            ([[1, None, None]], 4),
+            ([[2, 1, None], [1, 4, 4]], 4),
+            ([[2, 1.5, 2.5], [1, None, None]], 4.0),
+            ([[1, "4", "4"]], 4),
+            ([[1, True, True]], 4),
+            ([[1, 4, 4]], "4"),
+        ],
+    )
+    def test_a_clock_that_is_not_a_real_number_is_rejected(self, layout, buckets, last_clock):
+        with pytest.raises(ConfigurationError, match="must be a real number"):
+            self._load(layout, buckets, last_clock)
+
+    @pytest.mark.parametrize("layout", ["columnar", "streamed"])
+    @pytest.mark.parametrize(
+        "field, value", [("epsilon", 0.3), ("window", 2 * WINDOW), ("model", "count")]
+    )
+    def test_a_cell_of_another_epsilon_window_or_model_is_rejected(self, layout, field, value):
+        with pytest.raises(ConfigurationError, match="different epsilon/window/model"):
+            self._load(layout, [[1, 4, 4]], 4, **{field: value})
+
+    @pytest.mark.parametrize("layout", ["columnar", "streamed"])
+    @pytest.mark.parametrize("clock", [2**54, 2**70, -(2**54)])
+    def test_an_int_clock_beyond_2_53_is_rejected(self, layout, clock):
+        with pytest.raises(ConfigurationError, match="2\\*\\*53; got %d" % clock):
+            self._load(layout, [[1, clock, clock]], clock)
+
+    @pytest.mark.parametrize("layout", ["columnar", "streamed"])
+    def test_a_mixed_cell_may_hold_ints_beyond_2_53(self, layout):
+        # Its clocks load as floats, which hold 2**54 exactly.
+        sketch = self._load(layout, [[1, 2**54, 2**54]], 2.0**54)
+        assert ecm_sketch_to_dict(sketch)["counters"][0][0]["buckets"] == [[1, 2.0**54, 2.0**54]]
 
     def test_mixed_clock_payload_roundtrip_and_updates(self):
         buckets = [[2, 1, 2.5], [1, 4, 4]]
         reference = self._load("object", buckets, 4)
         columnar = self._load("columnar", buckets, 4)
         assert reference.backend == "object"
-        assert dumps(reference) == dumps(columnar)
+        assert dumps(reference) == dumps(columnar) == dumps(self._load("streamed", buckets, 4))
         cell = ecm_sketch_to_dict(columnar)["counters"][0][0]
         assert cell["buckets"] == [[2, 1.0, 2.5], [1, 4.0, 4.0]]
         assert type(cell["last_clock"]) is float
@@ -367,8 +416,8 @@ class TestWirePayloads(_KernelSettingsCase):
     def test_a_cell_turns_float_at_its_first_float_clock(self, monkeypatch):
         """Only the cells that took a float clock print floats, and a store
         holding both cell types stays on the vector cascade: a mixed batch
-        and a later pure-float batch reach ``_ingest_runs`` and materialise
-        no cell."""
+        and a later pure-float batch reach ``_ingest_runs`` and build no
+        ``ExponentialHistogram``."""
         reference, columnar = _pair(window=1e6)
         store = _columnar_store(columnar)
         for sketch in (reference, columnar):
@@ -380,22 +429,23 @@ class TestWirePayloads(_KernelSettingsCase):
             pytest.skip("'j' shares its row-0 cell with 'k'")
         assert type(columnar.counter(row, column).last_clock) is int
         assert store._is_float.sum() == columnar.depth
-        calls = {"_ingest_runs": 0, "_materialize": 0}
+        calls = {"_ingest_runs": 0}
         items = ["k%d" % (index % 7) for index in range(64)]
         mixed = [2 + index if index % 3 else 2.25 + index for index in range(64)]
         floats = [70.0 + 0.25 * index for index in range(64)]
-        with monkeypatch.context() as patch:
-            for name in calls:
+        ingest_runs = ColumnarEHStore._ingest_runs
 
-                def spy(self, *args, _name=name, _original=getattr(ColumnarEHStore, name)):
-                    calls[_name] += 1
-                    return _original(self, *args)
+        def spy(self, *args):
+            calls["_ingest_runs"] += 1
+            return ingest_runs(self, *args)
 
-                patch.setattr(ColumnarEHStore, name, spy)
+        with monkeypatch.context() as patch, histograms_built() as built:
+            patch.setattr(ColumnarEHStore, "_ingest_runs", spy)
             for clocks in (mixed, floats):
                 for sketch in (reference, columnar):
                     sketch.add_many(items, clocks)
-        assert calls == {"_ingest_runs": 2, "_materialize": 0}
+        assert calls == {"_ingest_runs": 2}
+        assert built == []
         _assert_twins(reference, columnar, ["k", "j"] + sorted(set(items)))
 
 

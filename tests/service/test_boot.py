@@ -341,8 +341,9 @@ class TestImportBudget:
         assert _loaded(modules, FLAT_UNUSED) == []
 
     def test_flat_server_snapshot_stays_on_the_flat_path(self, tmp_path):
-        # A ``snapshot`` op, then the final snapshot of the SIGTERM drain:
-        # serializing a flat sketch loads no hierarchy.
+        # A ``snapshot`` op, then the final snapshot of the SIGTERM drain;
+        # then a ``--restore`` boot of that snapshot.  Serializing a flat
+        # sketch and restoring it load no hierarchy.
         snapshot = tmp_path / "snap.json"
 
         def ingest_and_snapshot(port: int) -> None:
@@ -350,16 +351,27 @@ class TestImportBudget:
             with SyncServiceClient.connect(port=port) as client:
                 assert client.snapshot() == str(snapshot)
 
-        modules, _ = _boot_modules(
+        written, _ = _boot_modules(
             tmp_path, "--mode", "flat", "--snapshot-path", snapshot, drive=ingest_and_snapshot
         )
         assert snapshot.is_file()
-        assert "repro.serialization" in modules
-        assert _loaded(modules, FLAT_UNUSED) == []
-        # The cells were encoded by the exponential-histogram codec, and no
-        # wave or Count-Min codec came with it.
-        assert "repro.windows.exponential_histogram" in modules
-        assert _loaded(modules, OTHER_COUNTER_CODE) == []
+        def query_the_restored_state(port: int) -> None:
+            with SyncServiceClient.connect(port=port) as client:
+                assert client.point("key-3") > 0
+                assert client.self_join() > 0
+
+        restore_dir = tmp_path / "restore"
+        restore_dir.mkdir()
+        restored, _ = _boot_modules(
+            restore_dir, "--restore", snapshot, drive=query_the_restored_state
+        )
+        for modules in (written, restored):
+            assert "repro.serialization" in modules
+            assert _loaded(modules, FLAT_UNUSED) == []
+            # The codec reads and writes the cells in the store's arrays: no
+            # reference histogram, wave or Count-Min code came with it.
+            assert "repro.windows.exponential_histogram" not in modules
+            assert _loaded(modules, OTHER_COUNTER_CODE) == []
 
     def test_flat_server_routes_the_kernels_exactly_when_numba_imports(self, tmp_path):
         # The kernel module is imported only where it runs, so a boot must

@@ -16,15 +16,16 @@ import json
 import os
 import sqlite3
 import stat
+import subprocess
+import sys
+import textwrap
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import ECMConfig, ECMSketch
-from repro.core.config import CounterType
 from repro.core.errors import ConfigurationError
 from repro.serialization import (
     config_from_dict,
@@ -34,10 +35,18 @@ from repro.serialization import (
     hierarchical_to_dict,
 )
 from repro.cli import build_parser
-from repro.service import ServiceConfig, ShardRouter, SketchService, TenantPool, failpoints
+from repro.service import (
+    ServiceConfig,
+    ShardRouter,
+    SketchService,
+    TenantPool,
+    failpoints,
+    repro_env,
+)
 from repro.service.errors import InvalidParameterError
 from repro.service.snapshot import (
     SNAPSHOT_KIND,
+    SnapshotPipe,
     document_kind,
     load_snapshot,
     snapshot_payload,
@@ -45,6 +54,7 @@ from repro.service.snapshot import (
     write_snapshot,
 )
 from repro.streams import IntegerZipfTrace, WorldCupSyntheticTrace
+from repro.windows import ColumnarEHStore
 from repro.windows.base import WindowModel
 
 #: A flat snapshot written when one EH cell could hold int and float clocks
@@ -437,50 +447,53 @@ class TestStreamedDocument:
         # encoded: neither the state as per-bucket lists nor the document
         # (as one string or as a list of pieces) is held, so a full
         # snapshot_async peaks far below the file it writes.
-        config = ServiceConfig(mode="flat", window=1e12, epsilon=0.05, expire_every=None)
-        service = SketchService(config)
-        count = 200_000
-        keys = np.random.default_rng(3).integers(0, 5_000, count)
-        service.state.add_many(keys, np.arange(1, count + 1, dtype=np.int64))
-        sketch = service.state
-        buckets = sum(
-            sketch.counter(row, column).bucket_count()
-            for row in range(sketch.depth)
-            for column in range(sketch.width)
-        )
-        assert buckets >= 40_000
         path = tmp_path / "snap.json"
-        run(service.snapshot_async(str(tmp_path / "warm.json")))  # imports
-        tracemalloc.start()
-        try:
-            run(service.snapshot_async(str(path)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= os.path.getsize(path) / 4
+        measured = _measure_in_fresh_interpreter(
+            """
+            config = ServiceConfig(mode="flat", window=1e12, epsilon=0.05, expire_every=None)
+            service = SketchService(config)
+            count = 200_000
+            keys = np.random.default_rng(3).integers(0, 5_000, count)
+            service.state.add_many(keys, np.arange(1, count + 1, dtype=np.int64))
+            sketch = service.state
+            buckets = sum(
+                sketch.counter(row, column).bucket_count()
+                for row in range(sketch.depth)
+                for column in range(sketch.width)
+            )
+            asyncio.run(service.snapshot_async(path + ".warm"))  # imports
+            peak = traced_peak(lambda: asyncio.run(service.snapshot_async(path)))
+            report(buckets=buckets, peak=peak)
+            """,
+            path,
+        )
+        assert measured["buckets"] >= 40_000
+        assert measured["peak"] <= os.path.getsize(path) / 4
 
     def test_restore_memory_is_bounded_by_the_file(self, tmp_path):
         # Restore decodes and loads one counter at a time.  What remains is
         # the window of the file being parsed and the restored sketch's own
         # growth, which stays on the heap only while its pools are small; a
         # file of a few MB keeps those fixed costs far below a quarter of it.
-        config = ServiceConfig(mode="flat", window=1e12, epsilon=0.025, expire_every=None)
-        service = SketchService(config)
-        count = 300_000
-        keys = np.random.default_rng(3).integers(0, 50_000, count)
-        service.state.add_many(keys, np.arange(1, count + 1, dtype=np.int64))
         path = tmp_path / "snap.json"
-        service.snapshot_now(str(path))
+        measured = _measure_in_fresh_interpreter(
+            """
+            config = ServiceConfig(mode="flat", window=1e12, epsilon=0.025, expire_every=None)
+            service = SketchService(config)
+            count = 300_000
+            keys = np.random.default_rng(3).integers(0, 50_000, count)
+            service.state.add_many(keys, np.arange(1, count + 1, dtype=np.int64))
+            service.snapshot_now(path)
+            SketchService.from_snapshot(path)  # imports
+            restored = []
+            peak = traced_peak(lambda: restored.append(SketchService.from_snapshot(path)))
+            report(peak=peak, identical=dumps(restored[0].state) == dumps(service.state))
+            """,
+            path,
+        )
         assert os.path.getsize(path) >= 2_000_000
-        SketchService.from_snapshot(path)  # imports
-        tracemalloc.start()
-        try:
-            restored = SketchService.from_snapshot(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= os.path.getsize(path) / 4
-        assert dumps(restored.state) == dumps(service.state)
+        assert measured["peak"] <= os.path.getsize(path) / 4
+        assert measured["identical"]
 
     def test_stats_report_the_last_snapshot_size(self, tmp_path):
         config = ServiceConfig(mode="flat", snapshot_path=str(tmp_path / "s.json"))
@@ -495,6 +508,59 @@ class TestStreamedDocument:
 
         before, after, size = run(body())
         assert (before, after) == (0, size)
+
+
+#: What every :func:`_measure_in_fresh_interpreter` script starts with.
+_FRESH_PRELUDE = """
+import asyncio
+import gc
+import json
+import sys
+import tracemalloc
+
+import numpy as np
+
+from repro.serialization import dumps
+from repro.service import ServiceConfig, SketchService
+
+path = sys.argv[1]
+
+
+def traced_peak(call):
+    # Collected first, so no garbage of the set-up is freed into the trace.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def report(**measured):
+    print(json.dumps(measured))
+"""
+
+
+def _measure_in_fresh_interpreter(body: str, path: Path) -> dict:
+    """Run ``body`` after :data:`_FRESH_PRELUDE` in a new interpreter, with
+    ``path`` as its ``path``; returns what it passed to ``report``.
+
+    A tracemalloc peak counts every allocation of the process while it is
+    traced, so a memory bound measured in the pytest process also counts
+    the threads and garbage of earlier tests.  A fresh interpreter holds
+    only the measured call's.
+    """
+    script = _FRESH_PRELUDE + textwrap.dedent(body)
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=repro_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def _with_legacy_backend(path, value: str) -> None:
@@ -608,27 +674,23 @@ class TestLegacyBackendKey:
 
 
 def _counting_serializer(monkeypatch, fail_at: int | None = None, pause: float = 0.0):
-    """Spy on the exponential-histogram serializer; returns the call counter.
+    """Spy on the columnar store's cell encoder; returns the call counter.
 
     It raises on call ``fail_at`` when given, and sleeps ``pause`` seconds
     per counter (releasing the GIL, so the writer thread gets to run).
     """
-    import repro.serialization as serialization
-
-    to_dict, from_dict = serialization._COUNTER_SERIALIZERS[CounterType.EXPONENTIAL_HISTOGRAM]
+    cell_payload = ColumnarEHStore.cell_payload
     calls = [0]
 
-    def spy(histogram):
+    def spy(store, cell):
         calls[0] += 1
         if calls[0] == fail_at:
             raise RuntimeError("encoder failed on counter %d" % fail_at)
         if pause:
             time.sleep(pause)
-        return to_dict(histogram)
+        return cell_payload(store, cell)
 
-    monkeypatch.setitem(
-        serialization._COUNTER_SERIALIZERS, CounterType.EXPONENTIAL_HISTOGRAM, (spy, from_dict)
-    )
+    monkeypatch.setattr(ColumnarEHStore, "cell_payload", spy)
     return calls
 
 
@@ -704,6 +766,76 @@ class TestStreamedWriteFailures:
         assert snapshots == 1
         assert path.read_bytes() == previous
         assert [entry.name for entry in tmp_path.iterdir()] == ["snap.json"]
+
+    @pytest.mark.parametrize("entry", ["snapshot_async", "snapshot_now"])
+    def test_a_lagging_writer_holds_the_encoder_back(self, tmp_path, monkeypatch, entry):
+        # Every write of the file takes 20 ms, far longer than encoding the
+        # run it writes: the encoder must wait for room rather than queue
+        # the rest of the document behind the writer.
+        import repro.service.snapshot as snapshot_module
+
+        path = tmp_path / "snap.json"
+        config = ServiceConfig(mode="flat", epsilon=0.05, expire_every=None, snapshot_path=str(path))
+        keys, clocks = _columns("flat", WindowModel.TIME_BASED, 20_000)
+        write_all = snapshot_module._write_all
+        put = SnapshotPipe.put
+        pending, pieces = [0], [0]
+
+        def slow_write(descriptor, data):
+            time.sleep(0.02)
+            write_all(descriptor, data)
+
+        def spy(pipe, piece):
+            pieces[0] = max(pieces[0], len(piece))
+            written = put(pipe, piece)
+            pending[0] = max(pending[0], pipe._pending)
+            return written
+
+        async def body():
+            async with SketchService(config) as service:
+                await service.ingest(keys, clocks)
+                await service.drain()
+                with monkeypatch.context() as patch:
+                    patch.setattr(snapshot_module, "_write_all", slow_write)
+                    patch.setattr(SnapshotPipe, "put", spy)
+                    await _take_snapshot(service, entry)
+                return _reference_document(service)
+
+        document = run(body())
+        assert path.read_text(encoding="utf-8") == document
+        assert len(document) >= 8 * snapshot_module._PIPE_LIMIT
+        assert pending[0] <= snapshot_module._PIPE_LIMIT + pieces[0]
+
+    def test_a_writer_failing_while_the_encoder_waits_for_room_stops_it(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.snapshot as snapshot_module
+
+        path = tmp_path / "snap.json"
+        config = ServiceConfig(mode="flat", epsilon=0.05, expire_every=None, snapshot_path=str(path))
+        keys, clocks = _columns("flat", WindowModel.TIME_BASED, 20_000)
+
+        def full_after_a_wait(descriptor, data):
+            time.sleep(0.05)  # the encoder fills the pipe meanwhile
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        async def body():
+            async with SketchService(config) as service:
+                await service.ingest(keys, clocks)
+                await service.drain()
+                counters = service.state.depth * service.state.width
+                with monkeypatch.context() as patch:
+                    calls = _counting_serializer(patch)
+                    patch.setattr(snapshot_module, "_write_all", full_after_a_wait)
+                    with pytest.raises(OSError) as failure:
+                        await service.snapshot_async()
+                left = [entry.name for entry in tmp_path.iterdir()]
+                return failure.value, calls[0], counters, left
+
+        error, encoded, counters, left = run(body())
+        assert error.errno == errno.ENOSPC
+        assert encoded < counters
+        assert left == []
 
     def test_error_failpoint_removes_the_temporary_file(self, tmp_path):
         path = tmp_path / "snap.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -183,6 +185,29 @@ class TestServeReplayParsers:
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot read the --restore snapshot: ")
         assert str(missing) in lines[0]
+
+    def test_serve_reports_a_missing_shard_snapshot_of_a_manifest(self, tmp_path):
+        from repro.service.config import ServiceConfig
+        from repro.service.router import ShardRouter
+
+        manifest = tmp_path / "m.json"
+
+        async def snapshot_two_shards() -> None:
+            config = ServiceConfig(mode="flat", shards=2, snapshot_path=str(manifest))
+            router = ShardRouter(config, local=True)
+            await router.start()
+            await router.ingest(["a", "b", "c"], [1.0, 2.0, 3.0])
+            await router.stop(drain=True)
+
+        asyncio.run(snapshot_two_shards())
+        missing = tmp_path / "m.json.shard1.e1"
+        missing.unlink()
+        code, lines = run_cli(["serve", "--port", "0", "--restore", str(manifest)])
+        assert code == 2
+        assert lines == [
+            "error: manifest %s names shard 1's snapshot %s, which is not a file"
+            % (manifest, missing)
+        ]
 
     def test_replay_defaults(self):
         args = build_parser().parse_args(["replay"])

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import CountMinSketch, CounterType, ECMConfig, ECMSketch
 from repro.core.errors import ConfigurationError
+from repro.jsonstream import JSONStream
 from repro.queries import FrequentItemsTracker, HierarchicalECMSketch
 from repro.serialization import (
     FORMAT_VERSION,
@@ -26,14 +29,17 @@ from repro.serialization import (
     loads,
     randomized_wave_from_dict,
     randomized_wave_to_dict,
+    read_ecm_sketch,
+    read_hierarchical,
+    to_json_pieces,
     tracker_from_dict,
     tracker_to_dict,
     wave_from_dict,
     wave_to_dict,
 )
-from repro.windows import DeterministicWave, ExponentialHistogram, RandomizedWave
+from repro.windows import DeterministicWave, ExponentialHistogram, RandomizedWave, columnar_eh
 
-from .conftest import make_arrivals
+from .conftest import histograms_built, make_arrivals
 
 
 WINDOW = 50_000.0
@@ -316,6 +322,13 @@ class TestJsonLayer:
         payload["buckets"] = [bucket]
         with pytest.raises(ConfigurationError, match=message):
             histogram_from_dict(payload)
+        # The same cell in a sketch, decoded whole and streamed.
+        sketch = ecm_sketch_to_dict(ECMSketch.for_point_queries(epsilon=0.1, delta=0.1, window=WINDOW))
+        sketch["counters"][0][0]["buckets"] = [bucket]
+        with pytest.raises(ConfigurationError, match=message):
+            ecm_sketch_from_dict(sketch)
+        with pytest.raises(ConfigurationError, match=message):
+            read_ecm_sketch(JSONStream(io.StringIO(json.dumps(sketch))))
 
     def test_dumps_rejects_unknown_type(self):
         with pytest.raises(ConfigurationError):
@@ -330,3 +343,60 @@ class TestJsonLayer:
             sketch.add(record.key, record.timestamp, record.value)
         payload = dumps(sketch)
         assert len(payload) < 40 * sketch.synopsis_bytes()
+
+
+class TestColumnarCellsBuildNoHistogram:
+    """An exponential-histogram grid is encoded from, decoded into and
+    aggregated on its columnar store's arrays: no ``ExponentialHistogram``
+    is built on the way."""
+
+    @pytest.fixture(autouse=True, params=[False, True], ids=["numpy", "kernels"])
+    def _use_kernels(self, request, monkeypatch):
+        monkeypatch.setattr(columnar_eh, "USE_KERNELS", request.param)
+
+    @staticmethod
+    def _sites() -> list[ECMSketch]:
+        """Two sketches of one configuration: int clocks with weights, and
+        mixed clocks (so float cells) that cross the window."""
+        config = ECMConfig.for_point_queries(epsilon=0.1, delta=0.1, window=300.0)
+        rng = np.random.default_rng(4)
+        sites = [ECMSketch(config, stream_tag=tag) for tag in range(2)]
+        keys = rng.integers(0, 200, 3_000).tolist()
+        sites[0].add_many(keys, list(range(3_000)), rng.integers(1, 5, 3_000).tolist())
+        sites[1].add_many(keys, [index if index % 3 else index + 0.5 for index in range(3_000)])
+        return sites
+
+    def test_codec_and_aggregation_build_no_histogram(self):
+        sites = self._sites()
+        stack = HierarchicalECMSketch(universe_bits=5, epsilon=0.15, delta=0.15, window=300.0)
+        stack.add_many([index % 32 for index in range(2_000)], list(range(2_000)))
+        expected = [dumps(site) for site in sites]
+        stack_text = dumps(stack).decode()
+        operations = {
+            "dumps": lambda: [dumps(site) for site in sites],
+            "to_json_pieces": lambda: ["".join(to_json_pieces(site)) for site in sites],
+            "loads": lambda: [loads(data) for data in expected],
+            "read_ecm_sketch": lambda: [
+                read_ecm_sketch(JSONStream(io.StringIO(data.decode()))) for data in expected
+            ],
+            "read_hierarchical": lambda: read_hierarchical(JSONStream(io.StringIO(stack_text))),
+            "aggregate": lambda: ECMSketch.aggregate(sites),
+            "hierarchical aggregate": lambda: HierarchicalECMSketch.aggregate([stack, stack]),
+        }
+        built = {}
+        results = {}
+        for name, operation in operations.items():
+            with histograms_built() as histograms:
+                results[name] = operation()
+            built[name] = len(histograms)
+        assert built == dict.fromkeys(operations, 0)
+        assert [data.decode() for data in results["dumps"]] == results["to_json_pieces"]
+        assert results["dumps"] == expected
+        for name in ("loads", "read_ecm_sketch"):
+            assert [dumps(sketch) for sketch in results[name]] == expected
+        assert dumps(results["read_hierarchical"]).decode() == stack_text
+        assert dumps(results["aggregate"]) == dumps(ECMSketch._aggregate_reference(sites))
+        # The spy does see histograms: a cell read through ``counter`` is one.
+        with histograms_built() as histograms:
+            sites[1].counter(0, 0)
+        assert len(histograms) == 1
