@@ -111,7 +111,6 @@ _EXPORTS: dict[str, str] = {
     "status_for_code": "gateway",
     # harness + replay
     "ServeProcess": "launch",
-    "repro_env": "launch",
     "ReplayReport": "replay",
     "build_replay_stream": "replay",
     "run_replay": "replay",
@@ -122,6 +121,7 @@ _EXPORTS: dict[str, str] = {
     "shard_of": "router",
     "shard_column": "router",
     "ShardProcess": "shard_worker",
+    "repro_env": "shard_worker",
     "sites_of_shard": "shard_worker",
     "worker_config": "shard_worker",
     # fault tolerance

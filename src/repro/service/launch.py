@@ -17,13 +17,14 @@ connect-polling loops.  The differences matter for flakiness:
 """
 
 from __future__ import annotations
-import contextlib
 
-import os
+import contextlib
 import re
 import subprocess
 import sys
 import threading
+
+from .shard_worker import repro_env
 
 __all__ = ["ServeProcess", "repro_env"]
 
@@ -33,22 +34,6 @@ __all__ = ["ServeProcess", "repro_env"]
 _BANNER = re.compile(r"^(?P<label>[A-Za-z0-9_.-]+): listening on (?P<host>\S+):(?P<port>\d+)\b")
 
 _READY_TIMEOUT = 120.0
-
-
-def repro_env(extra: dict[str, str] | None = None) -> dict[str, str]:
-    """Subprocess environment with this checkout's ``src/`` on PYTHONPATH.
-
-    Empty ``PYTHONPATH`` entries are dropped: Python reads one as the
-    current directory, which would put the launcher's cwd on the path of
-    every server and worker it boots.
-    """
-    env = dict(os.environ)
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-    inherited = env.get("PYTHONPATH", "").split(os.pathsep)
-    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, inherited)])
-    if extra:
-        env.update(extra)
-    return env
 
 
 class ServeProcess:

@@ -19,8 +19,9 @@ router's interpreter flags and with the parent directory of the router's
 argument is one JSON document: the worker's configuration, host, label,
 restore path and the descriptor of its ready pipe.  ``repro.__main__`` hands
 that document to :func:`worker_main` before anything imports the CLI, and
-after it has blocked ``ssl`` as it does for every process it starts.  Three
-descriptors tie the worker to the router:
+after it has blocked ``ssl`` and capped NumPy's BLAS at one thread, as it
+does for every process it starts.  Three descriptors tie the worker to the
+router:
 
 * **Readiness** — the write end of a one-shot pipe, passed with
   ``pass_fds``.  The worker writes its bound port and closes it; the router
@@ -56,7 +57,7 @@ from .config import ServiceConfig
 from .errors import ServiceError, ShardUnavailableError
 from .journal import journal_dir_for_shard
 
-__all__ = ["ShardUnavailableError", "ShardProcess", "worker_config", "sites_of_shard"]
+__all__ = ["ShardUnavailableError", "ShardProcess", "repro_env", "worker_config", "sites_of_shard"]
 
 #: How long a started worker may take to announce its port.  A worker boots
 #: a fresh interpreter and imports NumPy; heavily loaded single-core CI
@@ -65,6 +66,22 @@ _READY_TIMEOUT = 120.0
 
 #: Poll period of :meth:`ShardProcess.join` where ``os.pidfd_open`` is missing.
 _EXIT_POLL_S = 0.05
+
+
+def repro_env(extra: dict[str, str] | None = None) -> dict[str, str]:
+    """Subprocess environment with this checkout's ``src/`` on PYTHONPATH.
+
+    Empty ``PYTHONPATH`` entries are dropped: Python reads one as the
+    current directory, which would put the launcher's cwd on the path of
+    every server and worker it boots.
+    """
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
+    inherited = env.get("PYTHONPATH", "").split(os.pathsep)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, inherited)])
+    if extra:
+        env.update(extra)
+    return env
 
 
 def sites_of_shard(sites: int, shards: int, shard_id: int) -> range:
@@ -198,9 +215,6 @@ class ShardProcess:
         host: str = "127.0.0.1",
         restore: str | None = None,
     ) -> None:
-        # Here, not at the top: workers run this module too but start none.
-        from .launch import repro_env
-
         self.shard_id = shard_id
         self.config = config
         self.host = host

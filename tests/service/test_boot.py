@@ -21,7 +21,13 @@
   routes the kernels imports numba).  A blocked module is a ``None`` entry
   of ``sys.modules``, so the dumps list only the loaded ones.  Library
   callers of ``repro`` still import ``ssl``.
-* **Subprocess environment.**  :func:`~repro.service.launch.repro_env` puts
+* **No BLAS thread pool.**  ``repro.__main__`` sets ``OPENBLAS_NUM_THREADS=1``
+  before NumPy loads, unless the environment already names a BLAS thread
+  count, so every served process (server, router and each worker) has
+  exactly its Python threads as OS threads after boot: each dump records
+  the ``Threads:`` count of ``/proc/self/status`` and
+  ``threading.active_count()``.  A count the user set reaches the workers.
+* **Subprocess environment.**  :func:`~repro.service.shard_worker.repro_env` puts
   ``src/`` first on ``PYTHONPATH`` and never adds an empty entry (which
   Python reads as the current directory).
 * **Worker readiness.**  :class:`~repro.service.shard_worker.ShardProcess`
@@ -125,8 +131,9 @@ WORKER_UNUSED = (
 #: self-joins: the workers hold the sketches, so the router needs neither
 #: NumPy nor the sketch, counter, serialization, hierarchy or stream-record
 #: code, nor the service core (its pre-ack checks live in
-#: ``service.validators``), nor OpenSSL.  The snapshot writer and the
-#: streaming JSON reader load on the first snapshot.
+#: ``service.validators``), nor OpenSSL, nor the ``ServeProcess`` test
+#: harness.  The snapshot writer and the streaming JSON reader load on the
+#: first snapshot.
 ROUTER_UNUSED = (
     "numpy",
     "ssl",
@@ -140,8 +147,12 @@ ROUTER_UNUSED = (
     "repro.streams",
     "repro.service.core",
     "repro.service.snapshot",
+    "repro.service.launch",
     "repro.jsonstream",
 )
+
+#: The variables OpenBLAS reads its thread count from.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 #: A router started from a script file.  Every run of the script appends
 #: ``<pid> <__name__>`` to the marker file: once as ``__main__`` in the
@@ -178,8 +189,13 @@ if __name__ == "__main__":
 
 #: A library caller of repro: the CLI run in-process, then a local router
 #: started and stopped, then ``import ssl``.  repro is imported before
-#: asyncio, so that its own imports are the first to reach ``ssl``.
+#: asyncio, so that its own imports are the first to reach ``ssl``.  The
+#: caller's environment (BLAS thread counts included) stays as it was.
 _LIBRARY_CALLER = """\
+import os
+
+environ = dict(os.environ)
+
 from repro.cli import main
 from repro.service import ServiceConfig, ShardRouter
 
@@ -199,6 +215,7 @@ asyncio.run(start_and_stop())
 import ssl
 
 assert ssl.SSLContext is not None
+assert dict(os.environ) == environ
 """
 
 _SITECUSTOMIZE = """\
@@ -208,7 +225,17 @@ import os
 import sys
 
 
+def _os_threads():
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    return None
+
+
 def _dump_modules():
+    import threading
+
     path = os.path.join(%r, "modules-%%d.json" %% os.getpid())
     columnar = sys.modules.get("repro.windows.columnar_eh")
     # A ``None`` entry is a blocked import (``ssl``), not a loaded module.
@@ -219,6 +246,9 @@ def _dump_modules():
                 "modules": sorted(loaded),
                 "ssl_blocked": sys.modules.get("ssl", False) is None,
                 "use_kernels": getattr(columnar, "USE_KERNELS", None),
+                "os_threads": _os_threads(),
+                "python_threads": threading.active_count(),
+                "blas_env": {name: os.environ.get(name) for name in %r},
             },
             handle,
         )
@@ -300,14 +330,20 @@ def _boot_dumps(
     *args: object,
     drive: Callable[[int], None] | None = None,
     serve: Callable[..., ServeProcess] = ServeProcess,
+    extra_env: dict[str, str] | None = None,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Boot ``repro serve``, run ``drive(port)``, stop it; each process's exit dump."""
     hook = tmp_path / "hook"
     dumps = tmp_path / "dumps"
     hook.mkdir()
     dumps.mkdir()
-    (hook / "sitecustomize.py").write_text(_SITECUSTOMIZE % str(dumps), encoding="utf-8")
-    env = repro_env({"PYTHONDONTWRITEBYTECODE": "1"})
+    (hook / "sitecustomize.py").write_text(
+        _SITECUSTOMIZE % (str(dumps), BLAS_THREAD_VARIABLES), encoding="utf-8"
+    )
+    # The test run's BLAS thread counts are dropped; ``extra_env`` sets any
+    # that a test needs.
+    env = {name: value for name, value in repro_env().items() if name not in BLAS_THREAD_VARIABLES}
+    env.update(PYTHONDONTWRITEBYTECODE="1", **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join([str(hook), env["PYTHONPATH"]])
     with serve(*args, env=env) as server:
         port = server.wait_ready()
@@ -444,11 +480,49 @@ class TestImportBudget:
             assert worker["ssl_blocked"]
 
 
+class TestNoBlasThreadPool:
+    @pytest.mark.parametrize(
+        "args, shards",
+        [
+            (("--mode", "flat"), 0),
+            (("--mode", "hierarchical", "--universe-bits", 8), 0),
+            (("--mode", "flat", "--shards", 2), 2),
+        ],
+        ids=["flat", "hierarchical", "sharded"],
+    )
+    def test_every_served_thread_is_a_python_thread(self, tmp_path, args, shards):
+        # Equal counts mean no native thread pool outlived boot, whatever
+        # the CPU count.  A journal runs a Python thread, which counts on
+        # both sides.
+        router, workers = _boot_dumps(tmp_path, *args, "--journal-dir", tmp_path / "journal")
+        assert len(workers) == shards
+        for sketch_holder in workers or [router]:
+            assert "numpy" in sketch_holder["modules"]
+        for dump in (router, *workers):
+            assert dump["os_threads"] == dump["python_threads"], dump["os_threads"]
+        for dump in (router, *workers):
+            assert dump["blas_env"] == {
+                "OPENBLAS_NUM_THREADS": "1",
+                "GOTO_NUM_THREADS": None,
+                "OMP_NUM_THREADS": None,
+            }
+
+    @pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+    def test_a_blas_thread_count_the_user_set_is_kept(self, tmp_path, variable):
+        router, workers = _boot_dumps(tmp_path, "--mode", "flat", "--shards", 2, extra_env={variable: "2"})
+        assert len(workers) == 2
+        for dump in (router, *workers):
+            assert dump["blas_env"] == {
+                name: "2" if name == variable else None for name in BLAS_THREAD_VARIABLES
+            }
+
+
 class TestLibraryCallers:
     def test_ssl_still_imports_after_the_cli_and_a_local_router(self):
         # Only the entry points block ``ssl``: a process that imports repro
         # as a library, runs the CLI in-process and serves a local router
-        # still has TLS.  A fresh interpreter, so that the imports run too.
+        # still has TLS, and its environment is its own.  A fresh
+        # interpreter, so that the imports run too.
         caller = subprocess.run(
             [sys.executable, "-c", _LIBRARY_CALLER],
             env=repro_env(),
